@@ -161,3 +161,56 @@ class TestExpFit:
     def test_needs_four_points(self):
         with pytest.raises(InputError):
             fit_exponential(AsfCurve((1, 2, 3), (1.0, 0.9, 0.8), (0.0,) * 3, 1))
+
+
+class TestGoldenValues:
+    """Values captured before the averaged step was rewritten; a kernel
+    refactor must reproduce them to 1e-12."""
+
+    SPIN = (
+        0.9845214287213594, 0.9794982089412505, 0.9749954938182174, 0.970941394655043,
+        0.9672567942158071, 0.9638575710197674, 0.9606569054252532, 0.9575676040571213,
+        0.9545043801468189, 0.9513860300100759, 0.948137450074004, 0.9446914444349731,
+        0.9409902796998277, 0.9369869516266974, 0.9326461366074231, 0.9279448100759686,
+        0.9228725232328691, 0.9174313387903642, 0.9116354355178592, 0.9055103999664373,
+    )
+    AMPLITUDE_DAMPING = (
+        0.9696049894151542, 0.9412629936490925, 0.9148353429081532, 0.8901927337761105,
+        0.8672145965671938, 0.8457885054109106, 0.8258096281823765, 0.807180213586808,
+        0.7898091128886215, 0.7736113339450834, 0.7585076253625226, 0.7444240887404895,
+        0.7312918171066757, 0.7190465577735571, 0.7076283979672037, 0.6969814716901249,
+        0.6870536863839081, 0.6777964680542836, 0.6691645236115816, 0.6611156192637768,
+    )
+
+    @pytest.mark.parametrize("name, expected", [
+        ("spin_model", SPIN), ("amplitude_damping", AMPLITUDE_DAMPING),
+    ])
+    def test_bundled_config_curves(self, name, expected):
+        from pathlib import Path
+
+        from rbmpo.serialize import experiment_config_from_dict, load_json
+
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        cfg = experiment_config_from_dict(load_json(path))
+        vals = clifford_averaged_asf_curve(cfg.noise, cfg.rho_sys, cfg.povm, 20)
+        assert np.max(np.abs(vals - np.asarray(expected))) < 1e-12
+
+    def test_joint_coefficient(self):
+        # slot 2 of a length-4 sequence, read through its norm, two entries
+        # and three seeded random linear functionals
+        from rbmpo.process_tensor import asf_joint_coefficient
+
+        rng = np.random.default_rng(2207)
+        steps = NoiseSteps.uniform(haar_unitary(4, rng), RHO, 2)
+        coeff = asf_joint_coefficient(steps, 2, 4, RHO, POVM)
+        assert abs(np.linalg.norm(coeff) - 0.21864232609686907) < 1e-12
+        assert abs(coeff[0, 0, 0, 0, 0, 0] - (-0.012093299758548146 + 0.014354289794112213j)) < 1e-12
+        assert abs(coeff[1, 0, 1, 0, 1, 1] - (0.017343648308018173 - 0.03471246874067686j)) < 1e-12
+        probes = rng.standard_normal((3,) + coeff.shape) + 1j * rng.standard_normal((3,) + coeff.shape)
+        expected = (
+            -0.25094143598782204 + 0.33045901526600263j,
+            0.23364266189401875 - 0.027131306755047026j,
+            -0.059625304331249365 + 0.2613997519383081j,
+        )
+        for probe, value in zip(probes, expected):
+            assert abs(np.sum(probe * np.conj(coeff)) - value) < 1e-12
