@@ -237,6 +237,31 @@ def _solve_linear(p: float, ms: np.ndarray, ys: np.ndarray) -> tuple[float, floa
     return float(coef[0]), float(coef[1]), float(resid @ resid)
 
 
+def golden_section(objective, lo: float, hi: float, tol: float, max_iter: int) -> float:
+    """Golden-section minimization of a unimodal `objective` on [lo, hi].
+
+    Stops once the bracket is narrower than `tol` or after `max_iter`
+    shrinks, and returns the bracket's midpoint.
+    """
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(max_iter):
+        if b - a < tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = objective(d)
+    return float((a + b) / 2.0)
+
+
 def fit_exponential(curve: AsfCurve) -> ExpFit:
     """Fit A p^m + B with p constrained to [-1, 1].
 
@@ -259,24 +284,7 @@ def fit_exponential(curve: AsfCurve) -> ExpFit:
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
 
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = _solve_linear(c, ms, ys)[2]
-    fd = _solve_linear(d, ms, ys)[2]
-    for _ in range(200):
-        if b - a < 1e-15:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _solve_linear(c, ms, ys)[2]
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _solve_linear(d, ms, ys)[2]
-    p_best = float((a + b) / 2.0)
+    p_best = golden_section(lambda p: _solve_linear(p, ms, ys)[2], lo, hi, 1e-15, 200)
     amp, off, _ = _solve_linear(p_best, ms, ys)
     resid = float(np.max(np.abs(amp * p_best ** ms + off - ys)))
     return ExpFit(amp, p_best, off, resid)

@@ -38,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .average import NoiseSteps, clifford_averaged_asf_curve
+from .average import NoiseSteps, clifford_averaged_asf_curve, golden_section
 from .errors import DomainError, InputError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
 from .process_tensor import asf_joint_coefficient, joint_node
@@ -354,23 +354,7 @@ def _line_minimize(objective, step0: float = 1e-4, max_angle: float = np.pi) -> 
         return 0.0
     lo = thetas[k - 1]
     hi = thetas[k + 1] if k + 1 < len(thetas) else min(thetas[k] * 2.0, max_angle)
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(120):
-        if b - a < 1e-12:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = objective(d)
-    return float((a + b) / 2.0)
+    return golden_section(objective, lo, hi, 1e-12, 120)
 
 
 def saddle_departure(
