@@ -3,18 +3,21 @@
 Averaging an RB sequence over a unitary 2-design collapses the gate average
 into two environment-only superoperators per noise step:
 
-* the *mixed-input map* ``pounds``-style: eps -> tr_S[ Lambda(eps x I/d) ],
+* the *mixed-input* (pound) map: eps -> tr_S[ Lambda(eps x I/d) ],
   which propagates the trace sector, and
 * the *loop map*: eps -> sum_{s,s'} <s| Lambda(eps x |s><s'|) |s'>, whose
   combination (loop - mixed)/(d^2 - 1) propagates the traceless sector.
 
-The averaged fidelity after m steps is then a boundary contraction of the
-m-th powers of those two maps, so the cost is linear in m.  For trivial
+This module holds the one implementation of that averaged step, shared by
+the closed-form curve here and by the joint-node contractions in
+:mod:`rbmpo.process_tensor`: :func:`env_maps` builds both maps with a single
+einsum from a ket and a bra node stack, :func:`twirled_step` applies them to
+a 4-leg operator X[e, s, f, t] = <es|X|ft> (and, with transposed maps, pulls
+a functional backwards), and :func:`raw_slot` / :func:`raw_slot_adjoint`
+apply an undressed preparation or final slot.  The averaged fidelity after
+m steps is the prepared state taken through m averaged steps and paired with
+the measurement functional, so the cost is linear in m.  For trivial
 (one-dimensional) environments this reproduces the textbook A p^m + B decay.
-
-Both superoperators are built columnwise from their defining expressions by
-feeding in every environment basis element; slower than an index-juggling
-construction but correct by inspection.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ShapeError, UnsupportedConfigurationError
 from .noise import JointUnitary, MarkovianChannel, NoiseModel
-from .quantum import GateSet, dagger, validate_density_matrix, validate_povm_element
+from .quantum import GateSet, validate_density_matrix, validate_povm_element
 from .rb import AsfCurve
 
 
@@ -76,17 +79,30 @@ class NoiseSteps:
                           (node,), (node,), (node,))
 
 
-def apply_kraus(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in ops:
-        out += k @ rho @ dagger(k)
-    return out
+def kraus_stack(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
+    """Kraus operators on environment x system as one (k, e, s, f, t) node stack."""
+    return np.stack([np.asarray(k, dtype=np.complex128) for k in ops]).reshape(
+        -1, d_env, d_sys, d_env, d_sys
+    )
 
 
-def partial_trace_sys(rho: np.ndarray, d_env: int, d_sys: int) -> np.ndarray:
-    """Trace out the system factor of an environment x system operator."""
-    r4 = rho.reshape(d_env, d_sys, d_env, d_sys)
-    return np.einsum("esfs->ef", r4)
+def env_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """The mixed-input (pound) and loop maps of one slot, stacked on axis 0.
+
+    ``ket`` and ``bra`` are node stacks (..., k, e, s, f, t) whose Kraus axis
+    k is summed over (the slot acts as X -> sum_k ket_k X bra_k^dag) and
+    whose leading batch axes broadcast.  Each map is returned as
+    (..., e, h, f, g), sending the environment operator eps[f, g] to
+    ``tr_S[slot(eps x I/d_sys)]`` (mixed) or to
+    ``sum_{s,s'} <s| slot(eps x |s><s'|) |s'>`` (loop), indexed [e, h].
+    """
+    d_sys = ket.shape[-1]
+    eye = np.eye(d_sys)
+    patterns = np.stack([
+        np.einsum("tv,uw->tuvw", eye, eye) / d_sys,
+        np.einsum("tu,vw->tuvw", eye, eye),
+    ])
+    return np.einsum("...qetfu,...qhvgw,ptuvw->p...ehfg", ket, np.conj(bra), patterns)
 
 
 def env_loop_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
@@ -98,22 +114,8 @@ def env_loop_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndar
     vectorized environment operators.  For the identity step this is
     d_sys^2 times the identity superoperator.
     """
-    d2 = d_env * d_env
-    mat = np.zeros((d2, d2), dtype=np.complex128)
-    for a in range(d_env):
-        for b in range(d_env):
-            eps = np.zeros((d_env, d_env), dtype=np.complex128)
-            eps[a, b] = 1.0
-            out = np.zeros((d_env, d_env), dtype=np.complex128)
-            for s in range(d_sys):
-                for sp in range(d_sys):
-                    sys_part = np.zeros((d_sys, d_sys), dtype=np.complex128)
-                    sys_part[s, sp] = 1.0
-                    y = apply_kraus(ops, np.kron(eps, sys_part))
-                    y4 = y.reshape(d_env, d_sys, d_env, d_sys)
-                    out += y4[:, s, :, sp]
-            mat[:, a * d_env + b] = out.reshape(-1)
-    return mat
+    stack = kraus_stack(ops, d_env, d_sys)
+    return env_maps(stack, stack)[1].reshape(d_env * d_env, d_env * d_env)
 
 
 def env_mixed_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
@@ -123,23 +125,74 @@ def env_mixed_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.nda
     Trace preserving whenever the step is; the identity step gives the
     identity superoperator.
     """
-    d2 = d_env * d_env
-    mix = np.eye(d_sys, dtype=np.complex128) / d_sys
-    mat = np.zeros((d2, d2), dtype=np.complex128)
-    for a in range(d_env):
-        for b in range(d_env):
-            eps = np.zeros((d_env, d_env), dtype=np.complex128)
-            eps[a, b] = 1.0
-            y = apply_kraus(ops, np.kron(eps, mix))
-            mat[:, a * d_env + b] = partial_trace_sys(y, d_env, d_sys).reshape(-1)
-    return mat
+    stack = kraus_stack(ops, d_env, d_sys)
+    return env_maps(stack, stack)[0].reshape(d_env * d_env, d_env * d_env)
 
 
-def _boundary_value(steps: NoiseSteps, x: np.ndarray, povm: np.ndarray) -> float:
-    """tr[(I_env x M) Final(x)] for an environment x system operator x."""
-    y = apply_kraus(steps.final, x)
-    meas = np.kron(np.eye(steps.d_env, dtype=np.complex128), povm)
-    return float(np.real(np.trace(meas @ y)))
+def bulk_maps(steps: NoiseSteps) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed and loop maps of the bulk slot as (e, h, f, g) arrays.
+
+    Built through :func:`env_mixed_map` and :func:`env_loop_map`, looked up
+    at call time, so every averaged path shares those two definitions.
+    """
+    shape = (steps.d_env,) * 4
+    return (
+        env_mixed_map(steps.bulk, steps.d_env, steps.d_sys).reshape(shape),
+        env_loop_map(steps.bulk, steps.d_env, steps.d_sys).reshape(shape),
+    )
+
+
+def twirled_step(x: np.ndarray, mixed: np.ndarray, loop: np.ndarray, d_sys: int) -> np.ndarray:
+    """One 2-design-averaged slot acting on a 4-leg operator x[..., f, s, g, t].
+
+    The trace sector tr_S[x] goes through the mixed map and the traceless
+    remainder through (loop - mixed)/(d_sys^2 - 1); written here as
+    ``traceless(x) + ((mixed - traceless) tr_S[x]) x I/d_sys``.  With the
+    maps transposed ([e, h, f, g] -> [f, g, e, h]) this is the adjoint step
+    under the pairing sum(l * x), which pulls functionals backwards.
+    """
+    traceless = (loop - mixed) / (d_sys * d_sys - 1)
+    t_env = np.einsum("...fsgs->...fg", x)
+    out = np.einsum("...ehfg,...fsgt->...esht", traceless, x)
+    trace_part = np.einsum("...ehfg,...fg->...eh", mixed - traceless, t_env) / d_sys
+    return out + trace_part[..., :, None, :, None] * np.eye(d_sys)[:, None, :]
+
+
+def raw_slot(ket: np.ndarray, bra: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One slot without gate averaging: X -> sum_k ket_k X bra_k^dag.
+
+    Node stacks as in :func:`env_maps`; x is (..., f, t, g, u).  The
+    environment leg sizes may differ per argument (free bonds of a split
+    joint node are threaded through this way).
+    """
+    return np.einsum("...qaibj,...bjcl,...qdmcl->...aidm", ket, x, np.conj(bra))
+
+
+def raw_slot_adjoint(ket: np.ndarray, bra: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`raw_slot` under the pairing sum(l * X):
+    l -> sum_k ket_k^T l conj(bra_k)."""
+    return np.einsum("...qaibj,...aidm,...qdmcl->...bjcl", ket, l, np.conj(bra))
+
+
+def prepared_state(steps: NoiseSteps, rho_sys: np.ndarray, prep: bool = True) -> np.ndarray:
+    """rho_env x rho_sys as a 4-leg operator, passed through the preparation
+    slot unless ``prep`` is False."""
+    x = np.einsum("ef,st->esft", steps.rho_env, rho_sys)
+    if prep:
+        ops = kraus_stack(steps.prep, steps.d_env, steps.d_sys)
+        x = raw_slot(ops, ops, x)
+    return x
+
+
+def measurement_functional(steps: NoiseSteps, povm: np.ndarray, final: bool = True) -> np.ndarray:
+    """The functional l with sum(l * X) = tr[(I_env x M) Final(X)], i.e. the
+    measurement pulled back through the final slot (left out when ``final``
+    is False)."""
+    l = np.einsum("ef,ts->esft", np.eye(steps.d_env, dtype=np.complex128), povm)
+    if final:
+        ops = kraus_stack(steps.final, steps.d_env, steps.d_sys)
+        l = raw_slot_adjoint(ops, ops, l)
+    return l
 
 
 def clifford_averaged_asf_curve(
@@ -151,8 +204,8 @@ def clifford_averaged_asf_curve(
 ) -> np.ndarray:
     """Exact 2-design-averaged sequence fidelity for every length 1..m_max.
 
-    All lengths share one linear pass: the trace and traceless sectors are
-    propagated step by step and the measurement boundary is evaluated after
+    All lengths share one linear pass: the prepared state takes one averaged
+    step per length and is paired with the measurement functional after
     each step.
 
     Args:
@@ -171,35 +224,18 @@ def clifford_averaged_asf_curve(
     if m_max < 1:
         raise InputError(f"m_max must be >= 1, got {m_max}")
     steps = noise if isinstance(noise, NoiseSteps) else NoiseSteps.from_model(noise)
-    d_env, d_sys = steps.d_env, steps.d_sys
     rho_sys = validate_density_matrix(np.asarray(rho_sys, dtype=np.complex128), name="rho_sys")
     povm = validate_povm_element(np.asarray(povm, dtype=np.complex128))
-    if rho_sys.shape[0] != d_sys or povm.shape[0] != d_sys:
+    if rho_sys.shape[0] != steps.d_sys or povm.shape[0] != steps.d_sys:
         raise ShapeError("state/POVM dimension does not match the noise model's system")
 
-    rho = apply_kraus(steps.prep, np.kron(steps.rho_env, rho_sys))
-    env_trace = partial_trace_sys(rho, d_env, d_sys)
-    mix = (np.eye(d_sys, dtype=np.complex128) / d_sys).reshape(-1)
-
-    # Traceless sector stored as (env pair) x (sys pair); only its env index
-    # evolves.  Trace sector is a vectorized environment operator.
-    r_block = rho.reshape(d_env, d_sys, d_env, d_sys).transpose(0, 2, 1, 3)
-    r_block = r_block.reshape(d_env * d_env, d_sys * d_sys).copy()
-    r_block -= np.outer(env_trace.reshape(-1), mix)
-    t_vec = env_trace.reshape(-1).copy()
-
-    mixed = env_mixed_map(steps.bulk, d_env, d_sys)
-    loop = env_loop_map(steps.bulk, d_env, d_sys)
-    traceless = (loop - mixed) / (d_sys * d_sys - 1)
-
+    x = prepared_state(steps, rho_sys)
+    meas = measurement_functional(steps, povm)
+    mixed, loop = bulk_maps(steps)
     values = np.empty(m_max, dtype=np.float64)
-    for m in range(1, m_max + 1):
-        r_block = traceless @ r_block
-        t_vec = mixed @ t_vec
-        combined = r_block + np.outer(t_vec, mix)
-        x = combined.reshape(d_env, d_env, d_sys, d_sys).transpose(0, 2, 1, 3)
-        x = x.reshape(steps.dim, steps.dim)
-        values[m - 1] = _boundary_value(steps, x, povm)
+    for m in range(m_max):
+        x = twirled_step(x, mixed, loop, steps.d_sys)
+        values[m] = np.real(np.sum(meas * x))
     return values
 
 

@@ -311,29 +311,6 @@ def _tangent_probe(
     return grad, hess, basis
 
 
-def escape_direction(
-    node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm, probe: float = 1e-3
-) -> np.ndarray | None:
-    """Most-negative-curvature Hermitian generator of the cost at `node`.
-
-    The no-noise initialization is a stationary point of the cost on the
-    unitary group (the fidelity is maximal there), and the split/project
-    cycle is exactly stationary too, so plain gradient steps cannot leave
-    it.  Returns the minimal-curvature eigendirection of the tangent
-    Hessian (deterministic sign), or None when every curvature is
-    non-negative.
-    """
-    _, hess, basis = _tangent_probe(node, d_env, data, rho_sys, povm, probe)
-    w, v = np.linalg.eigh(hess)
-    if w[0] >= 0.0:
-        return None
-    vec = v[:, 0]
-    pivot = int(np.argmax(np.abs(vec)))
-    if vec[pivot] < 0:
-        vec = -vec
-    return sum(c * b for c, b in zip(vec, basis))
-
-
 def _line_minimize(objective, step0: float = 1e-4, max_angle: float = np.pi) -> float:
     """Deterministic 1-D minimization of `objective(theta)` for theta >= 0.
 

@@ -166,17 +166,6 @@ def principal_unitary_sqrt(u, near: np.ndarray | None = None) -> np.ndarray:
     return project_to_unitary(candidate)
 
 
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
-def is_unitary(m, tol: float = 1e-12) -> bool:
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.linalg.norm(dagger(a) @ a - np.eye(a.shape[0])) <= tol)
-
-
 def matrix_to_json_dict(m) -> dict:
     """Serialize a complex matrix as ``{rows, cols, re, im}`` with 2-D lists.
 

@@ -5,16 +5,20 @@ tensors: a noise tensor holding the per-slot noise nodes and the fiducial
 environment state, and a control tensor holding the gates, the initial system
 state and the measurement.  This module provides
 
-* dense constructions of both tensors (and of the 2-design-averaged control
-  tensor) plus their full contraction — exponentially large in m, capped at
-  ``DENSE_ORACLE_MAX_M``, and kept as the brute-force oracle everything else
-  is tested against;
-* an efficient evaluation of the averaged fidelity as a chain of small
-  environment-system superoperators, linear in sequence length, with the
-  option of leaving one *joint node* (two adjacent noise slots fused over
-  their environment bond) free.  The fidelity is linear in that free node,
-  and :func:`asf_joint_coefficient` returns the coefficient tensor — the
-  object the sweeping learner's gradient is made of.
+* dense constructions of the noise tensor and of the 2-design-averaged
+  control tensor, and the full contraction of one sequence's noise and
+  control tensors (built block by block in a grouped leg order) —
+  exponentially large in m, capped at ``DENSE_ORACLE_MAX_M``, and kept as
+  the brute-force oracle everything else is tested against;
+* the averaged fidelity with one *joint node* (two adjacent noise slots
+  fused over their environment bond) left free.  The environments on either
+  side of the node are propagated with the averaged step of
+  :mod:`rbmpo.average` (forwards for the state, with transposed maps
+  backwards for the measurement), and the node's own two slots apply the
+  same step to maps built from explicit (ket, bra) nodes.  The fidelity is
+  linear in the free node, and :func:`asf_joint_coefficient` returns the
+  coefficient tensor — the object the sweeping learner's gradient is made
+  of.
 
 Layout conventions: an operator X on environment x system is stored either
 as a dim x dim matrix or as a 4-axis array X[e, s, f, t] = <es|X|ft>.  A
@@ -30,9 +34,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .average import NoiseSteps, env_loop_map, env_mixed_map
+from .average import (
+    NoiseSteps,
+    bulk_maps,
+    env_maps,
+    kraus_stack,
+    measurement_functional,
+    prepared_state,
+    raw_slot,
+    twirled_step,
+)
 from .errors import InputError, ResourceLimitError, ShapeError
-from .quantum import dagger
 
 #: Largest sequence length the dense tensors are built for (d_sys = 2 keeps
 #: each tensor at 2^{4(m+2)} entries, ~268 MB at the cap).
@@ -42,10 +54,6 @@ DENSE_ORACLE_MAX_M = 4
 # --------------------------------------------------------------------------
 # dense oracle
 # --------------------------------------------------------------------------
-
-def _node4(op: np.ndarray, d_env: int, d_sys: int) -> np.ndarray:
-    return op.reshape(d_env, d_sys, d_env, d_sys)
-
 
 def _check_dense_cap(m: int):
     if m > DENSE_ORACLE_MAX_M:
@@ -82,7 +90,7 @@ def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     operands = []
     # ket chain: node[e_{j+1}, s_j, e_j, s_j']
     for j, ops in enumerate(slot_ops):
-        stack = np.stack([_node4(k, d_env, d_sys) for k in ops])
+        stack = kraus_stack(ops, d_env, d_sys)
         kraus_label = leg0 + 4 * n_slots + j
         up = top_ket if j == n_slots - 1 else e(j + 1)
         operands.append(stack)
@@ -92,7 +100,7 @@ def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     operands.append([e(0), eps(0)])
     # bra chain: conj(node)[eps_{j+1}, z_j', eps_j, z_j]
     for j, ops in enumerate(slot_ops):
-        stack = np.conj(np.stack([_node4(k, d_env, d_sys) for k in ops]))
+        stack = np.conj(kraus_stack(ops, d_env, d_sys))
         kraus_label = leg0 + 4 * n_slots + j
         up = top_eps if j == n_slots - 1 else eps(j + 1)
         operands.append(stack)
@@ -102,63 +110,6 @@ def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     operands.append([top_ket, top_eps])
 
     out = [leg0 + 4 * j + a for j in range(n_slots) for a in range(4)]
-    return np.einsum(*operands, out, optimize="greedy")
-
-
-def dense_control_tensor(
-    gates: list[np.ndarray], rho_sys: np.ndarray, povm: np.ndarray
-) -> np.ndarray:
-    """Dense control tensor for one specific gate sequence.
-
-    The compiled inverse of the sequence fills the last gate slot; the
-    system state and the measurement sit at the chain ends.  Axis order
-    matches :func:`dense_noise_tensor`.
-    """
-    m = len(gates)
-    _check_dense_cap(m)
-    if m < 1:
-        raise InputError("control tensor needs at least one gate")
-    d_sys = gates[0].shape[0]
-    n_slots = m + 2
-    g_hat = np.eye(d_sys, dtype=np.complex128)
-    for g in gates:
-        g_hat = g @ g_hat
-
-    def s(j):
-        return 4 * j + 0
-
-    def sp(j):
-        return 4 * j + 1
-
-    def z(j):
-        return 4 * j + 2
-
-    def zp(j):
-        return 4 * j + 3
-
-    operands = []
-    # conj(G_hat)[s_m, s_{m+1}']
-    operands.append(np.conj(g_hat))
-    operands.append([s(m), sp(m + 1)])
-    # G_i[s_i', s_{i-1}] for i = 1..m
-    for i, g in enumerate(gates, start=1):
-        operands.append(np.asarray(g, dtype=np.complex128))
-        operands.append([sp(i), s(i - 1)])
-    # rho_sys[s_0', z_0]
-    operands.append(np.asarray(rho_sys, dtype=np.complex128))
-    operands.append([sp(0), z(0)])
-    # conj(G_j)[z_j, z_{j-1}']
-    for j, g in enumerate(gates, start=1):
-        operands.append(np.conj(np.asarray(g, dtype=np.complex128)))
-        operands.append([z(j), zp(j - 1)])
-    # G_hat[z_m', z_{m+1}]
-    operands.append(g_hat)
-    operands.append([zp(m), z(m + 1)])
-    # M[z_{m+1}', s_{m+1}]
-    operands.append(np.asarray(povm, dtype=np.complex128))
-    operands.append([zp(m + 1), s(m + 1)])
-
-    out = [4 * j + a for j in range(n_slots) for a in range(4)]
     return np.einsum(*operands, out, optimize="greedy")
 
 
@@ -222,7 +173,10 @@ def _dense_blocks_unitary(steps: NoiseSteps, m: int) -> np.ndarray:
     """
     d_env, d_sys = steps.d_env, steps.d_sys
     slot_ops = [steps.prep] + [steps.bulk] * m + [steps.final]
-    kets = [_node4(_single_unitary(ops, "the dense fast path"), d_env, d_sys) for ops in slot_ops]
+    kets = [
+        _single_unitary(ops, "the dense fast path").reshape(d_env, d_sys, d_env, d_sys)
+        for ops in slot_ops
+    ]
     ket_part = _chain_part(kets, d_env, d_sys)  # (top, e_0, S)
     bras = [np.conj(k).transpose(0, 3, 2, 1) for k in kets]  # (eps_up, z, eps_dn, z')
     bra_part = _chain_part(bras, d_env, d_sys)  # (top, eps_0, Z)
@@ -311,122 +265,34 @@ def _single_unitary(ops: tuple[np.ndarray, ...], what: str) -> np.ndarray:
     return ops[0]
 
 
-def _raw_apply(ops, x4, d_env, d_sys):
-    dim = d_env * d_sys
-    x = x4.reshape(dim, dim)
-    out = np.zeros_like(x)
-    for k in ops:
-        out += k @ x @ dagger(k)
-    return out.reshape(d_env, d_sys, d_env, d_sys)
+def _slot(averaged: bool, ket: np.ndarray, bra: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One noise slot with explicit (ket, bra) node stacks: gate-averaged in
+    the bulk, raw at the preparation and final slots."""
+    if averaged:
+        return twirled_step(x, *env_maps(ket, bra), ket.shape[-1])
+    return raw_slot(ket, bra, x)
 
 
-def _raw_apply_left(ops, l4, d_env, d_sys):
-    dim = d_env * d_sys
-    l = l4.reshape(dim, dim)
-    out = np.zeros_like(l)
-    for k in ops:
-        out += k.T @ l @ np.conj(k)
-    return out.reshape(d_env, d_sys, d_env, d_sys)
-
-
-def _twirl_sector_apply(x4, mixed_mat, loop_mat, d_env, d_sys):
-    """Apply the 2-design-averaged step: trace sector through the mixed map,
-    traceless sector through (loop - mixed)/(d^2 - 1)."""
-    t_env = np.einsum("esfs->ef", x4).reshape(-1)
-    mix = np.eye(d_sys, dtype=np.complex128).reshape(-1) / d_sys
-    block = x4.transpose(0, 2, 1, 3).reshape(d_env * d_env, d_sys * d_sys)
-    block = block - np.outer(t_env, mix)
-    block = ((loop_mat - mixed_mat) / (d_sys * d_sys - 1)) @ block
-    block = block + np.outer(mixed_mat @ t_env, mix)
-    return block.reshape(d_env, d_env, d_sys, d_sys).transpose(0, 2, 1, 3)
-
-
-def _hole_raw(ket, bra, x):
-    """One noise slot with explicit (ket, bra) nodes: X -> ket X bra^dag.
-
-    ket: (..., p, s, q, s'), bra: (..., u, s, v, s'), x: (..., q, s, v, s');
-    environment leg sizes may differ per argument.
-    """
-    return np.einsum("...aibj,...bjck,...dlck->...aidl", ket, x, np.conj(bra))
-
-
-def _hole_twirled(ket, bra, x, d_sys):
-    """One 2-design-averaged slot with explicit (ket, bra) nodes."""
-    brac = np.conj(bra)
-    t_env = np.einsum("...fsgs->...fg", x)
-    mix = np.eye(d_sys, dtype=np.complex128) / d_sys
-    xt = x - t_env[..., :, None, :, None] * mix[None, :, None, :]
-    pound = np.einsum("...etfu,...htgu->...ehfg", ket, brac) / d_sys
-    loop = np.einsum("...etft,...hugu->...ehfg", ket, brac)
-    tless = (loop - pound) / (d_sys * d_sys - 1)
-    out_trace = np.einsum("...ehfg,...fg->...eh", pound, t_env)
-    out = out_trace[..., :, None, :, None] * mix[None, :, None, :]
-    out = out + np.einsum("...ehfg,...fsgt->...esht", tless, xt)
-    return out
-
-
-def _left_boundary(povm, d_env, d_sys):
-    """Functional paired with operators by a plain elementwise sum:
-    F(X) = sum l * X  reproduces  tr[(I_env x M) X]."""
-    eye = np.eye(d_env, dtype=np.complex128)
-    return np.einsum("ef,ts->estf", eye, np.asarray(povm, dtype=np.complex128)).transpose(0, 1, 3, 2)
-
-
-class _Chain:
-    """Shared environment chains for one (steps, rho_sys, povm) context."""
-
-    def __init__(self, steps: NoiseSteps, rho_sys, povm):
-        self.steps = steps
-        self.d_env, self.d_sys = steps.d_env, steps.d_sys
-        self.rho_sys = np.asarray(rho_sys, dtype=np.complex128)
-        self.povm = np.asarray(povm, dtype=np.complex128)
-        if self.rho_sys.shape != (self.d_sys, self.d_sys):
-            raise ShapeError("rho_sys does not match the noise model's system dimension")
-        if self.povm.shape != (self.d_sys, self.d_sys):
-            raise ShapeError("povm does not match the noise model's system dimension")
-        self.mixed = env_mixed_map(steps.bulk, self.d_env, self.d_sys)
-        self.loop = env_loop_map(steps.bulk, self.d_env, self.d_sys)
-        self.rho0 = np.kron(steps.rho_env, self.rho_sys).reshape(
-            self.d_env, self.d_sys, self.d_env, self.d_sys
-        )
-
-    def right_env(self, n_bulk: int, with_prep: bool = True) -> np.ndarray:
-        """State after the preparation slot and n_bulk averaged bulk slots."""
-        x = self.rho0
-        if with_prep:
-            x = _raw_apply(self.steps.prep, x, self.d_env, self.d_sys)
-        for _ in range(n_bulk):
-            x = _twirl_sector_apply(x, self.mixed, self.loop, self.d_env, self.d_sys)
-        return x
-
-    def left_env(self, n_bulk: int, with_final: bool = True) -> np.ndarray:
-        """Measurement functional pulled back through the final slot and
-        n_bulk averaged bulk slots."""
-        l = _left_boundary(self.povm, self.d_env, self.d_sys)
-        if with_final:
-            l = _raw_apply_left(self.steps.final, l, self.d_env, self.d_sys)
-        for _ in range(n_bulk):
-            l = _twirl_sector_apply(l, self.mixed.T, self.loop.T, self.d_env, self.d_sys)
-        return l
-
-    def averaged_asf(self, m: int) -> float:
-        """Full-slot averaged fidelity (cross-check path for the closed form)."""
-        x = self.right_env(m)
-        x = _raw_apply(self.steps.final, x, self.d_env, self.d_sys)
-        l = _left_boundary(self.povm, self.d_env, self.d_sys)
-        return float(np.real(np.sum(l * x)))
-
-
-def _hole_kinds(slot_i: int, n: int) -> tuple[str, str]:
-    lower = "raw" if slot_i - 1 == 0 else "twirled"
-    upper = "raw" if slot_i == n + 1 else "twirled"
-    return upper, lower
-
-
-def _apply_hole(kind, ket, bra, x, d_sys):
-    if kind == "raw":
-        return _hole_raw(ket, bra, x)
-    return _hole_twirled(ket, bra, x, d_sys)
+def _environments(steps: NoiseSteps, slot_i: int, n: int, rho_sys, povm):
+    """State entering the joint node at slots (slot_i, slot_i - 1) of a
+    length-n sequence, and the measurement functional pulled back to its
+    output; both pass through every slot the node does not occupy."""
+    _check_slot(slot_i, n)
+    rho_sys = np.asarray(rho_sys, dtype=np.complex128)
+    povm = np.asarray(povm, dtype=np.complex128)
+    if rho_sys.shape != (steps.d_sys, steps.d_sys):
+        raise ShapeError("rho_sys does not match the noise model's system dimension")
+    if povm.shape != (steps.d_sys, steps.d_sys):
+        raise ShapeError("povm does not match the noise model's system dimension")
+    mixed, loop = bulk_maps(steps)
+    r = prepared_state(steps, rho_sys, prep=slot_i >= 2)
+    for _ in range(slot_i - 2):
+        r = twirled_step(r, mixed, loop, steps.d_sys)
+    l = measurement_functional(steps, povm, final=slot_i <= n)
+    mixed_t, loop_t = mixed.transpose(2, 3, 0, 1), loop.transpose(2, 3, 0, 1)
+    for _ in range(n - slot_i):
+        l = twirled_step(l, mixed_t, loop_t, steps.d_sys)
+    return r, l
 
 
 def _bra_node(steps: NoiseSteps, slot: int, n: int) -> np.ndarray:
@@ -436,8 +302,7 @@ def _bra_node(steps: NoiseSteps, slot: int, n: int) -> np.ndarray:
         ops = steps.final
     else:
         ops = steps.bulk
-    op = _single_unitary(ops, "a free joint node")
-    return op.reshape(steps.d_env, steps.d_sys, steps.d_env, steps.d_sys)
+    return kraus_stack((_single_unitary(ops, "a free joint node"),), steps.d_env, steps.d_sys)
 
 
 def _check_slot(slot_i: int, n: int):
@@ -456,36 +321,19 @@ def asf_joint_coefficient(
     the averaged fidelity is the inner product sum(L * conj(T)).  T does not
     depend on the current values of the two freed nodes on the forward chain.
     """
-    _check_slot(slot_i, n)
-    chain = _Chain(steps, rho_sys, povm)
-    d_env, d_sys = chain.d_env, chain.d_sys
+    r, l = _environments(steps, slot_i, n, rho_sys, povm)
+    d_env, d_sys = steps.d_env, steps.d_sys
 
-    r = chain.right_env(max(slot_i - 2, 0), with_prep=slot_i >= 2)
-    l = chain.left_env(max(n - slot_i, 0), with_final=slot_i <= n)
-    kind_up, kind_dn = _hole_kinds(slot_i, n)
-    bra_up = _bra_node(steps, slot_i, n)
-    bra_dn = _bra_node(steps, slot_i - 1, n)
+    # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
+    # stacks: lower (Q, 1, bond, s_j, e_dn, s_j'), upper (P, 1, 1, e_up, s_i,
+    # bond, s_i'); the upper batch axes broadcast against the lower ones.
+    q_dim = d_sys * d_env * d_sys
+    lower = np.eye(q_dim, dtype=np.complex128).reshape(q_dim, 1, 1, d_sys, d_env, d_sys)
+    p_dim = d_env * d_sys * d_sys
+    upper = np.eye(p_dim, dtype=np.complex128).reshape(p_dim, 1, 1, d_env, d_sys, 1, d_sys)
 
-    # Basis nodes with a one-dimensional bond: lower node (bond, s_j, e_dn,
-    # s_j'), upper node (e_up, s_i, bond, s_i').
-    lower_basis = np.zeros((d_sys, d_env, d_sys, 1, d_sys, d_env, d_sys), dtype=np.complex128)
-    for sj in range(d_sys):
-        for ed in range(d_env):
-            for sjp in range(d_sys):
-                lower_basis[sj, ed, sjp, 0, sj, ed, sjp] = 1.0
-    lower_batch = lower_basis.reshape(-1, 1, d_sys, d_env, d_sys)
-
-    upper_basis = np.zeros((d_env, d_sys, d_sys, d_env, d_sys, 1, d_sys), dtype=np.complex128)
-    for eu in range(d_env):
-        for si in range(d_sys):
-            for sip in range(d_sys):
-                upper_basis[eu, si, sip, eu, si, 0, sip] = 1.0
-    upper_batch = upper_basis.reshape(-1, d_env, d_sys, 1, d_sys)
-
-    x1 = _apply_hole(kind_dn, lower_batch, bra_dn[None], r[None], d_sys)  # (Q,1,s,e,s)
-    x2 = _apply_hole(
-        kind_up, upper_batch[:, None], bra_up[None, None], x1[None], d_sys
-    )  # (P,Q,e,s,e,s)
+    x1 = _slot(slot_i >= 2, lower, _bra_node(steps, slot_i - 1, n), r)  # (Q,1,s,e,s)
+    x2 = _slot(slot_i <= n, upper, _bra_node(steps, slot_i, n), x1)  # (P,Q,e,s,e,s)
     vals = np.einsum("pqesft,esft->pq", x2, l)
 
     coeff = vals.reshape(d_env, d_sys, d_sys, d_sys, d_env, d_sys)
@@ -510,11 +358,11 @@ def asf_with_joint_node(
     ``joint_bra = conj of joint_ket`` this is the physical, real-valued
     evaluation used by the finite-difference tests.
     """
-    _check_slot(slot_i, n)
-    chain = _Chain(steps, rho_sys, povm)
-    d_env, d_sys = chain.d_env, chain.d_sys
+    r, l = _environments(steps, slot_i, n, rho_sys, povm)
+    d_env, d_sys = steps.d_env, steps.d_sys
 
     def factor(joint6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split a joint node into one-node Kraus stacks over a full bond."""
         joint6 = np.asarray(joint6, dtype=np.complex128)
         if joint6.shape != (d_env, d_sys, d_sys, d_env, d_sys, d_sys):
             raise ShapeError(f"joint node has shape {joint6.shape}")
@@ -523,7 +371,7 @@ def asf_with_joint_node(
         upper = upper.transpose(0, 1, 3, 2)  # (e_up, s_i, bond, s_i')
         lower = joint6.reshape(bond, d_env, d_sys, d_sys)
         lower = lower.transpose(0, 2, 1, 3)  # (bond, s_j, e_dn, s_j')
-        return upper, lower
+        return upper[None], lower[None]
 
     ket_up, ket_dn = factor(joint_ket)
     if joint_bra is None:
@@ -532,12 +380,8 @@ def asf_with_joint_node(
     else:
         bra_up, bra_dn = factor(joint_bra)
 
-    r = chain.right_env(max(slot_i - 2, 0), with_prep=slot_i >= 2)
-    l = chain.left_env(max(n - slot_i, 0), with_final=slot_i <= n)
-    kind_up, kind_dn = _hole_kinds(slot_i, n)
-
-    x = _apply_hole(kind_dn, ket_dn, bra_dn, r, d_sys)
-    x = _apply_hole(kind_up, ket_up, bra_up, x, d_sys)
+    x = _slot(slot_i >= 2, ket_dn, bra_dn, r)
+    x = _slot(slot_i <= n, ket_up, bra_up, x)
     value = complex(np.sum(x * l))
     if joint_bra is None:
         return value
