@@ -46,10 +46,12 @@ class AsfCurve:
             raise ShapeError("lengths, means and stderrs must have equal length")
         if any(m < 1 for m in self.lengths):
             raise InputError("sequence lengths must be positive")
+        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
+            raise InputError("sequence lengths must be strictly increasing")
         if any(not -1e-12 <= v <= 1 + 1e-12 for v in self.means):
             raise InputError("ASF means must lie in [0, 1]")
-        if any(s < 0 for s in self.stderrs):
-            raise InputError("standard errors must be non-negative")
+        if any(not 0.0 <= s < np.inf for s in self.stderrs):
+            raise InputError("standard errors must be finite and non-negative")
         if self.n_samples < 1:
             raise InputError("n_samples must be positive")
 

@@ -275,6 +275,13 @@ class TestTrain:
         assert result.iterations == 0
         assert np.array_equal(result.node, np.eye(4, dtype=complex))
 
+    def test_infinite_stderr_cannot_fake_convergence(self):
+        # an inf error bar made the l1 target infinite, so train used to
+        # return converged=True at the identity node after 0 iterations
+        with pytest.raises(InputError):
+            data = AsfCurve((1, 2, 3, 4), (0.9, 0.8, 0.7, 0.6), (0.01, np.inf, 0.01, 0.01), 10)
+            train(data, RHO, POVM, LearnerConfig())
+
     def test_phase_flip_end_to_end(self, phase_flip_data):
         result = train(phase_flip_data, RHO, POVM,
                        LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200, seed=1))

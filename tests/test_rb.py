@@ -150,3 +150,9 @@ class TestAsfCurveFormat:
             AsfCurve((1,), (1.5,), (0.0,), 10)
         with pytest.raises(InputError):
             AsfCurve((0,), (0.5,), (0.0,), 10)
+        for stderr in (np.nan, np.inf, -np.inf, -1e-3):
+            with pytest.raises(InputError):
+                AsfCurve((1, 2), (0.9, 0.8), (0.01, stderr), 10)
+        for lengths in ((1, 1), (2, 1)):
+            with pytest.raises(InputError):
+                AsfCurve(lengths, (0.9, 0.8), (0.01, 0.01), 10)
