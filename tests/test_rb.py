@@ -129,6 +129,46 @@ class TestEstimateAsf:
         assert abs(curve.stderrs[0] - vals.std(ddof=1) / np.sqrt(50)) < 1e-14
 
 
+class TestGoldenValues:
+    """Monte Carlo curves captured before the sequence simulator was
+    rewritten; a refactor must reproduce them to 1e-14."""
+
+    SPIN = (
+        (0.9880486155712497, 0.9794755367614923, 0.9756590919026239, 0.9694197658889386,
+         0.9553617076605228, 0.963629680264539, 0.9721985065827079, 0.9606454901875894,
+         0.9568667697369635, 0.9535723591933805),
+        (0.001980789793902141, 0.0031907399069490833, 0.003782433522244585,
+         0.0029383875867134324, 0.0064156873787205955, 0.004996740502407473,
+         0.004489800383586918, 0.007422681311222785, 0.005060099933650012,
+         0.01119789625684536),
+    )
+    AMPLITUDE_DAMPING = (
+        (0.9759898646797746, 0.9492712317047957, 0.8976001999460529, 0.8998825310697043,
+         0.8703475700643477, 0.8728995389197298, 0.831571534363577, 0.8195800745980684,
+         0.7848091586958356, 0.7654618018461324),
+        (0.00552570638545427, 0.008566099715055984, 0.011044616440199747,
+         0.011000153585673772, 0.010179298136499449, 0.008987134387074708,
+         0.01399419610534541, 0.009665973332716743, 0.011894859177037044,
+         0.016121575560505058),
+    )
+
+    @pytest.mark.parametrize("name, expected", [
+        ("spin_model", SPIN), ("amplitude_damping", AMPLITUDE_DAMPING),
+    ])
+    def test_bundled_config_estimates(self, name, expected):
+        import dataclasses
+        from pathlib import Path
+
+        from rbmpo.serialize import experiment_config_from_dict, load_json
+
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        cfg = experiment_config_from_dict(load_json(path))
+        curve = estimate_asf(dataclasses.replace(cfg, n_samples=20, m_max=10))
+        assert curve.lengths == tuple(range(1, 11)) and curve.n_samples == 20
+        assert np.max(np.abs(np.asarray(curve.means) - expected[0])) < 1e-14
+        assert np.max(np.abs(np.asarray(curve.stderrs) - expected[1])) < 1e-14
+
+
 class TestAsfCurveFormat:
     def test_csv_round_trip(self):
         curve = AsfCurve((1, 2, 3, 4), (1.0, 0.96, 0.5, 0.25), (0.0, 0.01, 0.002, 0.3), 100)
