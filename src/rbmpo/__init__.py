@@ -13,7 +13,6 @@ The package has three layers:
 
 from .average import (
     ExpFit,
-    NoiseSteps,
     clifford_averaged_asf,
     clifford_averaged_asf_curve,
     env_loop_map,
@@ -33,6 +32,7 @@ from .linalg import SvdResult, kron, principal_unitary_sqrt, project_to_unitary,
 from .noise import (
     JointUnitary,
     MarkovianChannel,
+    NoiseSteps,
     amplitude_damping,
     depolarizing,
     phase_flip,

@@ -27,56 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, UnsupportedConfigurationError
-from .noise import JointUnitary, MarkovianChannel, NoiseModel
+from .noise import NoiseModel, NoiseSteps
 from .quantum import GateSet, validate_density_matrix, validate_povm_element
 from .rb import AsfCurve
-
-
-@dataclass(frozen=True)
-class NoiseSteps:
-    """Per-slot Kraus decomposition of a noise process on environment x system.
-
-    ``bulk`` fills the m gate-interleaved slots, ``prep`` the slot before the
-    first gate and ``final`` the slot after the compiled inverse.  Markovian
-    models embed with a one-dimensional environment.
-    """
-
-    d_env: int
-    d_sys: int
-    rho_env: np.ndarray
-    bulk: tuple[np.ndarray, ...]
-    prep: tuple[np.ndarray, ...]
-    final: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.d_env * self.d_sys
-
-    @staticmethod
-    def from_model(model: NoiseModel) -> "NoiseSteps":
-        if isinstance(model, MarkovianChannel):
-            d_env, d_sys = 1, model.d_sys
-            rho_env = np.ones((1, 1), dtype=np.complex128)
-            bulk = model.channel.operators
-        elif isinstance(model, JointUnitary):
-            d_env, d_sys = model.d_env, model.d_sys
-            rho_env = model.rho_env
-            bulk = (model.unitary,)
-        else:
-            raise InputError(f"unknown noise model type {type(model)!r}")
-        dim = d_env * d_sys
-        prep = model.prep.operators if model.prep is not None else (np.eye(dim, dtype=np.complex128),)
-        final = model.final.operators if model.final is not None else bulk
-        return NoiseSteps(d_env, d_sys, rho_env, bulk, prep, final)
-
-    @staticmethod
-    def uniform(node: np.ndarray, rho_env: np.ndarray, d_env: int) -> "NoiseSteps":
-        """Time-independent unitary noise with the same node in every slot,
-        including preparation and final: the learner's model class."""
-        node = np.asarray(node, dtype=np.complex128)
-        d_sys = node.shape[0] // d_env
-        return NoiseSteps(d_env, d_sys, np.asarray(rho_env, dtype=np.complex128),
-                          (node,), (node,), (node,))
 
 
 def kraus_stack(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
@@ -259,10 +212,6 @@ class ExpFit:
     offset: float
     max_residual: float
     degenerate: bool = False
-
-    def predict(self, lengths) -> np.ndarray:
-        ms = np.asarray(lengths, dtype=np.float64)
-        return self.amplitude * self.decay ** ms + self.offset
 
 
 def _solve_linear(p: float, ms: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

@@ -1,4 +1,4 @@
-"""Noise models for the RB experiments.
+"""Noise models for the RB experiments, and the slot layout they fill.
 
 Two families:
 
@@ -8,10 +8,15 @@ Two families:
   Hamiltonian, whose memory makes the averaged sequence fidelity deviate
   from a single exponential.
 
-In both families the same channel fills every gate slot, including the one
-after the compiled inverse.  Optional state-preparation and final slots exist
-for SPAM studies; the preparation slot defaults to the identity and the final
-slot defaults to the bulk channel itself.
+Slot convention: a length-m sequence has m + 2 noise slots, in the order
+(prep, bulk x m, final).  The preparation slot acts on rho_env x rho_sys
+before the first gate, one bulk slot follows each of the m gates, and the
+final slot follows the compiled inverse, just before I_env x M is measured.
+``prep`` defaults to the identity and ``final`` to the bulk channel; a set
+``final`` takes the bulk channel's place in the last slot.  A Markovian
+channel is the case of a one-dimensional environment.  :class:`NoiseSteps`
+holds this layout, and the Monte Carlo simulator, the closed-form average
+and the dense oracle all read it from there.
 """
 
 from __future__ import annotations
@@ -95,6 +100,57 @@ class JointUnitary:
 
 
 NoiseModel = Union[MarkovianChannel, JointUnitary]
+
+
+@dataclass(frozen=True)
+class NoiseSteps:
+    """Per-slot Kraus decomposition of a noise process on environment x system.
+
+    ``bulk`` fills the m gate-interleaved slots, ``prep`` the slot before the
+    first gate and ``final`` the slot after the compiled inverse; :meth:`slots`
+    lists them in sequence order.
+    """
+
+    d_env: int
+    d_sys: int
+    rho_env: np.ndarray
+    bulk: tuple[np.ndarray, ...]
+    prep: tuple[np.ndarray, ...]
+    final: tuple[np.ndarray, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.d_env * self.d_sys
+
+    def slots(self, m: int) -> list[tuple[np.ndarray, ...]]:
+        """Kraus operators of the m + 2 slots of a length-m sequence, in order."""
+        return [self.prep] + [self.bulk] * m + [self.final]
+
+    @staticmethod
+    def from_model(model: NoiseModel) -> "NoiseSteps":
+        if isinstance(model, MarkovianChannel):
+            d_env, d_sys = 1, model.d_sys
+            rho_env = np.ones((1, 1), dtype=np.complex128)
+            bulk = model.channel.operators
+        elif isinstance(model, JointUnitary):
+            d_env, d_sys = model.d_env, model.d_sys
+            rho_env = model.rho_env
+            bulk = (model.unitary,)
+        else:
+            raise InputError(f"unknown noise model type {type(model)!r}")
+        dim = d_env * d_sys
+        prep = model.prep.operators if model.prep is not None else (np.eye(dim, dtype=np.complex128),)
+        final = model.final.operators if model.final is not None else bulk
+        return NoiseSteps(d_env, d_sys, rho_env, bulk, prep, final)
+
+    @staticmethod
+    def uniform(node: np.ndarray, rho_env: np.ndarray, d_env: int) -> "NoiseSteps":
+        """Time-independent unitary noise with the same node in every slot,
+        including preparation and final: the learner's model class."""
+        node = np.asarray(node, dtype=np.complex128)
+        d_sys = node.shape[0] // d_env
+        return NoiseSteps(d_env, d_sys, np.asarray(rho_env, dtype=np.complex128),
+                          (node,), (node,), (node,))
 
 
 def _check_probability(p: float, name: str) -> float:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from .average import (
-    NoiseSteps,
     bulk_maps,
     env_maps,
     kraus_stack,
@@ -45,6 +44,7 @@ from .average import (
     twirled_step,
 )
 from .errors import InputError, ResourceLimitError, ShapeError
+from .noise import NoiseSteps
 
 #: Largest sequence length the dense tensors are built for (d_sys = 2 keeps
 #: each tensor at 2^{4(m+2)} entries, ~268 MB at the cap).
@@ -72,7 +72,7 @@ def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     """
     _check_dense_cap(m)
     d_env, d_sys = steps.d_env, steps.d_sys
-    slot_ops = [steps.prep] + [steps.bulk] * m + [steps.final]
+    slot_ops = steps.slots(m)
     n_slots = m + 2
 
     # Integer einsum labels.  Per slot j: ket bond e_j (below) / e_{j+1}
@@ -172,10 +172,9 @@ def _dense_blocks_unitary(steps: NoiseSteps, m: int) -> np.ndarray:
     leg ordering (slot-interleaved there, block-grouped here).
     """
     d_env, d_sys = steps.d_env, steps.d_sys
-    slot_ops = [steps.prep] + [steps.bulk] * m + [steps.final]
     kets = [
         _single_unitary(ops, "the dense fast path").reshape(d_env, d_sys, d_env, d_sys)
-        for ops in slot_ops
+        for ops in steps.slots(m)
     ]
     ket_part = _chain_part(kets, d_env, d_sys)  # (top, e_0, S)
     bras = [np.conj(k).transpose(0, 3, 2, 1) for k in kets]  # (eps_up, z, eps_dn, z')
@@ -296,13 +295,8 @@ def _environments(steps: NoiseSteps, slot_i: int, n: int, rho_sys, povm):
 
 
 def _bra_node(steps: NoiseSteps, slot: int, n: int) -> np.ndarray:
-    if slot == 0:
-        ops = steps.prep
-    elif slot == n + 1:
-        ops = steps.final
-    else:
-        ops = steps.bulk
-    return kraus_stack((_single_unitary(ops, "a free joint node"),), steps.d_env, steps.d_sys)
+    node = _single_unitary(steps.slots(n)[slot], "a free joint node")
+    return kraus_stack((node,), steps.d_env, steps.d_sys)
 
 
 def _check_slot(slot_i: int, n: int):

@@ -26,12 +26,6 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 PHASE_S = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
 
 
-def ket(index: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v
-
-
 def basis_state(index: int, dim: int) -> np.ndarray:
     """Density matrix |index><index| on a dim-dimensional space."""
     rho = np.zeros((dim, dim), dtype=np.complex128)
@@ -97,25 +91,19 @@ class KrausChannel:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self, rho)
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=np.complex128),))
-
-
-def unitary_channel(u) -> KrausChannel:
-    return KrausChannel((validate_unitary(u),))
-
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     """Apply a Kraus channel: rho -> sum_i K_i rho K_i^dag."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (ch.dim, ch.dim):
         raise ShapeError(f"state has shape {rho.shape}, channel acts on dim {ch.dim}")
-    out = np.zeros_like(rho)
-    for k in ch.operators:
+    return _kraus_sum(ch.operators, rho)
+
+
+def _kraus_sum(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
+    """sum_i K_i rho K_i^dag without checks; also the sequence simulator's slot."""
+    out = ops[0] @ rho @ dagger(ops[0])
+    for k in ops[1:]:
         out += k @ rho @ dagger(k)
     return out
 

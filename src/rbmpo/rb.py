@@ -1,10 +1,10 @@
 """Monte Carlo randomized-benchmarking engine.
 
-The protocol per sequence: prepare rho_S, apply m uniformly random gates with
-the model's noise attached after each, apply the compiled inverse (again
-followed by noise), and measure a POVM element.  Averaging the survival
-probability over resampled sequences at each length gives the average
-sequence fidelity (ASF) curve with standard errors.
+The protocol per sequence: prepare rho_S, apply m uniformly random gates and
+the compiled inverse with the model's noise slots interleaved (see
+:mod:`rbmpo.noise` for the slot convention), and measure a POVM element.
+Averaging the survival probability over resampled sequences at each length
+gives the average sequence fidelity (ASF) curve with standard errors.
 
 Determinism contract: the random stream for sample k at length m is derived
 from (seed, m, k), so results are independent of evaluation order.
@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ShapeError
-from .noise import JointUnitary, MarkovianChannel, NoiseModel
+from .errors import InputError, NumericalError, ShapeError
+from .noise import NoiseModel, NoiseSteps
 from .quantum import (
     GateSet,
-    apply_channel,
+    _kraus_sum,
     basis_state,
     compile_undo,
     dagger,
@@ -113,42 +113,14 @@ class ExperimentConfig:
         object.__setattr__(self, "povm", povm)
 
 
-def _run_markovian(model: MarkovianChannel, gates, rho_sys, povm) -> float:
-    state = rho_sys
-    if model.prep is not None:
-        state = apply_channel(model.prep, state)
-    undo = compile_undo(gates)
-    for g in list(gates) + [undo]:
-        state = g @ state @ dagger(g)
-        state = apply_channel(model.channel, state)
-    if model.final is not None:
-        state = apply_channel(model.final, state)
-    return float(np.real(np.trace(povm @ state)))
-
-
-def _run_joint(model: JointUnitary, gates, rho_sys, povm) -> float:
-    d_env = model.d_env
-    lam = model.unitary
-    state = np.kron(model.rho_env, rho_sys)
-    if model.prep is not None:
-        state = apply_channel(model.prep, state)
-    undo = compile_undo(gates)
-    eye_env = np.eye(d_env, dtype=np.complex128)
-    for g in list(gates) + [undo]:
-        big = np.kron(eye_env, g)
-        state = big @ state @ dagger(big)
-        state = lam @ state @ dagger(lam)
-    if model.final is not None:
-        state = apply_channel(model.final, state)
-    meas = np.kron(eye_env, povm)
-    return float(np.real(np.trace(meas @ state)))
-
-
 def run_sequence(noise: NoiseModel, gates, rho_sys, povm) -> float:
     """Survival probability of one RB sequence (the inverse gate is appended here).
 
-    Noise attaches after every gate, including the compiled inverse; an
-    optional preparation channel precedes the first gate.
+    One pass over the slots (prep, bulk x m, final) of
+    :meth:`NoiseSteps.slots`: rho_env x rho_sys
+    goes through the preparation slot, each gate is followed by a bulk slot
+    and the compiled inverse by the final slot, and I_env x povm is measured.
+    Gates act on the system leg of the joint state.
     """
     if not gates:
         raise InputError("run_sequence needs at least one gate")
@@ -156,14 +128,22 @@ def run_sequence(noise: NoiseModel, gates, rho_sys, povm) -> float:
     for g in gates:
         if g.shape != (d, d):
             raise ShapeError(f"gate shape {g.shape} does not match system dim {d}")
-    if np.asarray(rho_sys).shape != (d, d) or np.asarray(povm).shape != (d, d):
+    rho_sys, povm = np.asarray(rho_sys), np.asarray(povm)
+    if rho_sys.shape != (d, d) or povm.shape != (d, d):
         raise ShapeError("state/POVM dimensions do not match the noise model")
-    if isinstance(noise, MarkovianChannel):
-        f = _run_markovian(noise, gates, rho_sys, povm)
-    else:
-        f = _run_joint(noise, gates, rho_sys, povm)
+    steps = NoiseSteps.from_model(noise)
+    d_env, dim = steps.d_env, steps.dim
+    state = (steps.rho_env[:, None, :, None] * rho_sys[None, :, None, :]).reshape(dim, dim)
+    controls = [None, *gates, compile_undo(gates)]
+    for g, ops in zip(controls, steps.slots(len(gates))):
+        if g is not None:
+            state = (g @ state.reshape(d_env, d, dim)).reshape(dim, d_env, d)
+            state = (state @ dagger(g)).reshape(dim, dim)
+        state = _kraus_sum(ops, state)
+    reduced = np.trace(state.reshape(d_env, d, d_env, d), axis1=0, axis2=2)
+    f = float(np.trace(povm @ reduced).real)
     if not -1e-10 <= f <= 1 + 1e-10:
-        raise InputError(f"survival probability {f} escaped [0, 1]")
+        raise NumericalError(f"survival probability {f} escaped [0, 1]")
     return min(max(f, 0.0), 1.0)
 
 

@@ -1,5 +1,7 @@
 """Dense process-tensor oracle and the joint-node coefficient machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from rbmpo.process_tensor import (
     dense_noise_tensor,
     joint_node,
 )
-from rbmpo.quantum import basis_state, sample_sequence, single_qubit_cliffords
+from rbmpo.quantum import KrausChannel, basis_state, sample_sequence, single_qubit_cliffords
 from rbmpo.rb import run_sequence
 
 RHO = basis_state(0, 2)
@@ -44,10 +46,14 @@ class TestDenseOracle:
         gates = sample_sequence(cliffords, 2, rng)
         assert abs(contract_asf_dense(steps, gates, RHO, POVM) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_agrees_with_direct_evolution(self, cliffords, m):
+    @pytest.mark.parametrize("m, spam", [(1, False), (2, False), (3, False), (1, True), (2, True)],
+                             ids=["1", "2", "3", "1-spam", "2-spam"])
+    def test_agrees_with_direct_evolution(self, cliffords, m, spam):
         rng = np.random.default_rng(1200 + m)
         model = random_model(rng)
+        if spam:
+            model = dataclasses.replace(model, prep=KrausChannel((haar_unitary(4, rng),)),
+                                        final=KrausChannel((haar_unitary(4, rng),)))
         steps = NoiseSteps.from_model(model)
         gates = sample_sequence(cliffords, m, rng)
         f_dense = contract_asf_dense(steps, gates, RHO, POVM)

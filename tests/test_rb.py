@@ -1,12 +1,23 @@
 """Monte Carlo RB engine: single sequences, curves, reproducibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rbmpo.average import clifford_averaged_asf
-from rbmpo.errors import InputError
-from rbmpo.noise import JointUnitary, MarkovianChannel, phase_flip
+from rbmpo.errors import InputError, NumericalError
+from rbmpo.noise import (
+    JointUnitary,
+    MarkovianChannel,
+    amplitude_damping,
+    depolarizing,
+    phase_flip,
+    spin_unitary,
+)
 from rbmpo.quantum import (
+    HADAMARD,
+    I2,
     KrausChannel,
     basis_state,
     dagger,
@@ -44,8 +55,6 @@ class TestRunSequence:
     def test_phase_flip_single_step_hand_oracle(self):
         # one Hadamard, then its inverse, phase flip after each: work the
         # 2x2 algebra out independently
-        from rbmpo.quantum import HADAMARD
-
         p = 0.06
         model = phase_flip(p)
         got = run_sequence(model, [HADAMARD], RHO, POVM)
@@ -83,11 +92,24 @@ class TestRunSequence:
         fb = run_sequence(joint, gates, RHO, POVM)
         assert abs(fa - fb) < 1e-12
 
-    def test_enumeration_mean_matches_closed_form(self, cliffords):
-        model = phase_flip(0.06)
+    @pytest.mark.parametrize("model", [
+        phase_flip(0.06),
+        MarkovianChannel(amplitude_damping(0.3).channel, final=depolarizing(0.2).channel),
+        dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.3),
+                            prep=KrausChannel((np.kron(HADAMARD, I2),)),
+                            final=KrausChannel((np.kron(HADAMARD, I2),))),
+    ], ids=["phase_flip", "markovian_final", "joint_prep_final"])
+    def test_enumeration_mean_matches_closed_form(self, cliffords, model):
         vals = [run_sequence(model, [g], RHO, POVM) for g in cliffords.gates]
         exact = clifford_averaged_asf(model, RHO, POVM, 1)
         assert abs(np.mean(vals) - exact) < 1e-10
+
+    def test_probability_escape_is_numerical(self, cliffords):
+        # passes the 1e-9 unitarity check (defect 8e-10), yet six noise slots
+        # inflate the survival probability to 1 + 2.4e-9
+        model = JointUnitary((1 + 2e-10) * np.eye(4, dtype=complex), basis_state(0, 2), 2)
+        with pytest.raises(NumericalError):
+            run_sequence(model, [cliffords.gates[0]] * 5, RHO, POVM)
 
     def test_shape_errors(self):
         with pytest.raises(InputError):
@@ -156,7 +178,6 @@ class TestGoldenValues:
         ("spin_model", SPIN), ("amplitude_damping", AMPLITUDE_DAMPING),
     ])
     def test_bundled_config_estimates(self, name, expected):
-        import dataclasses
         from pathlib import Path
 
         from rbmpo.serialize import experiment_config_from_dict, load_json
