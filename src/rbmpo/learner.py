@@ -38,7 +38,8 @@ from typing import Union
 
 import numpy as np
 
-from .average import NoiseSteps, clifford_averaged_asf_curve, golden_section
+from .average import clifford_averaged_asf_curve, golden_section
+from .noise import NoiseSteps
 from .errors import DomainError, InputError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
 from .process_tensor import asf_joint_coefficient, joint_node
@@ -116,10 +117,8 @@ class LearnerConfig:
     optimizer: OptimizerConfig = field(default_factory=Adagrad)
     max_iterations: int = 200
     convergence_divisor: float = 1.0
-    sweep_order: str = "ascending"
     unitarity_tol: float = 1e-9
     seed: int = 0
-    update_jitter: float = 0.0
     departure_rounds: int = 8
 
     def __post_init__(self):
@@ -127,10 +126,6 @@ class LearnerConfig:
             raise DomainError("d_env must be positive")
         if self.convergence_divisor < 1.0:
             raise DomainError("convergence divisor must be >= 1")
-        if self.sweep_order not in ("ascending", "descending"):
-            raise InputError(f"unknown sweep order {self.sweep_order!r}")
-        if self.update_jitter < 0:
-            raise DomainError("update_jitter must be >= 0")
         if self.departure_rounds < 0:
             raise DomainError("departure_rounds must be >= 0")
 
@@ -414,36 +409,26 @@ def saddle_departure(
     return current
 
 
-def _sweep_slot(iteration: int, m_max: int, order: str) -> int:
-    n_slots = m_max + 1
-    if order == "ascending":
-        return 1 + iteration % n_slots
-    return n_slots - iteration % n_slots
-
-
 def sweep_iteration(
     state: LearnerState,
     data: AsfCurve,
     rho_sys,
     povm,
     config: LearnerConfig,
-    rng: np.random.Generator,
 ) -> LearnerState:
     """One full sweep update of the shared node, in place on `state`.
 
-    A zero gradient is a stationary point: the node is left untouched rather
+    The joint node sits at slots (i, i - 1), with i cycling upwards through
+    1..m_max + 1 over the iterations.  A zero gradient is a stationary point: the node is left untouched rather
     than run through the split/recombine cycle.
     """
     d_env = config.d_env
     m_max = max(data.lengths)
-    slot_i = _sweep_slot(state.iteration, m_max, config.sweep_order)
+    slot_i = 1 + state.iteration % (m_max + 1)
 
     grad = gradient_joint(state.node, d_env, data, rho_sys, povm, slot_i)
     if np.abs(grad).max() > 0.0:
         update = optimizer_step(state.accumulators, grad, config.optimizer)
-        if config.update_jitter > 0.0:
-            noise = rng.standard_normal(update.shape) + 1j * rng.standard_normal(update.shape)
-            update = update + config.update_jitter * noise
         d_sys = state.node.shape[0] // d_env
         joint = joint_node(state.node, state.node, d_env, d_sys)
         k = d_env * d_sys * d_sys
@@ -504,7 +489,6 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
             config.optimizer, (config.d_env, d_sys, d_sys, config.d_env, d_sys, d_sys)
         ),
     )
-    rng = np.random.default_rng(config.seed)
     _record(state, data, rho_sys, povm, config.d_env)
 
     converged = state.l1_trace[-1] <= threshold
@@ -520,7 +504,7 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
         _record(state, data, rho_sys, povm, config.d_env)
         converged = state.l1_trace[-1] <= threshold
     while not converged and state.iteration < config.max_iterations:
-        sweep_iteration(state, data, rho_sys, povm, config, rng)
+        sweep_iteration(state, data, rho_sys, povm, config)
         converged = state.l1_trace[-1] <= threshold
 
     best = state.best_node if state.best_node is not None else state.node

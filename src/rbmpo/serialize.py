@@ -81,10 +81,8 @@ def learner_config_to_dict(cfg: LearnerConfig) -> dict:
         "optimizer": opt,
         "max_iterations": cfg.max_iterations,
         "convergence_divisor": cfg.convergence_divisor,
-        "sweep_order": cfg.sweep_order,
         "unitarity_tol": cfg.unitarity_tol,
         "seed": cfg.seed,
-        "update_jitter": cfg.update_jitter,
         "departure_rounds": cfg.departure_rounds,
     }
 
@@ -108,15 +106,17 @@ def learner_config_from_dict(d: dict) -> LearnerConfig:
         )
     else:
         raise InputError(f"unknown optimizer kind {opt_kind!r}")
+    # removed options: config files may still name them, at their only values in use
+    for key, only in (("sweep_order", "ascending"), ("update_jitter", 0.0)):
+        if d.get(key, only) != only:
+            raise InputError(f"learner config key {key!r} only accepts {only!r}, got {d[key]!r}")
     return LearnerConfig(
         d_env=int(d.get("d_env", 2)),
         optimizer=optimizer,
         max_iterations=int(d.get("max_iterations", 200)),
         convergence_divisor=float(d.get("convergence_divisor", 1.0)),
-        sweep_order=d.get("sweep_order", "ascending"),
         unitarity_tol=float(d.get("unitarity_tol", 1e-9)),
         seed=int(d.get("seed", 0)),
-        update_jitter=float(d.get("update_jitter", 0.0)),
         departure_rounds=int(d.get("departure_rounds", 8)),
     )
 

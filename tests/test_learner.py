@@ -232,7 +232,7 @@ class TestSweep:
             node=lam.copy(),
             accumulators=init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2)),
         )
-        sweep_iteration(state, data, RHO, POVM, config, np.random.default_rng(0))
+        sweep_iteration(state, data, RHO, POVM, config)
         assert np.array_equal(state.node, lam)
         assert state.cost_trace[-1] < 1e-20
 
@@ -250,7 +250,7 @@ class TestSweep:
         )
         c_before = cost(half, 2, phase_flip_data, RHO, POVM)
         for _ in range(3):
-            sweep_iteration(state, phase_flip_data, RHO, POVM, config, np.random.default_rng(0))
+            sweep_iteration(state, phase_flip_data, RHO, POVM, config)
         assert state.cost_trace[-1] < state.cost_trace[0] < c_before + 1e-15
         assert all(b <= a for a, b in zip(state.cost_trace, state.cost_trace[1:]))
 
@@ -261,9 +261,8 @@ class TestSweep:
             accumulators=init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2)),
         )
         state.node = saddle_departure(state.node, 2, phase_flip_data, RHO, POVM, max_rounds=2)
-        rng = np.random.default_rng(1)
         for _ in range(10):
-            sweep_iteration(state, phase_flip_data, RHO, POVM, config, rng)
+            sweep_iteration(state, phase_flip_data, RHO, POVM, config)
         assert max(state.unitarity_trace) <= 1e-9
 
 

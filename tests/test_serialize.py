@@ -33,8 +33,13 @@ def test_learner_config_round_trip():
     for opt in (Adagrad(rate=2e-5, epsilon=1e-9), Adam(rate=5e-4, beta1=0.8, beta2=0.95)):
         cfg = LearnerConfig(optimizer=opt, max_iterations=31, convergence_divisor=2.0,
                             seed=5, departure_rounds=3)
-        back = learner_config_from_dict(learner_config_to_dict(cfg))
-        assert back == cfg
+        d = learner_config_to_dict(cfg)
+        assert learner_config_from_dict(d) == cfg
+        # removed options still parse at their only values in use, and nowhere else
+        assert learner_config_from_dict({**d, "sweep_order": "ascending", "update_jitter": 0.0}) == cfg
+        for key, value in (("sweep_order", "descending"), ("update_jitter", 1e-3)):
+            with pytest.raises(InputError):
+                learner_config_from_dict({**d, key: value})
 
 
 def test_curve_round_trip():
