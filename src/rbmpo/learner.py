@@ -39,9 +39,9 @@ from typing import Union
 import numpy as np
 
 from .average import clifford_averaged_asf_curve, golden_section
-from .noise import NoiseSteps
 from .errors import DomainError, InputError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
+from .noise import NoiseSteps
 from .process_tensor import asf_joint_coefficient, joint_node
 from .quantum import basis_state, validate_density_matrix, validate_povm_element, validate_unitary
 from .rb import AsfCurve
@@ -419,8 +419,9 @@ def sweep_iteration(
     """One full sweep update of the shared node, in place on `state`.
 
     The joint node sits at slots (i, i - 1), with i cycling upwards through
-    1..m_max + 1 over the iterations.  A zero gradient is a stationary point: the node is left untouched rather
-    than run through the split/recombine cycle.
+    1..m_max + 1 over the iterations.  A zero gradient is a stationary
+    point: the node is left untouched rather than run through the
+    split/recombine cycle.
     """
     d_env = config.d_env
     m_max = max(data.lengths)

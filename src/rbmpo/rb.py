@@ -116,11 +116,10 @@ class ExperimentConfig:
 def run_sequence(noise: NoiseModel, gates, rho_sys, povm) -> float:
     """Survival probability of one RB sequence (the inverse gate is appended here).
 
-    One pass over the slots (prep, bulk x m, final) of
-    :meth:`NoiseSteps.slots`: rho_env x rho_sys
-    goes through the preparation slot, each gate is followed by a bulk slot
-    and the compiled inverse by the final slot, and I_env x povm is measured.
-    Gates act on the system leg of the joint state.
+    One pass over the slots (prep, bulk x m, final) of :meth:`NoiseSteps.slots`:
+    rho_env x rho_sys goes through the preparation slot, each gate is followed
+    by a bulk slot and the compiled inverse by the final slot, and I_env x povm
+    is measured.  Gates act on the system leg of the joint state.
     """
     if not gates:
         raise InputError("run_sequence needs at least one gate")
