@@ -27,10 +27,10 @@ povm = basis_state(0, 2)
 
 experiments = [
     ("memoryless phase flip (p=0.06)", phase_flip(0.06),
-     LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200, seed=1)),
+     LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200)),
     ("coupled spin unitary (delta=0.05)", spin_unitary(1.2, 1.17, -1.15, 0.05),
      LearnerConfig(optimizer=Adam(rate=1e-3, beta1=0.9, beta2=0.99),
-                   max_iterations=200, seed=1, departure_rounds=12)),
+                   max_iterations=200, departure_rounds=12)),
 ]
 
 for title, noise, learner_cfg in experiments:

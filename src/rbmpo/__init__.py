@@ -28,7 +28,7 @@ from .learner import (
     diagnose_markovianity,
     train,
 )
-from .linalg import SvdResult, kron, principal_unitary_sqrt, project_to_unitary, regroup, svd
+from .linalg import SvdResult, principal_unitary_sqrt, project_to_unitary, svd
 from .noise import (
     JointUnitary,
     MarkovianChannel,
@@ -76,11 +76,9 @@ __all__ = [
     "env_mixed_map",
     "estimate_asf",
     "fit_exponential",
-    "kron",
     "phase_flip",
     "principal_unitary_sqrt",
     "project_to_unitary",
-    "regroup",
     "run_sequence",
     "sample_sequence",
     "single_qubit_cliffords",

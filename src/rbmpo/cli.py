@@ -48,16 +48,16 @@ EXIT_NUMERICAL = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _manifest(command: str, config_echo: dict, seed: int, inputs: list[str],
-              outputs: list[str], started: float) -> dict:
+def _manifest(command: str, config_echo: dict, inputs: list[str],
+              outputs: list[str], started: float, **extra) -> dict:
     return {
         "command": command,
         "config": config_echo,
-        "seed": seed,
         "toolkit_version": __version__,
         "inputs": inputs,
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
+        **extra,
     }
 
 
@@ -73,7 +73,7 @@ def cmd_generate(args) -> int:
     curve_path = out_dir / "asf.csv"
     curve_path.write_text(curve.to_csv(), encoding="utf-8")
     manifest = _manifest(
-        "generate", cfg_dict, cfg.seed, [str(args.config)], [str(curve_path)], started
+        "generate", cfg_dict, [str(args.config)], [str(curve_path)], started, seed=cfg.seed
     )
     dump_json(manifest, out_dir / "manifest.json")
     if args.json:
@@ -87,8 +87,6 @@ def cmd_learn(args) -> int:
     started = time.monotonic()
     data = load_curve(args.data)
     cfg_dict = load_json(args.config)
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
     if args.max_iters is not None:
         cfg_dict["max_iterations"] = args.max_iters
     if args.tol is not None:
@@ -104,11 +102,11 @@ def cmd_learn(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "result.json"
-    dump_json(training_result_to_dict(result, cfg, cfg.seed), result_path)
+    dump_json(training_result_to_dict(result, cfg), result_path)
     pred_path = out_dir / "predicted.csv"
     pred_path.write_text(result.predicted.to_csv(), encoding="utf-8")
     manifest = _manifest(
-        "learn", cfg_dict, cfg.seed, [str(args.data), str(args.config)],
+        "learn", cfg_dict, [str(args.data), str(args.config)],
         [str(result_path), str(pred_path)], started,
     )
     dump_json(manifest, out_dir / "manifest.json")
@@ -193,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="ASF curve (CSV from `generate`)")
     p.add_argument("config", help="learner config (JSON)")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--max-iters", type=int, default=None, help="override max iterations")
     p.add_argument("--tol", type=float, default=None,
                    help="override the convergence divisor (larger = stricter)")

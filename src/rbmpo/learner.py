@@ -41,7 +41,7 @@ import numpy as np
 from .average import clifford_averaged_asf_curve, golden_section
 from .errors import DomainError, InputError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
-from .noise import NoiseSteps
+from .noise import NoiseSteps, hermitian_expm
 from .process_tensor import asf_joint_coefficient, joint_node
 from .quantum import basis_state, validate_density_matrix, validate_povm_element, validate_unitary
 from .rb import AsfCurve
@@ -118,7 +118,6 @@ class LearnerConfig:
     max_iterations: int = 200
     convergence_divisor: float = 1.0
     unitarity_tol: float = 1e-9
-    seed: int = 0
     departure_rounds: int = 8
 
     def __post_init__(self):
@@ -159,13 +158,9 @@ class TrainingResult:
 # pieces of one sweep iteration
 # --------------------------------------------------------------------------
 
-def _steps_for(node: np.ndarray, cfg_d_env: int) -> NoiseSteps:
-    d_env = cfg_d_env
-    return NoiseSteps.uniform(node, basis_state(0, d_env), d_env)
-
-
 def predicted_curve(node: np.ndarray, d_env: int, rho_sys, povm, lengths) -> np.ndarray:
-    full = clifford_averaged_asf_curve(_steps_for(node, d_env), rho_sys, povm, max(lengths))
+    steps = NoiseSteps.uniform(node, basis_state(0, d_env), d_env)
+    full = clifford_averaged_asf_curve(steps, rho_sys, povm, max(lengths))
     return np.asarray([full[n - 1] for n in lengths], dtype=np.float64)
 
 
@@ -188,7 +183,7 @@ def gradient_joint(
     m_max = max(data.lengths)
     if not 1 <= slot_i <= m_max + 1:
         raise InputError(f"slot {slot_i} out of range for data up to length {m_max}")
-    steps = _steps_for(node, d_env)
+    steps = NoiseSteps.uniform(node, basis_state(0, d_env), d_env)
     pred = predicted_curve(node, d_env, rho_sys, povm, data.lengths)
     d_sys = steps.d_sys
     grad = np.zeros((d_env, d_sys, d_sys, d_env, d_sys, d_sys), dtype=np.complex128)
@@ -281,8 +276,6 @@ def _tangent_probe(
     c0 = cost(node, d_env, data, rho_sys, povm)
 
     def cost_along(coeffs: np.ndarray) -> float:
-        from .noise import hermitian_expm
-
         h = sum(c * b for c, b in zip(coeffs, basis))
         return cost(hermitian_expm(h, -1j * probe) @ node, d_env, data, rho_sys, povm)
 
@@ -350,8 +343,6 @@ def saddle_departure(
     Rounds stop when the data is matched, no ray improves the cost, or the
     budget runs out.  Deterministic: no randomness enters at any point.
     """
-    from .noise import hermitian_expm
-
     current = node.copy()
     current_cost = cost(current, d_env, data, rho_sys, povm)
 

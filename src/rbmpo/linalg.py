@@ -109,40 +109,6 @@ def project_to_unitary(x) -> np.ndarray:
     return res.u @ dagger(res.v)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two complex matrices."""
-    return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
-
-
-def regroup(t, src_dims, perm, row_axes: int) -> np.ndarray:
-    """Relabel the entries of a matrix/tensor by splitting and regrouping legs.
-
-    The flat entries of ``t`` (C order) are viewed as a tensor with leg sizes
-    ``src_dims``, the legs are permuted by ``perm``, and the first
-    ``row_axes`` permuted legs are fused into the row index of the result
-    (the rest into the column index).  This is a pure bijective relabeling:
-    ``regroup(regroup(t, d, p, r), permuted d, inverse p, r')`` restores the
-    original layout.
-
-    Args:
-        t: array whose total size equals ``prod(src_dims)``.
-        src_dims: leg sizes of the unfused tensor.
-        perm: permutation of ``range(len(src_dims))``.
-        row_axes: how many leading permuted legs form the output rows.
-    """
-    a = np.asarray(t, dtype=np.complex128)
-    dims = tuple(int(d) for d in src_dims)
-    if a.size != int(np.prod(dims)):
-        raise ShapeError(f"cannot view {a.size} entries as legs {dims}")
-    if sorted(perm) != list(range(len(dims))):
-        raise ShapeError(f"perm {perm} is not a permutation of {len(dims)} legs")
-    if not 0 <= row_axes <= len(dims):
-        raise ShapeError(f"row_axes {row_axes} out of range")
-    arr = a.reshape(dims).transpose(perm)
-    rows = int(np.prod(arr.shape[:row_axes], dtype=np.int64)) if row_axes else 1
-    return np.ascontiguousarray(arr.reshape(rows, -1))
-
-
 def principal_unitary_sqrt(u, near: np.ndarray | None = None) -> np.ndarray:
     """Square root of a unitary matrix, itself unitary.
 

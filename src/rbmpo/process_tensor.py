@@ -5,11 +5,12 @@ tensors: a noise tensor holding the per-slot noise nodes and the fiducial
 environment state, and a control tensor holding the gates, the initial system
 state and the measurement.  This module provides
 
-* dense constructions of the noise tensor and of the 2-design-averaged
-  control tensor, and the full contraction of one sequence's noise and
-  control tensors (built block by block in a grouped leg order) —
-  exponentially large in m, capped at ``DENSE_ORACLE_MAX_M``, and kept as
-  the brute-force oracle everything else is tested against;
+* the dense noise tensor, with its legs in slot order, and the dense
+  2-design-averaged control tensor.  The noise tensor is contracted either
+  with one sequence's gates, state and measurement, or with the averaged
+  control tensor.  Both are exponentially large in m, capped at
+  ``DENSE_ORACLE_MAX_M``, and kept as the brute-force oracle everything else
+  is tested against;
 * the averaged fidelity with one *joint node* (two adjacent noise slots
   fused over their environment bond) left free.  The environments on either
   side of the node are propagated with the averaged step of
@@ -45,9 +46,11 @@ from .average import (
 )
 from .errors import InputError, ResourceLimitError, ShapeError
 from .noise import NoiseSteps
+from .quantum import compile_undo
 
 #: Largest sequence length the dense tensors are built for (d_sys = 2 keeps
-#: each tensor at 2^{4(m+2)} entries, ~268 MB at the cap).
+#: each tensor at 2^{4(m+2)} entries, ~268 MB at the cap).  The per-sequence
+#: oracle builds only the noise tensor and contracts the gates into it.
 DENSE_ORACLE_MAX_M = 4
 
 
@@ -151,98 +154,27 @@ def dense_control_tensor_averaged(
     return alpha + beta
 
 
-def _chain_part(nodes4: list[np.ndarray], d_env: int, d_sys: int) -> np.ndarray:
-    """Contract a chain of 4-leg nodes over their shared bonds.
-
-    Input nodes are (up, leg_a, down, leg_b) with the first node's `down`
-    and the last node's `up` left open; returns (top, bottom, legs) with the
-    per-slot leg pairs flattened in slot order.
-    """
-    cur = nodes4[0].transpose(0, 2, 1, 3).reshape(d_env, d_env, d_sys * d_sys)
-    for node in nodes4[1:]:
-        grown = np.einsum("aibj,bfs->afsij", node, cur)
-        cur = grown.reshape(d_env, d_env, -1)
-    return cur
-
-
-def _dense_blocks_unitary(steps: NoiseSteps, m: int) -> np.ndarray:
-    """Noise tensor with legs grouped as [all s legs | all conjugate legs].
-
-    Unitary slots only.  Same entries as :func:`dense_noise_tensor` up to the
-    leg ordering (slot-interleaved there, block-grouped here).
-    """
-    d_env, d_sys = steps.d_env, steps.d_sys
-    kets = [
-        _single_unitary(ops, "the dense fast path").reshape(d_env, d_sys, d_env, d_sys)
-        for ops in steps.slots(m)
-    ]
-    ket_part = _chain_part(kets, d_env, d_sys)  # (top, e_0, S)
-    bras = [np.conj(k).transpose(0, 3, 2, 1) for k in kets]  # (eps_up, z, eps_dn, z')
-    bra_part = _chain_part(bras, d_env, d_sys)  # (top, eps_0, Z)
-    return np.einsum("tes,ef,tfz->sz", ket_part, steps.rho_env, bra_part, optimize=True)
-
-
-def _control_blocks(gates: list[np.ndarray], rho_sys: np.ndarray, povm: np.ndarray) -> np.ndarray:
-    """Control tensor with legs grouped as [all s legs | all conjugate legs].
-
-    The gate factors touch only forward legs or only conjugate legs, and the
-    two groups couple solely through the state (s_0', z_0) and measurement
-    (z_{m+1}', s_{m+1}) matrices, so each side is assembled small and the
-    full tensor is one aligned outer product.
-    """
-    m = len(gates)
-    d_sys = gates[0].shape[0]
-    n_legs = 2 * (m + 2)
-    g_hat = np.eye(d_sys, dtype=np.complex128)
-    for g in gates:
-        g_hat = g @ g_hat
-
-    def s(j):
-        return 2 * j
-
-    def sp(j):
-        return 2 * j + 1
-
-    def z(j):
-        return n_legs + 2 * j
-
-    def zp(j):
-        return n_legs + 2 * j + 1
-
-    s_out = [leg for leg in range(n_legs) if leg != s(m + 1)] + [z(0)]
-    side_s = [np.conj(g_hat), [s(m), sp(m + 1)]]
-    for i, g in enumerate(gates, start=1):
-        side_s += [np.asarray(g, dtype=np.complex128), [sp(i), s(i - 1)]]
-    side_s += [np.asarray(rho_sys, dtype=np.complex128), [sp(0), z(0)]]
-    half_s = np.einsum(*side_s, s_out, optimize="greedy")
-
-    z_out = [leg for leg in range(n_legs, 2 * n_legs) if leg != z(0)] + [s(m + 1)]
-    side_z = [np.asarray(povm, dtype=np.complex128), [zp(m + 1), s(m + 1)]]
-    for j, g in enumerate(gates, start=1):
-        side_z += [np.conj(np.asarray(g, dtype=np.complex128)), [z(j), zp(j - 1)]]
-    side_z += [g_hat, [zp(m), z(m + 1)]]
-    half_z = np.einsum(*side_z, z_out, optimize="greedy")
-
-    full = np.einsum(half_s, s_out, half_z, z_out, list(range(2 * n_legs)))
-    return full.reshape(d_sys ** n_legs, d_sys ** n_legs)
-
-
 def contract_asf_dense(
     steps: NoiseSteps, gates: list[np.ndarray], rho_sys: np.ndarray, povm: np.ndarray
 ) -> float:
     """Survival probability via the full dense tensor contraction.
 
-    Both rank-4(m+2) tensors are materialized (in block leg order, which is
-    cheaper to build than the slot-interleaved order but holds the same
-    entries) and summed entry by entry against each other.  Equal to
+    The slot-order noise tensor of :func:`dense_noise_tensor` is contracted
+    with the sequence's control operations: rho_sys on slot 0's inputs, gate
+    j (the compiled inverse at j = m + 1) and its conjugate from slot j - 1's
+    outputs to slot j's inputs, and povm on slot m + 1's outputs.  Equal to
     :func:`rbmpo.rb.run_sequence` on the same inputs; exponentially expensive
     and capped, existing purely as an independent oracle.
     """
     m = len(gates)
-    _check_dense_cap(m)
-    ups = _dense_blocks_unitary(steps, m)
-    ctrl = _control_blocks(gates, rho_sys, povm)
-    return float(np.real(np.dot(ups.ravel(), ctrl.ravel())))
+    # slot j's legs 4j..4j+3 are (s out, s in, z in, z out), s ket-side, z bra-side
+    operands = [dense_noise_tensor(steps, m), list(range(4 * (m + 2))),
+                np.asarray(rho_sys, dtype=np.complex128), [1, 2]]
+    for j, g in enumerate([*gates, compile_undo(gates)], start=1):
+        g = np.asarray(g, dtype=np.complex128)
+        operands += [g, [4 * j + 1, 4 * j - 4], np.conj(g), [4 * j + 2, 4 * j - 1]]
+    operands += [np.asarray(povm, dtype=np.complex128), [4 * m + 7, 4 * m + 4]]
+    return float(np.real(np.einsum(*operands, [], optimize="greedy")))
 
 
 def contract_asf_dense_averaged(
@@ -386,4 +318,4 @@ def joint_node(node_up: np.ndarray, node_dn: np.ndarray, d_env: int, d_sys: int)
     """Fuse two adjacent noise nodes over their shared environment bond."""
     up = node_up.reshape(d_env, d_sys, d_env, d_sys)
     dn = node_dn.reshape(d_env, d_sys, d_env, d_sys)
-    return np.einsum("aibj,bkcl->aijckl", up, dn).transpose(0, 1, 2, 3, 4, 5)
+    return np.einsum("aibj,bkcl->aijckl", up, dn)

@@ -82,7 +82,6 @@ def learner_config_to_dict(cfg: LearnerConfig) -> dict:
         "max_iterations": cfg.max_iterations,
         "convergence_divisor": cfg.convergence_divisor,
         "unitarity_tol": cfg.unitarity_tol,
-        "seed": cfg.seed,
         "departure_rounds": cfg.departure_rounds,
     }
 
@@ -110,13 +109,15 @@ def learner_config_from_dict(d: dict) -> LearnerConfig:
     for key, only in (("sweep_order", "ascending"), ("update_jitter", 0.0)):
         if d.get(key, only) != only:
             raise InputError(f"learner config key {key!r} only accepts {only!r}, got {d[key]!r}")
+    seed = d.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InputError(f"learner config key 'seed' is ignored but must be an integer, got {seed!r}")
     return LearnerConfig(
         d_env=int(d.get("d_env", 2)),
         optimizer=optimizer,
         max_iterations=int(d.get("max_iterations", 200)),
         convergence_divisor=float(d.get("convergence_divisor", 1.0)),
         unitarity_tol=float(d.get("unitarity_tol", 1e-9)),
-        seed=int(d.get("seed", 0)),
         departure_rounds=int(d.get("departure_rounds", 8)),
     )
 
@@ -143,29 +144,7 @@ def curve_from_dict(d: dict) -> AsfCurve:
         raise InputError(f"malformed ASF curve record: {exc}") from exc
 
 
-def gate_set_to_dict(gs) -> dict:
-    from .quantum import GateSet  # noqa: F401 - documents the expected type
-
-    return {
-        "kind": "gate_set",
-        "label": gs.label,
-        "is_two_design": gs.is_two_design,
-        "gates": [matrix_to_json_dict(g) for g in gs.gates],
-    }
-
-
-def gate_set_from_dict(d: dict):
-    from .quantum import GateSet
-
-    try:
-        gates = tuple(matrix_from_json_dict(g) for g in d["gates"])
-        return GateSet(gates=gates, label=d.get("label", ""),
-                       is_two_design=bool(d.get("is_two_design", False)))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed gate set record: {exc}") from exc
-
-
-def training_result_to_dict(result: TrainingResult, config: LearnerConfig, seed: int) -> dict:
+def training_result_to_dict(result: TrainingResult, config: LearnerConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "training_result",
@@ -178,7 +157,6 @@ def training_result_to_dict(result: TrainingResult, config: LearnerConfig, seed:
         "iterations": result.iterations,
         "best_iteration": result.best_iteration,
         "config": learner_config_to_dict(config),
-        "seed": seed,
     }
 
 

@@ -53,7 +53,7 @@ def phase_flip_run():
     started = time.monotonic()
     result = train(
         data, RHO, POVM,
-        LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200, seed=1),
+        LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200),
     )
     return data, result, time.monotonic() - started
 
@@ -69,7 +69,7 @@ def spin_run():
     result = train(
         data, RHO, POVM,
         LearnerConfig(optimizer=Adam(rate=1e-3, beta1=0.9, beta2=0.99),
-                      max_iterations=200, seed=1, departure_rounds=12),
+                      max_iterations=200, departure_rounds=12),
     )
     return data, result, time.monotonic() - started
 

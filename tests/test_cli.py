@@ -31,7 +31,7 @@ def write_identity_config(path, m_max=5, n_samples=10, seed=3):
 
 
 def write_learner_config(path, **overrides):
-    cfg = LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=20, seed=1)
+    cfg = LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=20)
     d = learner_config_to_dict(cfg)
     d.update(overrides)
     dump_json(d, path)

@@ -283,7 +283,7 @@ class TestTrain:
 
     def test_phase_flip_end_to_end(self, phase_flip_data):
         result = train(phase_flip_data, RHO, POVM,
-                       LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200, seed=1))
+                       LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200))
         assert result.converged
         report = diagnose_markovianity(result.node)
         assert report.markovian
@@ -292,7 +292,7 @@ class TestTrain:
         assert result.cost_trace[result.best_iteration] <= init_cost
 
     def test_training_is_deterministic(self, phase_flip_data):
-        cfg = LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=50, seed=3)
+        cfg = LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=50)
         a = train(phase_flip_data, RHO, POVM, cfg)
         b = train(phase_flip_data, RHO, POVM, cfg)
         assert np.array_equal(a.node, b.node)
@@ -300,7 +300,7 @@ class TestTrain:
 
     def test_predicted_curve_comes_from_returned_node(self, phase_flip_data):
         result = train(phase_flip_data, RHO, POVM,
-                       LearnerConfig(optimizer=Adagrad(rate=1e-5), seed=1))
+                       LearnerConfig(optimizer=Adagrad(rate=1e-5)))
         pred = predicted_curve(result.node, 2, RHO, POVM, result.predicted.lengths)
         assert np.allclose(pred, result.predicted.means, atol=1e-12)
 

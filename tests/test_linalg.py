@@ -1,4 +1,4 @@
-"""SVD, unitary projection, Kronecker, regrouping, matrix serialization."""
+"""SVD, unitary projection, unitary square roots, matrix serialization."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from rbmpo.errors import ShapeError, SingularMatrixError
 from rbmpo.linalg import (
     dagger,
-    kron,
     matrix_from_json_dict,
     matrix_to_json_dict,
     principal_unitary_sqrt,
     project_to_unitary,
-    regroup,
     svd,
 )
 
@@ -128,70 +126,6 @@ class TestProjectToUnitary:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             project_to_unitary(np.ones((2, 3)))
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_z_tensor_identity(self):
-        z = np.diag([1.0, -1.0])
-        assert np.array_equal(kron(z, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(5)
-        a, b, c, d = (random_complex(2, rng) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) < 1e-12
-
-
-class TestRegroup:
-    def test_round_trip_on_joint_sized_matrix(self):
-        rng = np.random.default_rng(6)
-        n = 2 * 2 * 2  # d_env * d_sys^2
-        m = random_complex(n, rng)
-        dims = (2, 2, 2, 2, 2, 2)
-        perm = (0, 2, 1, 3, 5, 4)
-        inv = tuple(np.argsort(perm))
-        once = regroup(m, dims, perm, 3)
-        back = regroup(once, tuple(dims[p] for p in perm), inv, 3)
-        assert np.array_equal(back.reshape(m.shape), m)
-
-    def test_matrix_to_vector_and_back(self):
-        m = np.arange(4, dtype=complex).reshape(2, 2)
-        vec = regroup(m, (2, 2), (0, 1), 2)
-        assert vec.shape == (4, 1)
-        back = regroup(vec, (2, 2), (0, 1), 1)
-        assert np.array_equal(back, m)
-
-    def test_joint_grouping_matches_loop_oracle(self):
-        # fusing two nodes over their bond, then grouping (e_up s s')(e_dn t t'),
-        # must reproduce an index-by-index loop
-        from rbmpo.process_tensor import joint_node
-
-        rng = np.random.default_rng(7)
-        a, b = random_complex(4, rng), random_complex(4, rng)
-        fused = joint_node(a, b, 2, 2).reshape(8, 8)
-        a4, b4 = a.reshape(2, 2, 2, 2), b.reshape(2, 2, 2, 2)
-        for eu in range(2):
-            for si in range(2):
-                for sip in range(2):
-                    for ed in range(2):
-                        for sj in range(2):
-                            for sjp in range(2):
-                                expected = sum(
-                                    a4[eu, si, e, sip] * b4[e, sj, ed, sjp] for e in range(2)
-                                )
-                                row = (eu * 2 + si) * 2 + sip
-                                col = (ed * 2 + sj) * 2 + sjp
-                                assert abs(fused[row, col] - expected) < 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            regroup(np.ones((2, 3)), (2, 2), (0, 1), 1)
-        with pytest.raises(ShapeError):
-            regroup(np.ones((2, 2)), (2, 2), (0, 0), 1)
 
 
 class TestUnitarySqrt:

@@ -7,7 +7,7 @@ import pytest
 
 from rbmpo.average import NoiseSteps, clifford_averaged_asf
 from rbmpo.errors import ResourceLimitError
-from rbmpo.noise import JointUnitary
+from rbmpo.noise import JointUnitary, amplitude_damping, depolarizing
 from rbmpo.process_tensor import (
     DENSE_ORACLE_MAX_M,
     asf_joint_coefficient,
@@ -46,12 +46,19 @@ class TestDenseOracle:
         gates = sample_sequence(cliffords, 2, rng)
         assert abs(contract_asf_dense(steps, gates, RHO, POVM) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("m, spam", [(1, False), (2, False), (3, False), (1, True), (2, True)],
-                             ids=["1", "2", "3", "1-spam", "2-spam"])
-    def test_agrees_with_direct_evolution(self, cliffords, m, spam):
+    @pytest.mark.parametrize(
+        "m, variant",
+        [(1, None), (2, None), (3, None), (1, "spam"), (2, "spam"), (2, "ad"), (3, "ad-final")],
+        ids=["1", "2", "3", "1-spam", "2-spam", "2-ad", "3-ad-final"])
+    def test_agrees_with_direct_evolution(self, cliffords, m, variant):
         rng = np.random.default_rng(1200 + m)
-        model = random_model(rng)
-        if spam:
+        if variant == "ad":
+            model = amplitude_damping(0.3)
+        elif variant == "ad-final":
+            model = dataclasses.replace(amplitude_damping(0.3), final=depolarizing(0.2).channel)
+        else:
+            model = random_model(rng)
+        if variant == "spam":
             model = dataclasses.replace(model, prep=KrausChannel((haar_unitary(4, rng),)),
                                         final=KrausChannel((haar_unitary(4, rng),)))
         steps = NoiseSteps.from_model(model)
@@ -84,6 +91,26 @@ class TestDenseOracle:
 
 
 class TestJointCoefficient:
+    def test_joint_grouping_matches_loop_oracle(self):
+        # fusing two nodes over their bond, then grouping (e_up s s')(e_dn t t'),
+        # must reproduce an index-by-index loop
+        rng = np.random.default_rng(7)
+        a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+        fused = joint_node(a, b, 2, 2).reshape(8, 8)
+        a4, b4 = a.reshape(2, 2, 2, 2), b.reshape(2, 2, 2, 2)
+        for eu in range(2):
+            for si in range(2):
+                for sip in range(2):
+                    for ed in range(2):
+                        for sj in range(2):
+                            for sjp in range(2):
+                                expected = sum(
+                                    a4[eu, si, e, sip] * b4[e, sj, ed, sjp] for e in range(2)
+                                )
+                                row = (eu * 2 + si) * 2 + sip
+                                col = (ed * 2 + sj) * 2 + sjp
+                                assert abs(fused[row, col] - expected) < 1e-14
+
     def test_full_contraction_reproduces_average(self):
         rng = np.random.default_rng(4)
         lam = haar_unitary(4, rng)
