@@ -82,17 +82,11 @@ def env_mixed_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.nda
     return env_maps(stack, stack)[0].reshape(d_env * d_env, d_env * d_env)
 
 
-def bulk_maps(steps: NoiseSteps) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed and loop maps of the bulk slot as (e, h, f, g) arrays.
-
-    Built through :func:`env_mixed_map` and :func:`env_loop_map`, looked up
-    at call time, so every averaged path shares those two definitions.
-    """
-    shape = (steps.d_env,) * 4
-    return (
-        env_mixed_map(steps.bulk, steps.d_env, steps.d_sys).reshape(shape),
-        env_loop_map(steps.bulk, steps.d_env, steps.d_sys).reshape(shape),
-    )
+def bulk_maps(steps: NoiseSteps) -> np.ndarray:
+    """:func:`env_maps` of the bulk slot: the mixed and loop maps as (e, h, f, g)
+    arrays, stacked on axis 0."""
+    stack = kraus_stack(steps.bulk, steps.d_env, steps.d_sys)
+    return env_maps(stack, stack)
 
 
 def twirled_step(x: np.ndarray, mixed: np.ndarray, loop: np.ndarray, d_sys: int) -> np.ndarray:

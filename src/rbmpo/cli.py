@@ -31,6 +31,7 @@ from . import __version__
 from .errors import ConvergenceError, InputError, NumericalError, ToolkitError
 from .learner import diagnose_markovianity, train
 from .linalg import matrix_to_json_dict
+from .quantum import basis_state
 from .rb import estimate_asf
 from .serialize import (
     dump_json,
@@ -38,7 +39,7 @@ from .serialize import (
     learner_config_from_dict,
     load_curve,
     load_json,
-    node_matrix_from_file,
+    node_from_file,
     training_result_to_dict,
 )
 
@@ -92,9 +93,6 @@ def cmd_learn(args) -> int:
     if args.tol is not None:
         cfg_dict["convergence_divisor"] = args.tol
     cfg = learner_config_from_dict(cfg_dict)
-
-    from .quantum import basis_state
-
     rho = basis_state(0, 2)
     povm = basis_state(0, 2)
     result = train(data, rho, povm, cfg)
@@ -132,8 +130,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    node = node_matrix_from_file(args.model)
-    report = diagnose_markovianity(node, tol=args.tol)
+    node, d_env = node_from_file(args.model)
+    report = diagnose_markovianity(node, d_env, tol=args.tol)
     if args.json:
         print(json.dumps({
             "markovian": report.markovian,

@@ -27,8 +27,9 @@ one, and repeat until no descending direction remains.  For memoryless data
 those directions stay inside the environment-block structure; temporally
 correlated data develops negative curvature in the environment-coupling
 directions, and the node leaves the uncoupled manifold.  The sweep then
-polishes.  Cost and l1 traces are recorded per iteration and the best
-(minimum-cost) iterate is returned.
+polishes.  :func:`train` owns the loop: :func:`sweep_iteration` maps a node
+to the next one, and train records each iterate's cost, l1 distance and
+unitarity defect and returns the best (minimum-cost) iterate.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def optimizer_step(acc: dict, grad: np.ndarray, cfg: OptimizerConfig) -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# configuration and state
+# configuration and result
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -127,19 +128,6 @@ class LearnerConfig:
             raise DomainError("convergence divisor must be >= 1")
         if self.departure_rounds < 0:
             raise DomainError("departure_rounds must be >= 0")
-
-
-@dataclass
-class LearnerState:
-    node: np.ndarray
-    accumulators: dict
-    iteration: int = 0
-    cost_trace: list = field(default_factory=list)
-    l1_trace: list = field(default_factory=list)
-    unitarity_trace: list = field(default_factory=list)
-    best_node: np.ndarray | None = None
-    best_cost: float = np.inf
-    best_iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -164,10 +152,14 @@ def predicted_curve(node: np.ndarray, d_env: int, rho_sys, povm, lengths) -> np.
     return np.asarray([full[n - 1] for n in lengths], dtype=np.float64)
 
 
+def _residual(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> np.ndarray:
+    """Model prediction minus measured mean, per curve point."""
+    return predicted_curve(node, d_env, rho_sys, povm, data.lengths) - np.asarray(data.means)
+
+
 def cost(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> float:
     """Quadratic cost between model predictions and the measured curve."""
-    pred = predicted_curve(node, d_env, rho_sys, povm, data.lengths)
-    resid = pred - np.asarray(data.means)
+    resid = _residual(node, d_env, data, rho_sys, povm)
     return float(0.5 * np.sum(resid * resid))
 
 
@@ -184,14 +176,13 @@ def gradient_joint(
     if not 1 <= slot_i <= m_max + 1:
         raise InputError(f"slot {slot_i} out of range for data up to length {m_max}")
     steps = NoiseSteps.uniform(node, basis_state(0, d_env), d_env)
-    pred = predicted_curve(node, d_env, rho_sys, povm, data.lengths)
+    resid = _residual(node, d_env, data, rho_sys, povm)
     d_sys = steps.d_sys
     grad = np.zeros((d_env, d_sys, d_sys, d_env, d_sys, d_sys), dtype=np.complex128)
-    for n, f_exp, f_model in zip(data.lengths, data.means, pred):
+    for n, r in zip(data.lengths, resid):
         if n < max(slot_i - 1, 1):
             continue
-        coeff = asf_joint_coefficient(steps, slot_i, n, rho_sys, povm)
-        grad += (f_exp - f_model) * coeff
+        grad -= r * asf_joint_coefficient(steps, slot_i, n, rho_sys, povm)
     return grad
 
 
@@ -347,11 +338,7 @@ def saddle_departure(
     current_cost = cost(current, d_env, data, rho_sys, povm)
 
     def l1_of(candidate: np.ndarray) -> float:
-        pred = predicted_curve(candidate, d_env, rho_sys, povm, data.lengths)
-        return float(np.abs(pred - np.asarray(data.means)).sum())
-
-    def coupling_of(candidate: np.ndarray) -> float:
-        return diagnose_markovianity(candidate, d_env).off_block_norm
+        return float(np.abs(_residual(candidate, d_env, data, rho_sys, povm)).sum())
 
     for _ in range(max_rounds):
         if l1_stop is not None and l1_of(current) <= l1_stop:
@@ -394,63 +381,48 @@ def saddle_departure(
             else []
         )
         if matched:
-            current_cost, current = min(matched, key=lambda e: coupling_of(e[1]))
+            current_cost, current = min(
+                matched, key=lambda e: diagnose_markovianity(e[1], d_env).off_block_norm)
         else:
             current_cost, current = min(endpoints, key=lambda e: e[0])
     return current
 
 
 def sweep_iteration(
-    state: LearnerState,
+    node: np.ndarray,
+    accumulators: dict,
+    iteration: int,
     data: AsfCurve,
     rho_sys,
     povm,
     config: LearnerConfig,
-) -> LearnerState:
-    """One full sweep update of the shared node, in place on `state`.
+) -> np.ndarray:
+    """One full sweep update of the shared node; returns the next node.
 
-    The joint node sits at slots (i, i - 1), with i cycling upwards through
-    1..m_max + 1 over the iterations.  A zero gradient is a stationary
-    point: the node is left untouched rather than run through the
-    split/recombine cycle.
+    The joint node sits at slots (i, i - 1), with i = 1 + iteration mod
+    (m_max + 1); the optimizer accumulators are updated in place.  A zero
+    gradient is a stationary point: the node is returned untouched rather
+    than run through the split/recombine cycle.
     """
     d_env = config.d_env
     m_max = max(data.lengths)
-    slot_i = 1 + state.iteration % (m_max + 1)
+    slot_i = 1 + iteration % (m_max + 1)
 
-    grad = gradient_joint(state.node, d_env, data, rho_sys, povm, slot_i)
-    if np.abs(grad).max() > 0.0:
-        update = optimizer_step(state.accumulators, grad, config.optimizer)
-        d_sys = state.node.shape[0] // d_env
-        joint = joint_node(state.node, state.node, d_env, d_sys)
-        k = d_env * d_sys * d_sys
-        upper, lower = split_truncate((joint + update).reshape(k, k), d_env)
-        new_node = replacement_node(upper, lower, near=state.node)
-        defect = _unitarity_defect(new_node)
-        if defect > config.unitarity_tol:
-            raise NumericalError(
-                f"updated node violates unitarity ({defect:.3e} > {config.unitarity_tol})"
-            )
-        state.node = new_node
-
-    state.iteration += 1
-    _record(state, data, rho_sys, povm, d_env)
-    return state
-
-
-def _record(state: LearnerState, data: AsfCurve, rho_sys, povm, d_env: int):
-    pred = predicted_curve(state.node, d_env, rho_sys, povm, data.lengths)
-    resid = pred - np.asarray(data.means)
-    c = float(0.5 * np.sum(resid * resid))
-    if not np.isfinite(c):
-        raise NumericalError(f"cost diverged at iteration {state.iteration}")
-    state.cost_trace.append(c)
-    state.l1_trace.append(float(np.sum(np.abs(resid))))
-    state.unitarity_trace.append(_unitarity_defect(state.node))
-    if c < state.best_cost:
-        state.best_cost = c
-        state.best_node = state.node.copy()
-        state.best_iteration = state.iteration
+    grad = gradient_joint(node, d_env, data, rho_sys, povm, slot_i)
+    if not np.abs(grad).max() > 0.0:
+        return node
+    update = optimizer_step(accumulators, grad, config.optimizer)
+    d_sys = node.shape[0] // d_env
+    joint = joint_node(node, node, d_env, d_sys)
+    k = d_env * d_sys * d_sys
+    upper, lower = split_truncate((joint + update).reshape(k, k), d_env)
+    new_node = replacement_node(upper, lower, near=node)
+    defect = _unitarity_defect(new_node)
+    if defect > config.unitarity_tol:
+        raise NumericalError(
+            f"updated node violates unitarity ({defect:.3e} > {config.unitarity_tol})"
+        )
+    return new_node
 
 
 def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResult:
@@ -459,47 +431,49 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     Starts from the identity node (no noise) with the environment in |0><0|.
     Unless the data is already matched there, the identity is a stationary
     saddle of the cost, so the curvature-probing departure stage positions
-    the node first (see :func:`saddle_departure`); iteration counting starts
-    after it.  The sweep then iterates until the l1 distance between
-    predicted and measured curves drops below (sum of measurement standard
-    errors) divided by convergence_divisor, or the iteration budget runs
-    out.  The minimum-cost iterate is returned, not the final one, since
-    the cost trace is not guaranteed monotone.
+    the node first (see :func:`saddle_departure`); iteration counting and
+    the traces start after it.  The sweep then iterates until the l1
+    distance between predicted and measured curves drops below (sum of
+    measurement standard errors) divided by convergence_divisor, or the
+    iteration budget runs out.  The minimum-cost iterate is returned, not
+    the final one, since the cost trace is not guaranteed monotone.
     """
     rho_sys = validate_density_matrix(np.asarray(rho_sys, dtype=np.complex128), name="rho_sys")
     povm = validate_povm_element(np.asarray(povm, dtype=np.complex128))
     d_sys = rho_sys.shape[0]
-    dim = config.d_env * d_sys
     sigma_total = float(np.sum(np.abs(data.stderrs)))
     # floating-point floor: noiseless curves carry ~1e-16 round-off per point,
     # which would make an exactly-zero l1 target unreachable
     threshold = max(sigma_total / config.convergence_divisor, 1e-10)
 
-    state = LearnerState(
-        node=np.eye(dim, dtype=np.complex128),
-        accumulators=init_accumulators(
-            config.optimizer, (config.d_env, d_sys, d_sys, config.d_env, d_sys, d_sys)
-        ),
-    )
-    _record(state, data, rho_sys, povm, config.d_env)
-
-    converged = state.l1_trace[-1] <= threshold
-    if not converged and config.departure_rounds > 0:
-        state.node = saddle_departure(
-            state.node, config.d_env, data, rho_sys, povm,
-            config.departure_rounds, l1_stop=threshold,
+    node = np.eye(config.d_env * d_sys, dtype=np.complex128)
+    accumulators = init_accumulators(config.optimizer, (config.d_env, d_sys, d_sys) * 2)
+    resid = _residual(node, config.d_env, data, rho_sys, povm)
+    if not float(np.sum(np.abs(resid))) <= threshold and config.departure_rounds > 0:
+        node = saddle_departure(
+            node, config.d_env, data, rho_sys, povm, config.departure_rounds, l1_stop=threshold
         )
-        state.cost_trace.clear()
-        state.l1_trace.clear()
-        state.unitarity_trace.clear()
-        state.best_cost = np.inf
-        _record(state, data, rho_sys, povm, config.d_env)
-        converged = state.l1_trace[-1] <= threshold
-    while not converged and state.iteration < config.max_iterations:
-        sweep_iteration(state, data, rho_sys, povm, config)
-        converged = state.l1_trace[-1] <= threshold
+        resid = _residual(node, config.d_env, data, rho_sys, povm)
 
-    best = state.best_node if state.best_node is not None else state.node
+    cost_trace, l1_trace, unitarity_trace = [], [], []
+    best, best_cost, best_iteration = node, np.inf, 0
+    iteration = 0
+    while True:
+        c = float(0.5 * np.sum(resid * resid))
+        if not np.isfinite(c):
+            raise NumericalError(f"cost diverged at iteration {iteration}")
+        cost_trace.append(c)
+        l1_trace.append(float(np.sum(np.abs(resid))))
+        unitarity_trace.append(_unitarity_defect(node))
+        if c < best_cost:
+            best, best_cost, best_iteration = node, c, iteration
+        converged = l1_trace[-1] <= threshold
+        if converged or iteration >= config.max_iterations:
+            break
+        node = sweep_iteration(node, accumulators, iteration, data, rho_sys, povm, config)
+        iteration += 1
+        resid = _residual(node, config.d_env, data, rho_sys, povm)
+
     lengths = tuple(data.lengths)
     pred = predicted_curve(best, config.d_env, rho_sys, povm, lengths)
     pred_curve = AsfCurve(
@@ -511,12 +485,12 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     return TrainingResult(
         node=best,
         predicted=pred_curve,
-        cost_trace=tuple(state.cost_trace),
-        l1_trace=tuple(state.l1_trace),
-        unitarity_trace=tuple(state.unitarity_trace),
-        converged=bool(converged),
-        iterations=state.iteration,
-        best_iteration=state.best_iteration,
+        cost_trace=tuple(cost_trace),
+        l1_trace=tuple(l1_trace),
+        unitarity_trace=tuple(unitarity_trace),
+        converged=converged,
+        iterations=iteration,
+        best_iteration=best_iteration,
     )
 
 
@@ -533,38 +507,26 @@ class MarkovianityReport:
 
 
 def diagnose_markovianity(
-    node: np.ndarray, d_env: int = 2, rho_env: np.ndarray | None = None, tol: float = 1e-2
+    node: np.ndarray, d_env: int = 2, tol: float = 1e-2
 ) -> MarkovianityReport:
     """Read the Markovianity of a learned node off its block structure.
 
-    With P0 the projector onto the fiducial environment state, the
-    off-block norm ||(I - P0 x I) node (P0 x I)||_F measures how much the
-    node couples the populated environment level to the rest.  Below `tol`
-    the node acts on the system as the (then unitary) fiducial block alone:
-    memoryless noise.  The measure is invariant under a global phase.
+    With the environment first and fiducial in |0><0|, the off-block norm
+    ||(I - P0 x I) node (P0 x I)||_F is that of node[d_sys:, :d_sys]; it
+    measures how much the node couples the populated environment level to
+    the rest.  Below `tol` the node acts on the system as the (then unitary)
+    block node[:d_sys, :d_sys] alone: memoryless noise.  The measure is
+    invariant under a global phase.
     """
     node = validate_unitary(node, tol=1e-9, name="noise node")
     dim = node.shape[0]
     if dim % d_env != 0:
         raise ShapeError(f"node dimension {dim} not divisible by d_env {d_env}")
     d_sys = dim // d_env
-    if rho_env is None:
-        fid = np.zeros(d_env, dtype=np.complex128)
-        fid[0] = 1.0
-    else:
-        rho_env = validate_density_matrix(np.asarray(rho_env, dtype=np.complex128), name="rho_env")
-        w, v = np.linalg.eigh(rho_env)
-        if w[-1] < 1.0 - 1e-10:
-            raise InputError("fiducial environment state must be pure for the block diagnosis")
-        fid = v[:, -1]
-    embed = np.kron(fid.reshape(-1, 1), np.eye(d_sys, dtype=np.complex128))  # dim x d_sys
-    col = node @ embed
-    system_block = dagger(embed) @ col
-    off = col - embed @ system_block
-    off_norm = float(np.linalg.norm(off))
+    off_norm = float(np.linalg.norm(node[d_sys:, :d_sys]))
     return MarkovianityReport(
         markovian=off_norm <= tol,
         off_block_norm=off_norm,
-        system_block=system_block,
+        system_block=node[:d_sys, :d_sys].copy(),
         tol=tol,
     )

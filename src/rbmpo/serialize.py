@@ -28,6 +28,17 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _number(d: dict, key: str, kind: type, where: str, default=None):
+    """Numeric field `key` of `d`, required unless a default is given.  An int
+    field takes a JSON integer, a float field an integer or a float; a
+    boolean or a string is rejected, never coerced."""
+    value = _require(d, key, where) if default is None else d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{where} field {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _state_from(value, name: str) -> np.ndarray:
     if value == "zero":
         return basis_state(0, 2)
@@ -55,9 +66,9 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     noise = noise_model_from_dict(_require(d, "noise", "experiment config"))
     return ExperimentConfig(
         noise=noise,
-        m_max=int(_require(d, "m_max", "experiment config")),
-        n_samples=int(_require(d, "n_samples", "experiment config")),
-        seed=int(_require(d, "seed", "experiment config")),
+        m_max=_number(d, "m_max", int, "experiment config"),
+        n_samples=_number(d, "n_samples", int, "experiment config"),
+        seed=_number(d, "seed", int, "experiment config"),
         rho_sys=_state_from(d.get("rho_sys", "zero"), "rho_sys"),
         povm=_state_from(d.get("povm", "zero"), "povm"),
     )
@@ -91,17 +102,18 @@ def learner_config_from_dict(d: dict) -> LearnerConfig:
         raise InputError(f"expected a learner config, got kind={d.get('kind')!r}")
     opt_rec = _require(d, "optimizer", "learner config")
     opt_kind = _require(opt_rec, "kind", "optimizer record")
+    where = "optimizer record"
     if opt_kind == "adagrad":
         optimizer = Adagrad(
-            rate=float(opt_rec.get("rate", 1e-5)),
-            epsilon=float(opt_rec.get("epsilon", 1e-8)),
+            rate=_number(opt_rec, "rate", float, where, 1e-5),
+            epsilon=_number(opt_rec, "epsilon", float, where, 1e-8),
         )
     elif opt_kind == "adam":
         optimizer = Adam(
-            rate=float(opt_rec.get("rate", 1e-3)),
-            beta1=float(opt_rec.get("beta1", 0.9)),
-            beta2=float(opt_rec.get("beta2", 0.99)),
-            epsilon=float(opt_rec.get("epsilon", 1e-8)),
+            rate=_number(opt_rec, "rate", float, where, 1e-3),
+            beta1=_number(opt_rec, "beta1", float, where, 0.9),
+            beta2=_number(opt_rec, "beta2", float, where, 0.99),
+            epsilon=_number(opt_rec, "epsilon", float, where, 1e-8),
         )
     else:
         raise InputError(f"unknown optimizer kind {opt_kind!r}")
@@ -109,16 +121,15 @@ def learner_config_from_dict(d: dict) -> LearnerConfig:
     for key, only in (("sweep_order", "ascending"), ("update_jitter", 0.0)):
         if d.get(key, only) != only:
             raise InputError(f"learner config key {key!r} only accepts {only!r}, got {d[key]!r}")
-    seed = d.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InputError(f"learner config key 'seed' is ignored but must be an integer, got {seed!r}")
+    where = "learner config"
+    _number(d, "seed", int, where, 0)  # ignored, but still type-checked
     return LearnerConfig(
-        d_env=int(d.get("d_env", 2)),
+        d_env=_number(d, "d_env", int, where, 2),
         optimizer=optimizer,
-        max_iterations=int(d.get("max_iterations", 200)),
-        convergence_divisor=float(d.get("convergence_divisor", 1.0)),
-        unitarity_tol=float(d.get("unitarity_tol", 1e-9)),
-        departure_rounds=int(d.get("departure_rounds", 8)),
+        max_iterations=_number(d, "max_iterations", int, where, 200),
+        convergence_divisor=_number(d, "convergence_divisor", float, where, 1.0),
+        unitarity_tol=_number(d, "unitarity_tol", float, where, 1e-9),
+        departure_rounds=_number(d, "departure_rounds", int, where, 8),
     )
 
 
@@ -130,18 +141,6 @@ def curve_to_dict(curve: AsfCurve) -> dict:
         "stderrs": list(curve.stderrs),
         "n_samples": curve.n_samples,
     }
-
-
-def curve_from_dict(d: dict) -> AsfCurve:
-    try:
-        return AsfCurve(
-            tuple(int(m) for m in d["lengths"]),
-            tuple(float(v) for v in d["means"]),
-            tuple(float(s) for s in d["stderrs"]),
-            int(d["n_samples"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed ASF curve record: {exc}") from exc
 
 
 def training_result_to_dict(result: TrainingResult, config: LearnerConfig) -> dict:
@@ -176,14 +175,22 @@ def dump_json(obj: dict, path):
         fh.write("\n")
 
 
-def node_matrix_from_file(path) -> np.ndarray:
-    """Read a unitary node from either a bare matrix record or a training result."""
+def node_from_file(path) -> tuple[np.ndarray, int]:
+    """Read a unitary node and its environment dimension from either a
+    training result (d_env from its learner config) or a bare matrix
+    record (d_env 2)."""
     d = load_json(path)
     if d.get("kind") == "training_result":
-        return matrix_from_json_dict(d["node"])
+        config = learner_config_from_dict(_require(d, "config", "training result"))
+        return matrix_from_json_dict(_require(d, "node", "training result")), config.d_env
     if "re" in d and "im" in d:
-        return matrix_from_json_dict(d)
+        return matrix_from_json_dict(d), 2
     raise InputError(f"{path} holds neither a matrix record nor a training result")
+
+
+def node_matrix_from_file(path) -> np.ndarray:
+    """Read a unitary node from either a bare matrix record or a training result."""
+    return node_from_file(path)[0]
 
 
 def load_curve(path) -> AsfCurve:

@@ -162,6 +162,24 @@ class TestDiagnose:
         dump_json(matrix_to_json_dict(np.diag([1.0, 1.0, 1.0, 0.2]).astype(complex)), path)
         assert main(["diagnose", str(path)]) == EXIT_INPUT
 
+    def test_d_env_comes_from_training_result(self, tmp_path, capsys):
+        # a d_env = 1 node is a system-only unitary: Markovian, and its
+        # system block is the whole node
+        c, s = np.cos(0.3), np.sin(0.3)
+        node = np.array([[c, -s], [s, c]], dtype=complex)
+        path = tmp_path / "result.json"
+        dump_json({
+            "schema_version": 1,
+            "kind": "training_result",
+            "node": matrix_to_json_dict(node),
+            "config": learner_config_to_dict(LearnerConfig(d_env=1)),
+        }, path)
+        assert main(["diagnose", str(path), "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["markovian"] is True
+        assert report["off_block_norm"] == 0.0
+        assert report["system_block"]["rows"] == 2
+
 
 class TestSelfcheck:
     def test_fresh_checkout_passes(self, capsys):
@@ -170,22 +188,26 @@ class TestSelfcheck:
         assert report["passed"] is True
 
     def test_injected_sign_error_is_caught(self, monkeypatch, capsys):
-        # deliberate fault: flip the sign of the loop-map superoperator and
-        # the averaged-fidelity suites must fail
+        # deliberate fault: flip the sign of the bulk loop map and the
+        # averaged-fidelity suites must fail
         import rbmpo.average as average_mod
 
-        original = average_mod.env_loop_map
+        original = average_mod.env_maps
 
-        def broken(ops, d_env, d_sys):
-            return -original(ops, d_env, d_sys)
+        def broken(ket, bra):
+            mixed, loop = original(ket, bra)
+            return np.stack([mixed, -loop])
 
-        monkeypatch.setattr(average_mod, "env_loop_map", broken)
+        monkeypatch.setattr(average_mod, "env_maps", broken)
         rc = main(["selfcheck", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == EXIT_NUMERICAL
         assert report["passed"] is False
         failing = [row["check"] for row in report["checks"] if not row["ok"]]
-        assert any("enumeration" in name or "average" in name for name in failing)
+        assert failing == [
+            "closed-form average vs full enumeration (m=1)",
+            "joint-node gradient vs finite differences",
+        ]
 
 
 class TestParsing:

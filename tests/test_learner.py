@@ -9,7 +9,6 @@ from rbmpo.learner import (
     Adagrad,
     Adam,
     LearnerConfig,
-    LearnerState,
     cost,
     diagnose_markovianity,
     gradient_joint,
@@ -222,19 +221,20 @@ class TestGradient:
             gradient_joint(np.eye(4, dtype=complex), 2, data, RHO, POVM, 4)
 
 
+def _unitarity_defect(node):
+    return float(np.linalg.norm(dagger(node) @ node - np.eye(node.shape[0])))
+
+
 class TestSweep:
     def test_zero_residual_is_stationary(self):
         rng = np.random.default_rng(11)
         lam = haar_unitary(4, rng)
         data = model_curve(lam, 4)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
-        state = LearnerState(
-            node=lam.copy(),
-            accumulators=init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2)),
-        )
-        sweep_iteration(state, data, RHO, POVM, config)
-        assert np.array_equal(state.node, lam)
-        assert state.cost_trace[-1] < 1e-20
+        acc = init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2))
+        node = sweep_iteration(lam.copy(), acc, 0, data, RHO, POVM, config)
+        assert np.array_equal(node, lam)
+        assert cost(node, 2, data, RHO, POVM) < 1e-20
 
     def test_descends_from_half_fitted_node(self, phase_flip_data):
         # from a partially fitted node (signal-dominated gradient), sweeps
@@ -245,25 +245,25 @@ class TestSweep:
                                 RHO, POVM, max_rounds=1)
         half = principal_unitary_sqrt(node)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
-        state = LearnerState(
-            node=half, accumulators=init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2))
-        )
+        acc = init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2))
         c_before = cost(half, 2, phase_flip_data, RHO, POVM)
-        for _ in range(3):
-            sweep_iteration(state, phase_flip_data, RHO, POVM, config)
-        assert state.cost_trace[-1] < state.cost_trace[0] < c_before + 1e-15
-        assert all(b <= a for a, b in zip(state.cost_trace, state.cost_trace[1:]))
+        node, costs = half, []
+        for it in range(3):
+            node = sweep_iteration(node, acc, it, phase_flip_data, RHO, POVM, config)
+            costs.append(cost(node, 2, phase_flip_data, RHO, POVM))
+        assert costs[-1] < costs[0] < c_before + 1e-15
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_unitarity_preserved_across_sweeps(self, phase_flip_data):
         config = LearnerConfig(optimizer=Adam(rate=1e-3, beta1=0.9, beta2=0.99))
-        state = LearnerState(
-            node=np.eye(4, dtype=complex),
-            accumulators=init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2)),
-        )
-        state.node = saddle_departure(state.node, 2, phase_flip_data, RHO, POVM, max_rounds=2)
-        for _ in range(10):
-            sweep_iteration(state, phase_flip_data, RHO, POVM, config)
-        assert max(state.unitarity_trace) <= 1e-9
+        acc = init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2))
+        node = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+                                max_rounds=2)
+        defects = []
+        for it in range(10):
+            node = sweep_iteration(node, acc, it, phase_flip_data, RHO, POVM, config)
+            defects.append(_unitarity_defect(node))
+        assert max(defects) <= 1e-9
 
 
 class TestTrain:

@@ -9,8 +9,6 @@ from rbmpo.noise import phase_flip
 from rbmpo.quantum import basis_state
 from rbmpo.rb import AsfCurve, ExperimentConfig
 from rbmpo.serialize import (
-    curve_from_dict,
-    curve_to_dict,
     experiment_config_from_dict,
     experiment_config_to_dict,
     learner_config_from_dict,
@@ -37,16 +35,24 @@ def test_learner_config_round_trip():
         assert learner_config_from_dict(
             {**d, "sweep_order": "ascending", "update_jitter": 0.0, "seed": 1}) == cfg
         for key, value in (("sweep_order", "descending"), ("update_jitter", 1e-3),
-                           ("seed", "1"), ("seed", 1.5), ("seed", True)):
+                           ("seed", "1"), ("seed", 1.5), ("seed", True),
+                           ("max_iterations", 2.9), ("d_env", "2"), ("departure_rounds", True),
+                           ("convergence_divisor", "2"), ("unitarity_tol", False),
+                           ("optimizer", {**d["optimizer"], "rate": "1e-3"}),
+                           ("optimizer", {**d["optimizer"], "epsilon": True})):
             with pytest.raises(InputError):
                 learner_config_from_dict({**d, key: value})
+    # a real field takes an integer as well
+    assert learner_config_from_dict({**d, "convergence_divisor": 2}).convergence_divisor == 2.0
 
 
-def test_curve_round_trip():
-    curve = AsfCurve((1, 2, 3), (0.9, 0.8, 0.7), (0.01, 0.02, 0.0), 50)
-    assert curve_from_dict(curve_to_dict(curve)) == curve
-    with pytest.raises(InputError):
-        curve_from_dict({"lengths": [1]})
+def test_experiment_config_rejects_mistyped_numbers():
+    d = experiment_config_to_dict(ExperimentConfig(noise=phase_flip(0.06), m_max=7,
+                                                   n_samples=13, seed=99))
+    for key, value in (("m_max", 2.9), ("m_max", "7"), ("n_samples", True),
+                       ("seed", 1.5), ("seed", True), ("seed", None)):
+        with pytest.raises(InputError):
+            experiment_config_from_dict({**d, key: value})
 
 
 def test_training_result_record_fields():
