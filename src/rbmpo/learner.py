@@ -169,21 +169,12 @@ def gradient_joint(
     """Descent direction for the joint node at slots (slot_i, slot_i - 1).
 
     Sum over curve points of (measured - predicted) times the fidelity's
-    coefficient tensor in the joint node; lengths n < slot_i - 1 do not
-    contain the slot pair and contribute nothing.
+    coefficient tensor in the joint node, as one weighted coefficient; lengths
+    n < slot_i - 1 do not contain the slot pair and contribute nothing.
     """
-    m_max = max(data.lengths)
-    if not 1 <= slot_i <= m_max + 1:
-        raise InputError(f"slot {slot_i} out of range for data up to length {m_max}")
     steps = NoiseSteps.uniform(node, basis_state(0, d_env), d_env)
     resid = _residual(node, d_env, data, rho_sys, povm)
-    d_sys = steps.d_sys
-    grad = np.zeros((d_env, d_sys, d_sys, d_env, d_sys, d_sys), dtype=np.complex128)
-    for n, r in zip(data.lengths, resid):
-        if n < max(slot_i - 1, 1):
-            continue
-        grad -= r * asf_joint_coefficient(steps, slot_i, n, rho_sys, povm)
-    return grad
+    return asf_joint_coefficient(steps, slot_i, dict(zip(data.lengths, -resid)), rho_sys, povm)
 
 
 def split_truncate(joint_mat: np.ndarray, d_env: int) -> tuple[np.ndarray, np.ndarray]:

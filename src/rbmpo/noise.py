@@ -225,79 +225,3 @@ def spin_unitary(
         d_env=2,
         label=f"spin_unitary(J={coupling}, hx={field_x}, hy={field_y}, delta={delta})",
     )
-
-
-# --- serialization ---------------------------------------------------------
-
-def noise_model_to_dict(model: NoiseModel) -> dict:
-    """Parameter record sufficient to rebuild the model exactly."""
-    from .linalg import matrix_to_json_dict
-
-    if isinstance(model, MarkovianChannel):
-        d = {
-            "kind": "markovian",
-            "label": model.label,
-            "kraus": [matrix_to_json_dict(k) for k in model.channel.operators],
-        }
-    elif isinstance(model, JointUnitary):
-        d = {
-            "kind": "joint_unitary",
-            "label": model.label,
-            "unitary": matrix_to_json_dict(model.unitary),
-            "rho_env": matrix_to_json_dict(model.rho_env),
-            "d_env": model.d_env,
-        }
-    else:  # pragma: no cover - union is closed
-        raise InputError(f"unknown noise model type {type(model)!r}")
-    for slot_name in ("prep", "final"):
-        slot = getattr(model, slot_name)
-        if slot is not None:
-            d[slot_name] = [matrix_to_json_dict(k) for k in slot.operators]
-    return d
-
-
-_PARAMETRIC_BUILDERS = {
-    "phase_flip": lambda d: phase_flip(d["p"]),
-    "amplitude_damping": lambda d: amplitude_damping(d["gamma"]),
-    "depolarizing": lambda d: depolarizing(d["p"]),
-    "spin_unitary": lambda d: spin_unitary(d["J"], d["hx"], d["hy"], d["delta"]),
-    "identity": lambda d: MarkovianChannel(
-        KrausChannel((np.eye(int(d.get("dim", 2)), dtype=np.complex128),)), label="identity"
-    ),
-}
-
-
-def noise_model_from_dict(d: dict) -> NoiseModel:
-    """Rebuild a noise model from a record written by :func:`noise_model_to_dict`
-    or from a short parametric form like ``{"kind": "phase_flip", "p": 0.06}``."""
-    from .linalg import matrix_from_json_dict
-
-    try:
-        kind = d["kind"]
-    except (KeyError, TypeError) as exc:
-        raise InputError("noise model record is missing its 'kind' tag") from exc
-    if kind in _PARAMETRIC_BUILDERS:
-        try:
-            return _PARAMETRIC_BUILDERS[kind](d)
-        except KeyError as exc:
-            raise InputError(f"noise model '{kind}' is missing parameter {exc}") from exc
-
-    def slot(name: str) -> KrausChannel | None:
-        if name not in d:
-            return None
-        return KrausChannel(tuple(matrix_from_json_dict(k) for k in d[name]))
-
-    if kind == "markovian":
-        ch = KrausChannel(tuple(matrix_from_json_dict(k) for k in d["kraus"]))
-        return MarkovianChannel(ch, prep=slot("prep"), final=slot("final"),
-                                label=d.get("label", "markovian"))
-    if kind == "joint_unitary":
-        return JointUnitary(
-            unitary=matrix_from_json_dict(d["unitary"]),
-            rho_env=matrix_from_json_dict(d["rho_env"]),
-            d_env=int(d["d_env"]),
-            prep=slot("prep"),
-            final=slot("final"),
-            label=d.get("label", "joint_unitary"),
-        )
-    raise InputError(f"unknown noise model kind {kind!r}")

@@ -17,9 +17,10 @@ state and the measurement.  This module provides
   :mod:`rbmpo.average` (forwards for the state, with transposed maps
   backwards for the measurement), and the node's own two slots apply the
   same step to maps built from explicit (ket, bra) nodes.  The fidelity is
-  linear in the free node, and :func:`asf_joint_coefficient` returns the
-  coefficient tensor — the object the sweeping learner's gradient is made
-  of.
+  linear in the free node and in the pulled-back measurement, so
+  :func:`asf_joint_coefficient` returns the coefficient tensor summed over
+  lengths with any weights in one forward and one backward pass.  With the
+  residuals as weights that sum is the sweeping learner's gradient.
 
 Layout conventions: an operator X on environment x system is stored either
 as a dim x dim matrix or as a 4-axis array X[e, s, f, t] = <es|X|ft>.  A
@@ -190,10 +191,11 @@ def contract_asf_dense_averaged(
 # superoperator chain with an optional free joint node
 # --------------------------------------------------------------------------
 
-def _single_unitary(ops: tuple[np.ndarray, ...], what: str) -> np.ndarray:
+def _bra_node(steps: NoiseSteps, ops: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A slot's own node as a one-node stack: the bra side of a free joint node."""
     if len(ops) != 1:
-        raise InputError(f"{what} requires a single unitary node, got {len(ops)} Kraus operators")
-    return ops[0]
+        raise InputError(f"a free joint node needs a unitary node, not {len(ops)} Kraus operators")
+    return kraus_stack(ops, steps.d_env, steps.d_sys)
 
 
 def _slot(averaged: bool, ket: np.ndarray, bra: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -204,63 +206,71 @@ def _slot(averaged: bool, ket: np.ndarray, bra: np.ndarray, x: np.ndarray) -> np
     return raw_slot(ket, bra, x)
 
 
-def _environments(steps: NoiseSteps, slot_i: int, n: int, rho_sys, povm):
-    """State entering the joint node at slots (slot_i, slot_i - 1) of a
-    length-n sequence, and the measurement functional pulled back to its
-    output; both pass through every slot the node does not occupy."""
-    _check_slot(slot_i, n)
-    rho_sys = np.asarray(rho_sys, dtype=np.complex128)
-    povm = np.asarray(povm, dtype=np.complex128)
-    if rho_sys.shape != (steps.d_sys, steps.d_sys):
-        raise ShapeError("rho_sys does not match the noise model's system dimension")
-    if povm.shape != (steps.d_sys, steps.d_sys):
-        raise ShapeError("povm does not match the noise model's system dimension")
+def _environments(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm):
+    """State entering the joint node at slots (slot_i, slot_i - 1), the lower
+    slot's operators, and the measurement functionals pulled back to the
+    node's output, weighted by ``weights`` (length -> real weight).
+
+    Lengths n >= slot_i have a bulk slot above the node and share one
+    functional, summed by Horner's rule from the largest length down
+    (acc -> step(acc) + w_n meas).  Length slot_i - 1 has the raw final slot
+    there; shorter lengths lack the node.  Functionals come as (upper slot
+    averaged, upper slot's operators, functional).
+    """
+    if not weights or not 1 <= slot_i <= max(weights) + 1:
+        raise InputError(f"joint-node slot must satisfy 1 <= i <= n+1 for some length n, "
+                         f"got i={slot_i}, lengths {sorted(weights)}")
+    rho_sys, povm = (np.asarray(x, dtype=np.complex128) for x in (rho_sys, povm))
+    if rho_sys.shape != (steps.d_sys,) * 2 or povm.shape != (steps.d_sys,) * 2:
+        raise ShapeError("rho_sys or povm does not match the noise model's system dimension")
     mixed, loop = bulk_maps(steps)
     r = prepared_state(steps, rho_sys, prep=slot_i >= 2)
     for _ in range(slot_i - 2):
         r = twirled_step(r, mixed, loop, steps.d_sys)
-    l = measurement_functional(steps, povm, final=slot_i <= n)
-    mixed_t, loop_t = mixed.transpose(2, 3, 0, 1), loop.transpose(2, 3, 0, 1)
-    for _ in range(n - slot_i):
-        l = twirled_step(l, mixed_t, loop_t, steps.d_sys)
-    return r, l
-
-
-def _bra_node(steps: NoiseSteps, slot: int, n: int) -> np.ndarray:
-    node = _single_unitary(steps.slots(n)[slot], "a free joint node")
-    return kraus_stack((node,), steps.d_env, steps.d_sys)
-
-
-def _check_slot(slot_i: int, n: int):
-    if not 1 <= slot_i <= n + 1:
-        raise InputError(f"joint-node slot must satisfy 1 <= i <= n+1, got i={slot_i}, n={n}")
+    terms = []
+    top = max(weights)
+    if top >= slot_i:
+        meas = measurement_functional(steps, povm)
+        mixed_t, loop_t = mixed.transpose(2, 3, 0, 1), loop.transpose(2, 3, 0, 1)
+        l = weights[top] * meas
+        for n in range(top - 1, slot_i - 1, -1):
+            l = twirled_step(l, mixed_t, loop_t, steps.d_sys) + weights.get(n, 0.0) * meas
+        terms.append((True, steps.bulk, l))
+    if slot_i - 1 in weights:
+        meas = measurement_functional(steps, povm, final=False)
+        terms.append((False, steps.final, weights[slot_i - 1] * meas))
+    return r, steps.prep if slot_i == 1 else steps.bulk, terms
 
 
 def asf_joint_coefficient(
-    steps: NoiseSteps, slot_i: int, n: int, rho_sys, povm
+    steps: NoiseSteps, slot_i: int, weights, rho_sys, povm
 ) -> np.ndarray:
-    """Coefficient tensor of the averaged fidelity in the joint node at
-    slots (slot_i, slot_i - 1) of a length-n sequence.
+    """Coefficient tensor of the averaged fidelity in the joint node at slots
+    (slot_i, slot_i - 1), summed over lengths with real ``weights`` (length ->
+    weight; one length n alone is ``{n: 1.0}``).
 
-    Returns T with axes (e_up, s_i, s_i', e_dn, s_j, s_j') such that for any
-    joint node L placed at those slots (conjugate transpose chain untouched),
-    the averaged fidelity is the inner product sum(L * conj(T)).  T does not
+    Returns T = sum_n w_n T_n with axes (e_up, s_i, s_i', e_dn, s_j, s_j'):
+    for any joint node L at those slots (conjugate chain untouched) the
+    length-n averaged fidelity is sum(L * conj(T_n)).  Lengths n < slot_i - 1
+    lack the slots and add nothing.  T is linear in the pulled-back
+    measurement, so all lengths share one pass each way, and it does not
     depend on the current values of the two freed nodes on the forward chain.
     """
-    r, l = _environments(steps, slot_i, n, rho_sys, povm)
+    r, lower_ops, terms = _environments(steps, slot_i, weights, rho_sys, povm)
     d_env, d_sys = steps.d_env, steps.d_sys
 
     # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
     # stacks: lower (Q, 1, bond, s_j, e_dn, s_j'), upper (P, 1, 1, e_up, s_i,
     # bond, s_i'); the upper batch axes broadcast against the lower ones.
-    q_dim = d_sys * d_env * d_sys
-    lower = np.eye(q_dim, dtype=np.complex128).reshape(q_dim, 1, 1, d_sys, d_env, d_sys)
-    p_dim = d_env * d_sys * d_sys
-    upper = np.eye(p_dim, dtype=np.complex128).reshape(p_dim, 1, 1, d_env, d_sys, 1, d_sys)
+    basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
+    lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
+    upper = basis.reshape(-1, 1, 1, d_env, d_sys, 1, d_sys)
 
-    x1 = _slot(slot_i >= 2, lower, _bra_node(steps, slot_i - 1, n), r)  # (Q,1,s,e,s)
-    x2 = _slot(slot_i <= n, upper, _bra_node(steps, slot_i, n), x1)  # (P,Q,e,s,e,s)
-    vals = np.einsum("pqesft,esft->pq", x2, l)
+    x1 = _slot(slot_i >= 2, lower, _bra_node(steps, lower_ops), r)  # (Q,1,s,e,s)
+    vals = sum(
+        np.einsum("pqesft,esft->pq", _slot(averaged, upper, _bra_node(steps, ops), x1), l)
+        for averaged, ops, l in terms
+    )  # upper slot: (P,Q,e,s,e,s)
 
     coeff = vals.reshape(d_env, d_sys, d_sys, d_sys, d_env, d_sys)
     coeff = coeff.transpose(0, 1, 2, 4, 3, 5)  # -> (e_up, s_i, s_i', e_dn, s_j, s_j')
@@ -284,7 +294,8 @@ def asf_with_joint_node(
     ``joint_bra = conj of joint_ket`` this is the physical, real-valued
     evaluation used by the finite-difference tests.
     """
-    r, l = _environments(steps, slot_i, n, rho_sys, povm)
+    r, lower_ops, [(averaged, upper_ops, l)] = _environments(
+        steps, slot_i, {n: 1.0}, rho_sys, povm)
     d_env, d_sys = steps.d_env, steps.d_sys
 
     def factor(joint6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,13 +312,12 @@ def asf_with_joint_node(
 
     ket_up, ket_dn = factor(joint_ket)
     if joint_bra is None:
-        bra_up = _bra_node(steps, slot_i, n)
-        bra_dn = _bra_node(steps, slot_i - 1, n)
+        bra_up, bra_dn = _bra_node(steps, upper_ops), _bra_node(steps, lower_ops)
     else:
         bra_up, bra_dn = factor(joint_bra)
 
     x = _slot(slot_i >= 2, ket_dn, bra_dn, r)
-    x = _slot(slot_i <= n, ket_up, bra_up, x)
+    x = _slot(averaged, ket_up, bra_up, x)
     value = complex(np.sum(x * l))
     if joint_bra is None:
         return value

@@ -82,15 +82,13 @@ def check_gradient(seed: int = 13) -> list[tuple[str, bool, str]]:
         (0.0,) * m_max,
         10,
     )
-    slot = 2
-    grad = gradient_joint(lam, 2, data, rho, rho, slot)
     steps = average.NoiseSteps.uniform(lam, basis_state(0, 2), 2)
     base = joint_node(lam, lam, 2, 2)
     h = 1e-5
     worst = 0.0
-    for idx in [(0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 1, 0), (0, 1, 1, 1, 0, 1)]:
-        probe = np.zeros_like(base)
-        probe[idx] = 1.0
+    # every slot pair, the raw preparation (slot 1) and final (slot m_max + 1) ones included
+    for slot in range(1, m_max + 2):
+        grad = gradient_joint(lam, 2, data, rho, rho, slot)
 
         def cost_at(joint):
             total = 0.0
@@ -102,10 +100,13 @@ def check_gradient(seed: int = 13) -> list[tuple[str, bool, str]]:
                 total += 0.5 * (f - f_exp) ** 2
             return total
 
-        d_re = (cost_at(base + h * probe) - cost_at(base - h * probe)) / (2 * h)
-        d_im = (cost_at(base + 1j * h * probe) - cost_at(base - 1j * h * probe)) / (2 * h)
-        fd = -(d_re + 1j * d_im) / 2.0
-        worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), 1e-12))
+        for idx in [(0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 1, 0), (0, 1, 1, 1, 0, 1)]:
+            probe = np.zeros_like(base)
+            probe[idx] = 1.0
+            d_re = (cost_at(base + h * probe) - cost_at(base - h * probe)) / (2 * h)
+            d_im = (cost_at(base + 1j * h * probe) - cost_at(base - 1j * h * probe)) / (2 * h)
+            fd = -(d_re + 1j * d_im) / 2.0
+            worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), 1e-12))
     return [("joint-node gradient vs finite differences", worst < 1e-6, f"max rel err {worst:.2e}")]
 
 

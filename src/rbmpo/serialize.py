@@ -1,4 +1,4 @@
-"""File formats: experiment configs, learner configs, training results, manifests.
+"""File formats: noise models, experiment and learner configs, training results.
 
 Everything is JSON with a ``schema_version`` field.  Complex matrices use the
 ``{rows, cols, re, im}`` record from :mod:`rbmpo.linalg`; floats go through
@@ -9,14 +9,18 @@ curves travel as CSV (see :class:`rbmpo.rb.AsfCurve`).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import InputError
 from .learner import Adagrad, Adam, LearnerConfig, TrainingResult
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
-from .noise import noise_model_from_dict, noise_model_to_dict
-from .quantum import basis_state
+from .noise import (
+    JointUnitary, MarkovianChannel, NoiseModel, amplitude_damping, depolarizing, phase_flip,
+    spin_unitary,
+)
+from .quantum import KrausChannel, basis_state
 from .rb import AsfCurve, ExperimentConfig
 
 SCHEMA_VERSION = 1
@@ -30,11 +34,12 @@ def _require(d: dict, key: str, where: str):
 
 def _number(d: dict, key: str, kind: type, where: str, default=None):
     """Numeric field `key` of `d`, required unless a default is given.  An int
-    field takes a JSON integer, a float field an integer or a float; a
-    boolean or a string is rejected, never coerced."""
+    field takes a JSON integer, a float field an integer or a finite float; a
+    boolean, a string, NaN or an infinity is rejected, never coerced."""
     value = _require(d, key, where) if default is None else d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        what = "an integer" if kind is int else "a number"
+    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
         raise InputError(f"{where} field {key!r} must be {what}, got {value!r}")
     return kind(value)
 
@@ -45,6 +50,74 @@ def _state_from(value, name: str) -> np.ndarray:
     if isinstance(value, dict):
         return matrix_from_json_dict(value)
     raise InputError(f"{name} must be \"zero\" or a matrix record, got {value!r}")
+
+
+def noise_model_to_dict(model: NoiseModel) -> dict:
+    """Parameter record sufficient to rebuild the model exactly."""
+    if isinstance(model, MarkovianChannel):
+        d = {
+            "kind": "markovian",
+            "label": model.label,
+            "kraus": [matrix_to_json_dict(k) for k in model.channel.operators],
+        }
+    elif isinstance(model, JointUnitary):
+        d = {
+            "kind": "joint_unitary",
+            "label": model.label,
+            "unitary": matrix_to_json_dict(model.unitary),
+            "rho_env": matrix_to_json_dict(model.rho_env),
+            "d_env": model.d_env,
+        }
+    else:  # pragma: no cover - union is closed
+        raise InputError(f"unknown noise model type {type(model)!r}")
+    for slot_name in ("prep", "final"):
+        slot = getattr(model, slot_name)
+        if slot is not None:
+            d[slot_name] = [matrix_to_json_dict(k) for k in slot.operators]
+    return d
+
+
+#: Parametric noise records, each built from a reader of its real parameters.
+_PARAMETRIC_BUILDERS = {
+    "phase_flip": lambda real: phase_flip(real("p")),
+    "amplitude_damping": lambda real: amplitude_damping(real("gamma")),
+    "depolarizing": lambda real: depolarizing(real("p")),
+    "spin_unitary": lambda real: spin_unitary(real("J"), real("hx"), real("hy"), real("delta")),
+}
+
+
+def noise_model_from_dict(d: dict) -> NoiseModel:
+    """Rebuild a noise model from a record written by :func:`noise_model_to_dict`
+    or from a short parametric form like ``{"kind": "phase_flip", "p": 0.06}``."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise InputError("noise model record is missing its 'kind' tag")
+    kind = d["kind"]
+    where = f"noise model {kind!r}"
+    if kind in _PARAMETRIC_BUILDERS:
+        return _PARAMETRIC_BUILDERS[kind](lambda key: _number(d, key, float, where))
+    if kind == "identity":
+        eye = np.eye(_number(d, "dim", int, where, 2), dtype=np.complex128)
+        return MarkovianChannel(KrausChannel((eye,)), label="identity")
+
+    def slot(name: str) -> KrausChannel | None:
+        if name not in d:
+            return None
+        return KrausChannel(tuple(matrix_from_json_dict(k) for k in d[name]))
+
+    if kind == "markovian":
+        ch = KrausChannel(tuple(matrix_from_json_dict(k) for k in _require(d, "kraus", where)))
+        return MarkovianChannel(ch, prep=slot("prep"), final=slot("final"),
+                                label=d.get("label", "markovian"))
+    if kind == "joint_unitary":
+        return JointUnitary(
+            unitary=matrix_from_json_dict(_require(d, "unitary", where)),
+            rho_env=matrix_from_json_dict(_require(d, "rho_env", where)),
+            d_env=_number(d, "d_env", int, where),
+            prep=slot("prep"),
+            final=slot("final"),
+            label=d.get("label", "joint_unitary"),
+        )
+    raise InputError(f"unknown noise model kind {kind!r}")
 
 
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:

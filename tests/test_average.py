@@ -202,7 +202,7 @@ class TestGoldenValues:
 
         rng = np.random.default_rng(2207)
         steps = NoiseSteps.uniform(haar_unitary(4, rng), RHO, 2)
-        coeff = asf_joint_coefficient(steps, 2, 4, RHO, POVM)
+        coeff = asf_joint_coefficient(steps, 2, {4: 1.0}, RHO, POVM)
         assert abs(np.linalg.norm(coeff) - 0.21864232609686907) < 1e-12
         assert abs(coeff[0, 0, 0, 0, 0, 0] - (-0.012093299758548146 + 0.014354289794112213j)) < 1e-12
         assert abs(coeff[1, 0, 1, 0, 1, 1] - (0.017343648308018173 - 0.03471246874067686j)) < 1e-12

@@ -80,6 +80,14 @@ class TestGenerate:
         )
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("noise", [{"kind": "phase_flip", "p": True},
+                                       {"kind": "identity", "dim": 2.9}])
+    def test_mistyped_noise_parameter_is_input_error(self, tmp_path, noise):
+        cfg = tmp_path / "bad.json"
+        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
+                   "n_samples": 5, "noise": noise}, cfg)
+        assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
+
 
 class TestLearn:
     def test_end_to_end_and_diagnose(self, tmp_path, capsys):
@@ -98,6 +106,18 @@ class TestLearn:
         report = json.loads(capsys.readouterr().out)
         assert report["markovian"] is True
         assert report["off_block_norm"] < 1e-10
+
+    @pytest.mark.parametrize("key, value", [("unitarity_tol", float("nan")),
+                                            ("convergence_divisor", float("inf"))])
+    def test_non_finite_config_number_is_input_error(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        write_identity_config(cfg, m_max=4, n_samples=2)
+        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
+        lcfg = tmp_path / "learner.json"
+        write_learner_config(lcfg, **{key: value})
+        assert "NaN" in lcfg.read_text() or "Infinity" in lcfg.read_text()
+        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
 
     def test_empty_data_is_input_error(self, tmp_path):
         data = tmp_path / "empty.csv"

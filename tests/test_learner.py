@@ -24,7 +24,9 @@ from rbmpo.learner import (
 )
 from rbmpo.linalg import dagger
 from rbmpo.noise import phase_flip, spin_unitary
-from rbmpo.process_tensor import asf_with_joint_node, joint_node
+import rbmpo.learner as learner_mod
+import rbmpo.process_tensor as process_tensor_mod
+from rbmpo.process_tensor import asf_joint_coefficient, asf_with_joint_node, joint_node
 from rbmpo.quantum import basis_state
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf
 
@@ -219,6 +221,47 @@ class TestGradient:
         data = AsfCurve((1, 2), (0.9, 0.8), (0.0, 0.0), 1)
         with pytest.raises(InputError):
             gradient_joint(np.eye(4, dtype=complex), 2, data, RHO, POVM, 4)
+
+    @pytest.mark.parametrize("lengths", [tuple(range(1, 21)), (2, 5, 9, 13)])
+    def test_matches_per_length_coefficients(self, lengths):
+        # the one-pass gradient equals the residual-weighted sum of the
+        # single-length coefficients, at every slot, the raw boundary slots included
+        rng = np.random.default_rng(15)
+        lam = haar_unitary(4, rng)
+        data = AsfCurve(lengths, tuple(rng.uniform(0.5, 1.0, len(lengths))),
+                        (0.0,) * len(lengths), 1)
+        steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+        resid = predicted_curve(lam, 2, RHO, POVM, lengths) - np.asarray(data.means)
+        for slot in range(1, max(lengths) + 2):
+            ref = sum(-r * asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
+                      for n, r in zip(lengths, resid) if n >= slot - 1)
+            grad = gradient_joint(lam, 2, data, RHO, POVM, slot)
+            assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), slot
+
+    def test_work_is_linear_in_length(self, monkeypatch):
+        # one coefficient call and at most m_max + 3 averaged steps per gradient
+        counts = {"steps": 0, "coefficients": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(process_tensor_mod, "twirled_step",
+                            counted(process_tensor_mod.twirled_step, "steps"))
+        monkeypatch.setattr(learner_mod, "asf_joint_coefficient",
+                            counted(learner_mod.asf_joint_coefficient, "coefficients"))
+        rng = np.random.default_rng(16)
+        lam = haar_unitary(4, rng)
+        m_max = 20
+        data = AsfCurve(tuple(range(1, m_max + 1)), tuple(rng.uniform(0.5, 1.0, m_max)),
+                        (0.0,) * m_max, 1)
+        for slot in range(1, m_max + 2):
+            counts.update(steps=0, coefficients=0)
+            gradient_joint(lam, 2, data, RHO, POVM, slot)
+            assert counts["coefficients"] == 1, slot
+            assert 0 < counts["steps"] <= m_max + 3, (slot, counts["steps"])
 
 
 def _unitarity_defect(node):

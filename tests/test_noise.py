@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from rbmpo.errors import DomainError
+from rbmpo.errors import DomainError, InputError
 from rbmpo.noise import (
     amplitude_damping,
     depolarizing,
     hermitian_expm,
-    noise_model_from_dict,
-    noise_model_to_dict,
     phase_flip,
     spin_hamiltonian,
     spin_unitary,
 )
 from rbmpo.quantum import apply_channel, basis_state, dagger
+from rbmpo.serialize import noise_model_from_dict, noise_model_to_dict
 
 
 def kraus_completeness(channel):
@@ -132,3 +131,31 @@ class TestSerialization:
     def test_parametric_records(self):
         model = noise_model_from_dict({"kind": "phase_flip", "p": 0.06})
         assert abs(np.linalg.norm(model.channel.operators[1], 2) - np.sqrt(0.06)) < 1e-14
+        # an integer is a valid real parameter, and the identity's dim defaults to 2
+        assert noise_model_from_dict({"kind": "phase_flip", "p": 0}).label == "phase_flip(p=0.0)"
+        assert noise_model_from_dict({"kind": "identity"}).d_sys == 2
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "phase_flip", "p": True},
+        {"kind": "phase_flip", "p": "0.1"},
+        {"kind": "phase_flip", "p": float("nan")},
+        {"kind": "amplitude_damping", "gamma": None},
+        {"kind": "depolarizing", "p": [0.1]},
+        {"kind": "identity", "dim": 2.9},
+        {"kind": "identity", "dim": "2"},
+        {"kind": "spin_unitary", "J": "J", "hx": 1.17, "hy": -1.15, "delta": 0.05},
+        {"kind": "spin_unitary", "J": 1.2, "hx": 1.17, "hy": -1.15, "delta": float("inf")},
+        {"kind": "spin_unitary", "J": 1.2, "hx": 1.17, "hy": -1.15},
+        {"kind": "joint_unitary", "unitary": {"rows": 4, "cols": 4, "re": [0.0] * 16,
+                                              "im": [0.0] * 16}},
+        {"p": 0.1},
+        ["phase_flip"],
+    ])
+    def test_mistyped_records_are_input_errors(self, record):
+        with pytest.raises(InputError):
+            noise_model_from_dict(record)
+
+    def test_joint_record_rejects_fractional_d_env(self):
+        d = noise_model_to_dict(spin_unitary(1.2, 1.17, -1.15, 0.05))
+        with pytest.raises(InputError):
+            noise_model_from_dict({**d, "d_env": 2.0})

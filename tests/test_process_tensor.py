@@ -119,13 +119,13 @@ class TestJointCoefficient:
         for n in (1, 2, 5):
             f_ref = clifford_averaged_asf(steps, RHO, POVM, n)
             for slot in range(1, n + 2):
-                coeff = asf_joint_coefficient(steps, slot, n, RHO, POVM)
+                coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
                 f_via = float(np.real(np.sum(joint * np.conj(coeff))))
                 assert abs(f_via - f_ref) < 1e-10, (n, slot)
 
     def test_identity_nodes_unit_fidelity(self):
         steps = NoiseSteps.uniform(np.eye(4, dtype=complex), basis_state(0, 2), 2)
-        coeff = asf_joint_coefficient(steps, 1, 1, RHO, POVM)
+        coeff = asf_joint_coefficient(steps, 1, {1: 1.0}, RHO, POVM)
         joint = joint_node(np.eye(4), np.eye(4), 2, 2)
         assert abs(np.sum(joint * np.conj(coeff)) - 1.0) < 1e-12
 
@@ -144,7 +144,7 @@ class TestJointCoefficient:
     def test_linear_path_matches_coefficient(self):
         rng = np.random.default_rng(6)
         steps = NoiseSteps.uniform(haar_unitary(4, rng), basis_state(0, 2), 2)
-        coeff = asf_joint_coefficient(steps, 2, 4, RHO, POVM)
+        coeff = asf_joint_coefficient(steps, 2, {4: 1.0}, RHO, POVM)
         shape = (2, 2, 2, 2, 2, 2)
         probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         linear = asf_with_joint_node(steps, 2, 4, RHO, POVM, probe)
@@ -156,7 +156,7 @@ class TestJointCoefficient:
         rng = np.random.default_rng(7)
         lam = haar_unitary(4, rng)
         steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
-        coeff = asf_joint_coefficient(steps, 3, 4, RHO, POVM)
+        coeff = asf_joint_coefficient(steps, 3, {4: 1.0}, RHO, POVM)
         base = joint_node(lam, lam, 2, 2)
         h = 1e-5
         idx = (1, 0, 1, 0, 1, 1)

@@ -38,6 +38,10 @@ def test_learner_config_round_trip():
                            ("seed", "1"), ("seed", 1.5), ("seed", True),
                            ("max_iterations", 2.9), ("d_env", "2"), ("departure_rounds", True),
                            ("convergence_divisor", "2"), ("unitarity_tol", False),
+                           ("unitarity_tol", float("nan")), ("convergence_divisor", float("inf")),
+                           ("convergence_divisor", float("nan")),
+                           ("optimizer", {**d["optimizer"], "rate": float("nan")}),
+                           ("optimizer", {**d["optimizer"], "epsilon": -float("inf")}),
                            ("optimizer", {**d["optimizer"], "rate": "1e-3"}),
                            ("optimizer", {**d["optimizer"], "epsilon": True})):
             with pytest.raises(InputError):
