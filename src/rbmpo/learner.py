@@ -8,7 +8,9 @@ fixed in |0><0|.  One iteration of the sweep:
    node (contracting their shared environment bond);
 2. take the gradient of the quadratic cost with respect to the joint node —
    the fidelity is linear in it, so the gradient is a residual-weighted sum
-   of coefficient tensors — and apply an Adagrad or Adam update;
+   of coefficient tensors — and apply the optimizer's update (Adagrad or
+   Adam; each builds its accumulators with ``init`` and updates them in
+   ``step``);
 3. split the updated joint node by SVD, keep the leading d_env singular
    directions, regroup the two factors into square nodes and project each
    onto the unitary group;
@@ -21,9 +23,12 @@ fixed in |0><0|.  One iteration of the sweep:
 The no-noise initialization is a stationary saddle of the cost on the
 unitary group (the fidelity is maximal there and the update above is
 exactly neutral), so no first-order step can leave it.  Training therefore
-departs the saddle with a curvature-probing stage: measure the cost Hessian
-along the unitary tangent directions, line-minimize along the most negative
-one, and repeat until no descending direction remains.  For memoryless data
+departs the saddle with a curvature-probing stage: each round measures the
+cost gradient and Hessian along the unitary tangent directions by finite
+differences, line-minimizes along the descent ray and every
+negative-curvature eigenray, and moves to the best endpoint; rounds repeat
+until the data is matched or no ray descends.  Each node the stage visits
+is evaluated once, into its cost and l1 distance together.  For memoryless data
 those directions stay inside the environment-block structure; temporally
 correlated data develops negative curvature in the environment-coupling
 directions, and the node leaves the uncoupled manifold.  The sweep then
@@ -35,12 +40,13 @@ unitarity defect and returns the best (minimum-cost) iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from itertools import combinations
+from typing import ClassVar, Union
 
 import numpy as np
 
 from .average import clifford_averaged_asf_curve, golden_section
-from .errors import DomainError, InputError, NumericalError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
 from .noise import NoiseSteps, hermitian_expm
 from .process_tensor import asf_joint_coefficient, joint_node
@@ -54,58 +60,54 @@ from .rb import AsfCurve
 
 @dataclass(frozen=True)
 class Adagrad:
-    """Per-entry adaptive rate alpha / sqrt(sum |g|^2)."""
+    """Per-entry adaptive rate alpha / sqrt(sum |g|^2).
 
+    ``init(shape)`` builds the accumulators; ``step(acc, grad)`` returns the
+    scaled update for one gradient and updates them in place.  Complex
+    entries share one magnitude accumulator per entry: |g|^2 drives the
+    adaptive denominator for both quadratures.
+    """
+
+    kind: ClassVar[str] = "adagrad"
     rate: float = 1e-5
     epsilon: float = 1e-8
+
+    def init(self, shape: tuple[int, ...]) -> dict:
+        return {"sq_sum": np.zeros(shape, dtype=np.float64)}
+
+    def step(self, acc: dict, grad: np.ndarray) -> np.ndarray:
+        if acc["sq_sum"].shape != grad.shape:
+            raise ShapeError("accumulator shape does not match the gradient")
+        acc["sq_sum"] += np.abs(grad) ** 2
+        return self.rate * grad / np.sqrt(acc["sq_sum"] + self.epsilon)
 
 
 @dataclass(frozen=True)
 class Adam:
-    """Bias-corrected first/second moment update."""
+    """Bias-corrected first/second moment update, with the same ``init`` and
+    ``step`` as :class:`Adagrad`; |g|^2 drives a complex entry's second moment."""
 
+    kind: ClassVar[str] = "adam"
     rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.99
     epsilon: float = 1e-8
 
+    def init(self, shape: tuple[int, ...]) -> dict:
+        return {"m1": np.zeros(shape, dtype=np.complex128), "m2": np.zeros(shape), "t": 0}
 
-OptimizerConfig = Union[Adagrad, Adam]
-
-
-def init_accumulators(cfg: OptimizerConfig, shape: tuple[int, ...]) -> dict:
-    if isinstance(cfg, Adagrad):
-        return {"sq_sum": np.zeros(shape, dtype=np.float64)}
-    if isinstance(cfg, Adam):
-        return {
-            "m1": np.zeros(shape, dtype=np.complex128),
-            "m2": np.zeros(shape, dtype=np.float64),
-            "t": 0,
-        }
-    raise InputError(f"unknown optimizer config {cfg!r}")
-
-
-def optimizer_step(acc: dict, grad: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """Scaled update for one gradient; mutates the accumulators in place.
-
-    Complex entries are handled with a shared magnitude accumulator per
-    entry, i.e. |g|^2 drives the adaptive denominator for both quadratures.
-    """
-    if isinstance(cfg, Adagrad):
-        if acc["sq_sum"].shape != grad.shape:
-            raise ShapeError("accumulator shape does not match the gradient")
-        acc["sq_sum"] += np.abs(grad) ** 2
-        return cfg.rate * grad / np.sqrt(acc["sq_sum"] + cfg.epsilon)
-    if isinstance(cfg, Adam):
+    def step(self, acc: dict, grad: np.ndarray) -> np.ndarray:
         if acc["m1"].shape != grad.shape:
             raise ShapeError("accumulator shape does not match the gradient")
         acc["t"] += 1
-        acc["m1"] = cfg.beta1 * acc["m1"] + (1.0 - cfg.beta1) * grad
-        acc["m2"] = cfg.beta2 * acc["m2"] + (1.0 - cfg.beta2) * np.abs(grad) ** 2
-        m_hat = acc["m1"] / (1.0 - cfg.beta1 ** acc["t"])
-        v_hat = acc["m2"] / (1.0 - cfg.beta2 ** acc["t"])
-        return cfg.rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    raise InputError(f"unknown optimizer config {cfg!r}")
+        acc["m1"] = self.beta1 * acc["m1"] + (1.0 - self.beta1) * grad
+        acc["m2"] = self.beta2 * acc["m2"] + (1.0 - self.beta2) * np.abs(grad) ** 2
+        m_hat = acc["m1"] / (1.0 - self.beta1 ** acc["t"])
+        v_hat = acc["m2"] / (1.0 - self.beta2 ** acc["t"])
+        return self.rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+OptimizerConfig = Union[Adagrad, Adam]
 
 
 # --------------------------------------------------------------------------
@@ -157,10 +159,17 @@ def _residual(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> np
     return predicted_curve(node, d_env, rho_sys, povm, data.lengths) - np.asarray(data.means)
 
 
+def _evaluate(
+    node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm
+) -> tuple[float, float, np.ndarray]:
+    """(cost, l1 distance, node) from one model evaluation at `node`."""
+    resid = _residual(node, d_env, data, rho_sys, povm)
+    return float(0.5 * np.sum(resid * resid)), float(np.sum(np.abs(resid))), node
+
+
 def cost(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> float:
     """Quadratic cost between model predictions and the measured curve."""
-    resid = _residual(node, d_env, data, rho_sys, povm)
-    return float(0.5 * np.sum(resid * resid))
+    return _evaluate(node, d_env, data, rho_sys, povm)[0]
 
 
 def gradient_joint(
@@ -226,6 +235,10 @@ def _unitarity_defect(node: np.ndarray) -> float:
     return float(np.linalg.norm(dagger(node) @ node - eye))
 
 
+#: Angle of the finite-difference probes along the unitary tangent directions.
+_PROBE_ANGLE = 1e-3
+
+
 def _hermitian_basis(dim: int) -> list[np.ndarray]:
     basis = []
     for j in range(dim):
@@ -245,50 +258,42 @@ def _hermitian_basis(dim: int) -> list[np.ndarray]:
 
 
 def _tangent_probe(
-    node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm, probe: float = 1e-3
+    node: np.ndarray, c0: float, d_env: int, data: AsfCurve, rho_sys, povm
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Gradient and Hessian of the cost on the unitary tangent space at `node`.
 
-    Probes cost(exp(-i eta H) node) with central differences along a
-    Hermitian basis; returns (gradient coefficients, Hessian matrix, basis).
+    Central differences of cost(exp(-i eta H) node), eta = _PROBE_ANGLE, along
+    each Hermitian basis element H and each pairwise sum; `c0` is the known
+    cost at `node`.  Returns (gradient coefficients, Hessian matrix, basis).
     """
-    dim = node.shape[0]
-    basis = _hermitian_basis(dim)
-    n_dir = len(basis)
-    c0 = cost(node, d_env, data, rho_sys, povm)
+    basis = _hermitian_basis(node.shape[0])
+    unit = np.eye(len(basis))
 
-    def cost_along(coeffs: np.ndarray) -> float:
-        h = sum(c * b for c, b in zip(coeffs, basis))
-        return cost(hermitian_expm(h, -1j * probe) @ node, d_env, data, rho_sys, povm)
+    def central(coeffs: np.ndarray) -> tuple[float, float]:
+        plus, minus = (
+            cost(hermitian_expm(sum(c * b for c, b in zip(v, basis)), -1j * _PROBE_ANGLE) @ node,
+                 d_env, data, rho_sys, povm)
+            for v in (coeffs, -coeffs)
+        )
+        return (plus - minus) / (2.0 * _PROBE_ANGLE), (plus - 2.0 * c0 + minus) / _PROBE_ANGLE**2
 
-    grad = np.zeros(n_dir)
-    hess = np.zeros((n_dir, n_dir))
-    plus = np.zeros(n_dir)
-    minus = np.zeros(n_dir)
-    for a in range(n_dir):
-        e = np.zeros(n_dir)
-        e[a] = 1.0
-        plus[a] = cost_along(e)
-        minus[a] = cost_along(-e)
-        grad[a] = (plus[a] - minus[a]) / (2.0 * probe)
-        hess[a, a] = (plus[a] - 2.0 * c0 + minus[a]) / probe**2
-    for a in range(n_dir):
-        for b in range(a + 1, n_dir):
-            e = np.zeros(n_dir)
-            e[a] = e[b] = 1.0
-            mixed = (cost_along(e) - 2.0 * c0 + cost_along(-e)) / probe**2
-            hess[a, b] = hess[b, a] = (mixed - hess[a, a] - hess[b, b]) / 2.0
+    grad, diag = map(np.array, zip(*(central(e) for e in unit)))
+    hess = np.diag(diag)
+    for a, b in combinations(range(len(basis)), 2):
+        mixed = central(unit[a] + unit[b])[1]
+        hess[a, b] = hess[b, a] = (mixed - diag[a] - diag[b]) / 2.0
     return grad, hess, basis
 
 
-def _line_minimize(objective, step0: float = 1e-4, max_angle: float = np.pi) -> float:
-    """Deterministic 1-D minimization of `objective(theta)` for theta >= 0.
+def _line_minimize(objective, f0: float, step0: float = 1e-4, max_angle: float = np.pi) -> float:
+    """Deterministic 1-D minimization of `objective(theta)` for theta >= 0,
+    given its value `f0` at theta = 0.
 
     Geometric expansion from `step0` brackets the minimum, golden-section
     refines it.  Returns the minimizing angle (possibly 0).
     """
     thetas = [0.0]
-    values = [objective(0.0)]
+    values = [f0]
     t = step0
     while t <= max_angle:
         thetas.append(t)
@@ -310,8 +315,8 @@ def saddle_departure(
     data: AsfCurve,
     rho_sys,
     povm,
-    max_rounds: int = 8,
-    l1_stop: float | None = None,
+    max_rounds: int,
+    l1_stop: float,
 ) -> np.ndarray:
     """Second-order departure from a stationary start, by best-ray descent.
 
@@ -322,28 +327,25 @@ def saddle_departure(
     ``l1_stop``, the round moves to the one among them with the least
     environment coupling (the model should carry no more non-Markovianity
     than the data demands); otherwise it moves to the lowest-cost endpoint.
-    Rounds stop when the data is matched, no ray improves the cost, or the
-    budget runs out.  Deterministic: no randomness enters at any point.
+    Rounds stop when the data is matched, no ray improves the cost, or
+    ``max_rounds`` have run.  The start and each endpoint are evaluated once,
+    into a (cost, l1, node) record that the round carries; the probes and
+    the line searches need the cost alone.  Deterministic: no randomness
+    enters at any point.
     """
-    current = node.copy()
-    current_cost = cost(current, d_env, data, rho_sys, povm)
-
-    def l1_of(candidate: np.ndarray) -> float:
-        return float(np.abs(_residual(candidate, d_env, data, rho_sys, povm)).sum())
-
+    current = _evaluate(node.copy(), d_env, data, rho_sys, povm)
     for _ in range(max_rounds):
-        if l1_stop is not None and l1_of(current) <= l1_stop:
+        current_cost, current_l1, current_node = current
+        if current_l1 <= l1_stop:
             break
-        grad, hess, basis = _tangent_probe(current, d_env, data, rho_sys, povm)
+        grad, hess, basis = _tangent_probe(current_node, current_cost, d_env, data, rho_sys, povm)
         rays = []
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 0.0:
             rays.append(-grad / gnorm)
         w, v = np.linalg.eigh(hess)
-        for k in range(len(w)):
-            if w[k] < 0.0:
-                rays.append(v[:, k])
-                rays.append(-v[:, k])
+        for k in np.flatnonzero(w < 0.0):
+            rays += [v[:, k], -v[:, k]]
         if not rays:
             break
 
@@ -351,32 +353,24 @@ def saddle_departure(
         for coeffs in rays:
             direction = sum(c * b for c, b in zip(coeffs, basis))
 
-            def along(theta: float, _d=direction) -> float:
-                if theta == 0.0:
-                    return current_cost
-                return cost(hermitian_expm(_d, -1j * theta) @ current,
-                            d_env, data, rho_sys, povm)
+            def rotated(theta: float) -> np.ndarray:
+                return hermitian_expm(direction, -1j * theta) @ current_node
 
-            theta_star = _line_minimize(along)
+            theta_star = _line_minimize(
+                lambda theta: cost(rotated(theta), d_env, data, rho_sys, povm), current_cost)
             if theta_star == 0.0:
                 continue
-            candidate = hermitian_expm(direction, -1j * theta_star) @ current
-            c_val = cost(candidate, d_env, data, rho_sys, povm)
-            if c_val < current_cost - 1e-15:
-                endpoints.append((c_val, candidate))
+            endpoint = _evaluate(rotated(theta_star), d_env, data, rho_sys, povm)
+            if endpoint[0] < current_cost - 1e-15:
+                endpoints.append(endpoint)
         if not endpoints:
             break
-        matched = (
-            [(c_val, cand) for c_val, cand in endpoints if l1_of(cand) <= l1_stop]
-            if l1_stop is not None
-            else []
-        )
+        matched = [e for e in endpoints if e[1] <= l1_stop]
         if matched:
-            current_cost, current = min(
-                matched, key=lambda e: diagnose_markovianity(e[1], d_env).off_block_norm)
+            current = min(matched, key=lambda e: diagnose_markovianity(e[2], d_env).off_block_norm)
         else:
-            current_cost, current = min(endpoints, key=lambda e: e[0])
-    return current
+            current = min(endpoints, key=lambda e: e[0])
+    return current[2]
 
 
 def sweep_iteration(
@@ -402,7 +396,7 @@ def sweep_iteration(
     grad = gradient_joint(node, d_env, data, rho_sys, povm, slot_i)
     if not np.abs(grad).max() > 0.0:
         return node
-    update = optimizer_step(accumulators, grad, config.optimizer)
+    update = config.optimizer.step(accumulators, grad)
     d_sys = node.shape[0] // d_env
     joint = joint_node(node, node, d_env, d_sys)
     k = d_env * d_sys * d_sys
@@ -437,33 +431,33 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     # which would make an exactly-zero l1 target unreachable
     threshold = max(sigma_total / config.convergence_divisor, 1e-10)
 
-    node = np.eye(config.d_env * d_sys, dtype=np.complex128)
-    accumulators = init_accumulators(config.optimizer, (config.d_env, d_sys, d_sys) * 2)
-    resid = _residual(node, config.d_env, data, rho_sys, povm)
-    if not float(np.sum(np.abs(resid))) <= threshold and config.departure_rounds > 0:
+    accumulators = config.optimizer.init((config.d_env, d_sys, d_sys) * 2)
+    record = _evaluate(np.eye(config.d_env * d_sys, dtype=np.complex128),
+                       config.d_env, data, rho_sys, povm)
+    if not record[1] <= threshold and config.departure_rounds > 0:
         node = saddle_departure(
-            node, config.d_env, data, rho_sys, povm, config.departure_rounds, l1_stop=threshold
+            record[2], config.d_env, data, rho_sys, povm, config.departure_rounds, threshold
         )
-        resid = _residual(node, config.d_env, data, rho_sys, povm)
+        record = _evaluate(node, config.d_env, data, rho_sys, povm)
 
     cost_trace, l1_trace, unitarity_trace = [], [], []
-    best, best_cost, best_iteration = node, np.inf, 0
+    best_cost, best_iteration = np.inf, 0
     iteration = 0
     while True:
-        c = float(0.5 * np.sum(resid * resid))
+        c, l1, node = record
         if not np.isfinite(c):
             raise NumericalError(f"cost diverged at iteration {iteration}")
         cost_trace.append(c)
-        l1_trace.append(float(np.sum(np.abs(resid))))
+        l1_trace.append(l1)
         unitarity_trace.append(_unitarity_defect(node))
         if c < best_cost:
             best, best_cost, best_iteration = node, c, iteration
-        converged = l1_trace[-1] <= threshold
+        converged = l1 <= threshold
         if converged or iteration >= config.max_iterations:
             break
         node = sweep_iteration(node, accumulators, iteration, data, rho_sys, povm, config)
+        record = _evaluate(node, config.d_env, data, rho_sys, povm)
         iteration += 1
-        resid = _residual(node, config.d_env, data, rho_sys, povm)
 
     lengths = tuple(data.lengths)
     pred = predicted_curve(best, config.d_env, rho_sys, povm, lengths)

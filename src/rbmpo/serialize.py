@@ -8,12 +8,13 @@ curves travel as CSV (see :class:`rbmpo.rb.AsfCurve`).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError
 from .learner import Adagrad, Adam, LearnerConfig, TrainingResult
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 from .noise import (
@@ -34,11 +35,17 @@ def _require(d: dict, key: str, where: str):
 
 def _number(d: dict, key: str, kind: type, where: str, default=None):
     """Numeric field `key` of `d`, required unless a default is given.  An int
-    field takes a JSON integer, a float field an integer or a finite float; a
-    boolean, a string, NaN or an infinity is rejected, never coerced."""
+    field takes a JSON integer, a float field an integer or a float whose
+    float value is finite; a boolean, a string, NaN, an infinity or an
+    integer too large for a float is rejected, never coerced."""
     value = _require(d, key, where) if default is None else d.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
-            or isinstance(value, float) and not math.isfinite(value)):
+    bad = isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+    if not bad and kind is float:
+        try:
+            bad = not math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            bad = True
+    if bad:
         what = "an integer" if kind is int else "a finite number"
         raise InputError(f"{where} field {key!r} must be {what}, got {value!r}")
     return kind(value)
@@ -96,7 +103,10 @@ def noise_model_from_dict(d: dict) -> NoiseModel:
     if kind in _PARAMETRIC_BUILDERS:
         return _PARAMETRIC_BUILDERS[kind](lambda key: _number(d, key, float, where))
     if kind == "identity":
-        eye = np.eye(_number(d, "dim", int, where, 2), dtype=np.complex128)
+        dim = _number(d, "dim", int, where, 2)
+        if dim < 1:
+            raise DomainError(f"{where} field 'dim' must be positive, got {dim}")
+        eye = np.eye(dim, dtype=np.complex128)
         return MarkovianChannel(KrausChannel((eye,)), label="identity")
 
     def slot(name: str) -> KrausChannel | None:
@@ -147,22 +157,16 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
+#: Optimizer records by their "kind" tag; each field is a real with its dataclass default.
+_OPTIMIZERS = {opt.kind: opt for opt in (Adagrad, Adam)}
+
+
 def learner_config_to_dict(cfg: LearnerConfig) -> dict:
-    if isinstance(cfg.optimizer, Adagrad):
-        opt = {"kind": "adagrad", "rate": cfg.optimizer.rate, "epsilon": cfg.optimizer.epsilon}
-    else:
-        opt = {
-            "kind": "adam",
-            "rate": cfg.optimizer.rate,
-            "beta1": cfg.optimizer.beta1,
-            "beta2": cfg.optimizer.beta2,
-            "epsilon": cfg.optimizer.epsilon,
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "learner",
         "d_env": cfg.d_env,
-        "optimizer": opt,
+        "optimizer": {"kind": cfg.optimizer.kind, **dataclasses.asdict(cfg.optimizer)},
         "max_iterations": cfg.max_iterations,
         "convergence_divisor": cfg.convergence_divisor,
         "unitarity_tol": cfg.unitarity_tol,
@@ -175,21 +179,13 @@ def learner_config_from_dict(d: dict) -> LearnerConfig:
         raise InputError(f"expected a learner config, got kind={d.get('kind')!r}")
     opt_rec = _require(d, "optimizer", "learner config")
     opt_kind = _require(opt_rec, "kind", "optimizer record")
-    where = "optimizer record"
-    if opt_kind == "adagrad":
-        optimizer = Adagrad(
-            rate=_number(opt_rec, "rate", float, where, 1e-5),
-            epsilon=_number(opt_rec, "epsilon", float, where, 1e-8),
-        )
-    elif opt_kind == "adam":
-        optimizer = Adam(
-            rate=_number(opt_rec, "rate", float, where, 1e-3),
-            beta1=_number(opt_rec, "beta1", float, where, 0.9),
-            beta2=_number(opt_rec, "beta2", float, where, 0.99),
-            epsilon=_number(opt_rec, "epsilon", float, where, 1e-8),
-        )
-    else:
+    opt_cls = _OPTIMIZERS.get(opt_kind) if isinstance(opt_kind, str) else None
+    if opt_cls is None:
         raise InputError(f"unknown optimizer kind {opt_kind!r}")
+    optimizer = opt_cls(**{
+        f.name: _number(opt_rec, f.name, float, "optimizer record", f.default)
+        for f in dataclasses.fields(opt_cls)
+    })
     # removed options: config files may still name them, at their only values in use
     for key, only in (("sweep_order", "ascending"), ("update_jitter", 0.0)):
         if d.get(key, only) != only:

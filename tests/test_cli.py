@@ -81,7 +81,8 @@ class TestGenerate:
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
 
     @pytest.mark.parametrize("noise", [{"kind": "phase_flip", "p": True},
-                                       {"kind": "identity", "dim": 2.9}])
+                                       {"kind": "identity", "dim": 2.9},
+                                       {"kind": "identity", "dim": -1}])
     def test_mistyped_noise_parameter_is_input_error(self, tmp_path, noise):
         cfg = tmp_path / "bad.json"
         dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,

@@ -1,5 +1,7 @@
 """Sweeping learner: cost, gradient, split/project pipeline, training, diagnosis."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,6 @@ from rbmpo.learner import (
     cost,
     diagnose_markovianity,
     gradient_joint,
-    init_accumulators,
-    optimizer_step,
     predicted_curve,
     project_pair,
     replacement_node,
@@ -78,32 +78,32 @@ class TestCost:
 class TestOptimizers:
     def test_adagrad_first_step(self):
         cfg = Adagrad(rate=1e-5, epsilon=1e-8)
-        acc = init_accumulators(cfg, (2, 2))
+        acc = cfg.init((2, 2))
         g = np.array([[1.0 + 1j, -2.0], [0.5j, 3.0]], dtype=complex)
-        update = optimizer_step(acc, g, cfg)
+        update = cfg.step(acc, g)
         expected = cfg.rate * g / np.sqrt(np.abs(g) ** 2 + cfg.epsilon)
         assert np.allclose(update, expected, atol=1e-18)
 
     def test_adagrad_zero_gradient(self):
         cfg = Adagrad(rate=1e-5)
-        acc = init_accumulators(cfg, (2,))
+        acc = cfg.init((2,))
         before = acc["sq_sum"].copy()
-        update = optimizer_step(acc, np.zeros(2, dtype=complex), cfg)
+        update = cfg.step(acc, np.zeros(2, dtype=complex))
         assert np.all(update == 0.0)
         assert np.array_equal(acc["sq_sum"], before)
 
     def test_adam_first_step_magnitude(self):
         cfg = Adam(rate=1e-3, beta1=0.9, beta2=0.99)
-        acc = init_accumulators(cfg, (1,))
+        acc = cfg.init((1,))
         g = np.array([1.0 + 0j])
-        update = optimizer_step(acc, g, cfg)
+        update = cfg.step(acc, g)
         assert abs(abs(update[0]) - cfg.rate) < cfg.rate * 1e-4
 
     def test_shape_mismatch(self):
         cfg = Adagrad()
-        acc = init_accumulators(cfg, (2,))
+        acc = cfg.init((2,))
         with pytest.raises(ShapeError):
-            optimizer_step(acc, np.zeros((3,), dtype=complex), cfg)
+            cfg.step(acc, np.zeros((3,), dtype=complex))
 
 
 class TestSplitProject:
@@ -274,7 +274,7 @@ class TestSweep:
         lam = haar_unitary(4, rng)
         data = model_curve(lam, 4)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
-        acc = init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2))
+        acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
         node = sweep_iteration(lam.copy(), acc, 0, data, RHO, POVM, config)
         assert np.array_equal(node, lam)
         assert cost(node, 2, data, RHO, POVM) < 1e-20
@@ -285,10 +285,10 @@ class TestSweep:
         from rbmpo.linalg import principal_unitary_sqrt
 
         node = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data,
-                                RHO, POVM, max_rounds=1)
+                                RHO, POVM, max_rounds=1, l1_stop=0.0)
         half = principal_unitary_sqrt(node)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
-        acc = init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2))
+        acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
         c_before = cost(half, 2, phase_flip_data, RHO, POVM)
         node, costs = half, []
         for it in range(3):
@@ -299,14 +299,33 @@ class TestSweep:
 
     def test_unitarity_preserved_across_sweeps(self, phase_flip_data):
         config = LearnerConfig(optimizer=Adam(rate=1e-3, beta1=0.9, beta2=0.99))
-        acc = init_accumulators(config.optimizer, (2, 2, 2, 2, 2, 2))
+        acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
         node = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
-                                max_rounds=2)
+                                max_rounds=2, l1_stop=0.0)
         defects = []
         for it in range(10):
             node = sweep_iteration(node, acc, it, phase_flip_data, RHO, POVM, config)
             defects.append(_unitarity_defect(node))
         assert max(defects) <= 1e-9
+
+
+class TestDeparture:
+    def test_each_visited_node_is_evaluated_once(self, phase_flip_data, monkeypatch):
+        # the start, every probe, line-search point and endpoint is one model
+        # evaluation: cost and l1 distance come from the same residual
+        counts = Counter()
+        curve = learner_mod.predicted_curve
+
+        def counted(node, *args):
+            counts[node.tobytes()] += 1
+            return curve(node, *args)
+
+        monkeypatch.setattr(learner_mod, "predicted_curve", counted)
+        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+                         max_rounds=2, l1_stop=float(np.sum(phase_flip_data.stderrs)))
+        repeated = {k: n for k, n in counts.items() if n > 1}
+        assert len(counts) > 2 * 272
+        assert not repeated, f"{len(repeated)} nodes evaluated more than once"
 
 
 class TestTrain:

@@ -150,6 +150,7 @@ class TestSerialization:
                                               "im": [0.0] * 16}},
         {"p": 0.1},
         ["phase_flip"],
+        {"kind": "identity", "dim": -1},
     ])
     def test_mistyped_records_are_input_errors(self, record):
         with pytest.raises(InputError):

@@ -43,7 +43,11 @@ def test_learner_config_round_trip():
                            ("optimizer", {**d["optimizer"], "rate": float("nan")}),
                            ("optimizer", {**d["optimizer"], "epsilon": -float("inf")}),
                            ("optimizer", {**d["optimizer"], "rate": "1e-3"}),
-                           ("optimizer", {**d["optimizer"], "epsilon": True})):
+                           ("optimizer", {**d["optimizer"], "epsilon": True}),
+                           ("unitarity_tol", 10**400),
+                           ("optimizer", {**d["optimizer"], "rate": -10**400}),
+                           ("optimizer", {**d["optimizer"], "kind": ["adam"]}),
+                           ("optimizer", {**d["optimizer"], "kind": "sgd"})):
             with pytest.raises(InputError):
                 learner_config_from_dict({**d, key: value})
     # a real field takes an integer as well
