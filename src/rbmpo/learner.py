@@ -27,21 +27,21 @@ departs the saddle with a curvature-probing stage: each round measures the
 cost gradient and Hessian along the unitary tangent directions by finite
 differences, line-minimizes along the descent ray and every
 negative-curvature eigenray, and moves to the best endpoint; rounds repeat
-until the data is matched or no ray descends.  Each node the stage visits
-is evaluated once, into its cost and l1 distance together.  For memoryless data
-those directions stay inside the environment-block structure; temporally
+until the data is matched or no ray descends.  For memoryless data those
+directions stay inside the environment-block structure; temporally
 correlated data develops negative curvature in the environment-coupling
 directions, and the node leaves the uncoupled manifold.  The sweep then
-polishes.  :func:`train` owns the loop: :func:`sweep_iteration` maps a node
-to the next one, and train records each iterate's cost, l1 distance and
-unitarity defect and returns the best (minimum-cost) iterate.
+polishes.  Each node kept is evaluated once, into a :class:`Fit` (cost, l1
+distance, node, predicted curve): the departure returns one, the sweep reads
+its residual off one, and :func:`train` takes its traces and best fit from
+the list of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -58,6 +58,13 @@ from .rb import AsfCurve
 # optimizers
 # --------------------------------------------------------------------------
 
+def _check_rates(opt: "Adagrad | Adam") -> None:
+    """Both optimizers need a positive rate and a positive epsilon."""
+    if not (opt.rate > 0.0 and opt.epsilon > 0.0):
+        raise DomainError(f"{opt.kind} rate and epsilon must be positive, "
+                          f"got {opt.rate}, {opt.epsilon}")
+
+
 @dataclass(frozen=True)
 class Adagrad:
     """Per-entry adaptive rate alpha / sqrt(sum |g|^2).
@@ -71,6 +78,9 @@ class Adagrad:
     kind: ClassVar[str] = "adagrad"
     rate: float = 1e-5
     epsilon: float = 1e-8
+
+    def __post_init__(self):
+        _check_rates(self)
 
     def init(self, shape: tuple[int, ...]) -> dict:
         return {"sq_sum": np.zeros(shape, dtype=np.float64)}
@@ -92,6 +102,11 @@ class Adam:
     beta1: float = 0.9
     beta2: float = 0.99
     epsilon: float = 1e-8
+
+    def __post_init__(self):
+        _check_rates(self)
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise DomainError(f"Adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
 
     def init(self, shape: tuple[int, ...]) -> dict:
         return {"m1": np.zeros(shape, dtype=np.complex128), "m2": np.zeros(shape), "t": 0}
@@ -126,10 +141,14 @@ class LearnerConfig:
     def __post_init__(self):
         if self.d_env < 1:
             raise DomainError("d_env must be positive")
-        if self.convergence_divisor < 1.0:
+        if not self.convergence_divisor >= 1.0:
             raise DomainError("convergence divisor must be >= 1")
         if self.departure_rounds < 0:
             raise DomainError("departure_rounds must be >= 0")
+        if self.max_iterations < 0:
+            raise DomainError("max_iterations must be >= 0")
+        if not self.unitarity_tol > 0.0:
+            raise DomainError("unitarity_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,35 +173,38 @@ def predicted_curve(node: np.ndarray, d_env: int, rho_sys, povm, lengths) -> np.
     return np.asarray([full[n - 1] for n in lengths], dtype=np.float64)
 
 
-def _residual(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> np.ndarray:
-    """Model prediction minus measured mean, per curve point."""
-    return predicted_curve(node, d_env, rho_sys, povm, data.lengths) - np.asarray(data.means)
+class Fit(NamedTuple):
+    """One model evaluation at ``node``: cost, l1 distance, predicted curve."""
+
+    cost: float
+    l1: float
+    node: np.ndarray
+    predicted: np.ndarray
 
 
-def _evaluate(
-    node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm
-) -> tuple[float, float, np.ndarray]:
-    """(cost, l1 distance, node) from one model evaluation at `node`."""
-    resid = _residual(node, d_env, data, rho_sys, povm)
-    return float(0.5 * np.sum(resid * resid)), float(np.sum(np.abs(resid))), node
+def evaluate(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> Fit:
+    """Evaluate the model at `node` once, into a :class:`Fit`."""
+    predicted = predicted_curve(node, d_env, rho_sys, povm, data.lengths)
+    resid = predicted - np.asarray(data.means)
+    return Fit(float(0.5 * np.sum(resid * resid)), float(np.sum(np.abs(resid))), node, predicted)
 
 
 def cost(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> float:
     """Quadratic cost between model predictions and the measured curve."""
-    return _evaluate(node, d_env, data, rho_sys, povm)[0]
+    return evaluate(node, d_env, data, rho_sys, povm).cost
 
 
 def gradient_joint(
-    node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm, slot_i: int
+    fit: Fit, d_env: int, data: AsfCurve, rho_sys, povm, slot_i: int
 ) -> np.ndarray:
     """Descent direction for the joint node at slots (slot_i, slot_i - 1).
 
-    Sum over curve points of (measured - predicted) times the fidelity's
-    coefficient tensor in the joint node, as one weighted coefficient; lengths
-    n < slot_i - 1 do not contain the slot pair and contribute nothing.
+    Sum over curve points of (measured - predicted), read off ``fit``, times
+    the fidelity's coefficient tensor in the joint node of ``fit.node``, as
+    one weighted coefficient; lengths n < slot_i - 1 contribute nothing.
     """
-    steps = NoiseSteps.uniform(node, basis_state(0, d_env), d_env)
-    resid = _residual(node, d_env, data, rho_sys, povm)
+    steps = NoiseSteps.uniform(fit.node, basis_state(0, d_env), d_env)
+    resid = fit.predicted - np.asarray(data.means)
     return asf_joint_coefficient(steps, slot_i, dict(zip(data.lengths, -resid)), rho_sys, povm)
 
 
@@ -317,7 +339,7 @@ def saddle_departure(
     povm,
     max_rounds: int,
     l1_stop: float,
-) -> np.ndarray:
+) -> Fit:
     """Second-order departure from a stationary start, by best-ray descent.
 
     Each round probes the cost gradient and Hessian on the unitary tangent
@@ -329,16 +351,15 @@ def saddle_departure(
     than the data demands); otherwise it moves to the lowest-cost endpoint.
     Rounds stop when the data is matched, no ray improves the cost, or
     ``max_rounds`` have run.  The start and each endpoint are evaluated once,
-    into a (cost, l1, node) record that the round carries; the probes and
+    into the :class:`Fit` that the round carries and returns; the probes and
     the line searches need the cost alone.  Deterministic: no randomness
     enters at any point.
     """
-    current = _evaluate(node.copy(), d_env, data, rho_sys, povm)
+    current = evaluate(node.copy(), d_env, data, rho_sys, povm)
     for _ in range(max_rounds):
-        current_cost, current_l1, current_node = current
-        if current_l1 <= l1_stop:
+        if current.l1 <= l1_stop:
             break
-        grad, hess, basis = _tangent_probe(current_node, current_cost, d_env, data, rho_sys, povm)
+        grad, hess, basis = _tangent_probe(current.node, current.cost, d_env, data, rho_sys, povm)
         rays = []
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 0.0:
@@ -354,27 +375,27 @@ def saddle_departure(
             direction = sum(c * b for c, b in zip(coeffs, basis))
 
             def rotated(theta: float) -> np.ndarray:
-                return hermitian_expm(direction, -1j * theta) @ current_node
+                return hermitian_expm(direction, -1j * theta) @ current.node
 
             theta_star = _line_minimize(
-                lambda theta: cost(rotated(theta), d_env, data, rho_sys, povm), current_cost)
+                lambda theta: cost(rotated(theta), d_env, data, rho_sys, povm), current.cost)
             if theta_star == 0.0:
                 continue
-            endpoint = _evaluate(rotated(theta_star), d_env, data, rho_sys, povm)
-            if endpoint[0] < current_cost - 1e-15:
+            endpoint = evaluate(rotated(theta_star), d_env, data, rho_sys, povm)
+            if endpoint.cost < current.cost - 1e-15:
                 endpoints.append(endpoint)
         if not endpoints:
             break
-        matched = [e for e in endpoints if e[1] <= l1_stop]
+        matched = [e for e in endpoints if e.l1 <= l1_stop]
         if matched:
-            current = min(matched, key=lambda e: diagnose_markovianity(e[2], d_env).off_block_norm)
+            current = min(matched, key=lambda e: diagnose_markovianity(e.node, d_env).off_block_norm)
         else:
-            current = min(endpoints, key=lambda e: e[0])
-    return current[2]
+            current = min(endpoints, key=lambda e: e.cost)
+    return current
 
 
 def sweep_iteration(
-    node: np.ndarray,
+    fit: Fit,
     accumulators: dict,
     iteration: int,
     data: AsfCurve,
@@ -382,18 +403,18 @@ def sweep_iteration(
     povm,
     config: LearnerConfig,
 ) -> np.ndarray:
-    """One full sweep update of the shared node; returns the next node.
+    """One full sweep update of the shared node ``fit.node``; returns the next node.
 
     The joint node sits at slots (i, i - 1), with i = 1 + iteration mod
     (m_max + 1); the optimizer accumulators are updated in place.  A zero
     gradient is a stationary point: the node is returned untouched rather
     than run through the split/recombine cycle.
     """
-    d_env = config.d_env
+    node, d_env = fit.node, config.d_env
     m_max = max(data.lengths)
     slot_i = 1 + iteration % (m_max + 1)
 
-    grad = gradient_joint(node, d_env, data, rho_sys, povm, slot_i)
+    grad = gradient_joint(fit, d_env, data, rho_sys, povm, slot_i)
     if not np.abs(grad).max() > 0.0:
         return node
     update = config.optimizer.step(accumulators, grad)
@@ -403,7 +424,7 @@ def sweep_iteration(
     upper, lower = split_truncate((joint + update).reshape(k, k), d_env)
     new_node = replacement_node(upper, lower, near=node)
     defect = _unitarity_defect(new_node)
-    if defect > config.unitarity_tol:
+    if not defect <= config.unitarity_tol:
         raise NumericalError(
             f"updated node violates unitarity ({defect:.3e} > {config.unitarity_tol})"
         )
@@ -417,11 +438,12 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     Unless the data is already matched there, the identity is a stationary
     saddle of the cost, so the curvature-probing departure stage positions
     the node first (see :func:`saddle_departure`); iteration counting and
-    the traces start after it.  The sweep then iterates until the l1
-    distance between predicted and measured curves drops below (sum of
-    measurement standard errors) divided by convergence_divisor, or the
-    iteration budget runs out.  The minimum-cost iterate is returned, not
-    the final one, since the cost trace is not guaranteed monotone.
+    the traces start at the fit it returns.  The sweep then iterates until
+    the l1 distance between predicted and measured curves drops below (sum
+    of measurement standard errors) divided by convergence_divisor, or the
+    iteration budget runs out.  Each iterate is one :class:`Fit`; the first
+    minimum-cost fit, not the final one (the cost trace is not monotone),
+    gives the returned node and its predicted curve.
     """
     rho_sys = validate_density_matrix(np.asarray(rho_sys, dtype=np.complex128), name="rho_sys")
     povm = validate_povm_element(np.asarray(povm, dtype=np.complex128))
@@ -432,48 +454,33 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     threshold = max(sigma_total / config.convergence_divisor, 1e-10)
 
     accumulators = config.optimizer.init((config.d_env, d_sys, d_sys) * 2)
-    record = _evaluate(np.eye(config.d_env * d_sys, dtype=np.complex128),
-                       config.d_env, data, rho_sys, povm)
-    if not record[1] <= threshold and config.departure_rounds > 0:
-        node = saddle_departure(
-            record[2], config.d_env, data, rho_sys, povm, config.departure_rounds, threshold
-        )
-        record = _evaluate(node, config.d_env, data, rho_sys, povm)
-
-    cost_trace, l1_trace, unitarity_trace = [], [], []
-    best_cost, best_iteration = np.inf, 0
-    iteration = 0
+    fits = [saddle_departure(np.eye(config.d_env * d_sys, dtype=np.complex128), config.d_env,
+                             data, rho_sys, povm, config.departure_rounds, threshold)]
     while True:
-        c, l1, node = record
-        if not np.isfinite(c):
+        fit, iteration = fits[-1], len(fits) - 1
+        if not np.isfinite(fit.cost):
             raise NumericalError(f"cost diverged at iteration {iteration}")
-        cost_trace.append(c)
-        l1_trace.append(l1)
-        unitarity_trace.append(_unitarity_defect(node))
-        if c < best_cost:
-            best, best_cost, best_iteration = node, c, iteration
-        converged = l1 <= threshold
-        if converged or iteration >= config.max_iterations:
+        if fit.l1 <= threshold or iteration >= config.max_iterations:
             break
-        node = sweep_iteration(node, accumulators, iteration, data, rho_sys, povm, config)
-        record = _evaluate(node, config.d_env, data, rho_sys, povm)
-        iteration += 1
+        node = sweep_iteration(fit, accumulators, iteration, data, rho_sys, povm, config)
+        fits.append(evaluate(node, config.d_env, data, rho_sys, povm))
 
+    cost_trace = tuple(f.cost for f in fits)
+    best_iteration = int(np.argmin(cost_trace))
+    best = fits[best_iteration]
     lengths = tuple(data.lengths)
-    pred = predicted_curve(best, config.d_env, rho_sys, povm, lengths)
-    pred_curve = AsfCurve(
-        lengths=lengths,
-        means=tuple(float(min(max(v, 0.0), 1.0)) for v in pred),
-        stderrs=tuple(0.0 for _ in lengths),
-        n_samples=1,
-    )
     return TrainingResult(
-        node=best,
-        predicted=pred_curve,
-        cost_trace=tuple(cost_trace),
-        l1_trace=tuple(l1_trace),
-        unitarity_trace=tuple(unitarity_trace),
-        converged=converged,
+        node=best.node,
+        predicted=AsfCurve(
+            lengths=lengths,
+            means=tuple(float(min(max(v, 0.0), 1.0)) for v in best.predicted),
+            stderrs=tuple(0.0 for _ in lengths),
+            n_samples=1,
+        ),
+        cost_trace=cost_trace,
+        l1_trace=tuple(f.l1 for f in fits),
+        unitarity_trace=tuple(_unitarity_defect(f.node) for f in fits),
+        converged=fit.l1 <= threshold,
         iterations=iteration,
         best_iteration=best_iteration,
     )
@@ -501,8 +508,10 @@ def diagnose_markovianity(
     measures how much the node couples the populated environment level to
     the rest.  Below `tol` the node acts on the system as the (then unitary)
     block node[:d_sys, :d_sys] alone: memoryless noise.  The measure is
-    invariant under a global phase.
+    invariant under a global phase.  `tol` must be finite and >= 0.
     """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"Markovianity tolerance must be finite and >= 0, got {tol}")
     node = validate_unitary(node, tol=1e-9, name="noise node")
     dim = node.shape[0]
     if dim % d_env != 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError, ShapeError, SingularMatrixError
+from .errors import FactorizationError, InputError, ShapeError, SingularMatrixError
 
 #: Absolute singular-value floor below which a square matrix is treated as
 #: rank deficient for the purposes of the unitary projection.
@@ -158,4 +158,6 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
         raise ShapeError(
             f"matrix record claims {rows}x{cols} but carries {re.shape}/{im.shape} arrays"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InputError("matrix record contains non-finite entries")
     return re + 1j * im

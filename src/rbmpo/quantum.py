@@ -37,9 +37,9 @@ def validate_density_matrix(rho, tol: float = 1e-12, name: str = "rho") -> np.nd
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"{name} must be square, got {rho.shape}")
-    if np.linalg.norm(rho - dagger(rho)) > tol:
+    if not np.linalg.norm(rho - dagger(rho)) <= tol:
         raise InputError(f"{name} is not Hermitian within {tol}")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if not abs(np.trace(rho) - 1.0) <= tol:
         raise InputError(f"{name} has trace {np.trace(rho):.6g}, expected 1")
     if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise InputError(f"{name} is not positive semidefinite")
@@ -50,7 +50,7 @@ def validate_povm_element(m, name: str = "povm") -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name} must be square, got {m.shape}")
-    if np.linalg.norm(m - dagger(m)) > 1e-12:
+    if not np.linalg.norm(m - dagger(m)) <= 1e-12:
         raise InputError(f"{name} is not Hermitian")
     ev = np.linalg.eigvalsh(m)
     if ev.min() < -1e-10 or ev.max() > 1 + 1e-10:
@@ -63,7 +63,7 @@ def validate_unitary(u, tol: float = 1e-10, name: str = "gate") -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ShapeError(f"{name} must be square, got {u.shape}")
     defect = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0]))
-    if defect > tol:
+    if not defect <= tol:
         raise InputError(f"{name} is not unitary (||U^dag U - I|| = {defect:.3e} > {tol})")
     return u
 
@@ -83,7 +83,7 @@ class KrausChannel:
             if k.shape != (d, d):
                 raise ShapeError(f"Kraus operators must share one square shape, got {k.shape}")
         total = sum(dagger(k) @ k for k in ops)
-        if np.linalg.norm(total - np.eye(d)) > 1e-10:
+        if not np.linalg.norm(total - np.eye(d)) <= 1e-10:
             raise InputError("Kraus operators do not satisfy sum K^dag K = I within 1e-10")
         object.__setattr__(self, "operators", ops)
 

@@ -68,7 +68,7 @@ def check_average_identity(seed: int = 12) -> list[tuple[str, bool, str]]:
 
 
 def check_gradient(seed: int = 13) -> list[tuple[str, bool, str]]:
-    from .learner import gradient_joint
+    from .learner import evaluate, gradient_joint
     from .process_tensor import asf_with_joint_node, joint_node
     from .rb import AsfCurve
 
@@ -86,9 +86,10 @@ def check_gradient(seed: int = 13) -> list[tuple[str, bool, str]]:
     base = joint_node(lam, lam, 2, 2)
     h = 1e-5
     worst = 0.0
+    fit = evaluate(lam, 2, data, rho, rho)
     # every slot pair, the raw preparation (slot 1) and final (slot m_max + 1) ones included
     for slot in range(1, m_max + 2):
-        grad = gradient_joint(lam, 2, data, rho, rho, slot)
+        grad = gradient_joint(fit, 2, data, rho, rho, slot)
 
         def cost_at(joint):
             total = 0.0

@@ -33,6 +33,14 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _check_schema(d: dict, where: str) -> None:
+    """A record written by another schema version is rejected, not misread;
+    a record without the field is taken to be of this version."""
+    version = d.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InputError(f"{where} has schema_version {version!r}, expected {SCHEMA_VERSION}")
+
+
 def _number(d: dict, key: str, kind: type, where: str, default=None):
     """Numeric field `key` of `d`, required unless a default is given.  An int
     field takes a JSON integer, a float field an integer or a float whose
@@ -146,6 +154,7 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     if d.get("kind") != "rb_experiment":
         raise InputError(f"expected an rb_experiment config, got kind={d.get('kind')!r}")
+    _check_schema(d, "experiment config")
     noise = noise_model_from_dict(_require(d, "noise", "experiment config"))
     return ExperimentConfig(
         noise=noise,
@@ -177,6 +186,7 @@ def learner_config_to_dict(cfg: LearnerConfig) -> dict:
 def learner_config_from_dict(d: dict) -> LearnerConfig:
     if d.get("kind") != "learner":
         raise InputError(f"expected a learner config, got kind={d.get('kind')!r}")
+    _check_schema(d, "learner config")
     opt_rec = _require(d, "optimizer", "learner config")
     opt_kind = _require(opt_rec, "kind", "optimizer record")
     opt_cls = _OPTIMIZERS.get(opt_kind) if isinstance(opt_kind, str) else None
@@ -250,6 +260,7 @@ def node_from_file(path) -> tuple[np.ndarray, int]:
     record (d_env 2)."""
     d = load_json(path)
     if d.get("kind") == "training_result":
+        _check_schema(d, "training result")
         config = learner_config_from_dict(_require(d, "config", "training result"))
         return matrix_from_json_dict(_require(d, "node", "training result")), config.d_env
     if "re" in d and "im" in d:

@@ -16,6 +16,7 @@ from rbmpo.learner import (
     Adam,
     LearnerConfig,
     diagnose_markovianity,
+    evaluate,
     gradient_joint,
     train,
 )
@@ -137,7 +138,7 @@ def test_criterion_4_gradient_correctness():
             100,
         )
         slot = int(rng.integers(1, m_max + 2))
-        grad = gradient_joint(lam, 2, data, RHO, POVM, slot)
+        grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
         steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
         base = joint_node(lam, lam, 2, 2)
 

@@ -30,6 +30,13 @@ def write_identity_config(path, m_max=5, n_samples=10, seed=3):
     )
 
 
+def nan_matrix_record(dim, row, col):
+    """Matrix record of the dim x dim identity with a NaN at (row, col)."""
+    record = matrix_to_json_dict(np.eye(dim, dtype=complex))
+    record["re"][row][col] = float("nan")
+    return record
+
+
 def write_learner_config(path, **overrides):
     cfg = LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=20)
     d = learner_config_to_dict(cfg)
@@ -82,11 +89,24 @@ class TestGenerate:
 
     @pytest.mark.parametrize("noise", [{"kind": "phase_flip", "p": True},
                                        {"kind": "identity", "dim": 2.9},
-                                       {"kind": "identity", "dim": -1}])
+                                       {"kind": "identity", "dim": -1},
+                                       {"kind": "joint_unitary", "d_env": 2,
+                                        "unitary": nan_matrix_record(4, 0, 0),
+                                        "rho_env": matrix_to_json_dict(np.diag([1.0, 0.0]))}])
     def test_mistyped_noise_parameter_is_input_error(self, tmp_path, noise):
         cfg = tmp_path / "bad.json"
         dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
                    "n_samples": 5, "noise": noise}, cfg)
+        assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
+
+    def test_non_finite_state_record_is_input_error(self, tmp_path):
+        # NaN compares false with every tolerance, so only the record reader
+        # can stop it before it becomes a NaN survival probability (exit 2)
+        cfg = tmp_path / "bad.json"
+        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
+                   "n_samples": 5, "noise": {"kind": "identity", "dim": 2},
+                   "rho_sys": nan_matrix_record(2, 0, 0)}, cfg)
+        assert "NaN" in cfg.read_text()
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
 
 
@@ -182,6 +202,22 @@ class TestDiagnose:
         path = tmp_path / "node.json"
         dump_json(matrix_to_json_dict(np.diag([1.0, 1.0, 1.0, 0.2]).astype(complex)), path)
         assert main(["diagnose", str(path)]) == EXIT_INPUT
+
+    def test_non_finite_matrix_rejected(self, tmp_path, capsys):
+        path = tmp_path / "node.json"
+        dump_json(nan_matrix_record(4, 3, 0), path)
+        assert main(["diagnose", str(path)]) == EXIT_INPUT
+        assert "non-markovian" not in capsys.readouterr().out
+
+    def test_nan_tolerance_rejected(self, tmp_path, capsys):
+        # NaN compares false with every off-block norm: it would call every
+        # node non-Markovian
+        node = np.eye(4, dtype=complex)
+        node[2:, :2] = node[:2, 2:] = 5e-6 * np.eye(2)
+        path = tmp_path / "node.json"
+        dump_json(matrix_to_json_dict(np.linalg.qr(node)[0]), path)
+        assert main(["diagnose", str(path), "--tol", "1e-2"]) == EXIT_OK
+        assert main(["diagnose", str(path), "--tol", "nan"]) == EXIT_INPUT
 
     def test_d_env_comes_from_training_result(self, tmp_path, capsys):
         # a d_env = 1 node is a system-only unitary: Markovian, and its

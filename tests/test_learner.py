@@ -13,6 +13,7 @@ from rbmpo.learner import (
     LearnerConfig,
     cost,
     diagnose_markovianity,
+    evaluate,
     gradient_joint,
     predicted_curve,
     project_pair,
@@ -169,7 +170,7 @@ class TestGradient:
         rng = np.random.default_rng(9)
         lam = haar_unitary(4, rng)
         data = model_curve(lam, 4)
-        grad = gradient_joint(lam, 2, data, RHO, POVM, 2)
+        grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, 2)
         assert np.abs(grad).max() < 1e-12
 
     @pytest.mark.parametrize("slot", [1, 3, 5])
@@ -183,7 +184,7 @@ class TestGradient:
             (0.0,) * m_max,
             100,
         )
-        grad = gradient_joint(lam, 2, data, RHO, POVM, slot)
+        grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
         steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
         base = joint_node(lam, lam, 2, 2)
 
@@ -213,14 +214,15 @@ class TestGradient:
         lam = haar_unitary(4, rng)
         full = AsfCurve((1, 2, 3, 4, 5), tuple(rng.uniform(0.5, 1.0, 5)), (0.0,) * 5, 1)
         tail = AsfCurve((4, 5), full.means[3:], (0.0,) * 2, 1)
-        g_full = gradient_joint(lam, 2, full, RHO, POVM, 5)
-        g_tail = gradient_joint(lam, 2, tail, RHO, POVM, 5)
+        g_full = gradient_joint(evaluate(lam, 2, full, RHO, POVM), 2, full, RHO, POVM, 5)
+        g_tail = gradient_joint(evaluate(lam, 2, tail, RHO, POVM), 2, tail, RHO, POVM, 5)
         assert np.allclose(g_full, g_tail, atol=1e-12)
 
     def test_slot_out_of_range(self):
         data = AsfCurve((1, 2), (0.9, 0.8), (0.0, 0.0), 1)
+        fit = evaluate(np.eye(4, dtype=complex), 2, data, RHO, POVM)
         with pytest.raises(InputError):
-            gradient_joint(np.eye(4, dtype=complex), 2, data, RHO, POVM, 4)
+            gradient_joint(fit, 2, data, RHO, POVM, 4)
 
     @pytest.mark.parametrize("lengths", [tuple(range(1, 21)), (2, 5, 9, 13)])
     def test_matches_per_length_coefficients(self, lengths):
@@ -232,10 +234,11 @@ class TestGradient:
                         (0.0,) * len(lengths), 1)
         steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
         resid = predicted_curve(lam, 2, RHO, POVM, lengths) - np.asarray(data.means)
+        fit = evaluate(lam, 2, data, RHO, POVM)
         for slot in range(1, max(lengths) + 2):
             ref = sum(-r * asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
                       for n, r in zip(lengths, resid) if n >= slot - 1)
-            grad = gradient_joint(lam, 2, data, RHO, POVM, slot)
+            grad = gradient_joint(fit, 2, data, RHO, POVM, slot)
             assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), slot
 
     def test_work_is_linear_in_length(self, monkeypatch):
@@ -257,9 +260,10 @@ class TestGradient:
         m_max = 20
         data = AsfCurve(tuple(range(1, m_max + 1)), tuple(rng.uniform(0.5, 1.0, m_max)),
                         (0.0,) * m_max, 1)
+        fit = evaluate(lam, 2, data, RHO, POVM)
         for slot in range(1, m_max + 2):
             counts.update(steps=0, coefficients=0)
-            gradient_joint(lam, 2, data, RHO, POVM, slot)
+            gradient_joint(fit, 2, data, RHO, POVM, slot)
             assert counts["coefficients"] == 1, slot
             assert 0 < counts["steps"] <= m_max + 3, (slot, counts["steps"])
 
@@ -275,7 +279,8 @@ class TestSweep:
         data = model_curve(lam, 4)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
         acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
-        node = sweep_iteration(lam.copy(), acc, 0, data, RHO, POVM, config)
+        node = sweep_iteration(evaluate(lam.copy(), 2, data, RHO, POVM), acc, 0, data, RHO, POVM,
+                               config)
         assert np.array_equal(node, lam)
         assert cost(node, 2, data, RHO, POVM) < 1e-20
 
@@ -285,27 +290,29 @@ class TestSweep:
         from rbmpo.linalg import principal_unitary_sqrt
 
         node = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data,
-                                RHO, POVM, max_rounds=1, l1_stop=0.0)
+                                RHO, POVM, max_rounds=1, l1_stop=0.0).node
         half = principal_unitary_sqrt(node)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
         acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
         c_before = cost(half, 2, phase_flip_data, RHO, POVM)
-        node, costs = half, []
+        fit, costs = evaluate(half, 2, phase_flip_data, RHO, POVM), []
         for it in range(3):
-            node = sweep_iteration(node, acc, it, phase_flip_data, RHO, POVM, config)
-            costs.append(cost(node, 2, phase_flip_data, RHO, POVM))
+            node = sweep_iteration(fit, acc, it, phase_flip_data, RHO, POVM, config)
+            fit = evaluate(node, 2, phase_flip_data, RHO, POVM)
+            costs.append(fit.cost)
         assert costs[-1] < costs[0] < c_before + 1e-15
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_unitarity_preserved_across_sweeps(self, phase_flip_data):
         config = LearnerConfig(optimizer=Adam(rate=1e-3, beta1=0.9, beta2=0.99))
         acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
-        node = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
-                                max_rounds=2, l1_stop=0.0)
+        fit = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+                               max_rounds=2, l1_stop=0.0)
         defects = []
         for it in range(10):
-            node = sweep_iteration(node, acc, it, phase_flip_data, RHO, POVM, config)
+            node = sweep_iteration(fit, acc, it, phase_flip_data, RHO, POVM, config)
             defects.append(_unitarity_defect(node))
+            fit = evaluate(node, 2, phase_flip_data, RHO, POVM)
         assert max(defects) <= 1e-9
 
 
@@ -359,6 +366,24 @@ class TestTrain:
         b = train(phase_flip_data, RHO, POVM, cfg)
         assert np.array_equal(a.node, b.node)
         assert a.cost_trace == b.cost_trace
+
+    def test_each_node_is_evaluated_once(self, phase_flip_data, monkeypatch):
+        # from the identity start through the departure and the sweep to the
+        # returned node and its predicted curve, no node is evaluated twice
+        counts = Counter()
+        curve = learner_mod.predicted_curve
+
+        def counted(node, *args):
+            counts[node.tobytes()] += 1
+            return curve(node, *args)
+
+        monkeypatch.setattr(learner_mod, "predicted_curve", counted)
+        result = train(phase_flip_data, RHO, POVM,
+                       LearnerConfig(optimizer=Adagrad(rate=1e-3), departure_rounds=1,
+                                     max_iterations=5, convergence_divisor=1e6))
+        assert result.iterations == 5
+        repeated = {k: n for k, n in counts.items() if n > 1}
+        assert not repeated, f"{len(repeated)} nodes evaluated more than once"
 
     def test_predicted_curve_comes_from_returned_node(self, phase_flip_data):
         result = train(phase_flip_data, RHO, POVM,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rbmpo.errors import InputError
-from rbmpo.noise import phase_flip
+from rbmpo.noise import JointUnitary, phase_flip
 from rbmpo.quantum import (
     HADAMARD,
     I2,
@@ -20,6 +20,8 @@ from rbmpo.quantum import (
     sample_sequence,
     single_qubit_cliffords,
     validate_density_matrix,
+    validate_povm_element,
+    validate_unitary,
 )
 
 
@@ -154,6 +156,28 @@ class TestApplyChannel:
     def test_kraus_completeness_enforced(self):
         with pytest.raises(InputError):
             KrausChannel((0.5 * np.eye(2, dtype=complex),))
+
+
+def _with_nan(m, row, col):
+    m = np.array(m, dtype=complex)
+    m[row, col] = np.nan
+    return m
+
+
+class TestValidators:
+    # a NaN defect compares false with any tolerance, so a check written
+    # as `defect > tol` accepts a NaN matrix
+    @pytest.mark.parametrize("check, matrix", [
+        (validate_unitary, _with_nan(I2, 0, 1)),
+        (validate_density_matrix, _with_nan(basis_state(0, 2), 1, 1)),
+        (validate_povm_element, _with_nan(basis_state(0, 2), 0, 0)),
+        (lambda m: KrausChannel((m,)), _with_nan(I2, 1, 0)),
+        (lambda m: JointUnitary(m, basis_state(0, 2), 2), _with_nan(np.eye(4), 2, 1)),
+        (lambda m: JointUnitary(np.eye(4), m, 2), _with_nan(basis_state(0, 2), 0, 1)),
+    ], ids=["unitary", "density_matrix", "povm_element", "kraus", "joint_unitary", "rho_env"])
+    def test_nan_entry_rejected(self, check, matrix):
+        with pytest.raises(InputError):
+            check(matrix)
 
 
 def test_fix_global_phase_is_canonical():

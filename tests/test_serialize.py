@@ -5,14 +5,17 @@ import pytest
 
 from rbmpo.errors import InputError
 from rbmpo.learner import Adagrad, Adam, LearnerConfig, train
+from rbmpo.linalg import matrix_to_json_dict
 from rbmpo.noise import phase_flip
 from rbmpo.quantum import basis_state
 from rbmpo.rb import AsfCurve, ExperimentConfig
 from rbmpo.serialize import (
+    dump_json,
     experiment_config_from_dict,
     experiment_config_to_dict,
     learner_config_from_dict,
     learner_config_to_dict,
+    node_from_file,
     training_result_to_dict,
 )
 
@@ -47,11 +50,37 @@ def test_learner_config_round_trip():
                            ("unitarity_tol", 10**400),
                            ("optimizer", {**d["optimizer"], "rate": -10**400}),
                            ("optimizer", {**d["optimizer"], "kind": ["adam"]}),
-                           ("optimizer", {**d["optimizer"], "kind": "sgd"})):
+                           ("optimizer", {**d["optimizer"], "kind": "sgd"}),
+                           # out of range
+                           ("max_iterations", -5), ("unitarity_tol", -1), ("unitarity_tol", 0.0),
+                           ("optimizer", {**d["optimizer"], "rate": -1e-3}),
+                           ("optimizer", {**d["optimizer"], "rate": 0.0}),
+                           ("optimizer", {**d["optimizer"], "epsilon": -1e-8}),
+                           ("optimizer", {**d["optimizer"], "epsilon": 0})) + (
+                          (("optimizer", {**d["optimizer"], "beta1": 1.0}),
+                           ("optimizer", {**d["optimizer"], "beta1": -0.1}),
+                           ("optimizer", {**d["optimizer"], "beta2": 1.5}))
+                          if isinstance(opt, Adam) else ()):
             with pytest.raises(InputError):
                 learner_config_from_dict({**d, key: value})
     # a real field takes an integer as well
     assert learner_config_from_dict({**d, "convergence_divisor": 2}).convergence_divisor == 2.0
+
+
+def test_schema_version_checked_on_read(tmp_path):
+    exp = experiment_config_to_dict(ExperimentConfig(noise=phase_flip(0.06), m_max=3,
+                                                     n_samples=2, seed=1))
+    learner = learner_config_to_dict(LearnerConfig())
+    result = {"schema_version": 1, "kind": "training_result", "config": learner,
+              "node": matrix_to_json_dict(np.eye(4))}
+    path = tmp_path / "result.json"
+    for record, read in ((exp, experiment_config_from_dict), (learner, learner_config_from_dict),
+                         (result, lambda r: (dump_json(r, path), node_from_file(path)))):
+        read(record)
+        read({k: v for k, v in record.items() if k != "schema_version"})
+        for version in (2, 0, "1", 1.0, True, None):
+            with pytest.raises(InputError, match="schema_version"):
+                read({**record, "schema_version": version})
 
 
 def test_experiment_config_rejects_mistyped_numbers():
