@@ -36,7 +36,7 @@ print(f"\nbest exponential fit: {fit.amplitude:.4f} * {fit.decay:.4f}^m + {fit.o
 print(f"max residual {fit.max_residual:.4f} vs median stderr {med_stderr:.4f} "
       f"({fit.max_residual / med_stderr:.1f}x)")
 
-report = diagnose_markovianity(noise.unitary, tol=1e-2)
+report = diagnose_markovianity(noise.bulk[0], tol=1e-2)
 print(f"\nstructure of the true noise unitary: "
       f"{'markovian' if report.markovian else 'non-markovian'} "
       f"(environment coupling norm {report.off_block_norm:.3f})")

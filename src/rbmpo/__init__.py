@@ -30,11 +30,11 @@ from .learner import (
 )
 from .linalg import SvdResult, principal_unitary_sqrt, project_to_unitary, svd
 from .noise import (
-    JointUnitary,
-    MarkovianChannel,
     NoiseSteps,
     amplitude_damping,
     depolarizing,
+    joint_unitary,
+    markovian_channel,
     phase_flip,
     spin_unitary,
 )
@@ -57,10 +57,8 @@ __all__ = [
     "ExpFit",
     "ExperimentConfig",
     "GateSet",
-    "JointUnitary",
     "KrausChannel",
     "LearnerConfig",
-    "MarkovianChannel",
     "MarkovianityReport",
     "NoiseSteps",
     "SvdResult",
@@ -76,6 +74,8 @@ __all__ = [
     "env_mixed_map",
     "estimate_asf",
     "fit_exponential",
+    "joint_unitary",
+    "markovian_channel",
     "phase_flip",
     "principal_unitary_sqrt",
     "project_to_unitary",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, UnsupportedConfigurationError
-from .noise import NoiseModel, NoiseSteps
+from .noise import NoiseSteps
 from .quantum import GateSet, validate_density_matrix, validate_povm_element
 from .rb import AsfCurve
 
@@ -143,7 +143,7 @@ def measurement_functional(steps: NoiseSteps, povm: np.ndarray, final: bool = Tr
 
 
 def clifford_averaged_asf_curve(
-    noise: NoiseModel | NoiseSteps,
+    noise: NoiseSteps,
     rho_sys: np.ndarray,
     povm: np.ndarray,
     m_max: int,
@@ -156,7 +156,8 @@ def clifford_averaged_asf_curve(
     each step.
 
     Args:
-        noise: a noise model, or a prepared :class:`NoiseSteps`.
+        noise: the noise slots on environment x system; a memoryless
+            channel has ``d_env == 1``.
         rho_sys: initial system state.
         povm: measured POVM element.
         m_max: largest sequence length.
@@ -170,24 +171,23 @@ def clifford_averaged_asf_curve(
         )
     if m_max < 1:
         raise InputError(f"m_max must be >= 1, got {m_max}")
-    steps = noise if isinstance(noise, NoiseSteps) else NoiseSteps.from_model(noise)
     rho_sys = validate_density_matrix(np.asarray(rho_sys, dtype=np.complex128), name="rho_sys")
     povm = validate_povm_element(np.asarray(povm, dtype=np.complex128))
-    if rho_sys.shape[0] != steps.d_sys or povm.shape[0] != steps.d_sys:
+    if rho_sys.shape[0] != noise.d_sys or povm.shape[0] != noise.d_sys:
         raise ShapeError("state/POVM dimension does not match the noise model's system")
 
-    x = prepared_state(steps, rho_sys)
-    meas = measurement_functional(steps, povm)
-    mixed, loop = bulk_maps(steps)
+    x = prepared_state(noise, rho_sys)
+    meas = measurement_functional(noise, povm)
+    mixed, loop = bulk_maps(noise)
     values = np.empty(m_max, dtype=np.float64)
     for m in range(m_max):
-        x = twirled_step(x, mixed, loop, steps.d_sys)
+        x = twirled_step(x, mixed, loop, noise.d_sys)
         values[m] = np.real(np.sum(meas * x))
     return values
 
 
 def clifford_averaged_asf(
-    noise: NoiseModel | NoiseSteps,
+    noise: NoiseSteps,
     rho_sys: np.ndarray,
     povm: np.ndarray,
     m: int,

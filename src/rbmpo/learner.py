@@ -50,7 +50,7 @@ from .errors import DomainError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
 from .noise import NoiseSteps, hermitian_expm
 from .process_tensor import asf_joint_coefficient, joint_node
-from .quantum import basis_state, validate_density_matrix, validate_povm_element, validate_unitary
+from .quantum import validate_density_matrix, validate_povm_element, validate_unitary
 from .rb import AsfCurve
 
 
@@ -168,7 +168,7 @@ class TrainingResult:
 # --------------------------------------------------------------------------
 
 def predicted_curve(node: np.ndarray, d_env: int, rho_sys, povm, lengths) -> np.ndarray:
-    steps = NoiseSteps.uniform(node, basis_state(0, d_env), d_env)
+    steps = NoiseSteps.uniform(node, d_env)
     full = clifford_averaged_asf_curve(steps, rho_sys, povm, max(lengths))
     return np.asarray([full[n - 1] for n in lengths], dtype=np.float64)
 
@@ -203,7 +203,7 @@ def gradient_joint(
     the fidelity's coefficient tensor in the joint node of ``fit.node``, as
     one weighted coefficient; lengths n < slot_i - 1 contribute nothing.
     """
-    steps = NoiseSteps.uniform(fit.node, basis_state(0, d_env), d_env)
+    steps = NoiseSteps.uniform(fit.node, d_env)
     resid = fit.predicted - np.asarray(data.means)
     return asf_joint_coefficient(steps, slot_i, dict(zip(data.lengths, -resid)), rho_sys, povm)
 

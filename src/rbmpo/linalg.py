@@ -149,11 +149,13 @@ def matrix_to_json_dict(m) -> dict:
 
 def matrix_from_json_dict(d: dict) -> np.ndarray:
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = d["rows"], d["cols"]
         re = np.asarray(d["re"], dtype=np.float64)
         im = np.asarray(d["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ShapeError(f"malformed matrix record: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise InputError(f"matrix record sizes must be integers, got {rows!r}x{cols!r}")
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise ShapeError(
             f"matrix record claims {rows}x{cols} but carries {re.shape}/{im.shape} arrays"

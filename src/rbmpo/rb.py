@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError, ShapeError
-from .noise import NoiseModel, NoiseSteps
+from .noise import NoiseSteps
 from .quantum import (
     GateSet,
     _kraus_sum,
@@ -92,7 +92,7 @@ class AsfCurve:
 class ExperimentConfig:
     """Everything needed to reproduce one RB data set."""
 
-    noise: NoiseModel
+    noise: NoiseSteps
     m_max: int
     n_samples: int
     seed: int
@@ -113,13 +113,14 @@ class ExperimentConfig:
         object.__setattr__(self, "povm", povm)
 
 
-def run_sequence(noise: NoiseModel, gates, rho_sys, povm) -> float:
+def run_sequence(noise: NoiseSteps, gates, rho_sys, povm) -> float:
     """Survival probability of one RB sequence (the inverse gate is appended here).
 
-    One pass over the slots (prep, bulk x m, final) of :meth:`NoiseSteps.slots`:
+    One pass over the slots (prep, bulk x m, final) of ``noise.slots``:
     rho_env x rho_sys goes through the preparation slot, each gate is followed
     by a bulk slot and the compiled inverse by the final slot, and I_env x povm
-    is measured.  Gates act on the system leg of the joint state.
+    is measured.  Gates act on the system leg of the joint state; a
+    memoryless channel is the case ``noise.d_env == 1``.
     """
     if not gates:
         raise InputError("run_sequence needs at least one gate")
@@ -130,11 +131,10 @@ def run_sequence(noise: NoiseModel, gates, rho_sys, povm) -> float:
     rho_sys, povm = np.asarray(rho_sys), np.asarray(povm)
     if rho_sys.shape != (d, d) or povm.shape != (d, d):
         raise ShapeError("state/POVM dimensions do not match the noise model")
-    steps = NoiseSteps.from_model(noise)
-    d_env, dim = steps.d_env, steps.dim
-    state = (steps.rho_env[:, None, :, None] * rho_sys[None, :, None, :]).reshape(dim, dim)
+    d_env, dim = noise.d_env, noise.dim
+    state = (noise.rho_env[:, None, :, None] * rho_sys[None, :, None, :]).reshape(dim, dim)
     controls = [None, *gates, compile_undo(gates)]
-    for g, ops in zip(controls, steps.slots(len(gates))):
+    for g, ops in zip(controls, noise.slots(len(gates))):
         if g is not None:
             state = (g @ state.reshape(d_env, d, dim)).reshape(dim, d_env, d)
             state = (state @ dagger(g)).reshape(dim, dim)

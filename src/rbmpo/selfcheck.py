@@ -12,7 +12,7 @@ import numpy as np
 
 from . import average, process_tensor
 from .linalg import dagger, project_to_unitary
-from .noise import JointUnitary
+from .noise import joint_unitary
 from .quantum import basis_state, sample_sequence, single_qubit_cliffords
 from .rb import run_sequence
 
@@ -45,12 +45,11 @@ def check_oracle_equivalence(cases: int = 6, seed: int = 11) -> list[tuple[str, 
     worst = 0.0
     for _ in range(cases):
         lam = _haar(4, rng)
-        model = JointUnitary(unitary=lam, rho_env=basis_state(0, 2), d_env=2)
-        steps = average.NoiseSteps.from_model(model)
+        model = joint_unitary(lam, basis_state(0, 2), 2)
         m = int(rng.integers(1, 4))
         gates = sample_sequence(cl, m, rng)
         f_run = run_sequence(model, gates, rho, rho)
-        f_dense = process_tensor.contract_asf_dense(steps, gates, rho, rho)
+        f_dense = process_tensor.contract_asf_dense(model, gates, rho, rho)
         worst = max(worst, abs(f_run - f_dense))
     return [("dense tensor contraction vs direct evolution", worst < 1e-10, f"max |diff| {worst:.2e}")]
 
@@ -60,7 +59,7 @@ def check_average_identity(seed: int = 12) -> list[tuple[str, bool, str]]:
     cl = single_qubit_cliffords()
     rho = basis_state(0, 2)
     lam = _haar(4, rng)
-    model = JointUnitary(unitary=lam, rho_env=basis_state(0, 2), d_env=2)
+    model = joint_unitary(lam, basis_state(0, 2), 2)
     vals = [run_sequence(model, [g], rho, rho) for g in cl.gates]
     exact = average.clifford_averaged_asf(model, rho, rho, 1)
     diff = abs(float(np.mean(vals)) - exact)
@@ -82,7 +81,7 @@ def check_gradient(seed: int = 13) -> list[tuple[str, bool, str]]:
         (0.0,) * m_max,
         10,
     )
-    steps = average.NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+    steps = average.NoiseSteps.uniform(lam, 2)
     base = joint_node(lam, lam, 2, 2)
     h = 1e-5
     worst = 0.0

@@ -18,7 +18,7 @@ from .errors import DomainError, InputError
 from .learner import Adagrad, Adam, LearnerConfig, TrainingResult
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 from .noise import (
-    JointUnitary, MarkovianChannel, NoiseModel, amplitude_damping, depolarizing, phase_flip,
+    NoiseSteps, amplitude_damping, depolarizing, joint_unitary, markovian_channel, phase_flip,
     spin_unitary,
 )
 from .quantum import KrausChannel, basis_state
@@ -31,6 +31,12 @@ def _require(d: dict, key: str, where: str):
     if key not in d:
         raise InputError(f"{where} is missing required field {key!r}")
     return d[key]
+
+
+def _record(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where} must be a JSON object, not {type(value).__name__}")
+    return value
 
 
 def _check_schema(d: dict, where: str) -> None:
@@ -67,29 +73,27 @@ def _state_from(value, name: str) -> np.ndarray:
     raise InputError(f"{name} must be \"zero\" or a matrix record, got {value!r}")
 
 
-def noise_model_to_dict(model: NoiseModel) -> dict:
-    """Parameter record sufficient to rebuild the model exactly."""
-    if isinstance(model, MarkovianChannel):
-        d = {
-            "kind": "markovian",
-            "label": model.label,
-            "kraus": [matrix_to_json_dict(k) for k in model.channel.operators],
-        }
-    elif isinstance(model, JointUnitary):
+def _kraus_list(ops: tuple[np.ndarray, ...]) -> list[dict]:
+    return [matrix_to_json_dict(k) for k in ops]
+
+
+def noise_model_to_dict(model: NoiseSteps) -> dict:
+    """Record sufficient to rebuild the model exactly: a ``markovian`` record
+    for a one-dimensional environment, a ``joint_unitary`` one otherwise.
+    Both slots ``prep`` and ``final`` are always written."""
+    if model.d_env == 1:
+        d = {"kind": "markovian", "kraus": _kraus_list(model.bulk)}
+    elif len(model.bulk) == 1:
         d = {
             "kind": "joint_unitary",
-            "label": model.label,
-            "unitary": matrix_to_json_dict(model.unitary),
+            "unitary": matrix_to_json_dict(model.bulk[0]),
             "rho_env": matrix_to_json_dict(model.rho_env),
             "d_env": model.d_env,
         }
-    else:  # pragma: no cover - union is closed
-        raise InputError(f"unknown noise model type {type(model)!r}")
-    for slot_name in ("prep", "final"):
-        slot = getattr(model, slot_name)
-        if slot is not None:
-            d[slot_name] = [matrix_to_json_dict(k) for k in slot.operators]
-    return d
+    else:
+        raise InputError("noise with an environment is written only with one unitary bulk operator")
+    return {**d, "label": model.label,
+            "prep": _kraus_list(model.prep), "final": _kraus_list(model.final)}
 
 
 #: Parametric noise records, each built from a reader of its real parameters.
@@ -101,7 +105,7 @@ _PARAMETRIC_BUILDERS = {
 }
 
 
-def noise_model_from_dict(d: dict) -> NoiseModel:
+def noise_model_from_dict(d: dict) -> NoiseSteps:
     """Rebuild a noise model from a record written by :func:`noise_model_to_dict`
     or from a short parametric form like ``{"kind": "phase_flip", "p": 0.06}``."""
     if not isinstance(d, dict) or "kind" not in d:
@@ -115,22 +119,25 @@ def noise_model_from_dict(d: dict) -> NoiseModel:
         if dim < 1:
             raise DomainError(f"{where} field 'dim' must be positive, got {dim}")
         eye = np.eye(dim, dtype=np.complex128)
-        return MarkovianChannel(KrausChannel((eye,)), label="identity")
+        return markovian_channel(KrausChannel((eye,)), label="identity")
+
+    def channel(name: str) -> KrausChannel:
+        ops = _require(d, name, where)
+        if not isinstance(ops, list):
+            raise InputError(f"{where} field {name!r} must be a list of matrices, not {ops!r}")
+        return KrausChannel(tuple(matrix_from_json_dict(k) for k in ops))
 
     def slot(name: str) -> KrausChannel | None:
-        if name not in d:
-            return None
-        return KrausChannel(tuple(matrix_from_json_dict(k) for k in d[name]))
+        return channel(name) if name in d else None
 
     if kind == "markovian":
-        ch = KrausChannel(tuple(matrix_from_json_dict(k) for k in _require(d, "kraus", where)))
-        return MarkovianChannel(ch, prep=slot("prep"), final=slot("final"),
-                                label=d.get("label", "markovian"))
+        return markovian_channel(channel("kraus"), prep=slot("prep"), final=slot("final"),
+                                 label=d.get("label", "markovian"))
     if kind == "joint_unitary":
-        return JointUnitary(
-            unitary=matrix_from_json_dict(_require(d, "unitary", where)),
-            rho_env=matrix_from_json_dict(_require(d, "rho_env", where)),
-            d_env=_number(d, "d_env", int, where),
+        return joint_unitary(
+            matrix_from_json_dict(_require(d, "unitary", where)),
+            matrix_from_json_dict(_require(d, "rho_env", where)),
+            _number(d, "d_env", int, where),
             prep=slot("prep"),
             final=slot("final"),
             label=d.get("label", "joint_unitary"),
@@ -184,10 +191,10 @@ def learner_config_to_dict(cfg: LearnerConfig) -> dict:
 
 
 def learner_config_from_dict(d: dict) -> LearnerConfig:
-    if d.get("kind") != "learner":
+    if _record(d, "learner config").get("kind") != "learner":
         raise InputError(f"expected a learner config, got kind={d.get('kind')!r}")
     _check_schema(d, "learner config")
-    opt_rec = _require(d, "optimizer", "learner config")
+    opt_rec = _record(_require(d, "optimizer", "learner config"), "optimizer record")
     opt_kind = _require(opt_rec, "kind", "optimizer record")
     opt_cls = _OPTIMIZERS.get(opt_kind) if isinstance(opt_kind, str) else None
     if opt_cls is None:
@@ -239,13 +246,15 @@ def training_result_to_dict(result: TrainingResult, config: LearnerConfig) -> di
 
 
 def load_json(path) -> dict:
+    """The JSON object in file `path`; any other top-level value is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: line {exc.lineno}, {exc.msg}") from exc
+    return _record(d, str(path))
 
 
 def dump_json(obj: dict, path):

@@ -21,7 +21,7 @@ from rbmpo.learner import (
     train,
 )
 from rbmpo.linalg import dagger, project_to_unitary
-from rbmpo.noise import JointUnitary, amplitude_damping, depolarizing, phase_flip, spin_unitary
+from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
 from rbmpo.process_tensor import asf_with_joint_node, contract_asf_dense, joint_node
 from rbmpo.quantum import basis_state, sample_sequence, single_qubit_cliffords
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
@@ -81,10 +81,9 @@ def test_criterion_1_oracle_equivalence(cliffords):
     worst = 0.0
     for case in range(50):
         m = 1 + case % 4
-        model = JointUnitary(unitary=haar_unitary(4, rng), rho_env=basis_state(0, 2), d_env=2)
-        steps = NoiseSteps.from_model(model)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         gates = sample_sequence(cliffords, m, rng)
-        f_dense = contract_asf_dense(steps, gates, RHO, POVM)
+        f_dense = contract_asf_dense(model, gates, RHO, POVM)
         f_run = run_sequence(model, gates, RHO, POVM)
         worst = max(worst, abs(f_dense - f_run))
     elapsed = time.monotonic() - started
@@ -98,7 +97,7 @@ def test_criterion_2_two_design_identity(cliffords):
     rng = np.random.default_rng(20240502)
     worst = 0.0
     for _ in range(10):
-        model = JointUnitary(unitary=haar_unitary(4, rng), rho_env=basis_state(0, 2), d_env=2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         vals1 = [run_sequence(model, [g], RHO, POVM) for g in cliffords.gates]
         worst = max(worst, abs(np.mean(vals1) - clifford_averaged_asf(model, RHO, POVM, 1)))
         vals2 = [
@@ -139,7 +138,7 @@ def test_criterion_4_gradient_correctness():
         )
         slot = int(rng.integers(1, m_max + 2))
         grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
-        steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(lam, 2)
         base = joint_node(lam, lam, 2, 2)
 
         def cost_at(joint):

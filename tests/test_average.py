@@ -12,8 +12,10 @@ from rbmpo.average import (
     fit_exponential,
 )
 from rbmpo.errors import InputError, UnsupportedConfigurationError
-from rbmpo.noise import JointUnitary, amplitude_damping, depolarizing, phase_flip, spin_unitary
-from rbmpo.quantum import GateSet, HADAMARD, basis_state, dagger, single_qubit_cliffords
+from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
+from rbmpo.quantum import (
+    GateSet, HADAMARD, KrausChannel, basis_state, dagger, single_qubit_cliffords,
+)
 from rbmpo.rb import AsfCurve, run_sequence
 
 RHO = basis_state(0, 2)
@@ -44,7 +46,7 @@ class TestEnvMaps:
 
     def test_system_channel_leaves_env_untouched(self):
         # phase flip on the system extended by identity on the environment
-        ch = phase_flip(0.3).channel
+        ch = KrausChannel(phase_flip(0.3).bulk)
         ops = tuple(np.kron(np.eye(2), k) for k in ch.operators)
         mixed = env_mixed_map(ops, 2, 2)
         assert np.linalg.norm(mixed - np.eye(4)) < 1e-12
@@ -87,7 +89,7 @@ class TestEnvMaps:
 
 class TestClosedFormAverage:
     def test_identity_noise(self):
-        model = JointUnitary(unitary=np.eye(4, dtype=complex), rho_env=basis_state(0, 2), d_env=2)
+        model = joint_unitary(np.eye(4, dtype=complex), basis_state(0, 2), 2)
         curve = clifford_averaged_asf_curve(model, RHO, POVM, 10)
         assert np.allclose(curve, 1.0, atol=1e-12)
 
@@ -95,7 +97,7 @@ class TestClosedFormAverage:
     def test_matches_exhaustive_enumeration_m1_m2(self, seed):
         rng = np.random.default_rng(1100 + seed)
         cl = single_qubit_cliffords()
-        model = JointUnitary(unitary=haar_unitary(4, rng), rho_env=basis_state(0, 2), d_env=2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         vals1 = [run_sequence(model, [g], RHO, POVM) for g in cl.gates]
         assert abs(np.mean(vals1) - clifford_averaged_asf(model, RHO, POVM, 1)) < 1e-10
         vals2 = [
@@ -134,10 +136,9 @@ class TestClosedFormAverage:
         from rbmpo.process_tensor import contract_asf_dense_averaged
 
         rng = np.random.default_rng(5)
-        model = JointUnitary(unitary=haar_unitary(4, rng), rho_env=basis_state(0, 2), d_env=2)
-        steps = NoiseSteps.from_model(model)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         for m in (1, 2, 3):
-            dense = contract_asf_dense_averaged(steps, m, RHO, POVM)
+            dense = contract_asf_dense_averaged(model, m, RHO, POVM)
             exact = clifford_averaged_asf(model, RHO, POVM, m)
             assert abs(dense - exact) < 1e-10
 
@@ -201,7 +202,7 @@ class TestGoldenValues:
         from rbmpo.process_tensor import asf_joint_coefficient
 
         rng = np.random.default_rng(2207)
-        steps = NoiseSteps.uniform(haar_unitary(4, rng), RHO, 2)
+        steps = NoiseSteps.uniform(haar_unitary(4, rng), 2)
         coeff = asf_joint_coefficient(steps, 2, {4: 1.0}, RHO, POVM)
         assert abs(np.linalg.norm(coeff) - 0.21864232609686907) < 1e-12
         assert abs(coeff[0, 0, 0, 0, 0, 0] - (-0.012093299758548146 + 0.014354289794112213j)) < 1e-12

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, file outputs, determinism, self-check."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from rbmpo.linalg import matrix_to_json_dict
 from rbmpo.serialize import dump_json, learner_config_to_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_identity_config(path, m_max=5, n_samples=10, seed=3):
@@ -193,7 +197,7 @@ class TestDiagnose:
         from rbmpo.noise import spin_unitary
 
         path = tmp_path / "node.json"
-        dump_json(matrix_to_json_dict(spin_unitary(1.2, 1.17, -1.15, 0.05).unitary), path)
+        dump_json(matrix_to_json_dict(spin_unitary(1.2, 1.17, -1.15, 0.05).bulk[0]), path)
         assert main(["diagnose", str(path), "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["markovian"] is False
@@ -270,6 +274,26 @@ class TestSelfcheck:
 class TestParsing:
     def test_unknown_command_is_input_error(self):
         assert main(["frobnicate"]) == EXIT_INPUT
+
+    def test_non_object_json_is_input_error(self, tmp_path):
+        # run as a user runs it, so an exception that escapes main shows as a traceback
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]\n")
+        data = tmp_path / "asf.csv"
+        data.write_text("m,mean,stderr,n_samples\n1,0.9,0.01,10\n")
+        result = tmp_path / "result.json"
+        dump_json({"kind": "training_result", "config": [1, 2],
+                   "node": matrix_to_json_dict(np.eye(4))}, result)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        for argv in (["generate", str(bad), "-o", str(tmp_path / "g")],
+                     ["learn", str(data), str(bad), "-o", str(tmp_path / "l")],
+                     ["diagnose", str(bad)], ["diagnose", str(result)]):
+            run = subprocess.run([sys.executable, "-m", "rbmpo.cli", *argv], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert run.returncode == EXIT_INPUT, (argv[0], run.stderr)
+            assert run.stderr.startswith("error:"), (argv[0], run.stderr)
+            assert "Traceback" not in run.stderr, (argv[0], run.stderr)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -71,7 +71,7 @@ class TestCost:
         data = AsfCurve((1, 2, 3, 5), tuple(rng.uniform(0.4, 1.0, 4)), (0.0,) * 4, 1)
         total = 0.0
         for n, f_exp in zip(data.lengths, data.means):
-            f = clifford_averaged_asf(NoiseSteps.uniform(lam, basis_state(0, 2), 2), RHO, POVM, n)
+            f = clifford_averaged_asf(NoiseSteps.uniform(lam, 2), RHO, POVM, n)
             total += 0.5 * (f - f_exp) ** 2
         assert abs(cost(lam, 2, data, RHO, POVM) - total) < 1e-14
 
@@ -185,7 +185,7 @@ class TestGradient:
             100,
         )
         grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
-        steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(lam, 2)
         base = joint_node(lam, lam, 2, 2)
 
         def cost_at(joint):
@@ -232,7 +232,7 @@ class TestGradient:
         lam = haar_unitary(4, rng)
         data = AsfCurve(lengths, tuple(rng.uniform(0.5, 1.0, len(lengths))),
                         (0.0,) * len(lengths), 1)
-        steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(lam, 2)
         resid = predicted_curve(lam, 2, RHO, POVM, lengths) - np.asarray(data.means)
         fit = evaluate(lam, 2, data, RHO, POVM)
         for slot in range(1, max(lengths) + 2):
@@ -419,13 +419,13 @@ class TestDiagnosis:
         assert report.off_block_norm < 1e-12
 
     def test_spin_unitary_is_non_markovian(self):
-        node = spin_unitary(1.2, 1.17, -1.15, 0.05).unitary
+        node = spin_unitary(1.2, 1.17, -1.15, 0.05).bulk[0]
         report = diagnose_markovianity(node, tol=1e-2)
         assert not report.markovian
         assert report.off_block_norm >= 1e-2
 
     def test_global_phase_invariance(self):
-        node = spin_unitary(1.2, 1.17, -1.15, 0.05).unitary
+        node = spin_unitary(1.2, 1.17, -1.15, 0.05).bulk[0]
         a = diagnose_markovianity(node)
         b = diagnose_markovianity(np.exp(0.7j) * node)
         assert abs(a.off_block_norm - b.off_block_norm) < 1e-12

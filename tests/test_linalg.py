@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rbmpo.errors import ShapeError, SingularMatrixError
+from rbmpo.errors import InputError, ShapeError, SingularMatrixError
 from rbmpo.linalg import (
     dagger,
     matrix_from_json_dict,
@@ -159,3 +159,8 @@ class TestMatrixJson:
             matrix_from_json_dict({"rows": 2, "cols": 2, "re": [[1.0]], "im": [[0.0]]})
         with pytest.raises(ShapeError):
             matrix_from_json_dict({"rows": 2})
+        # sizes are JSON integers, never coerced
+        for rows in (2.7, "2", True, 2.0):
+            with pytest.raises(InputError):
+                matrix_from_json_dict({"rows": rows, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]],
+                                       "im": [[0.0, 0.0], [0.0, 0.0]]})

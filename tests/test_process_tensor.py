@@ -7,7 +7,7 @@ import pytest
 
 from rbmpo.average import NoiseSteps, clifford_averaged_asf
 from rbmpo.errors import ResourceLimitError
-from rbmpo.noise import JointUnitary, amplitude_damping, depolarizing
+from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary
 from rbmpo.process_tensor import (
     DENSE_ORACLE_MAX_M,
     asf_joint_coefficient,
@@ -17,7 +17,7 @@ from rbmpo.process_tensor import (
     dense_noise_tensor,
     joint_node,
 )
-from rbmpo.quantum import KrausChannel, basis_state, sample_sequence, single_qubit_cliffords
+from rbmpo.quantum import basis_state, sample_sequence, single_qubit_cliffords
 from rbmpo.rb import run_sequence
 
 RHO = basis_state(0, 2)
@@ -31,7 +31,7 @@ def haar_unitary(n, rng):
 
 
 def random_model(rng):
-    return JointUnitary(unitary=haar_unitary(4, rng), rho_env=basis_state(0, 2), d_env=2)
+    return joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def cliffords():
 
 class TestDenseOracle:
     def test_identity_nodes_ideal_spam(self, cliffords):
-        steps = NoiseSteps.uniform(np.eye(4, dtype=complex), basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(np.eye(4, dtype=complex), 2)
         rng = np.random.default_rng(0)
         gates = sample_sequence(cliffords, 2, rng)
         assert abs(contract_asf_dense(steps, gates, RHO, POVM) - 1.0) < 1e-12
@@ -55,28 +55,27 @@ class TestDenseOracle:
         if variant == "ad":
             model = amplitude_damping(0.3)
         elif variant == "ad-final":
-            model = dataclasses.replace(amplitude_damping(0.3), final=depolarizing(0.2).channel)
+            model = dataclasses.replace(amplitude_damping(0.3), final=depolarizing(0.2).bulk)
         else:
             model = random_model(rng)
         if variant == "spam":
-            model = dataclasses.replace(model, prep=KrausChannel((haar_unitary(4, rng),)),
-                                        final=KrausChannel((haar_unitary(4, rng),)))
-        steps = NoiseSteps.from_model(model)
+            model = dataclasses.replace(model, prep=(haar_unitary(4, rng),),
+                                        final=(haar_unitary(4, rng),))
         gates = sample_sequence(cliffords, m, rng)
-        f_dense = contract_asf_dense(steps, gates, RHO, POVM)
+        f_dense = contract_asf_dense(model, gates, RHO, POVM)
         f_run = run_sequence(model, gates, RHO, POVM)
         assert abs(f_dense - f_run) < 1e-12
 
     def test_cap_is_enforced_and_named(self, cliffords):
         rng = np.random.default_rng(2)
-        steps = NoiseSteps.from_model(random_model(rng))
+        steps = random_model(rng)
         gates = sample_sequence(cliffords, DENSE_ORACLE_MAX_M + 1, rng)
         with pytest.raises(ResourceLimitError, match=str(DENSE_ORACLE_MAX_M)):
             contract_asf_dense(steps, gates, RHO, POVM)
 
     def test_dense_tensors_have_expected_rank(self):
         rng = np.random.default_rng(3)
-        steps = NoiseSteps.from_model(random_model(rng))
+        steps = random_model(rng)
         ups = dense_noise_tensor(steps, 1)
         assert ups.shape == (2,) * 12  # 4(m+2) legs at m=1
 
@@ -84,8 +83,7 @@ class TestDenseOracle:
     def test_averaged_dense_matches_closed_form(self, m):
         rng = np.random.default_rng(1300 + m)
         model = random_model(rng)
-        steps = NoiseSteps.from_model(model)
-        dense = contract_asf_dense_averaged(steps, m, RHO, POVM)
+        dense = contract_asf_dense_averaged(model, m, RHO, POVM)
         exact = clifford_averaged_asf(model, RHO, POVM, m)
         assert abs(dense - exact) < 1e-10
 
@@ -114,7 +112,7 @@ class TestJointCoefficient:
     def test_full_contraction_reproduces_average(self):
         rng = np.random.default_rng(4)
         lam = haar_unitary(4, rng)
-        steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(lam, 2)
         joint = joint_node(lam, lam, 2, 2)
         for n in (1, 2, 5):
             f_ref = clifford_averaged_asf(steps, RHO, POVM, n)
@@ -124,14 +122,14 @@ class TestJointCoefficient:
                 assert abs(f_via - f_ref) < 1e-10, (n, slot)
 
     def test_identity_nodes_unit_fidelity(self):
-        steps = NoiseSteps.uniform(np.eye(4, dtype=complex), basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(np.eye(4, dtype=complex), 2)
         coeff = asf_joint_coefficient(steps, 1, {1: 1.0}, RHO, POVM)
         joint = joint_node(np.eye(4), np.eye(4), 2, 2)
         assert abs(np.sum(joint * np.conj(coeff)) - 1.0) < 1e-12
 
     def test_linearity_superposition(self):
         rng = np.random.default_rng(5)
-        steps = NoiseSteps.uniform(haar_unitary(4, rng), basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(haar_unitary(4, rng), 2)
         shape = (2, 2, 2, 2, 2, 2)
         l1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         l2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -143,7 +141,7 @@ class TestJointCoefficient:
 
     def test_linear_path_matches_coefficient(self):
         rng = np.random.default_rng(6)
-        steps = NoiseSteps.uniform(haar_unitary(4, rng), basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(haar_unitary(4, rng), 2)
         coeff = asf_joint_coefficient(steps, 2, {4: 1.0}, RHO, POVM)
         shape = (2, 2, 2, 2, 2, 2)
         probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -155,7 +153,7 @@ class TestJointCoefficient:
         # by exactly h times the conjugated coefficient entry
         rng = np.random.default_rng(7)
         lam = haar_unitary(4, rng)
-        steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(lam, 2)
         coeff = asf_joint_coefficient(steps, 3, {4: 1.0}, RHO, POVM)
         base = joint_node(lam, lam, 2, 2)
         h = 1e-5
@@ -172,7 +170,7 @@ class TestJointCoefficient:
         # finite differences of the linear path about two different base
         # points give the same tensor
         rng = np.random.default_rng(8)
-        steps = NoiseSteps.uniform(haar_unitary(4, rng), basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(haar_unitary(4, rng), 2)
         shape = (2, 2, 2, 2, 2, 2)
         base_a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         base_b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -185,7 +183,7 @@ class TestJointCoefficient:
     def test_physical_evaluation_at_model_point(self):
         rng = np.random.default_rng(9)
         lam = haar_unitary(4, rng)
-        steps = NoiseSteps.uniform(lam, basis_state(0, 2), 2)
+        steps = NoiseSteps.uniform(lam, 2)
         joint = joint_node(lam, lam, 2, 2)
         value = asf_with_joint_node(steps, 2, 3, RHO, POVM, joint, joint)
         assert isinstance(value, float)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rbmpo.errors import InputError
-from rbmpo.noise import JointUnitary, phase_flip
+from rbmpo.noise import joint_unitary, phase_flip
 from rbmpo.quantum import (
     HADAMARD,
     I2,
@@ -136,7 +136,7 @@ class TestApplyChannel:
 
     def test_phase_flip_scales_coherence(self):
         p = 0.06
-        ch = phase_flip(p).channel
+        ch = KrausChannel(phase_flip(p).bulk)
         plus = np.full((2, 2), 0.5, dtype=complex)
         out = apply_channel(ch, plus)
         # independent 2x2 arithmetic: off-diagonals scale by 1 - 2p
@@ -149,7 +149,7 @@ class TestApplyChannel:
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho = z @ dagger(z)
         rho /= np.trace(rho)
-        out = apply_channel(phase_flip(0.3).channel, rho)
+        out = apply_channel(KrausChannel(phase_flip(0.3).bulk), rho)
         validate_density_matrix(out)
         assert abs(np.trace(out) - 1) < 1e-12
 
@@ -172,8 +172,8 @@ class TestValidators:
         (validate_density_matrix, _with_nan(basis_state(0, 2), 1, 1)),
         (validate_povm_element, _with_nan(basis_state(0, 2), 0, 0)),
         (lambda m: KrausChannel((m,)), _with_nan(I2, 1, 0)),
-        (lambda m: JointUnitary(m, basis_state(0, 2), 2), _with_nan(np.eye(4), 2, 1)),
-        (lambda m: JointUnitary(np.eye(4), m, 2), _with_nan(basis_state(0, 2), 0, 1)),
+        (lambda m: joint_unitary(m, basis_state(0, 2), 2), _with_nan(np.eye(4), 2, 1)),
+        (lambda m: joint_unitary(np.eye(4), m, 2), _with_nan(basis_state(0, 2), 0, 1)),
     ], ids=["unitary", "density_matrix", "povm_element", "kraus", "joint_unitary", "rho_env"])
     def test_nan_entry_rejected(self, check, matrix):
         with pytest.raises(InputError):

@@ -8,10 +8,10 @@ import pytest
 from rbmpo.average import clifford_averaged_asf
 from rbmpo.errors import InputError, NumericalError
 from rbmpo.noise import (
-    JointUnitary,
-    MarkovianChannel,
     amplitude_damping,
     depolarizing,
+    joint_unitary,
+    markovian_channel,
     phase_flip,
     spin_unitary,
 )
@@ -37,7 +37,7 @@ def haar_unitary(n, rng):
 
 
 def identity_model(dim=2):
-    return MarkovianChannel(KrausChannel((np.eye(dim, dtype=complex),)), label="identity")
+    return markovian_channel(KrausChannel((np.eye(dim, dtype=complex),)), label="identity")
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestRunSequence:
         assert abs(got - np.real(np.trace(POVM @ back))) < 1e-14
 
     def test_identity_joint_noise_gives_unity(self, cliffords):
-        model = JointUnitary(unitary=np.eye(4, dtype=complex), rho_env=basis_state(0, 2), d_env=2)
+        model = joint_unitary(np.eye(4, dtype=complex), basis_state(0, 2), 2)
         rng = np.random.default_rng(1)
         gates = sample_sequence(cliffords, 5, rng)
         assert abs(run_sequence(model, gates, RHO, POVM) - 1.0) < 1e-12
@@ -75,7 +75,7 @@ class TestRunSequence:
     @pytest.mark.parametrize("seed", range(4))
     def test_survival_in_unit_interval(self, cliffords, seed):
         rng = np.random.default_rng(700 + seed)
-        model = JointUnitary(unitary=haar_unitary(4, rng), rho_env=basis_state(0, 2), d_env=2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         gates = sample_sequence(cliffords, int(rng.integers(1, 8)), rng)
         f = run_sequence(model, gates, RHO, POVM)
         assert -1e-10 <= f <= 1 + 1e-10
@@ -85,8 +85,8 @@ class TestRunSequence:
         # a joint unitary I_env x u acts exactly like the Markovian channel u . u^dag
         rng = np.random.default_rng(800 + seed)
         u = haar_unitary(2, rng)
-        markov = MarkovianChannel(KrausChannel((u,)))
-        joint = JointUnitary(unitary=np.kron(np.eye(2), u), rho_env=basis_state(0, 2), d_env=2)
+        markov = markovian_channel(KrausChannel((u,)))
+        joint = joint_unitary(np.kron(np.eye(2), u), basis_state(0, 2), 2)
         gates = sample_sequence(cliffords, 4, rng)
         fa = run_sequence(markov, gates, RHO, POVM)
         fb = run_sequence(joint, gates, RHO, POVM)
@@ -94,10 +94,11 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("model", [
         phase_flip(0.06),
-        MarkovianChannel(amplitude_damping(0.3).channel, final=depolarizing(0.2).channel),
+        markovian_channel(KrausChannel(amplitude_damping(0.3).bulk),
+                          final=KrausChannel(depolarizing(0.2).bulk)),
         dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.3),
-                            prep=KrausChannel((np.kron(HADAMARD, I2),)),
-                            final=KrausChannel((np.kron(HADAMARD, I2),))),
+                            prep=(np.kron(HADAMARD, I2),),
+                            final=(np.kron(HADAMARD, I2),)),
     ], ids=["phase_flip", "markovian_final", "joint_prep_final"])
     def test_enumeration_mean_matches_closed_form(self, cliffords, model):
         vals = [run_sequence(model, [g], RHO, POVM) for g in cliffords.gates]
@@ -107,7 +108,7 @@ class TestRunSequence:
     def test_probability_escape_is_numerical(self, cliffords):
         # passes the 1e-9 unitarity check (defect 8e-10), yet six noise slots
         # inflate the survival probability to 1 + 2.4e-9
-        model = JointUnitary((1 + 2e-10) * np.eye(4, dtype=complex), basis_state(0, 2), 2)
+        model = joint_unitary((1 + 2e-10) * np.eye(4, dtype=complex), basis_state(0, 2), 2)
         with pytest.raises(NumericalError):
             run_sequence(model, [cliffords.gates[0]] * 5, RHO, POVM)
 

@@ -24,7 +24,7 @@ def test_experiment_config_round_trip():
     cfg = ExperimentConfig(noise=phase_flip(0.06), m_max=7, n_samples=13, seed=99)
     back = experiment_config_from_dict(experiment_config_to_dict(cfg))
     assert back.m_max == 7 and back.n_samples == 13 and back.seed == 99
-    for a, b in zip(cfg.noise.channel.operators, back.noise.channel.operators):
+    for a, b in zip(cfg.noise.bulk, back.noise.bulk):
         assert np.array_equal(a, b)
 
 
@@ -51,6 +51,7 @@ def test_learner_config_round_trip():
                            ("optimizer", {**d["optimizer"], "rate": -10**400}),
                            ("optimizer", {**d["optimizer"], "kind": ["adam"]}),
                            ("optimizer", {**d["optimizer"], "kind": "sgd"}),
+                           ("optimizer", 5), ("optimizer", ["adam"]),
                            # out of range
                            ("max_iterations", -5), ("unitarity_tol", -1), ("unitarity_tol", 0.0),
                            ("optimizer", {**d["optimizer"], "rate": -1e-3}),
