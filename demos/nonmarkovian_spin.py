@@ -26,13 +26,17 @@ cfg = ExperimentConfig(noise=noise, m_max=20, n_samples=100, seed=2024)
 curve = estimate_asf(cfg)
 fit = fit_exponential(curve)
 
-print(f"{'m':>3} {'sampled':>9} {'exp fit':>9} {'residual':>9}")
+print(f"{'m':>3} {'sampled':>9} {'fit':>9} {'residual':>9}")
 for m, mean in zip(curve.lengths, curve.means):
-    model = fit.amplitude * fit.decay**m + fit.offset
+    model = fit.amplitude * fit.decay**m + fit.offset + fit.slope * m
     print(f"{m:>3} {mean:>9.4f} {model:>9.4f} {mean - model:>+9.4f}")
 
 med_stderr = float(np.median(curve.stderrs))
-print(f"\nbest exponential fit: {fit.amplitude:.4f} * {fit.decay:.4f}^m + {fit.offset:.4f}")
+if fit.degenerate:
+    print(f"\nbest fit: the line {fit.offset:.4f} {fit.slope:+.6f} * m "
+          "(no exponential beats it; it is their p -> 1 limit)")
+else:
+    print(f"\nbest exponential fit: {fit.amplitude:.4f} * {fit.decay:.4f}^m + {fit.offset:.4f}")
 print(f"max residual {fit.max_residual:.4f} vs median stderr {med_stderr:.4f} "
       f"({fit.max_residual / med_stderr:.1f}x)")
 

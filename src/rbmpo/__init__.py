@@ -15,8 +15,6 @@ from .average import (
     ExpFit,
     clifford_averaged_asf,
     clifford_averaged_asf_curve,
-    env_loop_map,
-    env_mixed_map,
     fit_exponential,
 )
 from .learner import (
@@ -28,7 +26,7 @@ from .learner import (
     diagnose_markovianity,
     train,
 )
-from .linalg import SvdResult, principal_unitary_sqrt, project_to_unitary, svd
+from .linalg import principal_unitary_sqrt, project_to_unitary, svd
 from .noise import (
     NoiseSteps,
     amplitude_damping,
@@ -61,7 +59,6 @@ __all__ = [
     "LearnerConfig",
     "MarkovianityReport",
     "NoiseSteps",
-    "SvdResult",
     "TrainingResult",
     "amplitude_damping",
     "apply_channel",
@@ -70,8 +67,6 @@ __all__ = [
     "compile_undo",
     "depolarizing",
     "diagnose_markovianity",
-    "env_loop_map",
-    "env_mixed_map",
     "estimate_asf",
     "fit_exponential",
     "joint_unitary",

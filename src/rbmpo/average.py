@@ -199,18 +199,26 @@ def clifford_averaged_asf(
 
 @dataclass(frozen=True)
 class ExpFit:
-    """Least-squares fit of an ASF curve to amplitude * decay^m + offset."""
+    """Least-squares fit of an ASF curve to amplitude * decay^m + offset + slope * m.
+
+    ``slope`` is nonzero only for a ``degenerate`` fit: the line
+    offset + slope * m, the p -> 1 limit of the exponential family (A -> inf
+    with A (p - 1) -> slope), reported with amplitude 0 and decay 1 when no
+    exponential with p in [-1, 1) fits better.  A flat curve is its slope-0
+    case.  ``max_residual`` is the largest pointwise residual of the fit.
+    """
 
     amplitude: float
     decay: float
     offset: float
     max_residual: float
     degenerate: bool = False
+    slope: float = 0.0
 
 
-def _solve_linear(p: float, ms: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Best (A, B) for fixed decay p; returns (A, B, sse)."""
-    design = np.column_stack([p ** ms, np.ones_like(ms)])
+def _solve_linear(column: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Best (A, B) of ys ~ A * column + B; returns (A, B, sse)."""
+    design = np.column_stack([column, np.ones_like(column)])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     resid = design @ coef - ys
     return float(coef[0]), float(coef[1]), float(resid @ resid)
@@ -242,28 +250,30 @@ def golden_section(objective, lo: float, hi: float, tol: float, max_iter: int) -
 
 
 def fit_exponential(curve: AsfCurve) -> ExpFit:
-    """Fit A p^m + B with p constrained to [-1, 1].
+    """Fit A p^m + B with p constrained to [-1, 1), or its p -> 1 limit, a line.
 
     Deterministic: a fixed grid over p followed by golden-section refinement;
-    (A, B) are solved linearly at each candidate p.  A flat curve short-cuts
-    to the degenerate fit (p = 1, offset = mean).
+    (A, B) are solved linearly at each candidate p.  When the least-squares
+    line fits at least as well (to rounding), the line is returned as the
+    degenerate fit: without it a near-linear curve comes back as a huge A and
+    B cancelling at p = 1 - 1e-9.
     """
     if len(curve.lengths) < 4:
         raise InputError("exponential fit needs at least 4 points")
     ms = np.asarray(curve.lengths, dtype=np.float64)
     ys = np.asarray(curve.means, dtype=np.float64)
-    if float(ys.max() - ys.min()) < 1e-14:
-        mean = float(ys.mean())
-        resid = float(np.max(np.abs(ys - mean)))
-        return ExpFit(0.0, 1.0, mean, resid, degenerate=True)
 
     grid = np.linspace(-1.0, 1.0, 4001)
-    sses = np.array([_solve_linear(p, ms, ys)[2] for p in grid])
+    sses = np.array([_solve_linear(p ** ms, ys)[2] for p in grid])
     k = int(np.argmin(sses))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
 
-    p_best = golden_section(lambda p: _solve_linear(p, ms, ys)[2], lo, hi, 1e-15, 200)
-    amp, off, _ = _solve_linear(p_best, ms, ys)
+    p_best = golden_section(lambda p: _solve_linear(p ** ms, ys)[2], lo, hi, 1e-15, 200)
+    amp, off, sse = _solve_linear(p_best ** ms, ys)
+    slope, line_off, line_sse = _solve_linear(ms, ys)
+    if line_sse <= sse + len(ys) * (1e-14 * float(np.max(np.abs(ys)))) ** 2:
+        resid = float(np.max(np.abs(slope * ms + line_off - ys)))
+        return ExpFit(0.0, 1.0, line_off, resid, degenerate=True, slope=slope)
     resid = float(np.max(np.abs(amp * p_best ** ms + off - ys)))
     return ExpFit(amp, p_best, off, resid)

@@ -5,7 +5,8 @@ Subcommands:
 * ``generate`` — run the Monte Carlo RB engine from an experiment config and
   write the ASF table plus a run manifest;
 * ``learn`` — fit the unitary noise node to an ASF table and write the
-  training result and predicted curve;
+  training result and predicted curve; the state and POVM are those of the
+  ``generate`` manifest beside the table, or |0><0| without one;
 * ``diagnose`` — read a learned node and report its Markovianity;
 * ``selfcheck`` — run the desk-scale invariant suites.
 
@@ -93,8 +94,17 @@ def cmd_learn(args) -> int:
     if args.tol is not None:
         cfg_dict["convergence_divisor"] = args.tol
     cfg = learner_config_from_dict(cfg_dict)
-    rho = basis_state(0, 2)
-    povm = basis_state(0, 2)
+    # Fit the state and POVM the data were generated with, as echoed in the
+    # `generate` manifest beside them; |0><0| for both without one.
+    rho = povm = basis_state(0, 2)
+    inputs = [str(args.data), str(args.config)]
+    gen_path = Path(args.data).parent / "manifest.json"
+    if gen_path.is_file():
+        gen = load_json(gen_path)
+        if gen.get("command") == "generate":
+            experiment = experiment_config_from_dict(gen.get("config"))
+            rho, povm = experiment.rho_sys, experiment.povm
+            inputs.append(str(gen_path))
     result = train(data, rho, povm, cfg)
 
     out_dir = Path(args.out)
@@ -104,8 +114,7 @@ def cmd_learn(args) -> int:
     pred_path = out_dir / "predicted.csv"
     pred_path.write_text(result.predicted.to_csv(), encoding="utf-8")
     manifest = _manifest(
-        "learn", cfg_dict, [str(args.data), str(args.config)],
-        [str(result_path), str(pred_path)], started,
+        "learn", cfg_dict, inputs, [str(result_path), str(pred_path)], started
     )
     dump_json(manifest, out_dir / "manifest.json")
     summary = {

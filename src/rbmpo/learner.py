@@ -223,20 +223,14 @@ def split_truncate(joint_mat: np.ndarray, d_env: int) -> tuple[np.ndarray, np.nd
     d_sys = int(round(np.sqrt(k // d_env)))
     if d_env * d_sys * d_sys != k:
         raise ShapeError(f"cannot infer system dimension from shape {joint_mat.shape}")
-    res = svd(joint_mat)
-    sqrt_s = np.sqrt(res.s[:d_env])
-    u_part = res.u[:, :d_env] * sqrt_s
-    vh_part = sqrt_s[:, None] * dagger(res.v)[:d_env, :]
+    u, s, vh = svd(joint_mat)
+    sqrt_s = np.sqrt(s[:d_env])
+    u_part = u[:, :d_env] * sqrt_s
+    vh_part = sqrt_s[:, None] * vh[:d_env, :]
     n = d_env * d_sys
     upper = u_part.reshape(d_env, d_sys, d_sys, d_env).transpose(0, 1, 3, 2).reshape(n, n)
     lower = vh_part.reshape(d_env, d_env, d_sys, d_sys).transpose(0, 2, 1, 3).reshape(n, n)
     return upper, lower
-
-
-def project_pair(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Closest-unitary projection of both split factors, composed over the
-    bond into the two-slot propagator."""
-    return project_to_unitary(upper) @ project_to_unitary(lower)
 
 
 def replacement_node(
@@ -244,12 +238,15 @@ def replacement_node(
 ) -> np.ndarray:
     """Single-slot node that replaces every slot after a joint update.
 
-    The projected pair composed over the bond spans two time slots; the
-    time-independent per-slot node is its unitary square root, with the
-    branch chosen closest to ``near`` (the node being replaced), so that
-    splitting an unperturbed joint hands back the original node.
+    Both factors are projected onto the unitary group and composed over the
+    bond into the two-slot propagator; the time-independent per-slot node is
+    its unitary square root, with the branch chosen closest to ``near`` (the
+    node being replaced), so that splitting an unperturbed joint hands back
+    the original node.  Since project(A @ W) = project(A) @ W, a unitary W on
+    the bond (upper @ W, W^dag @ lower), such as the SVD's phase gauge, does
+    not change the result.
     """
-    return principal_unitary_sqrt(project_pair(upper, lower), near=near)
+    return principal_unitary_sqrt(project_to_unitary(upper) @ project_to_unitary(lower), near=near)
 
 
 def _unitarity_defect(node: np.ndarray) -> float:

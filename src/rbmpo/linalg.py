@@ -1,19 +1,17 @@
 """Dense complex linear algebra used throughout the toolkit.
 
 Everything here operates on plain ``numpy.ndarray`` matrices with
-``complex128`` entries.  The two non-obvious pieces are the deterministic
-phase convention applied on top of LAPACK's SVD (so factorizations and the
-truncations built on them are reproducible run to run) and the closest-unitary
+``complex128`` entries.  The one non-obvious piece is the closest-unitary
 projection, which is the constraint step of the learner's projected gradient
-descent.
+descent.  The SVD hands back LAPACK's factors as they come: no caller depends
+on the phase of a singular-vector pair, since U @ diag(s) @ Vh and U @ Vh do
+not.
 
 Tolerance conventions: 1e-12 for algebraic identities (unitarity of exact
 factors), 1e-10 for reconstructions from factors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,40 +36,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``m = u @ diag(s) @ v.conj().T`` with a fixed phase gauge.
+def svd(m):
+    """Thin SVD ``m = U @ diag(S) @ Vh``, as numpy's ``SVDResult(U, S, Vh)``.
 
-    ``u`` is rows x k, ``v`` is cols x k and ``s`` is length k with
+    ``U`` is rows x k, ``Vh`` is k x cols and ``S`` is length k with
     k = min(rows, cols), sorted non-increasing.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ dagger(self.v)
-
-
-def _fix_svd_phases(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each singular-vector pair so the largest-magnitude component of
-    the left vector is real positive.  Leaves u @ diag(s) @ v^dag unchanged."""
-    u = u.copy()
-    v = v.copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            phase = pivot / abs(pivot)
-            u[:, k] = col / phase
-            v[:, k] = v[:, k] * np.conj(phase)
-    return u, v
-
-
-def svd(m) -> SvdResult:
-    """Thin SVD with the deterministic phase convention.
 
     Raises:
         FactorizationError: if the underlying LAPACK routine fails to
@@ -79,19 +48,16 @@ def svd(m) -> SvdResult:
     """
     a = as_complex_matrix(m)
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}", a.shape[0], a.shape[1]) from exc
-    v = dagger(vh)
-    u, v = _fix_svd_phases(u, v)
-    return SvdResult(u=u, s=s.astype(np.float64), v=v)
 
 
 def project_to_unitary(x) -> np.ndarray:
     """Closest unitary to a full-rank square matrix in Frobenius norm.
 
-    With the SVD x = U S V^dag the minimizer over the unitary group is
-    U V^dag (replace the singular spectrum by the identity).
+    With the SVD x = U S Vh the minimizer over the unitary group is
+    U Vh (replace the singular spectrum by the identity).
 
     Raises:
         SingularMatrixError: if the smallest singular value is below
@@ -100,13 +66,13 @@ def project_to_unitary(x) -> np.ndarray:
     a = as_complex_matrix(x)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"unitary projection needs a square matrix, got {a.shape}")
-    res = svd(a)
-    if res.s[-1] <= RANK_TOL:
+    u, s, vh = svd(a)
+    if s[-1] <= RANK_TOL:
         raise SingularMatrixError(
-            f"matrix is rank deficient (smallest singular value {res.s[-1]:.3e}); "
+            f"matrix is rank deficient (smallest singular value {s[-1]:.3e}); "
             "closest-unitary projection is not well defined"
         )
-    return res.u @ dagger(res.v)
+    return u @ vh
 
 
 def principal_unitary_sqrt(u, near: np.ndarray | None = None) -> np.ndarray:

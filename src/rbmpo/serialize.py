@@ -130,9 +130,13 @@ def noise_model_from_dict(d: dict) -> NoiseSteps:
     def slot(name: str) -> KrausChannel | None:
         return channel(name) if name in d else None
 
+    label = d.get("label", kind)
+    if not isinstance(label, str):
+        raise InputError(f"{where} field 'label' must be a string, not {label!r}")
+
     if kind == "markovian":
         return markovian_channel(channel("kraus"), prep=slot("prep"), final=slot("final"),
-                                 label=d.get("label", "markovian"))
+                                 label=label)
     if kind == "joint_unitary":
         return joint_unitary(
             matrix_from_json_dict(_require(d, "unitary", where)),
@@ -140,7 +144,7 @@ def noise_model_from_dict(d: dict) -> NoiseSteps:
             _number(d, "d_env", int, where),
             prep=slot("prep"),
             final=slot("final"),
-            label=d.get("label", "joint_unitary"),
+            label=label,
         )
     raise InputError(f"unknown noise model kind {kind!r}")
 
@@ -159,7 +163,7 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    if d.get("kind") != "rb_experiment":
+    if _record(d, "experiment config").get("kind") != "rb_experiment":
         raise InputError(f"expected an rb_experiment config, got kind={d.get('kind')!r}")
     _check_schema(d, "experiment config")
     noise = noise_model_from_dict(_require(d, "noise", "experiment config"))

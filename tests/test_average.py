@@ -7,16 +7,16 @@ from rbmpo.average import (
     NoiseSteps,
     clifford_averaged_asf,
     clifford_averaged_asf_curve,
-    env_loop_map,
-    env_mixed_map,
+    env_maps,
     fit_exponential,
+    kraus_stack,
 )
 from rbmpo.errors import InputError, UnsupportedConfigurationError
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
 from rbmpo.quantum import (
     GateSet, HADAMARD, KrausChannel, basis_state, dagger, single_qubit_cliffords,
 )
-from rbmpo.rb import AsfCurve, run_sequence
+from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
@@ -28,11 +28,18 @@ def haar_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def mixed_and_loop(ops):
+    """The mixed and loop maps of a two-qubit slot as 4 x 4 superoperators on
+    row-major vectorized environment operators."""
+    stack = kraus_stack(ops, 2, 2)
+    mixed, loop = env_maps(stack, stack).reshape(2, 4, 4)
+    return mixed, loop
+
+
 class TestEnvMaps:
     def test_identity_step(self):
         ops = (np.eye(4, dtype=complex),)
-        loop = env_loop_map(ops, 2, 2)
-        mixed = env_mixed_map(ops, 2, 2)
+        mixed, loop = mixed_and_loop(ops)
         assert np.linalg.norm(loop - 4.0 * np.eye(4)) < 1e-12
         assert np.linalg.norm(mixed - np.eye(4)) < 1e-12
 
@@ -40,7 +47,7 @@ class TestEnvMaps:
         rng = np.random.default_rng(0)
         u = haar_unitary(2, rng)
         ops = (np.kron(u, np.eye(2)),)
-        loop = env_loop_map(ops, 2, 2)
+        _, loop = mixed_and_loop(ops)
         conj_action = np.kron(u, np.conj(u))  # vec_row superoperator of u . u^dag
         assert np.linalg.norm(loop - 4.0 * conj_action) < 1e-12
 
@@ -48,7 +55,7 @@ class TestEnvMaps:
         # phase flip on the system extended by identity on the environment
         ch = KrausChannel(phase_flip(0.3).bulk)
         ops = tuple(np.kron(np.eye(2), k) for k in ch.operators)
-        mixed = env_mixed_map(ops, 2, 2)
+        mixed, _ = mixed_and_loop(ops)
         assert np.linalg.norm(mixed - np.eye(4)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
@@ -57,8 +64,7 @@ class TestEnvMaps:
         rng = np.random.default_rng(900 + seed)
         lam = haar_unitary(4, rng)
         ops = (lam,)
-        loop = env_loop_map(ops, 2, 2)
-        mixed = env_mixed_map(ops, 2, 2)
+        mixed, loop = mixed_and_loop(ops)
         for a in range(2):
             for b in range(2):
                 eps = np.zeros((2, 2), dtype=complex)
@@ -81,7 +87,7 @@ class TestEnvMaps:
     def test_mixed_map_trace_preserving(self, seed):
         rng = np.random.default_rng(1000 + seed)
         lam = haar_unitary(4, rng)
-        mixed = env_mixed_map((lam,), 2, 2)
+        mixed, _ = mixed_and_loop((lam,))
         eps = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         out = (mixed @ eps.reshape(-1)).reshape(2, 2)
         assert abs(np.trace(out) - np.trace(eps)) < 1e-12
@@ -158,6 +164,25 @@ class TestExpFit:
         assert fit.degenerate
         assert fit.decay == 1.0
         assert abs(fit.amplitude + fit.offset - 0.8) < 1e-14
+
+    def test_exactly_linear_curve_gives_its_slope(self):
+        ms = tuple(range(1, 21))
+        fit = fit_exponential(AsfCurve(ms, tuple(0.95 - 0.004 * m for m in ms), (0.0,) * 20, 1))
+        assert fit.degenerate
+        assert fit.amplitude == 0.0 and fit.decay == 1.0
+        assert abs(fit.slope + 0.004) < 1e-12
+        assert abs(fit.offset - 0.95) < 1e-12
+
+    def test_near_linear_spin_data_reports_the_line(self):
+        # no exponential beats the least-squares line on these data: the SSE
+        # only falls toward the line's as p -> 1, where A and B diverge
+        cfg = ExperimentConfig(noise=spin_unitary(1.2, 1.17, -1.15, 0.05), m_max=20,
+                               n_samples=100, seed=2024)
+        fit = fit_exponential(estimate_asf(cfg))
+        assert fit.degenerate
+        assert fit.amplitude == 0.0 and fit.decay == 1.0
+        assert abs(fit.slope + 3.79e-3) < 1e-5
+        assert abs(fit.max_residual - 0.0126887144) < 1e-10
 
     def test_needs_four_points(self):
         with pytest.raises(InputError):

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rbmpo.cli as cli_mod
 from rbmpo.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_NUMERICAL, EXIT_OK, main
-from rbmpo.learner import Adagrad, LearnerConfig
+from rbmpo.learner import Adagrad, LearnerConfig, train
 from rbmpo.linalg import matrix_to_json_dict
+from rbmpo.quantum import basis_state
 from rbmpo.serialize import dump_json, learner_config_to_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -96,7 +98,9 @@ class TestGenerate:
                                        {"kind": "identity", "dim": -1},
                                        {"kind": "joint_unitary", "d_env": 2,
                                         "unitary": nan_matrix_record(4, 0, 0),
-                                        "rho_env": matrix_to_json_dict(np.diag([1.0, 0.0]))}])
+                                        "rho_env": matrix_to_json_dict(np.diag([1.0, 0.0]))},
+                                       {"kind": "markovian", "label": 5,
+                                        "kraus": [matrix_to_json_dict(np.eye(2))]}])
     def test_mistyped_noise_parameter_is_input_error(self, tmp_path, noise):
         cfg = tmp_path / "bad.json"
         dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
@@ -170,6 +174,41 @@ class TestLearn:
         rc = main(["learn", str(data), str(lcfg), "-o", str(tmp_path / "fit"),
                    "--tol", "1e9", "--require-convergence"])
         assert rc == EXIT_NOT_CONVERGED
+
+    def test_learn_fits_the_generated_state_and_povm(self, tmp_path, monkeypatch):
+        one = basis_state(1, 2)
+        cfg = tmp_path / "cfg.json"
+        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 4,
+                   "n_samples": 5, "noise": {"kind": "phase_flip", "p": 0.06},
+                   "povm": matrix_to_json_dict(one)}, cfg)
+        assert main(["generate", str(cfg), "-o", str(tmp_path / "data")]) == EXIT_OK
+        seen = {}
+
+        def spy(data, rho_sys, povm, config):
+            seen.update(rho_sys=rho_sys, povm=povm)
+            return train(data, rho_sys, povm, config)
+
+        monkeypatch.setattr(cli_mod, "train", spy)
+        lcfg = tmp_path / "learner.json"
+        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
+        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "fit")])
+        assert rc == EXIT_OK
+        assert np.array_equal(seen["povm"], one)
+        assert np.array_equal(seen["rho_sys"], basis_state(0, 2))
+        inputs = json.loads((tmp_path / "fit" / "manifest.json").read_text())["inputs"]
+        assert str(tmp_path / "data" / "manifest.json") in inputs
+
+    @pytest.mark.parametrize("config", [[1, 2], {"kind": "rb_experiment", "seed": 1}])
+    def test_malformed_generate_manifest_is_input_error(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        write_identity_config(cfg, m_max=4, n_samples=2)
+        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
+        manifest = tmp_path / "data" / "manifest.json"
+        dump_json({**json.loads(manifest.read_text()), "config": config}, manifest)
+        lcfg = tmp_path / "learner.json"
+        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
+        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
 
     def test_learn_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

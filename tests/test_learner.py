@@ -16,7 +16,6 @@ from rbmpo.learner import (
     evaluate,
     gradient_joint,
     predicted_curve,
-    project_pair,
     replacement_node,
     saddle_departure,
     split_truncate,
@@ -137,23 +136,6 @@ class TestSplitProject:
         recon = joint_node(upper, lower, 2, 2).reshape(8, 8)
         assert np.linalg.norm(recon - mat) < 1e-10
 
-    def test_project_pair_on_unitaries(self):
-        rng = np.random.default_rng(5)
-        a, b = haar_unitary(4, rng), haar_unitary(4, rng)
-        assert np.linalg.norm(project_pair(a, b) - a @ b) < 1e-12
-
-    def test_project_pair_scale_invariant(self):
-        rng = np.random.default_rng(6)
-        a, b = haar_unitary(4, rng), haar_unitary(4, rng)
-        assert np.linalg.norm(project_pair(2.0 * a, 3.0 * b) - project_pair(a, b)) < 1e-12
-
-    def test_project_pair_unitary_output(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lam = project_pair(x, y)
-        assert np.linalg.norm(dagger(lam) @ lam - np.eye(4)) < 1e-12
-
     def test_replacement_node_restores_shared_node(self):
         # splitting the unperturbed joint of a shared node and recombining
         # must hand back that node
@@ -163,6 +145,22 @@ class TestSplitProject:
         upper, lower = split_truncate(joint, 2)
         lam_back = replacement_node(upper, lower, near=lam)
         assert np.linalg.norm(lam_back - lam) < 1e-10
+
+    def test_replacement_node_ignores_bond_unitaries(self):
+        # a unitary W on the bond of the split factors changes neither the
+        # joint node nor the replacement node, so neither depends on the
+        # SVD's choice of singular-vector phases
+        for seed in range(20):
+            rng = np.random.default_rng(1500 + seed)
+            lam = haar_unitary(4, rng)
+            noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            joint = joint_node(lam, lam, 2, 2).reshape(8, 8) + 0.01 * noise
+            upper, lower = split_truncate(joint, 2)
+            w = np.kron(haar_unitary(2, rng), np.eye(2))
+            moved = joint_node(upper @ w, dagger(w) @ lower, 2, 2) - joint_node(upper, lower, 2, 2)
+            assert np.linalg.norm(moved) < 1e-12
+            turned = replacement_node(upper @ w, dagger(w) @ lower, near=lam)
+            assert np.linalg.norm(turned - replacement_node(upper, lower, near=lam)) < 1e-12
 
 
 class TestGradient:

@@ -27,20 +27,20 @@ def random_complex(n, rng):
 class TestSvd:
     def test_identity(self):
         res = svd(np.eye(2))
-        assert np.allclose(res.u, np.eye(2))
-        assert np.allclose(res.s, [1.0, 1.0])
-        assert np.allclose(res.v, np.eye(2))
+        assert np.allclose(res.U, np.eye(2))
+        assert np.allclose(res.S, [1.0, 1.0])
+        assert np.allclose(res.Vh, np.eye(2))
 
     def test_diagonal_positive(self):
         res = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(res.s, [3.0, 1.0])
+        assert np.allclose(res.S, [3.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction(self, seed):
         rng = np.random.default_rng(seed)
         m = random_complex(4, rng)
         res = svd(m)
-        rel = np.linalg.norm(res.reconstruct() - m) / np.linalg.norm(m)
+        rel = np.linalg.norm((res.U * res.S) @ res.Vh - m) / np.linalg.norm(m)
         assert rel < 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
@@ -49,31 +49,22 @@ class TestSvd:
         m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         res = svd(m)
         k = min(m.shape)
-        assert np.linalg.norm(dagger(res.u) @ res.u - np.eye(k)) < 1e-12
-        assert np.linalg.norm(dagger(res.v) @ res.v - np.eye(k)) < 1e-12
-        assert np.all(np.diff(res.s) <= 1e-14)
-
-    def test_phase_convention_pins_largest_component(self):
-        rng = np.random.default_rng(3)
-        m = random_complex(4, rng)
-        res = svd(m)
-        for k in range(4):
-            idx = np.argmax(np.abs(res.u[:, k]))
-            pivot = res.u[idx, k]
-            assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+        assert np.linalg.norm(dagger(res.U) @ res.U - np.eye(k)) < 1e-12
+        assert np.linalg.norm(res.Vh @ dagger(res.Vh) - np.eye(k)) < 1e-12
+        assert np.all(np.diff(res.S) <= 1e-14)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         m = random_complex(4, rng)
         a, b = svd(m.copy()), svd(m.copy())
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.s, b.s) and np.array_equal(a.v, b.v)
+        assert np.array_equal(a.U, b.U) and np.array_equal(a.S, b.S) and np.array_equal(a.Vh, b.Vh)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_singular_values_unitary_invariant(self, seed):
         rng = np.random.default_rng(200 + seed)
         m = random_complex(4, rng)
         u, v = haar_unitary(4, rng), haar_unitary(4, rng)
-        assert np.allclose(svd(u @ m @ v).s, svd(m).s, atol=1e-10)
+        assert np.allclose(svd(u @ m @ v).S, svd(m).S, atol=1e-10)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ShapeError):
@@ -90,6 +81,9 @@ class TestProjectToUnitary:
 
     def test_positive_scale_of_identity(self):
         assert np.linalg.norm(project_to_unitary(2.0 * np.eye(2)) - np.eye(2)) < 1e-12
+        # any positive scale leaves the projection unchanged
+        x = random_complex(4, np.random.default_rng(6))
+        assert np.linalg.norm(project_to_unitary(3.0 * x) - project_to_unitary(x)) < 1e-12
 
     def test_diag_signs(self):
         # closest unitary to diag(3, -1) keeps the signs

@@ -180,6 +180,9 @@ class TestSerialization:
         {"kind": "markovian", "kraus": [matrix_to_json_dict(I2)], "final": 5},
         {"kind": "joint_unitary", "unitary": matrix_to_json_dict(np.eye(4)),
          "rho_env": matrix_to_json_dict(basis_state(0, 2)), "d_env": 2, "prep": {"rows": 4}},
+        {"kind": "markovian", "kraus": [matrix_to_json_dict(I2)], "label": 5},
+        {"kind": "joint_unitary", "unitary": matrix_to_json_dict(np.eye(4)),
+         "rho_env": matrix_to_json_dict(basis_state(0, 2)), "d_env": 2, "label": ["spin"]},
     ])
     def test_mistyped_records_are_input_errors(self, record):
         with pytest.raises(InputError):
