@@ -6,7 +6,8 @@ Subcommands:
   write the ASF table plus a run manifest;
 * ``learn`` — fit the unitary noise node to an ASF table and write the
   training result and predicted curve; the state and POVM are those of the
-  ``generate`` manifest beside the table, or |0><0| without one;
+  ``generate`` manifest beside the table, or |0><0| without one, and its
+  output directory may not be the table's own (that manifest would be lost);
 * ``diagnose`` — read a learned node and report its Markovianity;
 * ``selfcheck`` — run the desk-scale invariant suites.
 
@@ -14,7 +15,8 @@ Every command is a pure function of its input bytes and the seed: rerunning
 with the same config produces byte-identical data outputs (the manifest
 records wall-clock time and is the one file that differs).
 
-Exit codes: 0 success, 1 input error, 2 numerical failure, 3 non-convergence
+Exit codes: 0 success, 1 input error (a malformed or unreadable input, an
+output directory that cannot be made), 2 numerical failure, 3 non-convergence
 (learn only, with --require-convergence).
 """
 
@@ -63,14 +65,23 @@ def _manifest(command: str, config_echo: dict, inputs: list[str],
     }
 
 
+def _out_dir(path: str) -> Path:
+    """Output directory `path`, made if missing; one that cannot be is an input error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {path}: {exc.strerror}") from None
+    return out
+
+
 def cmd_generate(args) -> int:
     started = time.monotonic()
     cfg_dict = load_json(args.config)
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = experiment_config_from_dict(cfg_dict)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     curve = estimate_asf(cfg)
     curve_path = out_dir / "asf.csv"
     curve_path.write_text(curve.to_csv(), encoding="utf-8")
@@ -89,10 +100,6 @@ def cmd_learn(args) -> int:
     started = time.monotonic()
     data = load_curve(args.data)
     cfg_dict = load_json(args.config)
-    if args.max_iters is not None:
-        cfg_dict["max_iterations"] = args.max_iters
-    if args.tol is not None:
-        cfg_dict["convergence_divisor"] = args.tol
     cfg = learner_config_from_dict(cfg_dict)
     # Fit the state and POVM the data were generated with, as echoed in the
     # `generate` manifest beside them; |0><0| for both without one.
@@ -102,13 +109,14 @@ def cmd_learn(args) -> int:
     if gen_path.is_file():
         gen = load_json(gen_path)
         if gen.get("command") == "generate":
+            if Path(args.out).resolve() == gen_path.parent.resolve():
+                raise InputError(f"-o {args.out} would overwrite the generate manifest {gen_path}")
             experiment = experiment_config_from_dict(gen.get("config"))
             rho, povm = experiment.rho_sys, experiment.povm
             inputs.append(str(gen_path))
+    out_dir = _out_dir(args.out)
     result = train(data, rho, povm, cfg)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "result.json"
     dump_json(training_result_to_dict(result, cfg), result_path)
     pred_path = out_dir / "predicted.csv"
@@ -198,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="ASF curve (CSV from `generate`)")
     p.add_argument("config", help="learner config (JSON)")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--max-iters", type=int, default=None, help="override max iterations")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the convergence divisor (larger = stricter)")
     p.add_argument("--require-convergence", action="store_true",
                    help="exit 3 if the l1 target is not reached")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
@@ -223,18 +228,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, ConvergenceError):
+            return EXIT_NOT_CONVERGED
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

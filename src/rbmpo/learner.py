@@ -129,13 +129,17 @@ OptimizerConfig = Union[Adagrad, Adam]
 # configuration and result
 # --------------------------------------------------------------------------
 
+#: Largest ||U^dag U - I||_F a node may have: a sweep update beyond it is a
+#: numerical failure, and :func:`diagnose_markovianity` rejects such a node.
+UNITARITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     d_env: int = 2
     optimizer: OptimizerConfig = field(default_factory=Adagrad)
     max_iterations: int = 200
     convergence_divisor: float = 1.0
-    unitarity_tol: float = 1e-9
     departure_rounds: int = 8
 
     def __post_init__(self):
@@ -147,8 +151,6 @@ class LearnerConfig:
             raise DomainError("departure_rounds must be >= 0")
         if self.max_iterations < 0:
             raise DomainError("max_iterations must be >= 0")
-        if not self.unitarity_tol > 0.0:
-            raise DomainError("unitarity_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -421,10 +423,8 @@ def sweep_iteration(
     upper, lower = split_truncate((joint + update).reshape(k, k), d_env)
     new_node = replacement_node(upper, lower, near=node)
     defect = _unitarity_defect(new_node)
-    if not defect <= config.unitarity_tol:
-        raise NumericalError(
-            f"updated node violates unitarity ({defect:.3e} > {config.unitarity_tol})"
-        )
+    if not defect <= UNITARITY_TOL:
+        raise NumericalError(f"updated node violates unitarity ({defect:.3e} > {UNITARITY_TOL})")
     return new_node
 
 
@@ -509,7 +509,7 @@ def diagnose_markovianity(
     """
     if not 0.0 <= tol < np.inf:
         raise DomainError(f"Markovianity tolerance must be finite and >= 0, got {tol}")
-    node = validate_unitary(node, tol=1e-9, name="noise node")
+    node = validate_unitary(node, tol=UNITARITY_TOL, name="noise node")
     dim = node.shape[0]
     if dim % d_env != 0:
         raise ShapeError(f"node dimension {dim} not divisible by d_env {d_env}")

@@ -177,85 +177,71 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
-#: Optimizer records by their "kind" tag; each field is a real with its dataclass default.
+#: Optimizer records by their "kind" tag.
 _OPTIMIZERS = {opt.kind: opt for opt in (Adagrad, Adam)}
+
+#: Removed learner options: config files may still name them, at their only values in use.
+_RETIRED = {"sweep_order": "ascending", "update_jitter": 0.0, "unitarity_tol": 1e-9}
+
+
+def _fields(cls, d: dict, where: str, extra: set[str]) -> dict:
+    """Keyword arguments for dataclass `cls` from record `d`: each defaulted
+    field is read by :func:`_number` as its default's type, with that default.
+    A key that is neither such a field nor in `extra` is an input error."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    unknown = sorted(set(d) - set(defaults) - extra)
+    if unknown:
+        raise InputError(f"{where} has unknown fields {unknown}")
+    return {k: _number(d, k, type(v), where, v) for k, v in defaults.items()}
 
 
 def learner_config_to_dict(cfg: LearnerConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "learner",
-        "d_env": cfg.d_env,
-        "optimizer": {"kind": cfg.optimizer.kind, **dataclasses.asdict(cfg.optimizer)},
-        "max_iterations": cfg.max_iterations,
-        "convergence_divisor": cfg.convergence_divisor,
-        "unitarity_tol": cfg.unitarity_tol,
-        "departure_rounds": cfg.departure_rounds,
-    }
+    return {**dataclasses.asdict(cfg), "schema_version": SCHEMA_VERSION, "kind": "learner",
+            "optimizer": {"kind": cfg.optimizer.kind, **dataclasses.asdict(cfg.optimizer)}}
 
 
 def learner_config_from_dict(d: dict) -> LearnerConfig:
-    if _record(d, "learner config").get("kind") != "learner":
+    where = "learner config"
+    if _record(d, where).get("kind") != "learner":
         raise InputError(f"expected a learner config, got kind={d.get('kind')!r}")
-    _check_schema(d, "learner config")
-    opt_rec = _record(_require(d, "optimizer", "learner config"), "optimizer record")
+    _check_schema(d, where)
+    opt_rec = _record(_require(d, "optimizer", where), "optimizer record")
     opt_kind = _require(opt_rec, "kind", "optimizer record")
     opt_cls = _OPTIMIZERS.get(opt_kind) if isinstance(opt_kind, str) else None
     if opt_cls is None:
         raise InputError(f"unknown optimizer kind {opt_kind!r}")
-    optimizer = opt_cls(**{
-        f.name: _number(opt_rec, f.name, float, "optimizer record", f.default)
-        for f in dataclasses.fields(opt_cls)
-    })
-    # removed options: config files may still name them, at their only values in use
-    for key, only in (("sweep_order", "ascending"), ("update_jitter", 0.0)):
+    optimizer = opt_cls(**_fields(opt_cls, opt_rec, "optimizer record", {"kind"}))
+    for key, only in _RETIRED.items():
         if d.get(key, only) != only:
             raise InputError(f"learner config key {key!r} only accepts {only!r}, got {d[key]!r}")
-    where = "learner config"
     _number(d, "seed", int, where, 0)  # ignored, but still type-checked
-    return LearnerConfig(
-        d_env=_number(d, "d_env", int, where, 2),
-        optimizer=optimizer,
-        max_iterations=_number(d, "max_iterations", int, where, 200),
-        convergence_divisor=_number(d, "convergence_divisor", float, where, 1.0),
-        unitarity_tol=_number(d, "unitarity_tol", float, where, 1e-9),
-        departure_rounds=_number(d, "departure_rounds", int, where, 8),
-    )
-
-
-def curve_to_dict(curve: AsfCurve) -> dict:
-    return {
-        "kind": "asf_curve",
-        "lengths": list(curve.lengths),
-        "means": list(curve.means),
-        "stderrs": list(curve.stderrs),
-        "n_samples": curve.n_samples,
-    }
+    return LearnerConfig(optimizer=optimizer, **_fields(
+        LearnerConfig, d, where, {"kind", "schema_version", "optimizer", "seed", *_RETIRED}))
 
 
 def training_result_to_dict(result: TrainingResult, config: LearnerConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "training_result",
-        "node": matrix_to_json_dict(result.node),
-        "predicted": curve_to_dict(result.predicted),
-        "cost_trace": list(result.cost_trace),
-        "l1_trace": list(result.l1_trace),
-        "unitarity_trace": list(result.unitarity_trace),
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "best_iteration": result.best_iteration,
-        "config": learner_config_to_dict(config),
-    }
+    return {**dataclasses.asdict(result), "schema_version": SCHEMA_VERSION,
+            "kind": "training_result", "node": matrix_to_json_dict(result.node),
+            "predicted": {"kind": "asf_curve", **dataclasses.asdict(result.predicted)},
+            "config": learner_config_to_dict(config)}
+
+
+def _read_text(path) -> str:
+    """The text of file `path`; a missing, unreadable or non-UTF-8 file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text") from None
 
 
 def load_json(path) -> dict:
     """The JSON object in file `path`; any other top-level value is an input error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
+        d = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: line {exc.lineno}, {exc.msg}") from exc
     return _record(d, str(path))
@@ -287,8 +273,4 @@ def node_matrix_from_file(path) -> np.ndarray:
 
 
 def load_curve(path) -> AsfCurve:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return AsfCurve.from_csv(fh.read())
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
+    return AsfCurve.from_csv(_read_text(path))

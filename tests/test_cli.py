@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rbmpo.cli as cli_mod
+import rbmpo.learner as learner_mod
 from rbmpo.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_NUMERICAL, EXIT_OK, main
 from rbmpo.learner import Adagrad, LearnerConfig, train
 from rbmpo.linalg import matrix_to_json_dict
@@ -170,9 +171,10 @@ class TestLearn:
         data = tmp_path / "doctored.csv"
         data.write_text("\n".join(doctored) + "\n")
         lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg, max_iterations=2, departure_rounds=1)
+        write_learner_config(lcfg, max_iterations=2, departure_rounds=1,
+                             convergence_divisor=1e9)
         rc = main(["learn", str(data), str(lcfg), "-o", str(tmp_path / "fit"),
-                   "--tol", "1e9", "--require-convergence"])
+                   "--require-convergence"])
         assert rc == EXIT_NOT_CONVERGED
 
     def test_learn_fits_the_generated_state_and_povm(self, tmp_path, monkeypatch):
@@ -209,6 +211,34 @@ class TestLearn:
         write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
         rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("out", [("data",), ("data", "..", "data")])
+    def test_output_over_the_generate_manifest_is_input_error(self, tmp_path, out):
+        cfg = tmp_path / "cfg.json"
+        write_identity_config(cfg, m_max=4, n_samples=2)
+        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
+        manifest = tmp_path / "data" / "manifest.json"
+        before = manifest.read_bytes()
+        lcfg = tmp_path / "learner.json"
+        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
+        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg),
+                   "-o", str(tmp_path.joinpath(*out))])
+        assert rc == EXIT_INPUT
+        assert manifest.read_bytes() == before
+        assert not (tmp_path / "data" / "result.json").exists()
+
+    def test_non_unitary_sweep_update_exits_2(self, tmp_path, monkeypatch):
+        exact = learner_mod.replacement_node
+        monkeypatch.setattr(learner_mod, "replacement_node",
+                            lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
+        cfg = tmp_path / "cfg.json"
+        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 4,
+                   "n_samples": 5, "noise": {"kind": "phase_flip", "p": 0.06}}, cfg)
+        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
+        lcfg = tmp_path / "learner.json"
+        write_learner_config(lcfg, departure_rounds=1, max_iterations=1, convergence_divisor=1e9)
+        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERICAL
 
     def test_learn_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -323,11 +353,33 @@ class TestParsing:
         result = tmp_path / "result.json"
         dump_json({"kind": "training_result", "config": [1, 2],
                    "node": matrix_to_json_dict(np.eye(4))}, result)
+        cfg, lcfg = tmp_path / "cfg.json", tmp_path / "learner.json"
+        write_identity_config(cfg)
+        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
+        latin1 = tmp_path / "latin1.json"  # not UTF-8
+        latin1.write_bytes(b'{"kind": "learner", "label": "\xe9"}\n')
+        latin1_csv = tmp_path / "latin1.csv"
+        latin1_csv.write_bytes(b"m,mean,stderr,n_samples\n1,0.9,0.01,10 \xe9\n")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
         for argv in (["generate", str(bad), "-o", str(tmp_path / "g")],
                      ["learn", str(data), str(bad), "-o", str(tmp_path / "l")],
-                     ["diagnose", str(bad)], ["diagnose", str(result)]):
+                     ["diagnose", str(bad)], ["diagnose", str(result)],
+                     # a directory as an input file
+                     ["generate", str(tmp_path), "-o", str(tmp_path / "g")],
+                     ["learn", str(tmp_path), str(lcfg), "-o", str(tmp_path / "l")],
+                     ["learn", str(data), str(tmp_path), "-o", str(tmp_path / "l")],
+                     ["diagnose", str(tmp_path)],
+                     # a file that is not UTF-8 text
+                     ["generate", str(latin1), "-o", str(tmp_path / "g")],
+                     ["learn", str(latin1_csv), str(lcfg), "-o", str(tmp_path / "l")],
+                     ["learn", str(data), str(latin1), "-o", str(tmp_path / "l")],
+                     ["diagnose", str(latin1)],
+                     # an output directory that names an existing file
+                     ["generate", str(cfg), "-o", str(a_file)],
+                     ["learn", str(data), str(lcfg), "-o", str(a_file)]):
             run = subprocess.run([sys.executable, "-m", "rbmpo.cli", *argv], env=env,
                                  capture_output=True, text=True, timeout=60)
             assert run.returncode == EXIT_INPUT, (argv[0], run.stderr)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rbmpo.average import NoiseSteps, clifford_averaged_asf
-from rbmpo.errors import InputError, ShapeError
+from rbmpo.errors import InputError, NumericalError, ShapeError
 from rbmpo.learner import (
     Adagrad,
     Adam,
@@ -312,6 +312,17 @@ class TestSweep:
             defects.append(_unitarity_defect(node))
             fit = evaluate(node, 2, phase_flip_data, RHO, POVM)
         assert max(defects) <= 1e-9
+
+    def test_non_unitary_update_is_numerical_error(self, phase_flip_data, monkeypatch):
+        exact = learner_mod.replacement_node
+        monkeypatch.setattr(learner_mod, "replacement_node",
+                            lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
+        lam = haar_unitary(4, np.random.default_rng(5))
+        config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
+        acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
+        fit = evaluate(lam, 2, phase_flip_data, RHO, POVM)
+        with pytest.raises(NumericalError, match="unitarity"):
+            sweep_iteration(fit, acc, 0, phase_flip_data, RHO, POVM, config)
 
 
 class TestDeparture:

@@ -35,8 +35,8 @@ def test_learner_config_round_trip():
         d = learner_config_to_dict(cfg)
         assert learner_config_from_dict(d) == cfg
         # removed options still parse at their only values in use, and nowhere else
-        assert learner_config_from_dict(
-            {**d, "sweep_order": "ascending", "update_jitter": 0.0, "seed": 1}) == cfg
+        assert learner_config_from_dict({**d, "sweep_order": "ascending", "update_jitter": 0.0,
+                                         "unitarity_tol": 1e-9, "seed": 1}) == cfg
         for key, value in (("sweep_order", "descending"), ("update_jitter", 1e-3),
                            ("seed", "1"), ("seed", 1.5), ("seed", True),
                            ("max_iterations", 2.9), ("d_env", "2"), ("departure_rounds", True),
@@ -52,6 +52,8 @@ def test_learner_config_round_trip():
                            ("optimizer", {**d["optimizer"], "kind": ["adam"]}),
                            ("optimizer", {**d["optimizer"], "kind": "sgd"}),
                            ("optimizer", 5), ("optimizer", ["adam"]),
+                           # unknown keys
+                           ("max_iteration", 5), ("optimizer", {**d["optimizer"], "rte": 0.5}),
                            # out of range
                            ("max_iterations", -5), ("unitarity_tol", -1), ("unitarity_tol", 0.0),
                            ("optimizer", {**d["optimizer"], "rate": -1e-3}),
@@ -61,7 +63,8 @@ def test_learner_config_round_trip():
                           (("optimizer", {**d["optimizer"], "beta1": 1.0}),
                            ("optimizer", {**d["optimizer"], "beta1": -0.1}),
                            ("optimizer", {**d["optimizer"], "beta2": 1.5}))
-                          if isinstance(opt, Adam) else ()):
+                          if isinstance(opt, Adam) else
+                          (("optimizer", {**d["optimizer"], "beta1": 0.3}),)):
             with pytest.raises(InputError):
                 learner_config_from_dict({**d, key: value})
     # a real field takes an integer as well
