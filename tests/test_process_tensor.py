@@ -79,10 +79,21 @@ class TestDenseOracle:
         ups = dense_noise_tensor(steps, 1)
         assert ups.shape == (2,) * 12  # 4(m+2) legs at m=1
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_averaged_dense_matches_closed_form(self, m):
+    @pytest.mark.parametrize(
+        "m, variant",
+        [(m, v) for v in (None, "ad-final", "spam") for m in (1, 2, 3)],
+        ids=[f"{m}{'-' + v if v else ''}" for v in (None, "ad-final", "spam") for m in (1, 2, 3)])
+    def test_averaged_dense_matches_closed_form(self, m, variant):
+        # the Kraus slots share one index per slot; the spam model's raw
+        # preparation and final slots are Haar unitaries of their own
         rng = np.random.default_rng(1300 + m)
-        model = random_model(rng)
+        if variant == "ad-final":
+            model = dataclasses.replace(amplitude_damping(0.3), final=depolarizing(0.2).bulk)
+        else:
+            model = random_model(rng)
+        if variant == "spam":
+            model = dataclasses.replace(model, prep=(haar_unitary(4, rng),),
+                                        final=(haar_unitary(4, rng),))
         dense = contract_asf_dense_averaged(model, m, RHO, POVM)
         exact = clifford_averaged_asf(model, RHO, POVM, m)
         assert abs(dense - exact) < 1e-10
