@@ -1,26 +1,27 @@
 """Process-tensor machinery: dense oracles and node-local contractions.
 
-The RB fidelity of one sequence is an inner product of two rank-4(m+2)
-tensors: a noise tensor holding the per-slot noise nodes and the fiducial
-environment state, and a control tensor holding the gates, the initial system
-state and the measurement.  This module provides
+The RB fidelity of one sequence is a noise tensor, holding the per-slot noise
+nodes and the fiducial environment state, contracted with the control
+operations: the gates, the initial system state and the measurement.  This
+module provides
 
-* the dense noise tensor, with its legs in slot order, and the dense
-  2-design-averaged control tensor.  The noise tensor is contracted either
-  with one sequence's gates, state and measurement, or with the averaged
-  control tensor.  Both are exponentially large in m, capped at
-  ``DENSE_ORACLE_MAX_M``, and kept as the brute-force oracle everything else
-  is tested against;
+* the dense noise tensor, built slot by slot with its legs in slot order.  It
+  is contracted either with one sequence's gates, state and measurement, or
+  with the two delta-pattern chains that the 2-design average of the gates
+  collapses into; no dense control tensor is built.  The noise tensor is
+  exponentially large in m, capped at ``DENSE_ORACLE_MAX_M``, and kept as the
+  brute-force oracle everything else is tested against;
 * the averaged fidelity with one *joint node* (two adjacent noise slots
   fused over their environment bond) left free.  The environments on either
   side of the node are propagated with the averaged step of
   :mod:`rbmpo.average` (forwards for the state, with transposed maps
-  backwards for the measurement), and the node's own two slots apply the
-  same step to maps built from explicit (ket, bra) nodes.  The fidelity is
-  linear in the free node and in the pulled-back measurement, so
-  :func:`asf_joint_coefficient` returns the coefficient tensor summed over
-  lengths with any weights in one forward and one backward pass.  With the
-  residuals as weights that sum is the sweeping learner's gradient.
+  backwards for the measurement), and one contraction applies the same step
+  to the node's own two slots, built from explicit (ket, bra) nodes.  The
+  fidelity is linear in the free node and in the pulled-back measurement, so
+  :func:`asf_joint_coefficient` feeds that contraction a basis of nodes and
+  returns the coefficient tensor summed over lengths with any weights in one
+  forward and one backward pass.  With the residuals as weights that sum is
+  the sweeping learner's gradient.
 
 Layout conventions: an operator X on environment x system is stored either
 as a dim x dim matrix or as a 4-axis array X[e, s, f, t] = <es|X|ft>.  A
@@ -49,9 +50,9 @@ from .errors import InputError, ResourceLimitError, ShapeError
 from .noise import NoiseSteps
 from .quantum import compile_undo
 
-#: Largest sequence length the dense tensors are built for (d_sys = 2 keeps
-#: each tensor at 2^{4(m+2)} entries, ~268 MB at the cap).  The per-sequence
-#: oracle builds only the noise tensor and contracts the gates into it.
+#: Largest sequence length the dense noise tensor is built for (d_sys = 2
+#: keeps it at 2^{4(m+2)} entries, ~268 MB at the cap).  Both oracles build
+#: only the noise tensor and contract the control operations into it.
 DENSE_ORACLE_MAX_M = 4
 
 
@@ -59,100 +60,26 @@ DENSE_ORACLE_MAX_M = 4
 # dense oracle
 # --------------------------------------------------------------------------
 
-def _check_dense_cap(m: int):
-    if m > DENSE_ORACLE_MAX_M:
-        raise ResourceLimitError(
-            f"dense process-tensor contraction is capped at m <= {DENSE_ORACLE_MAX_M} "
-            f"(requested m = {m}); use the superoperator path for longer sequences"
-        )
-
-
 def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     """Dense noise tensor for sequence length m.
 
     Output axes, slot by slot: (s_0, s_0', z_0, z_0', ..., s_{m+1}, s_{m+1}',
-    z_{m+1}, z_{m+1}') where s legs come from the node chain and z legs from
-    its conjugate.  Kraus slots carry one shared Kraus index per slot.
+    z_{m+1}, z_{m+1}'), the ket-side output and input legs followed by the
+    bra-side input and output legs.  Built slot by slot from rho_env: each
+    slot's Kraus pair sum_q K_q x conj(K_q) is contracted into the open
+    (ket, bra) environment bond, and the last slot ties the two bonds.
     """
-    _check_dense_cap(m)
-    d_env, d_sys = steps.d_env, steps.d_sys
+    if m > DENSE_ORACLE_MAX_M:
+        raise ResourceLimitError(
+            f"dense process-tensor contraction is capped at m <= {DENSE_ORACLE_MAX_M} "
+            f"(requested m = {m}); use the superoperator path for longer sequences")
     slot_ops = steps.slots(m)
-    n_slots = m + 2
-
-    # Integer einsum labels.  Per slot j: ket bond e_j (below) / e_{j+1}
-    # (above), bra bond eps_j / eps_{j+1}; top bonds tied together.
-    def e(j):
-        return j
-
-    def eps(j):
-        return n_slots + 1 + j
-
-    top_ket = e(n_slots)
-    top_eps = eps(n_slots)
-    leg0 = 2 * (n_slots + 1)
-
-    operands = []
-    # ket chain: node[e_{j+1}, s_j, e_j, s_j']
+    ups = steps.rho_env  # (..., e, eps): the legs so far, then the open bond
     for j, ops in enumerate(slot_ops):
-        stack = kraus_stack(ops, d_env, d_sys)
-        kraus_label = leg0 + 4 * n_slots + j
-        up = top_ket if j == n_slots - 1 else e(j + 1)
-        operands.append(stack)
-        operands.append([kraus_label, up, leg0 + 4 * j + 0, e(j), leg0 + 4 * j + 1])
-    # fiducial state rho_env[e_0, eps_0]
-    operands.append(steps.rho_env)
-    operands.append([e(0), eps(0)])
-    # bra chain: conj(node)[eps_{j+1}, z_j', eps_j, z_j]
-    for j, ops in enumerate(slot_ops):
-        stack = np.conj(kraus_stack(ops, d_env, d_sys))
-        kraus_label = leg0 + 4 * n_slots + j
-        up = top_eps if j == n_slots - 1 else eps(j + 1)
-        operands.append(stack)
-        operands.append([kraus_label, up, leg0 + 4 * j + 3, eps(j), leg0 + 4 * j + 2])
-    # tie the two top bonds together via an identity plate
-    operands.append(np.eye(d_env, dtype=np.complex128))
-    operands.append([top_ket, top_eps])
-
-    out = [leg0 + 4 * j + a for j in range(n_slots) for a in range(4)]
-    return np.einsum(*operands, out, optimize="greedy")
-
-
-def dense_control_tensor_averaged(
-    m: int, d_sys: int, rho_sys: np.ndarray, povm: np.ndarray
-) -> np.ndarray:
-    """2-design average of the dense control tensor.
-
-    The gate average collapses into a sum of two delta-pattern chains: a
-    depolarizing-style term acting per bulk step and a trace term, each with
-    its own boundary pattern linking step 0 to step m+1.
-    """
-    _check_dense_cap(m)
-    d = d_sys
-    eye = np.eye(d)
-    # per bulk step n: factor[s_n, s_n', z_n, z_n']
-    f_a = (d * np.einsum("ab,dc->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye))
-    f_b = np.einsum("ad,bc->abcd", eye, eye)
-    # boundaries over (s_0, z_0', s_{m+1}', z_{m+1})
-    b_a = np.einsum("ab,cd->acbd", eye, eye) - np.einsum("ac,bd->acbd", eye, eye) / d
-    b_b = np.einsum("ac,bd->acbd", eye, eye) / d
-
-    def assemble(step_factor: np.ndarray, boundary: np.ndarray, norm: float) -> np.ndarray:
-        operands = []
-        for n in range(1, m + 1):
-            operands.append(step_factor)
-            operands.append([4 * n + 0, 4 * n + 1, 4 * n + 2, 4 * n + 3])
-        operands.append(boundary)
-        operands.append([0, 3, 4 * (m + 1) + 1, 4 * (m + 1) + 2])
-        operands.append(np.asarray(rho_sys, dtype=np.complex128))
-        operands.append([1, 2])
-        operands.append(np.asarray(povm, dtype=np.complex128))
-        operands.append([4 * (m + 1) + 3, 4 * (m + 1) + 0])
-        out = [4 * j + a for j in range(m + 2) for a in range(4)]
-        return np.einsum(*operands, out, optimize="greedy") / norm
-
-    alpha = assemble(f_a, b_a, float(d ** m * (d * d - 1) ** m))
-    beta = assemble(f_b, b_b, float(d ** m))
-    return alpha + beta
+        stack = kraus_stack(ops, steps.d_env, steps.d_sys)
+        pair = "qaibj,qamcl->bcijlm" if j == len(slot_ops) - 1 else "qaibj,qdmcl->bcijlmad"
+        ups = np.tensordot(ups, np.einsum(pair, stack, np.conj(stack)), axes=2)
+    return ups
 
 
 def contract_asf_dense(
@@ -181,10 +108,34 @@ def contract_asf_dense(
 def contract_asf_dense_averaged(
     steps: NoiseSteps, m: int, rho_sys: np.ndarray, povm: np.ndarray
 ) -> float:
-    """Averaged fidelity via dense tensors (oracle for the closed form)."""
+    """Averaged fidelity via the dense noise tensor (oracle for the closed form).
+
+    The 2-design average of the gates collapses into a sum of two
+    delta-pattern chains: a depolarizing-style term acting per bulk step and
+    a trace term, each with its own boundary pattern linking slot 0 to slot
+    m + 1.  Each chain, with rho_sys and povm, is contracted into the noise
+    tensor in one einsum, as :func:`contract_asf_dense` does with the gates.
+    """
     ups = dense_noise_tensor(steps, m)
-    ctrl = dense_control_tensor_averaged(m, steps.d_sys, rho_sys, povm)
-    return float(np.real(np.sum(ups * ctrl)))
+    d = steps.d_sys
+    eye = np.eye(d)
+    # per bulk step n: factor[s_n, s_n', z_n, z_n']
+    f_a = d * np.einsum("ab,dc->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye)
+    f_b = np.einsum("ad,bc->abcd", eye, eye)
+    # boundaries over (s_0, z_0', s_{m+1}', z_{m+1})
+    b_a = np.einsum("ab,cd->acbd", eye, eye) - np.einsum("ac,bd->acbd", eye, eye) / d
+    b_b = np.einsum("ac,bd->acbd", eye, eye) / d
+    top = 4 * (m + 1)
+
+    def chain(step_factor: np.ndarray, boundary: np.ndarray, norm: float) -> float:
+        operands = [ups, list(range(4 * (m + 2))), boundary, [0, 3, top + 1, top + 2],
+                    np.asarray(rho_sys, dtype=np.complex128), [1, 2],
+                    np.asarray(povm, dtype=np.complex128), [top + 3, top]]
+        for n in range(1, m + 1):
+            operands += [step_factor, [4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3]]
+        return float(np.real(np.einsum(*operands, [], optimize="greedy"))) / norm
+
+    return chain(f_a, b_a, float(d ** m * (d * d - 1) ** m)) + chain(f_b, b_b, float(d ** m))
 
 
 # --------------------------------------------------------------------------
@@ -242,6 +193,20 @@ def _environments(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm):
     return r, steps.prep if slot_i == 1 else steps.bulk, terms
 
 
+def _free_node(steps: NoiseSteps, slot_i: int, environments, upper, lower, bra=None):
+    """Averaged fidelity with the joint node at slots (slot_i, slot_i - 1) as
+    (``upper``, ``lower``) ket node stacks, summed over the lengths weighted
+    in ``environments`` (from :func:`_environments`).  ``bra`` is an (upper,
+    lower) pair of bra stacks, by default the slots' own nodes.  Leading batch
+    axes of the stacks broadcast into the result."""
+    r, lower_ops, terms = environments
+    own = bra is None
+    x = _slot(slot_i >= 2, lower, _bra_node(steps, lower_ops) if own else bra[1], r)
+    return sum(np.einsum("...esft,esft->...",
+                         _slot(averaged, upper, _bra_node(steps, ops) if own else bra[0], x), l)
+               for averaged, ops, l in terms)
+
+
 def asf_joint_coefficient(
     steps: NoiseSteps, slot_i: int, weights, rho_sys, povm
 ) -> np.ndarray:
@@ -256,7 +221,7 @@ def asf_joint_coefficient(
     measurement, so all lengths share one pass each way, and it does not
     depend on the current values of the two freed nodes on the forward chain.
     """
-    r, lower_ops, terms = _environments(steps, slot_i, weights, rho_sys, povm)
+    environments = _environments(steps, slot_i, weights, rho_sys, povm)
     d_env, d_sys = steps.d_env, steps.d_sys
 
     # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
@@ -265,12 +230,7 @@ def asf_joint_coefficient(
     basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
     lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
     upper = basis.reshape(-1, 1, 1, d_env, d_sys, 1, d_sys)
-
-    x1 = _slot(slot_i >= 2, lower, _bra_node(steps, lower_ops), r)  # (Q,1,s,e,s)
-    vals = sum(
-        np.einsum("pqesft,esft->pq", _slot(averaged, upper, _bra_node(steps, ops), x1), l)
-        for averaged, ops, l in terms
-    )  # upper slot: (P,Q,e,s,e,s)
+    vals = _free_node(steps, slot_i, environments, upper, lower)  # (P, Q)
 
     coeff = vals.reshape(d_env, d_sys, d_sys, d_sys, d_env, d_sys)
     coeff = coeff.transpose(0, 1, 2, 4, 3, 5)  # -> (e_up, s_i, s_i', e_dn, s_j, s_j')
@@ -294,8 +254,7 @@ def asf_with_joint_node(
     ``joint_bra = conj of joint_ket`` this is the physical, real-valued
     evaluation used by the finite-difference tests.
     """
-    r, lower_ops, [(averaged, upper_ops, l)] = _environments(
-        steps, slot_i, {n: 1.0}, rho_sys, povm)
+    environments = _environments(steps, slot_i, {n: 1.0}, rho_sys, povm)
     d_env, d_sys = steps.d_env, steps.d_sys
 
     def factor(joint6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,23 +264,13 @@ def asf_with_joint_node(
             raise ShapeError(f"joint node has shape {joint6.shape}")
         bond = d_env * d_sys * d_sys
         upper = np.eye(bond, dtype=np.complex128).reshape(d_env, d_sys, d_sys, bond)
-        upper = upper.transpose(0, 1, 3, 2)  # (e_up, s_i, bond, s_i')
         lower = joint6.reshape(bond, d_env, d_sys, d_sys)
-        lower = lower.transpose(0, 2, 1, 3)  # (bond, s_j, e_dn, s_j')
-        return upper[None], lower[None]
+        # (1, e_up, s_i, bond, s_i') and (1, bond, s_j, e_dn, s_j')
+        return upper.transpose(0, 1, 3, 2)[None], lower.transpose(0, 2, 1, 3)[None]
 
-    ket_up, ket_dn = factor(joint_ket)
-    if joint_bra is None:
-        bra_up, bra_dn = _bra_node(steps, upper_ops), _bra_node(steps, lower_ops)
-    else:
-        bra_up, bra_dn = factor(joint_bra)
-
-    x = _slot(slot_i >= 2, ket_dn, bra_dn, r)
-    x = _slot(averaged, ket_up, bra_up, x)
-    value = complex(np.sum(x * l))
-    if joint_bra is None:
-        return value
-    return float(np.real(value))
+    bra = None if joint_bra is None else factor(joint_bra)
+    value = complex(_free_node(steps, slot_i, environments, *factor(joint_ket), bra))
+    return value if joint_bra is None else float(np.real(value))
 
 
 def joint_node(node_up: np.ndarray, node_dn: np.ndarray, d_env: int, d_sys: int) -> np.ndarray:
