@@ -306,17 +306,17 @@ def _tangent_probe(
     return grad, hess, basis
 
 
-def _line_minimize(objective, f0: float, step0: float = 1e-4, max_angle: float = np.pi) -> float:
-    """Deterministic 1-D minimization of `objective(theta)` for theta >= 0,
+def _line_minimize(objective, f0: float) -> float:
+    """Deterministic 1-D minimization of `objective(theta)` for 0 <= theta <= pi,
     given its value `f0` at theta = 0.
 
-    Geometric expansion from `step0` brackets the minimum, golden-section
+    Geometric expansion from 1e-4 brackets the minimum, golden-section
     refines it.  Returns the minimizing angle (possibly 0).
     """
     thetas = [0.0]
     values = [f0]
-    t = step0
-    while t <= max_angle:
+    t = 1e-4
+    while t <= np.pi:
         thetas.append(t)
         values.append(objective(t))
         if len(values) >= 3 and values[-1] > values[-2] and values[-2] <= values[0]:
@@ -326,7 +326,7 @@ def _line_minimize(objective, f0: float, step0: float = 1e-4, max_angle: float =
     if k == 0:
         return 0.0
     lo = thetas[k - 1]
-    hi = thetas[k + 1] if k + 1 < len(thetas) else min(thetas[k] * 2.0, max_angle)
+    hi = thetas[k + 1] if k + 1 < len(thetas) else min(thetas[k] * 2.0, np.pi)
     return golden_section(objective, lo, hi, 1e-12, 120)
 
 

@@ -38,12 +38,12 @@ def check_clifford_group() -> list[tuple[str, bool, str]]:
     return results
 
 
-def check_oracle_equivalence(cases: int = 6, seed: int = 11) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
+def check_oracle_equivalence() -> list[tuple[str, bool, str]]:
+    rng = np.random.default_rng(11)
     cl = single_qubit_cliffords()
     rho = basis_state(0, 2)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(6):
         lam = _haar(4, rng)
         model = joint_unitary(lam, basis_state(0, 2), 2)
         m = int(rng.integers(1, 4))
@@ -54,8 +54,8 @@ def check_oracle_equivalence(cases: int = 6, seed: int = 11) -> list[tuple[str, 
     return [("dense tensor contraction vs direct evolution", worst < 1e-10, f"max |diff| {worst:.2e}")]
 
 
-def check_average_identity(seed: int = 12) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
+def check_average_identity() -> list[tuple[str, bool, str]]:
+    rng = np.random.default_rng(12)
     cl = single_qubit_cliffords()
     rho = basis_state(0, 2)
     lam = _haar(4, rng)
@@ -66,12 +66,12 @@ def check_average_identity(seed: int = 12) -> list[tuple[str, bool, str]]:
     return [("closed-form average vs full enumeration (m=1)", diff < 1e-10, f"|diff| {diff:.2e}")]
 
 
-def check_gradient(seed: int = 13) -> list[tuple[str, bool, str]]:
+def check_gradient() -> list[tuple[str, bool, str]]:
     from .learner import evaluate, gradient_joint
     from .process_tensor import asf_with_joint_node, joint_node
     from .rb import AsfCurve
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     lam = _haar(4, rng)
     rho = basis_state(0, 2)
     m_max = 3
@@ -110,8 +110,8 @@ def check_gradient(seed: int = 13) -> list[tuple[str, bool, str]]:
     return [("joint-node gradient vs finite differences", worst < 1e-6, f"max rel err {worst:.2e}")]
 
 
-def check_projection(seed: int = 14) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
+def check_projection() -> list[tuple[str, bool, str]]:
+    rng = np.random.default_rng(14)
     results = []
     worst_unitarity = 0.0
     for _ in range(5):

@@ -47,6 +47,14 @@ def _check_schema(d: dict, where: str) -> None:
         raise InputError(f"{where} has schema_version {version!r}, expected {SCHEMA_VERSION}")
 
 
+def _check_keys(d: dict, known, where: str) -> None:
+    """A key of record `d` outside `known` is an input error, so a misspelt
+    field is never silently left at its default."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise InputError(f"{where} has unknown fields {unknown}")
+
+
 def _number(d: dict, key: str, kind: type, where: str, default=None):
     """Numeric field `key` of `d`, required unless a default is given.  An int
     field takes a JSON integer, a float field an integer or a float whose
@@ -96,12 +104,20 @@ def noise_model_to_dict(model: NoiseSteps) -> dict:
             "prep": _kraus_list(model.prep), "final": _kraus_list(model.final)}
 
 
-#: Parametric noise records, each built from a reader of its real parameters.
-_PARAMETRIC_BUILDERS = {
-    "phase_flip": lambda real: phase_flip(real("p")),
-    "amplitude_damping": lambda real: amplitude_damping(real("gamma")),
-    "depolarizing": lambda real: depolarizing(real("p")),
-    "spin_unitary": lambda real: spin_unitary(real("J"), real("hx"), real("hy"), real("delta")),
+#: Parametric noise records: each kind's builder, then its real parameters in argument order.
+_PARAMETRIC = {
+    "phase_flip": (phase_flip, "p"),
+    "amplitude_damping": (amplitude_damping, "gamma"),
+    "depolarizing": (depolarizing, "p"),
+    "spin_unitary": (spin_unitary, "J", "hx", "hy", "delta"),
+}
+
+#: The fields each kind of noise record may carry besides its "kind" tag.
+_NOISE_FIELDS = {
+    "identity": ("dim",),
+    "markovian": ("kraus", "label", "prep", "final"),
+    "joint_unitary": ("unitary", "rho_env", "d_env", "label", "prep", "final"),
+    **{kind: params for kind, (_, *params) in _PARAMETRIC.items()},
 }
 
 
@@ -111,9 +127,13 @@ def noise_model_from_dict(d: dict) -> NoiseSteps:
     if not isinstance(d, dict) or "kind" not in d:
         raise InputError("noise model record is missing its 'kind' tag")
     kind = d["kind"]
+    if not isinstance(kind, str) or kind not in _NOISE_FIELDS:
+        raise InputError(f"unknown noise model kind {kind!r}")
     where = f"noise model {kind!r}"
-    if kind in _PARAMETRIC_BUILDERS:
-        return _PARAMETRIC_BUILDERS[kind](lambda key: _number(d, key, float, where))
+    _check_keys(d, ("kind", *_NOISE_FIELDS[kind]), where)
+    if kind in _PARAMETRIC:
+        build, *params = _PARAMETRIC[kind]
+        return build(*(_number(d, key, float, where) for key in params))
     if kind == "identity":
         dim = _number(d, "dim", int, where, 2)
         if dim < 1:
@@ -137,16 +157,14 @@ def noise_model_from_dict(d: dict) -> NoiseSteps:
     if kind == "markovian":
         return markovian_channel(channel("kraus"), prep=slot("prep"), final=slot("final"),
                                  label=label)
-    if kind == "joint_unitary":
-        return joint_unitary(
-            matrix_from_json_dict(_require(d, "unitary", where)),
-            matrix_from_json_dict(_require(d, "rho_env", where)),
-            _number(d, "d_env", int, where),
-            prep=slot("prep"),
-            final=slot("final"),
-            label=label,
-        )
-    raise InputError(f"unknown noise model kind {kind!r}")
+    return joint_unitary(
+        matrix_from_json_dict(_require(d, "unitary", where)),
+        matrix_from_json_dict(_require(d, "rho_env", where)),
+        _number(d, "d_env", int, where),
+        prep=slot("prep"),
+        final=slot("final"),
+        label=label,
+    )
 
 
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -162,10 +180,16 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+#: The fields of an experiment config; "note" is free text for the reader.
+_EXPERIMENT_FIELDS = ("schema_version", "kind", "seed", "m_max", "n_samples", "noise",
+                      "rho_sys", "povm", "note")
+
+
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     if _record(d, "experiment config").get("kind") != "rb_experiment":
         raise InputError(f"expected an rb_experiment config, got kind={d.get('kind')!r}")
     _check_schema(d, "experiment config")
+    _check_keys(d, _EXPERIMENT_FIELDS, "experiment config")
     noise = noise_model_from_dict(_require(d, "noise", "experiment config"))
     return ExperimentConfig(
         noise=noise,
@@ -190,9 +214,7 @@ def _fields(cls, d: dict, where: str, extra: set[str]) -> dict:
     A key that is neither such a field nor in `extra` is an input error."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)
                 if f.default is not dataclasses.MISSING}
-    unknown = sorted(set(d) - set(defaults) - extra)
-    if unknown:
-        raise InputError(f"{where} has unknown fields {unknown}")
+    _check_keys(d, {*defaults, *extra}, where)
     return {k: _number(d, k, type(v), where, v) for k, v in defaults.items()}
 
 
@@ -213,7 +235,8 @@ def learner_config_from_dict(d: dict) -> LearnerConfig:
         raise InputError(f"unknown optimizer kind {opt_kind!r}")
     optimizer = opt_cls(**_fields(opt_cls, opt_rec, "optimizer record", {"kind"}))
     for key, only in _RETIRED.items():
-        if d.get(key, only) != only:
+        value = d.get(key, only) if isinstance(only, str) else _number(d, key, float, where, only)
+        if value != only:
             raise InputError(f"learner config key {key!r} only accepts {only!r}, got {d[key]!r}")
     _number(d, "seed", int, where, 0)  # ignored, but still type-checked
     return LearnerConfig(optimizer=optimizer, **_fields(

@@ -101,12 +101,22 @@ class TestGenerate:
                                         "unitary": nan_matrix_record(4, 0, 0),
                                         "rho_env": matrix_to_json_dict(np.diag([1.0, 0.0]))},
                                        {"kind": "markovian", "label": 5,
-                                        "kraus": [matrix_to_json_dict(np.eye(2))]}])
+                                        "kraus": [matrix_to_json_dict(np.eye(2))]},
+                                       {"kind": "phase_flip", "p": 0.1, "gamma": 0.2}])
     def test_mistyped_noise_parameter_is_input_error(self, tmp_path, noise):
         cfg = tmp_path / "bad.json"
         dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
                    "n_samples": 5, "noise": noise}, cfg)
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
+
+    def test_unknown_config_field_is_input_error(self, tmp_path):
+        # a misspelt "povm" would otherwise leave the default |0><0| measured
+        cfg = tmp_path / "bad.json"
+        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
+                   "n_samples": 5, "noise": {"kind": "phase_flip", "p": 0.1},
+                   "pvom": matrix_to_json_dict(np.diag([0.0, 1.0]))}, cfg)
+        assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
+        assert not (tmp_path / "out" / "asf.csv").exists()
 
     def test_non_finite_state_record_is_input_error(self, tmp_path):
         # NaN compares false with every tolerance, so only the record reader

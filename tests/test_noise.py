@@ -183,6 +183,14 @@ class TestSerialization:
         {"kind": "markovian", "kraus": [matrix_to_json_dict(I2)], "label": 5},
         {"kind": "joint_unitary", "unitary": matrix_to_json_dict(np.eye(4)),
          "rho_env": matrix_to_json_dict(basis_state(0, 2)), "d_env": 2, "label": ["spin"]},
+        # unknown fields, and fields the kind does not read
+        {"kind": "markovian", "kraus": [matrix_to_json_dict(I2)],
+         "fnal": [matrix_to_json_dict(I2)]},
+        {"kind": "phase_flip", "p": 0.1, "gamma": 0.2},
+        {"kind": "phase_flip", "p": 0.1, "label": "pf"},
+        {"kind": "identity", "dim": 2, "final": [matrix_to_json_dict(I2)]},
+        {"kind": "spin_unitary", "J": 1.2, "hx": 1.17, "hy": -1.15, "delta": 0.05, "prep": []},
+        {"kind": ["phase_flip"], "p": 0.1},
     ])
     def test_mistyped_records_are_input_errors(self, record):
         with pytest.raises(InputError):

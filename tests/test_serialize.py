@@ -38,6 +38,7 @@ def test_learner_config_round_trip():
         assert learner_config_from_dict({**d, "sweep_order": "ascending", "update_jitter": 0.0,
                                          "unitarity_tol": 1e-9, "seed": 1}) == cfg
         for key, value in (("sweep_order", "descending"), ("update_jitter", 1e-3),
+                           ("update_jitter", False),
                            ("seed", "1"), ("seed", 1.5), ("seed", True),
                            ("max_iterations", 2.9), ("d_env", "2"), ("departure_rounds", True),
                            ("convergence_divisor", "2"), ("unitarity_tol", False),
@@ -91,9 +92,13 @@ def test_experiment_config_rejects_mistyped_numbers():
     d = experiment_config_to_dict(ExperimentConfig(noise=phase_flip(0.06), m_max=7,
                                                    n_samples=13, seed=99))
     for key, value in (("m_max", 2.9), ("m_max", "7"), ("n_samples", True),
-                       ("seed", 1.5), ("seed", True), ("seed", None)):
+                       ("seed", 1.5), ("seed", True), ("seed", None),
+                       # unknown keys: a misspelt field must not fall back to its default
+                       ("pvom", d["povm"]), ("rho", "zero"), ("notes", "")):
         with pytest.raises(InputError):
             experiment_config_from_dict({**d, key: value})
+    # free text for the reader is the one extra field
+    assert experiment_config_from_dict({**d, "note": "anything"}).seed == 99
 
 
 def test_training_result_record_fields():
