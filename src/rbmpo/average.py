@@ -6,7 +6,7 @@ into two environment-only superoperators per noise step:
 * the *mixed-input* (pound) map: eps -> tr_S[ Lambda(eps x I/d) ],
   which propagates the trace sector, and
 * the *loop map*: eps -> sum_{s,s'} <s| Lambda(eps x |s><s'|) |s'>, whose
-  combination (loop - mixed)/(d^2 - 1) propagates the traceless sector.
+  combination T = (loop - mixed)/(d^2 - 1) propagates the traceless sector.
 
 This module holds the one implementation of that averaged step, shared by
 the closed-form curve here and by the joint-node contractions in
@@ -14,10 +14,12 @@ the closed-form curve here and by the joint-node contractions in
 einsum from a ket and a bra node stack, :func:`twirled_step` applies them to
 a 4-leg operator X[e, s, f, t] = <es|X|ft> (and, with transposed maps, pulls
 a functional backwards), and :func:`raw_slot` / :func:`raw_slot_adjoint`
-apply an undressed preparation or final slot.  The averaged fidelity after
-m steps is the prepared state taken through m averaged steps and paired with
-the measurement functional, so the cost is linear in m.  For trivial
-(one-dimensional) environments this reproduces the textbook A p^m + B decay.
+apply an undressed preparation or final slot.
+
+The step never mixes the sectors: with M the mixed map, the fidelity after m
+steps is tr(M^m Y) + tr(T^m P) (Y, P: the prepared state's two sectors paired
+with the measurement), one chain of d_env^2 x d_env^2 products over any leading
+batch axes of the Kraus operators.  A 1-dimensional environment gives A p^m + B.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .rb import AsfCurve
 
 
 def kraus_stack(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
-    """Kraus operators on environment x system as one (k, e, s, f, t) node stack."""
-    return np.stack([np.asarray(k, dtype=np.complex128) for k in ops]).reshape(
-        -1, d_env, d_sys, d_env, d_sys
-    )
+    """Kraus operators on environment x system as one (..., k, e, s, f, t) node
+    stack; leading batch axes of the operators are kept in front."""
+    stack = np.stack([np.asarray(k, dtype=np.complex128) for k in ops], axis=-3)
+    return stack.reshape(*stack.shape[:-3], -1, d_env, d_sys, d_env, d_sys)
 
 
 def env_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
@@ -59,25 +61,16 @@ def env_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
 
 
 def env_loop_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
-    """Environment superoperator from closing the system legs in a loop.
-
-    Defined on basis elements by
-    ``|a><b|  ->  sum_{s,s'} <s| Lambda(|a><b| x |s><s'|) |s'>``
-    and returned as a (d_env^2, d_env^2) matrix acting on row-major
-    vectorized environment operators.  For the identity step this is
-    d_sys^2 times the identity superoperator.
-    """
+    """The loop map of one slot's Kraus operators as a (d_env^2, d_env^2) matrix
+    on row-major vectorized environment operators (d_sys^2 x identity for the
+    identity step).  Nothing in the package calls it; :func:`env_maps` does the work."""
     stack = kraus_stack(ops, d_env, d_sys)
     return env_maps(stack, stack)[1].reshape(d_env * d_env, d_env * d_env)
 
 
 def env_mixed_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
-    """Environment superoperator with the system in the maximally mixed state:
-    ``|a><b|  ->  tr_S[ Lambda(|a><b| x I/d_sys) ]``.
-
-    Trace preserving whenever the step is; the identity step gives the
-    identity superoperator.
-    """
+    """The mixed-input map as :func:`env_loop_map` gives the loop map; trace
+    preserving whenever the step is."""
     stack = kraus_stack(ops, d_env, d_sys)
     return env_maps(stack, stack)[0].reshape(d_env * d_env, d_env * d_env)
 
@@ -89,16 +82,21 @@ def bulk_maps(steps: NoiseSteps) -> np.ndarray:
     return env_maps(stack, stack)
 
 
+def _traceless_map(mixed: np.ndarray, loop: np.ndarray, d_sys: int) -> np.ndarray:
+    """The traceless sector's environment map T = (loop - mixed)/(d_sys^2 - 1)."""
+    return (loop - mixed) / (d_sys * d_sys - 1)
+
+
 def twirled_step(x: np.ndarray, mixed: np.ndarray, loop: np.ndarray, d_sys: int) -> np.ndarray:
     """One 2-design-averaged slot acting on a 4-leg operator x[..., f, s, g, t].
 
     The trace sector tr_S[x] goes through the mixed map and the traceless
-    remainder through (loop - mixed)/(d_sys^2 - 1); written here as
-    ``traceless(x) + ((mixed - traceless) tr_S[x]) x I/d_sys``.  With the
-    maps transposed ([e, h, f, g] -> [f, g, e, h]) this is the adjoint step
-    under the pairing sum(l * x), which pulls functionals backwards.
+    remainder through T (:func:`_traceless_map`); written here as
+    ``T(x) + ((mixed - T) tr_S[x]) x I/d_sys``.  With the maps transposed
+    ([e, h, f, g] -> [f, g, e, h]) this is the adjoint step under the
+    pairing sum(l * x), which pulls functionals backwards.
     """
-    traceless = (loop - mixed) / (d_sys * d_sys - 1)
+    traceless = _traceless_map(mixed, loop, d_sys)
     t_env = np.einsum("...fsgs->...fg", x)
     out = np.einsum("...ehfg,...fsgt->...esht", traceless, x)
     trace_part = np.einsum("...ehfg,...fg->...eh", mixed - traceless, t_env) / d_sys
@@ -142,6 +140,26 @@ def measurement_functional(steps: NoiseSteps, povm: np.ndarray, final: bool = Tr
     return l
 
 
+def _chain_curve(noise: NoiseSteps, rho_sys: np.ndarray, povm: np.ndarray, m_max: int):
+    """Averaged fidelity at lengths 1..m_max, (..., m_max) over the batch axes
+    of ``noise``'s Kraus operators; unchecked inputs.  With x the prepared state
+    and l the measurement functional, Y = tr_S(x) tr_S(l)^T / d_sys and
+    P = x l^T - Y pair them over (ket, bra) environment legs."""
+    d_sys, n = noise.d_sys, noise.d_env * noise.d_env
+    x = prepared_state(noise, rho_sys)
+    meas = measurement_functional(noise, povm)
+    mixed, loop = bulk_maps(noise)
+    trace_part = np.einsum("...esfs,...gtht->...efgh", x, meas) / d_sys
+    states = np.stack([trace_part, np.einsum("...esft,...gsht->...efgh", x, meas) - trace_part])
+    ops = np.stack([mixed, _traceless_map(mixed, loop, d_sys)])
+    states, ops = (a.reshape(*a.shape[:-4], n, n) for a in (states, ops))
+    values = []
+    for _ in range(m_max):
+        states = ops @ states
+        values.append(np.einsum("k...ii->...", states).real)
+    return np.stack(values, axis=-1)
+
+
 def clifford_averaged_asf_curve(
     noise: NoiseSteps,
     rho_sys: np.ndarray,
@@ -151,9 +169,8 @@ def clifford_averaged_asf_curve(
 ) -> np.ndarray:
     """Exact 2-design-averaged sequence fidelity for every length 1..m_max.
 
-    All lengths share one linear pass: the prepared state takes one averaged
-    step per length and is paired with the measurement functional after
-    each step.
+    All lengths share one chain of (d_env^2, d_env^2) matrix products, one
+    product per length (see the module docstring).
 
     Args:
         noise: the noise slots on environment x system; a memoryless
@@ -176,14 +193,7 @@ def clifford_averaged_asf_curve(
     if rho_sys.shape[0] != noise.d_sys or povm.shape[0] != noise.d_sys:
         raise ShapeError("state/POVM dimension does not match the noise model's system")
 
-    x = prepared_state(noise, rho_sys)
-    meas = measurement_functional(noise, povm)
-    mixed, loop = bulk_maps(noise)
-    values = np.empty(m_max, dtype=np.float64)
-    for m in range(m_max):
-        x = twirled_step(x, mixed, loop, noise.d_sys)
-        values[m] = np.real(np.sum(meas * x))
-    return values
+    return _chain_curve(noise, rho_sys, povm, m_max)
 
 
 def clifford_averaged_asf(
@@ -224,29 +234,51 @@ def _solve_linear(column: np.ndarray, ys: np.ndarray) -> tuple[float, float, flo
     return float(coef[0]), float(coef[1]), float(resid @ resid)
 
 
-def golden_section(objective, lo: float, hi: float, tol: float, max_iter: int) -> float:
-    """Golden-section minimization of a unimodal `objective` on [lo, hi].
-
-    Stops once the bracket is narrower than `tol` or after `max_iter`
-    shrinks, and returns the bracket's midpoint.
-    """
+def _golden_steps(lo: float, hi: float, tol: float, max_iter: int):
+    """Golden-section minimization on [lo, hi] as a generator: it yields each
+    trial point, receives the objective's value there, and returns the
+    bracket's midpoint once narrower than `tol` or after `max_iter` shrinks."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = objective(c), objective(d)
+    fc = yield c
+    fd = yield d
     for _ in range(max_iter):
         if b - a < tol:
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = objective(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = objective(d)
+            fd = yield d
     return float((a + b) / 2.0)
+
+
+def _lockstep(searches: list, objective) -> list:
+    """Run search generators to their ends in lockstep; returns their results.
+    Each step answers the trial points {index: point} of the searches still
+    running with one ``objective`` call; a search ends as it would alone."""
+    trials = {r: next(search) for r, search in enumerate(searches)}
+    results = {}
+    while trials:
+        for r, value in zip(list(trials), objective(trials)):
+            try:
+                trials[r] = searches[r].send(float(value))
+            except StopIteration as stop:
+                results[r] = stop.value
+                del trials[r]
+    return [results[r] for r in range(len(searches))]
+
+
+def golden_section(objective, lo: float, hi: float, tol: float, max_iter: int) -> float:
+    """Golden-section minimization of a unimodal `objective` on [lo, hi]: the
+    bracket's midpoint once narrower than `tol` or after `max_iter` shrinks."""
+    search = _golden_steps(lo, hi, tol, max_iter)
+    return _lockstep([search], lambda trials: [objective(p) for p in trials.values()])[0]
 
 
 def fit_exponential(curve: AsfCurve) -> ExpFit:

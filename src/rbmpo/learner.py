@@ -6,35 +6,27 @@ fixed in |0><0|.  One iteration of the sweep:
 
 1. fuse the node with its neighbour at the scheduled slot pair into a joint
    node (contracting their shared environment bond);
-2. take the gradient of the quadratic cost with respect to the joint node —
-   the fidelity is linear in it, so the gradient is a residual-weighted sum
-   of coefficient tensors — and apply the optimizer's update (Adagrad or
-   Adam; each builds its accumulators with ``init`` and updates them in
-   ``step``);
+2. take the gradient of the quadratic cost in the joint node (the fidelity
+   is linear in it, so the gradient is a residual-weighted sum of
+   coefficient tensors) and apply the optimizer's update (Adagrad or Adam,
+   each with ``init`` and ``step``);
 3. split the updated joint node by SVD, keep the leading d_env singular
-   directions, regroup the two factors into square nodes and project each
-   onto the unitary group;
-4. replace the shared node (all slots at once): the projected pair composed
-   over the bond is a two-slot propagator, so each slot receives its
-   principal unitary square root.  On an unperturbed joint this reproduces
-   the node exactly, which is what makes small gradient steps act like
-   small node steps.
+   directions and project each regrouped factor onto the unitary group;
+4. replace the shared node in all slots by the principal unitary square
+   root of the projected pair, which reproduces an unperturbed node exactly.
 
-The no-noise initialization is a stationary saddle of the cost on the
-unitary group (the fidelity is maximal there and the update above is
-exactly neutral), so no first-order step can leave it.  Training therefore
-departs the saddle with a curvature-probing stage: each round measures the
-cost gradient and Hessian along the unitary tangent directions by finite
-differences, line-minimizes along the descent ray and every
-negative-curvature eigenray, and moves to the best endpoint; rounds repeat
-until the data is matched or no ray descends.  For memoryless data those
-directions stay inside the environment-block structure; temporally
-correlated data develops negative curvature in the environment-coupling
-directions, and the node leaves the uncoupled manifold.  The sweep then
-polishes.  Each node kept is evaluated once, into a :class:`Fit` (cost, l1
-distance, node, predicted curve): the departure returns one, the sweep reads
-its residual off one, and :func:`train` takes its traces and best fit from
-the list of them.
+The no-noise start is a stationary saddle of the cost on the unitary group,
+so no first-order step leaves it.  Training first departs it: each round
+measures the cost gradient and Hessian along the unitary tangent directions
+by finite differences, line-minimizes along the descent ray and every
+negative-curvature eigenray, and moves to the best endpoint, until the data
+is matched or no ray descends.  Correlated data develops negative curvature
+in the environment-coupling directions, memoryless data does not.  The cost
+and the predicted curve broadcast over leading node axes (one averaged chain
+for a whole stack), so a round's probes are one cost call and its rays'
+line searches run in lockstep, one cost call per step.  Each node kept is
+evaluated once, into a :class:`Fit` (cost, l1 distance, node, predicted
+curve), from which the sweep and :func:`train` read residuals and traces.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .average import clifford_averaged_asf_curve, golden_section
+from .average import _chain_curve, _golden_steps, _lockstep
 from .errors import DomainError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
 from .noise import NoiseSteps, hermitian_expm
@@ -170,9 +162,12 @@ class TrainingResult:
 # --------------------------------------------------------------------------
 
 def predicted_curve(node: np.ndarray, d_env: int, rho_sys, povm, lengths) -> np.ndarray:
-    steps = NoiseSteps.uniform(node, d_env)
-    full = clifford_averaged_asf_curve(steps, rho_sys, povm, max(lengths))
-    return np.asarray([full[n - 1] for n in lengths], dtype=np.float64)
+    """The model's averaged curve at ``lengths``: (len(lengths),) for one node,
+    (..., len(lengths)) for a stack of nodes (..., dim, dim), in one chain.
+    ``rho_sys`` and ``povm`` are not checked here; :func:`train` checks them."""
+    full = _chain_curve(NoiseSteps.uniform(node, d_env), rho_sys, povm, max(lengths))
+    # np.take keeps rows contiguous, so they sum in the order single curves do
+    return np.take(full, np.asarray(lengths) - 1, axis=-1)
 
 
 class Fit(NamedTuple):
@@ -191,9 +186,12 @@ def evaluate(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> Fit
     return Fit(float(0.5 * np.sum(resid * resid)), float(np.sum(np.abs(resid))), node, predicted)
 
 
-def cost(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> float:
-    """Quadratic cost between model predictions and the measured curve."""
-    return evaluate(node, d_env, data, rho_sys, povm).cost
+def cost(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> float | np.ndarray:
+    """Quadratic cost between model predictions and the measured curve: a
+    float for one node, an array over the leading axes of a node stack."""
+    resid = predicted_curve(node, d_env, rho_sys, povm, data.lengths) - np.asarray(data.means)
+    value = 0.5 * np.sum(resid * resid, axis=-1)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def gradient_joint(
@@ -261,20 +259,12 @@ _PROBE_ANGLE = 1e-3
 
 
 def _hermitian_basis(dim: int) -> list[np.ndarray]:
-    basis = []
-    for j in range(dim):
-        h = np.zeros((dim, dim), dtype=np.complex128)
-        h[j, j] = 1.0
-        basis.append(h)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            h = np.zeros((dim, dim), dtype=np.complex128)
-            h[j, k] = h[k, j] = 1.0 / np.sqrt(2.0)
-            basis.append(h)
-            h = np.zeros((dim, dim), dtype=np.complex128)
-            h[j, k] = -1j / np.sqrt(2.0)
-            h[k, j] = 1j / np.sqrt(2.0)
-            basis.append(h)
+    basis = [np.diag(e) for e in np.eye(dim, dtype=np.complex128)]
+    for j, k in combinations(range(dim), 2):
+        sym, asym = np.zeros((2, dim, dim), dtype=np.complex128)
+        sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+        asym[j, k], asym[k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+        basis += [sym, asym]
     return basis
 
 
@@ -285,40 +275,41 @@ def _tangent_probe(
 
     Central differences of cost(exp(-i eta H) node), eta = _PROBE_ANGLE, along
     each Hermitian basis element H and each pairwise sum; `c0` is the known
-    cost at `node`.  Returns (gradient coefficients, Hessian matrix, basis).
+    cost at `node`.  All probe nodes (two per direction: 272 at dim 4) are
+    costed in one batched :func:`cost` call.  Returns (gradient
+    coefficients, Hessian matrix, basis).
     """
     basis = _hermitian_basis(node.shape[0])
     unit = np.eye(len(basis))
-
-    def central(coeffs: np.ndarray) -> tuple[float, float]:
-        plus, minus = (
-            cost(hermitian_expm(sum(c * b for c, b in zip(v, basis)), -1j * _PROBE_ANGLE) @ node,
-                 d_env, data, rho_sys, povm)
-            for v in (coeffs, -coeffs)
-        )
-        return (plus - minus) / (2.0 * _PROBE_ANGLE), (plus - 2.0 * c0 + minus) / _PROBE_ANGLE**2
-
-    grad, diag = map(np.array, zip(*(central(e) for e in unit)))
+    pairs = list(combinations(range(len(basis)), 2))
+    probes = np.stack([
+        hermitian_expm(sum(c * b for c, b in zip(sign * v, basis)), -1j * _PROBE_ANGLE) @ node
+        for v in [*unit, *(unit[a] + unit[b] for a, b in pairs)] for sign in (1.0, -1.0)
+    ])
+    plus, minus = cost(probes, d_env, data, rho_sys, povm).reshape(-1, 2).T
+    grad = (plus[:len(basis)] - minus[:len(basis)]) / (2.0 * _PROBE_ANGLE)
+    second = (plus - 2.0 * c0 + minus) / _PROBE_ANGLE**2
+    diag = second[:len(basis)]
     hess = np.diag(diag)
-    for a, b in combinations(range(len(basis)), 2):
-        mixed = central(unit[a] + unit[b])[1]
+    for (a, b), mixed in zip(pairs, second[len(basis):]):
         hess[a, b] = hess[b, a] = (mixed - diag[a] - diag[b]) / 2.0
     return grad, hess, basis
 
 
-def _line_minimize(objective, f0: float) -> float:
-    """Deterministic 1-D minimization of `objective(theta)` for 0 <= theta <= pi,
-    given its value `f0` at theta = 0.
+def _line_minimize(f0: float):
+    """Deterministic 1-D minimization of a cost over 0 <= theta <= pi, given its
+    value `f0` at theta = 0, as a generator: it yields each trial angle,
+    receives the cost there, and returns the minimizing angle (possibly 0).
 
     Geometric expansion from 1e-4 brackets the minimum, golden-section
-    refines it.  Returns the minimizing angle (possibly 0).
+    refines it.
     """
     thetas = [0.0]
     values = [f0]
     t = 1e-4
     while t <= np.pi:
         thetas.append(t)
-        values.append(objective(t))
+        values.append((yield t))
         if len(values) >= 3 and values[-1] > values[-2] and values[-2] <= values[0]:
             break
         t *= 2.0
@@ -327,7 +318,7 @@ def _line_minimize(objective, f0: float) -> float:
         return 0.0
     lo = thetas[k - 1]
     hi = thetas[k + 1] if k + 1 < len(thetas) else min(thetas[k] * 2.0, np.pi)
-    return golden_section(objective, lo, hi, 1e-12, 120)
+    return (yield from _golden_steps(lo, hi, 1e-12, 120))
 
 
 def saddle_departure(
@@ -351,8 +342,10 @@ def saddle_departure(
     Rounds stop when the data is matched, no ray improves the cost, or
     ``max_rounds`` have run.  The start and each endpoint are evaluated once,
     into the :class:`Fit` that the round carries and returns; the probes and
-    the line searches need the cost alone.  Deterministic: no randomness
-    enters at any point.
+    the line searches need the cost alone.  A round's probes are one batched
+    cost call, and its rays' line searches run in lockstep, one batched cost
+    call per bracketing or golden-section step over the rays still
+    searching.  Deterministic: no randomness enters at any point.
     """
     current = evaluate(node.copy(), d_env, data, rho_sys, povm)
     for _ in range(max_rounds):
@@ -369,18 +362,19 @@ def saddle_departure(
         if not rays:
             break
 
+        directions = [sum(c * b for c, b in zip(coeffs, basis)) for coeffs in rays]
+
+        def ray_costs(trials: dict[int, float]) -> np.ndarray:
+            return cost(np.stack([hermitian_expm(directions[r], -1j * t) @ current.node
+                                  for r, t in trials.items()]), d_env, data, rho_sys, povm)
+
+        thetas = _lockstep([_line_minimize(current.cost) for _ in directions], ray_costs)
         endpoints = []
-        for coeffs in rays:
-            direction = sum(c * b for c, b in zip(coeffs, basis))
-
-            def rotated(theta: float) -> np.ndarray:
-                return hermitian_expm(direction, -1j * theta) @ current.node
-
-            theta_star = _line_minimize(
-                lambda theta: cost(rotated(theta), d_env, data, rho_sys, povm), current.cost)
+        for direction, theta_star in zip(directions, thetas):
             if theta_star == 0.0:
                 continue
-            endpoint = evaluate(rotated(theta_star), d_env, data, rho_sys, povm)
+            endpoint = evaluate(hermitian_expm(direction, -1j * theta_star) @ current.node,
+                                d_env, data, rho_sys, povm)
             if endpoint.cost < current.cost - 1e-15:
                 endpoints.append(endpoint)
         if not endpoints:
@@ -444,6 +438,8 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     """
     rho_sys = validate_density_matrix(np.asarray(rho_sys, dtype=np.complex128), name="rho_sys")
     povm = validate_povm_element(np.asarray(povm, dtype=np.complex128))
+    if povm.shape != rho_sys.shape:
+        raise ShapeError(f"povm {povm.shape} does not match rho_sys {rho_sys.shape}")
     d_sys = rho_sys.shape[0]
     sigma_total = float(np.sum(np.abs(data.stderrs)))
     # floating-point floor: noiseless curves carry ~1e-16 round-off per point,

@@ -71,9 +71,10 @@ class NoiseSteps:
     def uniform(node: np.ndarray, d_env: int) -> "NoiseSteps":
         """Time-independent unitary noise with the same node in every slot,
         including preparation and final, and the environment starting in
-        |0><0|: the learner's model class."""
+        |0><0|: the learner's model class.  A stack of nodes (..., dim, dim)
+        gives a stack of models, whose averaged curves are computed together."""
         node = np.asarray(node, dtype=np.complex128)
-        d_sys = node.shape[0] // d_env
+        d_sys = node.shape[-1] // d_env
         return NoiseSteps(d_env, d_sys, basis_state(0, d_env), (node,), (node,), (node,))
 
 

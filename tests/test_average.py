@@ -1,15 +1,21 @@
 """Environment superoperators, closed-form averaged fidelity, exponential fits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rbmpo.average import (
     NoiseSteps,
+    bulk_maps,
     clifford_averaged_asf,
     clifford_averaged_asf_curve,
     env_maps,
     fit_exponential,
     kraus_stack,
+    measurement_functional,
+    prepared_state,
+    twirled_step,
 )
 from rbmpo.errors import InputError, UnsupportedConfigurationError
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
@@ -147,6 +153,55 @@ class TestClosedFormAverage:
             dense = contract_asf_dense_averaged(model, m, RHO, POVM)
             exact = clifford_averaged_asf(model, RHO, POVM, m)
             assert abs(dense - exact) < 1e-10
+
+
+class TestChainKernel:
+    """The two-sector chain against the averaged step it replaced, and its
+    node stacks against single nodes."""
+
+    @staticmethod
+    def stepped_curve(noise, m_max):
+        # reference: the prepared state taken through m_max twirled steps
+        x = prepared_state(noise, RHO)
+        meas = measurement_functional(noise, POVM)
+        mixed, loop = bulk_maps(noise)
+        values = []
+        for _ in range(m_max):
+            x = twirled_step(x, mixed, loop, noise.d_sys)
+            values.append(np.real(np.sum(meas * x)))
+        return np.array(values)
+
+    @staticmethod
+    def haar_nodes():
+        rng = np.random.default_rng(1401)
+        return np.stack([haar_unitary(4, rng) for _ in range(16)])
+
+    def test_stack_equals_single_nodes_bitwise(self):
+        from rbmpo.learner import cost, predicted_curve
+
+        nodes = self.haar_nodes()
+        # at least 8 lengths: numpy sums those pairwise, and a strided row would not be
+        lengths = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20)
+        data = AsfCurve(lengths, tuple(np.linspace(0.95, 0.6, len(lengths))), (0.0,) * 11, 1)
+        curves = predicted_curve(nodes, 2, RHO, POVM, lengths)
+        costs = cost(nodes, 2, data, RHO, POVM)
+        assert curves.shape == (16, len(lengths)) and costs.shape == (16,)
+        for node, curve, value in zip(nodes, curves, costs):
+            single = predicted_curve(node, 2, RHO, POVM, lengths)
+            assert single.shape == (len(lengths),)
+            assert np.array_equal(curve, single)
+            single_cost = cost(node, 2, data, RHO, POVM)
+            assert isinstance(single_cost, float) and value == single_cost
+        grid = nodes.reshape(4, 4, 4, 4)
+        assert np.array_equal(predicted_curve(grid, 2, RHO, POVM, lengths),
+                              curves.reshape(4, 4, len(lengths)))
+
+    def test_chain_matches_stepped_reference(self):
+        models = [NoiseSteps.uniform(node, 2) for node in self.haar_nodes()]
+        models.append(replace(amplitude_damping(0.3), final=depolarizing(0.2).bulk))
+        for model in models:
+            chain = clifford_averaged_asf_curve(model, RHO, POVM, 20)
+            assert np.max(np.abs(chain - self.stepped_curve(model, 20))) < 1e-13
 
 
 class TestExpFit:

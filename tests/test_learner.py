@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rbmpo.average import NoiseSteps, clifford_averaged_asf
+from rbmpo.average import NoiseSteps, _lockstep, clifford_averaged_asf
 from rbmpo.errors import InputError, NumericalError, ShapeError
 from rbmpo.learner import (
     Adagrad,
@@ -23,7 +23,7 @@ from rbmpo.learner import (
     train,
 )
 from rbmpo.linalg import dagger
-from rbmpo.noise import phase_flip, spin_unitary
+from rbmpo.noise import hermitian_expm, phase_flip, spin_unitary
 import rbmpo.learner as learner_mod
 import rbmpo.process_tensor as process_tensor_mod
 from rbmpo.process_tensor import asf_joint_coefficient, asf_with_joint_node, joint_node
@@ -328,12 +328,14 @@ class TestSweep:
 class TestDeparture:
     def test_each_visited_node_is_evaluated_once(self, phase_flip_data, monkeypatch):
         # the start, every probe, line-search point and endpoint is one model
-        # evaluation: cost and l1 distance come from the same residual
+        # evaluation: cost and l1 distance come from the same residual; probes
+        # and line-search points arrive as node stacks, counted node by node
         counts = Counter()
         curve = learner_mod.predicted_curve
 
         def counted(node, *args):
-            counts[node.tobytes()] += 1
+            for one in node.reshape(-1, 4, 4):
+                counts[one.tobytes()] += 1
             return curve(node, *args)
 
         monkeypatch.setattr(learner_mod, "predicted_curve", counted)
@@ -342,6 +344,65 @@ class TestDeparture:
         repeated = {k: n for k, n in counts.items() if n > 1}
         assert len(counts) > 2 * 272
         assert not repeated, f"{len(repeated)} nodes evaluated more than once"
+
+
+    @staticmethod
+    def first_round_rays(data):
+        # the start node, its cost and the rays of the departure's first round
+        node = np.eye(4, dtype=complex)
+        c0 = cost(node, 2, data, RHO, POVM)
+        grad, hess, basis = learner_mod._tangent_probe(node, c0, 2, data, RHO, POVM)
+        w, v = np.linalg.eigh(hess)
+        rays = [s * v[:, k] for k in np.flatnonzero(w < 0.0) for s in (1.0, -1.0)]
+        if np.linalg.norm(grad) > 0.0:
+            rays.append(-grad / np.linalg.norm(grad))
+        return node, c0, [sum(c * b for c, b in zip(ray, basis)) for ray in rays]
+
+    def test_lockstep_line_searches_match_solo_searches(self, phase_flip_data):
+        # the departure's first-round rays searched in lockstep, one batched
+        # cost call per step, against each ray's search driven alone
+        node, c0, directions = self.first_round_rays(phase_flip_data)
+        assert len(directions) >= 4
+
+        def rotated(direction, theta):
+            return hermitian_expm(direction, -1j * theta) @ node
+
+        def batched(trials):
+            return cost(np.stack([rotated(directions[r], t) for r, t in trials.items()]),
+                        2, phase_flip_data, RHO, POVM)
+
+        lockstep = _lockstep([learner_mod._line_minimize(c0) for _ in directions], batched)
+        for direction, theta in zip(directions, lockstep):
+            search = learner_mod._line_minimize(c0)
+            angle = next(search)
+            with pytest.raises(StopIteration) as stop:
+                while True:
+                    angle = search.send(cost(rotated(direction, angle), 2, phase_flip_data,
+                                             RHO, POVM))
+            assert theta == stop.value.value
+        assert any(theta > 0.0 for theta in lockstep)
+
+    def test_probe_is_one_cost_call_per_round(self, phase_flip_data, monkeypatch):
+        # every probe node of a round goes into one batched cost call
+        calls = []
+        per_round = []
+        plain_cost, probe = learner_mod.cost, learner_mod._tangent_probe
+
+        def counted_cost(node, *args):
+            calls.append(node.shape)
+            return plain_cost(node, *args)
+
+        def counted_probe(*args):
+            before = len(calls)
+            out = probe(*args)
+            per_round.append(calls[before:])
+            return out
+
+        monkeypatch.setattr(learner_mod, "cost", counted_cost)
+        monkeypatch.setattr(learner_mod, "_tangent_probe", counted_probe)
+        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+                         max_rounds=2, l1_stop=0.0)
+        assert per_round == [[(272, 4, 4)]] * 2
 
 
 class TestTrain:
