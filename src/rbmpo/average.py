@@ -8,18 +8,17 @@ into two environment-only superoperators per noise step:
 * the *loop map*: eps -> sum_{s,s'} <s| Lambda(eps x |s><s'|) |s'>, whose
   combination T = (loop - mixed)/(d^2 - 1) propagates the traceless sector.
 
-This module holds the one implementation of that averaged step, shared by
-the closed-form curve here and by the joint-node contractions in
-:mod:`rbmpo.process_tensor`: :func:`env_maps` builds both maps with a single
-einsum from a ket and a bra node stack, :func:`twirled_step` applies them to
-a 4-leg operator X[e, s, f, t] = <es|X|ft> (and, with transposed maps, pulls
-a functional backwards), and :func:`raw_slot` / :func:`raw_slot_adjoint`
-apply an undressed preparation or final slot.
-
-The step never mixes the sectors: with M the mixed map, the fidelity after m
-steps is tr(M^m Y) + tr(T^m P) (Y, P: the prepared state's two sectors paired
-with the measurement), one chain of d_env^2 x d_env^2 products over any leading
-batch axes of the Kraus operators.  A 1-dimensional environment gives A p^m + B.
+The averaged step never mixes the two sectors.  This module holds its one
+implementation, shared by the closed-form curve here and by the joint-node
+contractions in :mod:`rbmpo.process_tensor`: :func:`env_maps` builds both maps
+with one einsum from a ket and a bra node stack, :func:`sector_maps` stacks a
+slot's [mixed, T] as d_env^2 x d_env^2 matrices, and :func:`sector_pairs`
+pairs a 4-leg state X[e, s, f, t] = <es|X|ft> with a functional into the
+matrices [Y, P] of the two sectors, which those maps act on.  The fidelity
+after m bulk steps is tr(M^m Y) + tr(T^m P) (M the mixed map), one chain of
+matrix products over any leading batch axes of the Kraus operators; a
+1-dimensional environment gives A p^m + B.  :func:`raw_slot` and
+:func:`raw_slot_adjoint` apply an undressed preparation or final slot.
 """
 
 from __future__ import annotations
@@ -75,32 +74,29 @@ def env_mixed_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.nda
     return env_maps(stack, stack)[0].reshape(d_env * d_env, d_env * d_env)
 
 
-def bulk_maps(steps: NoiseSteps) -> np.ndarray:
-    """:func:`env_maps` of the bulk slot: the mixed and loop maps as (e, h, f, g)
-    arrays, stacked on axis 0."""
-    stack = kraus_stack(steps.bulk, steps.d_env, steps.d_sys)
-    return env_maps(stack, stack)
+def sector_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """One averaged slot as the stacked matrices [mixed, T] of :func:`env_maps`,
+    T = (loop - mixed)/(d_sys^2 - 1), shaped (..., 2, e h, f g).  The sector
+    axis sits just before the matrix axes, so the stacks' batch axes broadcast
+    in front of it.  Left multiplication takes :func:`sector_pairs` one slot
+    on; right multiplication pulls the functional back one slot."""
+    mixed, loop = env_maps(ket, bra)
+    d_sys = ket.shape[-1]
+    maps = np.stack([mixed, (loop - mixed) / (d_sys * d_sys - 1)], axis=-5)
+    e, h, f, g = maps.shape[-4:]
+    return maps.reshape(*maps.shape[:-4], e * h, f * g)
 
 
-def _traceless_map(mixed: np.ndarray, loop: np.ndarray, d_sys: int) -> np.ndarray:
-    """The traceless sector's environment map T = (loop - mixed)/(d_sys^2 - 1)."""
-    return (loop - mixed) / (d_sys * d_sys - 1)
-
-
-def twirled_step(x: np.ndarray, mixed: np.ndarray, loop: np.ndarray, d_sys: int) -> np.ndarray:
-    """One 2-design-averaged slot acting on a 4-leg operator x[..., f, s, g, t].
-
-    The trace sector tr_S[x] goes through the mixed map and the traceless
-    remainder through T (:func:`_traceless_map`); written here as
-    ``T(x) + ((mixed - T) tr_S[x]) x I/d_sys``.  With the maps transposed
-    ([e, h, f, g] -> [f, g, e, h]) this is the adjoint step under the
-    pairing sum(l * x), which pulls functionals backwards.
-    """
-    traceless = _traceless_map(mixed, loop, d_sys)
-    t_env = np.einsum("...fsgs->...fg", x)
-    out = np.einsum("...ehfg,...fsgt->...esht", traceless, x)
-    trace_part = np.einsum("...ehfg,...fg->...eh", mixed - traceless, t_env) / d_sys
-    return out + trace_part[..., :, None, :, None] * np.eye(d_sys)[:, None, :]
+def sector_pairs(x: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """A state x[..., e, s, f, t] paired with a functional l[..., g, s, h, t]:
+    Y = tr_S(x) tr_S(l)^T / d_sys (trace sector) and P = x l^T - Y (traceless
+    sector), stacked as (..., 2, e f, g h).  The trace of Y + P is sum(l * x)."""
+    d_sys = x.shape[-1]
+    trace_part = np.einsum("...esfs,...gtht->...efgh", x, l) / d_sys
+    pairs = np.stack([trace_part, np.einsum("...esft,...gsht->...efgh", x, l) - trace_part],
+                     axis=-5)
+    e, f, g, h = pairs.shape[-4:]
+    return pairs.reshape(*pairs.shape[:-4], e * f, g * h)
 
 
 def raw_slot(ket: np.ndarray, bra: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -142,21 +138,16 @@ def measurement_functional(steps: NoiseSteps, povm: np.ndarray, final: bool = Tr
 
 def _chain_curve(noise: NoiseSteps, rho_sys: np.ndarray, povm: np.ndarray, m_max: int):
     """Averaged fidelity at lengths 1..m_max, (..., m_max) over the batch axes
-    of ``noise``'s Kraus operators; unchecked inputs.  With x the prepared state
-    and l the measurement functional, Y = tr_S(x) tr_S(l)^T / d_sys and
-    P = x l^T - Y pair them over (ket, bra) environment legs."""
-    d_sys, n = noise.d_sys, noise.d_env * noise.d_env
-    x = prepared_state(noise, rho_sys)
-    meas = measurement_functional(noise, povm)
-    mixed, loop = bulk_maps(noise)
-    trace_part = np.einsum("...esfs,...gtht->...efgh", x, meas) / d_sys
-    states = np.stack([trace_part, np.einsum("...esft,...gsht->...efgh", x, meas) - trace_part])
-    ops = np.stack([mixed, _traceless_map(mixed, loop, d_sys)])
-    states, ops = (a.reshape(*a.shape[:-4], n, n) for a in (states, ops))
+    of ``noise``'s Kraus operators; unchecked inputs.  The prepared state's
+    :func:`sector_pairs` with the measurement functional go through the bulk
+    slot's :func:`sector_maps` once per length."""
+    states = sector_pairs(prepared_state(noise, rho_sys), measurement_functional(noise, povm))
+    bulk = kraus_stack(noise.bulk, noise.d_env, noise.d_sys)
+    ops = sector_maps(bulk, bulk)
     values = []
     for _ in range(m_max):
         states = ops @ states
-        values.append(np.einsum("k...ii->...", states).real)
+        values.append(np.einsum("...kii->...", states).real)
     return np.stack(values, axis=-1)
 
 

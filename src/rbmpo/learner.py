@@ -334,18 +334,19 @@ def saddle_departure(
 
     Each round probes the cost gradient and Hessian on the unitary tangent
     space and line-minimizes along every candidate ray: the
-    descent-gradient ray and each negative-curvature eigenray in both
-    orientations.  If some endpoints already match the data to within
-    ``l1_stop``, the round moves to the one among them with the least
-    environment coupling (the model should carry no more non-Markovianity
-    than the data demands); otherwise it moves to the lowest-cost endpoint.
-    Rounds stop when the data is matched, no ray improves the cost, or
-    ``max_rounds`` have run.  The start and each endpoint are evaluated once,
-    into the :class:`Fit` that the round carries and returns; the probes and
-    the line searches need the cost alone.  A round's probes are one batched
-    cost call, and its rays' line searches run in lockstep, one batched cost
-    call per bracketing or golden-section step over the rays still
-    searching.  Deterministic: no randomness enters at any point.
+    descent-gradient ray and each negative-curvature eigenray (beyond the
+    probe's round-off) in both orientations.  If some endpoints already
+    match the data to within ``l1_stop``, the round moves to the one among
+    them with the least environment coupling (the model should carry no
+    more non-Markovianity than the data demands); otherwise it moves to the
+    lowest-cost endpoint.  Rounds stop when the data is matched, no ray
+    improves the cost, or ``max_rounds`` have run.  The start and each
+    endpoint are evaluated once, into the :class:`Fit` that the round
+    carries and returns; the probes and the line searches need the cost
+    alone.  A round's probes are one batched cost call, and its rays' line
+    searches run in lockstep, one batched cost call per bracketing or
+    golden-section step over the rays still searching.  Deterministic: no
+    randomness enters at any point.
     """
     current = evaluate(node.copy(), d_env, data, rho_sys, povm)
     for _ in range(max_rounds):
@@ -357,7 +358,10 @@ def saddle_departure(
         if gnorm > 0.0:
             rays.append(-grad / gnorm)
         w, v = np.linalg.eigh(hess)
-        for k in np.flatnonzero(w < 0.0):
+        # the second differences carry a round-off of about 4 eps c0 / eta^2:
+        # a less negative eigenvalue is no curvature
+        floor = -4.0 * np.finfo(float).eps * current.cost / _PROBE_ANGLE**2
+        for k in np.flatnonzero(w < floor):
             rays += [v[:, k], -v[:, k]]
         if not rays:
             break

@@ -12,16 +12,13 @@ module provides
   exponentially large in m, capped at ``DENSE_ORACLE_MAX_M``, and kept as the
   brute-force oracle everything else is tested against;
 * the averaged fidelity with one *joint node* (two adjacent noise slots
-  fused over their environment bond) left free.  The environments on either
-  side of the node are propagated with the averaged step of
-  :mod:`rbmpo.average` (forwards for the state, with transposed maps
-  backwards for the measurement), and one contraction applies the same step
-  to the node's own two slots, built from explicit (ket, bra) nodes.  The
-  fidelity is linear in the free node and in the pulled-back measurement, so
-  :func:`asf_joint_coefficient` feeds that contraction a basis of nodes and
-  returns the coefficient tensor summed over lengths with any weights in one
-  forward and one backward pass.  With the residuals as weights that sum is
-  the sweeping learner's gradient.
+  fused over their environment bond) left free, on the two-sector chain of
+  :mod:`rbmpo.average`: the node's two slots are sector maps built from
+  explicit (ket, bra) node stacks, set between the bulk slots below them and
+  the weighted sum of bulk powers above them.  The fidelity is linear in the
+  free node, so :func:`asf_joint_coefficient` feeds it a basis of nodes and
+  returns the coefficient tensor summed over lengths with any weights.  With
+  the residuals as weights that sum is the sweeping learner's gradient.
 
 Layout conventions: an operator X on environment x system is stored either
 as a dim x dim matrix or as a 4-axis array X[e, s, f, t] = <es|X|ft>.  A
@@ -38,13 +35,13 @@ from __future__ import annotations
 import numpy as np
 
 from .average import (
-    bulk_maps,
-    env_maps,
     kraus_stack,
     measurement_functional,
     prepared_state,
     raw_slot,
-    twirled_step,
+    raw_slot_adjoint,
+    sector_maps,
+    sector_pairs,
 )
 from .errors import InputError, ResourceLimitError, ShapeError
 from .noise import NoiseSteps
@@ -149,24 +146,20 @@ def _bra_node(steps: NoiseSteps, ops: tuple[np.ndarray, ...]) -> np.ndarray:
     return kraus_stack(ops, steps.d_env, steps.d_sys)
 
 
-def _slot(averaged: bool, ket: np.ndarray, bra: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One noise slot with explicit (ket, bra) node stacks: gate-averaged in
-    the bulk, raw at the preparation and final slots."""
-    if averaged:
-        return twirled_step(x, *env_maps(ket, bra), ket.shape[-1])
-    return raw_slot(ket, bra, x)
+def _free_node(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm, upper, lower, bra=None):
+    """Averaged fidelity with the joint node at slots (slot_i, slot_i - 1) as
+    (``upper``, ``lower``) ket node stacks, summed over lengths with real
+    ``weights`` (length -> weight).  ``bra`` is an (upper, lower) pair of bra
+    stacks, by default the slots' own nodes.  Leading batch axes of the stacks
+    broadcast into the result.
 
-
-def _environments(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm):
-    """State entering the joint node at slots (slot_i, slot_i - 1), the lower
-    slot's operators, and the measurement functionals pulled back to the
-    node's output, weighted by ``weights`` (length -> real weight).
-
-    Lengths n >= slot_i have a bulk slot above the node and share one
-    functional, summed by Horner's rule from the largest length down
-    (acc -> step(acc) + w_n meas).  Length slot_i - 1 has the raw final slot
-    there; shorter lengths lack the node.  Functionals come as (upper slot
-    averaged, upper slot's operators, functional).
+    In sector form (:func:`rbmpo.average.sector_maps`), with O the bulk slot
+    and A_up, A_dn the free ones, lengths n >= slot_i add up to
+    tr(A_up A_dn O^{i-2} X0 H): X0 is the prepared state paired with the
+    measurement functional, and H = sum_n w_n O^{n-i} is summed by Horner's
+    rule.  At slot 1 the raw preparation slot is applied to the state before
+    pairing.  Length slot_i - 1 has the raw final slot above the node, pulled
+    back into the functional; shorter lengths lack the node.
     """
     if not weights or not 1 <= slot_i <= max(weights) + 1:
         raise InputError(f"joint-node slot must satisfy 1 <= i <= n+1 for some length n, "
@@ -174,37 +167,36 @@ def _environments(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm):
     rho_sys, povm = (np.asarray(x, dtype=np.complex128) for x in (rho_sys, povm))
     if rho_sys.shape != (steps.d_sys,) * 2 or povm.shape != (steps.d_sys,) * 2:
         raise ShapeError("rho_sys or povm does not match the noise model's system dimension")
-    mixed, loop = bulk_maps(steps)
-    r = prepared_state(steps, rho_sys, prep=slot_i >= 2)
-    for _ in range(slot_i - 2):
-        r = twirled_step(r, mixed, loop, steps.d_sys)
+    own = bra is None
+    bra_dn = _bra_node(steps, steps.prep if slot_i == 1 else steps.bulk) if own else bra[1]
+    bulk = kraus_stack(steps.bulk, steps.d_env, steps.d_sys)
+    o = sector_maps(bulk, bulk)
+    x = prepared_state(steps, rho_sys, prep=slot_i >= 2)
+    if slot_i == 1:
+        x = raw_slot(lower, bra_dn, x)
+    else:
+        a_dn = sector_maps(lower, bra_dn)
+
+    def below(pairs):
+        """A_dn O^{i-2} pairs; at slot 1 the raw preparation is already in x."""
+        for _ in range(slot_i - 2):
+            pairs = o @ pairs
+        return a_dn @ pairs if slot_i >= 2 else pairs
+
     terms = []
     top = max(weights)
     if top >= slot_i:
-        meas = measurement_functional(steps, povm)
-        mixed_t, loop_t = mixed.transpose(2, 3, 0, 1), loop.transpose(2, 3, 0, 1)
-        l = weights[top] * meas
+        eye = np.eye(o.shape[-1])
+        h = weights[top] * eye
         for n in range(top - 1, slot_i - 1, -1):
-            l = twirled_step(l, mixed_t, loop_t, steps.d_sys) + weights.get(n, 0.0) * meas
-        terms.append((True, steps.bulk, l))
+            h = h @ o + weights.get(n, 0.0) * eye
+        a_up = sector_maps(upper, _bra_node(steps, steps.bulk) if own else bra[0])
+        terms.append(a_up @ below(sector_pairs(x, measurement_functional(steps, povm)) @ h))
     if slot_i - 1 in weights:
-        meas = measurement_functional(steps, povm, final=False)
-        terms.append((False, steps.final, weights[slot_i - 1] * meas))
-    return r, steps.prep if slot_i == 1 else steps.bulk, terms
-
-
-def _free_node(steps: NoiseSteps, slot_i: int, environments, upper, lower, bra=None):
-    """Averaged fidelity with the joint node at slots (slot_i, slot_i - 1) as
-    (``upper``, ``lower``) ket node stacks, summed over the lengths weighted
-    in ``environments`` (from :func:`_environments`).  ``bra`` is an (upper,
-    lower) pair of bra stacks, by default the slots' own nodes.  Leading batch
-    axes of the stacks broadcast into the result."""
-    r, lower_ops, terms = environments
-    own = bra is None
-    x = _slot(slot_i >= 2, lower, _bra_node(steps, lower_ops) if own else bra[1], r)
-    return sum(np.einsum("...esft,esft->...",
-                         _slot(averaged, upper, _bra_node(steps, ops) if own else bra[0], x), l)
-               for averaged, ops, l in terms)
+        final = _bra_node(steps, steps.final) if own else bra[0]
+        l = raw_slot_adjoint(upper, final, measurement_functional(steps, povm, final=False))
+        terms.append(weights[slot_i - 1] * below(sector_pairs(x, l)))
+    return sum(np.einsum("...kii->...", t) for t in terms)
 
 
 def asf_joint_coefficient(
@@ -221,7 +213,6 @@ def asf_joint_coefficient(
     measurement, so all lengths share one pass each way, and it does not
     depend on the current values of the two freed nodes on the forward chain.
     """
-    environments = _environments(steps, slot_i, weights, rho_sys, povm)
     d_env, d_sys = steps.d_env, steps.d_sys
 
     # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
@@ -230,7 +221,7 @@ def asf_joint_coefficient(
     basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
     lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
     upper = basis.reshape(-1, 1, 1, d_env, d_sys, 1, d_sys)
-    vals = _free_node(steps, slot_i, environments, upper, lower)  # (P, Q)
+    vals = _free_node(steps, slot_i, weights, rho_sys, povm, upper, lower)  # (P, Q)
 
     coeff = vals.reshape(d_env, d_sys, d_sys, d_sys, d_env, d_sys)
     coeff = coeff.transpose(0, 1, 2, 4, 3, 5)  # -> (e_up, s_i, s_i', e_dn, s_j, s_j')
@@ -254,7 +245,6 @@ def asf_with_joint_node(
     ``joint_bra = conj of joint_ket`` this is the physical, real-valued
     evaluation used by the finite-difference tests.
     """
-    environments = _environments(steps, slot_i, {n: 1.0}, rho_sys, povm)
     d_env, d_sys = steps.d_env, steps.d_sys
 
     def factor(joint6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +259,7 @@ def asf_with_joint_node(
         return upper.transpose(0, 1, 3, 2)[None], lower.transpose(0, 2, 1, 3)[None]
 
     bra = None if joint_bra is None else factor(joint_bra)
-    value = complex(_free_node(steps, slot_i, environments, *factor(joint_ket), bra))
+    value = complex(_free_node(steps, slot_i, {n: 1.0}, rho_sys, povm, *factor(joint_ket), bra))
     return value if joint_bra is None else float(np.real(value))
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from rbmpo.average import (
     NoiseSteps,
-    bulk_maps,
     clifford_averaged_asf,
     clifford_averaged_asf_curve,
     env_maps,
@@ -15,7 +14,6 @@ from rbmpo.average import (
     kraus_stack,
     measurement_functional,
     prepared_state,
-    twirled_step,
 )
 from rbmpo.errors import InputError, UnsupportedConfigurationError
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
@@ -156,18 +154,22 @@ class TestClosedFormAverage:
 
 
 class TestChainKernel:
-    """The two-sector chain against the averaged step it replaced, and its
-    node stacks against single nodes."""
+    """The two-sector chain against a literal per-step twirl, and its node
+    stacks against single nodes."""
 
     @staticmethod
     def stepped_curve(noise, m_max):
-        # reference: the prepared state taken through m_max twirled steps
-        x = prepared_state(noise, RHO)
-        meas = measurement_functional(noise, POVM)
-        mixed, loop = bulk_maps(noise)
+        # reference: the prepared state taken through m_max twirled bulk slots,
+        # X -> mean_C (I x C^dag) Bulk((I x C) X (I x C^dag)) (I x C) over the
+        # single-qubit Cliffords, each slot averaged on its own
+        gates = [np.kron(np.eye(noise.d_env), c) for c in single_qubit_cliffords().gates]
+        dim = noise.d_env * noise.d_sys
+        x = prepared_state(noise, RHO).reshape(dim, dim)
+        meas = measurement_functional(noise, POVM).reshape(dim, dim)
         values = []
         for _ in range(m_max):
-            x = twirled_step(x, mixed, loop, noise.d_sys)
+            x = sum(dagger(c) @ k @ c @ x @ dagger(c) @ dagger(k) @ c
+                    for c in gates for k in noise.bulk) / len(gates)
             values.append(np.real(np.sum(meas * x)))
         return np.array(values)
 

@@ -240,8 +240,10 @@ class TestGradient:
             assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), slot
 
     def test_work_is_linear_in_length(self, monkeypatch):
-        # one coefficient call and at most m_max + 3 averaged steps per gradient
-        counts = {"steps": 0, "coefficients": 0}
+        # one coefficient call per gradient, and a number of sector-map and
+        # pairing calls that does not grow with m_max (the bulk powers are
+        # matrix products on the two-sector chain)
+        counts = {"kernel": 0, "coefficients": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -249,21 +251,27 @@ class TestGradient:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(process_tensor_mod, "twirled_step",
-                            counted(process_tensor_mod.twirled_step, "steps"))
+        for name in ("sector_maps", "sector_pairs"):
+            monkeypatch.setattr(process_tensor_mod, name,
+                                counted(getattr(process_tensor_mod, name), "kernel"))
         monkeypatch.setattr(learner_mod, "asf_joint_coefficient",
                             counted(learner_mod.asf_joint_coefficient, "coefficients"))
         rng = np.random.default_rng(16)
         lam = haar_unitary(4, rng)
-        m_max = 20
-        data = AsfCurve(tuple(range(1, m_max + 1)), tuple(rng.uniform(0.5, 1.0, m_max)),
-                        (0.0,) * m_max, 1)
-        fit = evaluate(lam, 2, data, RHO, POVM)
-        for slot in range(1, m_max + 2):
-            counts.update(steps=0, coefficients=0)
-            gradient_joint(fit, 2, data, RHO, POVM, slot)
-            assert counts["coefficients"] == 1, slot
-            assert 0 < counts["steps"] <= m_max + 3, (slot, counts["steps"])
+        peak = {}
+        for m_max in (5, 20):
+            data = AsfCurve(tuple(range(1, m_max + 1)), tuple(rng.uniform(0.5, 1.0, m_max)),
+                            (0.0,) * m_max, 1)
+            fit = evaluate(lam, 2, data, RHO, POVM)
+            per_gradient = []
+            for slot in range(1, m_max + 2):
+                counts.update(kernel=0, coefficients=0)
+                gradient_joint(fit, 2, data, RHO, POVM, slot)
+                assert counts["coefficients"] == 1, slot
+                assert counts["kernel"] > 0, slot
+                per_gradient.append(counts["kernel"])
+            peak[m_max] = max(per_gradient)
+        assert peak[5] == peak[20] <= 5, peak
 
 
 def _unitarity_defect(node):
@@ -353,7 +361,8 @@ class TestDeparture:
         c0 = cost(node, 2, data, RHO, POVM)
         grad, hess, basis = learner_mod._tangent_probe(node, c0, 2, data, RHO, POVM)
         w, v = np.linalg.eigh(hess)
-        rays = [s * v[:, k] for k in np.flatnonzero(w < 0.0) for s in (1.0, -1.0)]
+        floor = -4.0 * np.finfo(float).eps * c0 / learner_mod._PROBE_ANGLE**2
+        rays = [s * v[:, k] for k in np.flatnonzero(w < floor) for s in (1.0, -1.0)]
         if np.linalg.norm(grad) > 0.0:
             rays.append(-grad / np.linalg.norm(grad))
         return node, c0, [sum(c * b for c, b in zip(ray, basis)) for ray in rays]
@@ -381,6 +390,25 @@ class TestDeparture:
                                              RHO, POVM))
             assert theta == stop.value.value
         assert any(theta > 0.0 for theta in lockstep)
+
+    @pytest.mark.parametrize("eigenvalue, rays", [(-1e-17, 0), (-1e-3, 2)])
+    def test_round_off_curvature_gives_no_ray(self, phase_flip_data, monkeypatch, eigenvalue,
+                                              rays):
+        # a Hessian eigenvalue of round-off size is no negative curvature: at a
+        # zero gradient it leaves the round without rays and line searches
+        searches = []
+
+        def no_search(f0):
+            searches.append(f0)
+            yield 1e-4
+            return 0.0
+
+        monkeypatch.setattr(learner_mod, "_tangent_probe", lambda *args: (
+            np.zeros(16), np.diag([eigenvalue, *np.ones(15)]), learner_mod._hermitian_basis(4)))
+        monkeypatch.setattr(learner_mod, "_line_minimize", no_search)
+        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+                         max_rounds=1, l1_stop=0.0)
+        assert len(searches) == rays
 
     def test_probe_is_one_cost_call_per_round(self, phase_flip_data, monkeypatch):
         # every probe node of a round goes into one batched cost call

@@ -123,14 +123,22 @@ class TestJointCoefficient:
     def test_full_contraction_reproduces_average(self):
         rng = np.random.default_rng(4)
         lam = haar_unitary(4, rng)
-        steps = NoiseSteps.uniform(lam, 2)
-        joint = joint_node(lam, lam, 2, 2)
-        for n in (1, 2, 5):
-            f_ref = clifford_averaged_asf(steps, RHO, POVM, n)
-            for slot in range(1, n + 2):
-                coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
-                f_via = float(np.real(np.sum(joint * np.conj(coeff))))
-                assert abs(f_via - f_ref) < 1e-10, (n, slot)
+        # a uniform model, and one whose boundary slots differ from the bulk
+        # (the final slot's own node must sit above the node at slot n + 1)
+        distinct = dataclasses.replace(NoiseSteps.uniform(haar_unitary(4, rng), 2),
+                                       prep=(haar_unitary(4, rng),), final=(haar_unitary(4, rng),))
+        for steps in (NoiseSteps.uniform(lam, 2), distinct):
+            prep, bulk, final = steps.prep[0], steps.bulk[0], steps.final[0]
+            for n in (1, 2, 5):
+                f_ref = clifford_averaged_asf(steps, RHO, POVM, n)
+                for slot in range(1, n + 2):
+                    joint = joint_node(final if slot == n + 1 else bulk,
+                                       prep if slot == 1 else bulk, 2, 2)
+                    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
+                    f_via = float(np.real(np.sum(joint * np.conj(coeff))))
+                    assert abs(f_via - f_ref) < 1e-10, (n, slot)
+                    f_own = asf_with_joint_node(steps, slot, n, RHO, POVM, joint, joint)
+                    assert abs(f_own - f_ref) < 1e-10, (n, slot)
 
     def test_identity_nodes_unit_fidelity(self):
         steps = NoiseSteps.uniform(np.eye(4, dtype=complex), 2)
