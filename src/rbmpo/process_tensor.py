@@ -11,14 +11,14 @@ module provides
   collapses into; no dense control tensor is built.  The noise tensor is
   exponentially large in m, capped at ``DENSE_ORACLE_MAX_M``, and kept as the
   brute-force oracle everything else is tested against;
-* the averaged fidelity with one *joint node* (two adjacent noise slots
-  fused over their environment bond) left free, on the two-sector chain of
-  :mod:`rbmpo.average`: the node's two slots are sector maps built from
-  explicit (ket, bra) node stacks, set between the bulk slots below them and
-  the weighted sum of bulk powers above them.  The fidelity is linear in the
-  free node, so :func:`asf_joint_coefficient` feeds it a basis of nodes and
-  returns the coefficient tensor summed over lengths with any weights.  With
-  the residuals as weights that sum is the sweeping learner's gradient.
+* :func:`asf_joint_coefficient`, the one contraction with a *joint node*
+  (two adjacent noise slots fused over their environment bond) left free,
+  on the two-sector chain of :mod:`rbmpo.average`.  The averaged fidelity is
+  linear in the forward chain's joint node, so a basis of nodes goes through
+  the chain as one batch, and the coefficient tensor comes back summed over
+  lengths with any weights.  With the residuals as weights that sum is the
+  sweeping learner's gradient; with a joint node L on the conjugate chain as
+  well, pairing the tensor with L gives the physical fidelity at L.
 
 Layout conventions: an operator X on environment x system is stored either
 as a dim x dim matrix or as a 4-axis array X[e, s, f, t] = <es|X|ft>.  A
@@ -136,22 +136,23 @@ def contract_asf_dense_averaged(
 
 
 # --------------------------------------------------------------------------
-# superoperator chain with an optional free joint node
+# superoperator chain with the joint node left free
 # --------------------------------------------------------------------------
 
-def _bra_node(steps: NoiseSteps, ops: tuple[np.ndarray, ...]) -> np.ndarray:
-    """A slot's own node as a one-node stack: the bra side of a free joint node."""
-    if len(ops) != 1:
-        raise InputError(f"a free joint node needs a unitary node, not {len(ops)} Kraus operators")
-    return kraus_stack(ops, steps.d_env, steps.d_sys)
+def asf_joint_coefficient(
+    steps: NoiseSteps, slot_i: int, weights, rho_sys, povm, bra=None
+) -> np.ndarray:
+    """Coefficient tensor of the averaged fidelity in the joint node at slots
+    (slot_i, slot_i - 1), summed over lengths with real ``weights`` (length ->
+    weight; one length n alone is ``{n: 1.0}``).
 
-
-def _free_node(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm, upper, lower, bra=None):
-    """Averaged fidelity with the joint node at slots (slot_i, slot_i - 1) as
-    (``upper``, ``lower``) ket node stacks, summed over lengths with real
-    ``weights`` (length -> weight).  ``bra`` is an (upper, lower) pair of bra
-    stacks, by default the slots' own nodes.  Leading batch axes of the stacks
-    broadcast into the result.
+    Returns T = sum_n w_n T_n with axes (e_up, s_i, s_i', e_dn, s_j, s_j'):
+    for any joint node L at those slots on the forward chain the length-n
+    averaged fidelity is sum(L * conj(T_n)).  ``bra`` is the joint node on
+    the conjugate chain, by default the two slots' own nodes (which must be
+    unitary); T does not depend on the forward chain's values at the slots.
+    With ``bra = L``, Re sum(L * conj(T)) is the physical fidelity.  Lengths
+    n < slot_i - 1 lack the slots and add nothing.
 
     In sector form (:func:`rbmpo.average.sector_maps`), with O the bulk slot
     and A_up, A_dn the free ones, lengths n >= slot_i add up to
@@ -159,17 +160,43 @@ def _free_node(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm, upper, lo
     measurement functional, and H = sum_n w_n O^{n-i} is summed by Horner's
     rule.  At slot 1 the raw preparation slot is applied to the state before
     pairing.  Length slot_i - 1 has the raw final slot above the node, pulled
-    back into the functional; shorter lengths lack the node.
+    back into the functional.  The forward chain carries a basis of nodes
+    with a one-dimensional bond as a batch, so all lengths and entries share
+    one pass.
     """
     if not weights or not 1 <= slot_i <= max(weights) + 1:
         raise InputError(f"joint-node slot must satisfy 1 <= i <= n+1 for some length n, "
                          f"got i={slot_i}, lengths {sorted(weights)}")
+    d_env, d_sys = steps.d_env, steps.d_sys
     rho_sys, povm = (np.asarray(x, dtype=np.complex128) for x in (rho_sys, povm))
-    if rho_sys.shape != (steps.d_sys,) * 2 or povm.shape != (steps.d_sys,) * 2:
+    if rho_sys.shape != (d_sys,) * 2 or povm.shape != (d_sys,) * 2:
         raise ShapeError("rho_sys or povm does not match the noise model's system dimension")
-    own = bra is None
-    bra_dn = _bra_node(steps, steps.prep if slot_i == 1 else steps.bulk) if own else bra[1]
-    bulk = kraus_stack(steps.bulk, steps.d_env, steps.d_sys)
+    if bra is not None:
+        bra = np.asarray(bra, dtype=np.complex128)
+        if bra.shape != (d_env, d_sys, d_sys) * 2:
+            raise ShapeError(f"bra joint node has shape {bra.shape}")
+        # one-node stacks over a full bond: (1, e_up, s_i, bond, s_i'), (1, bond, s_j, e_dn, s_j')
+        bond = d_env * d_sys * d_sys
+        halves = (np.eye(bond, dtype=np.complex128).reshape(d_env, d_sys, d_sys, bond)
+                  .transpose(0, 1, 3, 2)[None],
+                  bra.reshape(bond, d_env, d_sys, d_sys).transpose(0, 2, 1, 3)[None])
+
+    def bra_node(ops: tuple[np.ndarray, ...], half: int) -> np.ndarray:
+        """The conjugate chain at one free slot: a slot's own node or a half of ``bra``."""
+        if bra is not None:
+            return halves[half]
+        if len(ops) != 1:
+            raise InputError(f"a free joint node needs a unitary node, not {len(ops)} Kraus operators")
+        return kraus_stack(ops, d_env, d_sys)
+
+    # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
+    # stacks: lower (Q, 1, bond, s_j, e_dn, s_j'), upper (P, 1, 1, e_up, s_i,
+    # bond, s_i'); the upper batch axes broadcast against the lower ones.
+    basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
+    lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
+    upper = basis.reshape(-1, 1, 1, d_env, d_sys, 1, d_sys)
+    bra_dn = bra_node(steps.prep if slot_i == 1 else steps.bulk, 1)
+    bulk = kraus_stack(steps.bulk, d_env, d_sys)
     o = sector_maps(bulk, bulk)
     x = prepared_state(steps, rho_sys, prep=slot_i >= 2)
     if slot_i == 1:
@@ -190,77 +217,17 @@ def _free_node(steps: NoiseSteps, slot_i: int, weights, rho_sys, povm, upper, lo
         h = weights[top] * eye
         for n in range(top - 1, slot_i - 1, -1):
             h = h @ o + weights.get(n, 0.0) * eye
-        a_up = sector_maps(upper, _bra_node(steps, steps.bulk) if own else bra[0])
+        a_up = sector_maps(upper, bra_node(steps.bulk, 0))
         terms.append(a_up @ below(sector_pairs(x, measurement_functional(steps, povm)) @ h))
     if slot_i - 1 in weights:
-        final = _bra_node(steps, steps.final) if own else bra[0]
-        l = raw_slot_adjoint(upper, final, measurement_functional(steps, povm, final=False))
+        l = raw_slot_adjoint(upper, bra_node(steps.final, 0),
+                             measurement_functional(steps, povm, final=False))
         terms.append(weights[slot_i - 1] * below(sector_pairs(x, l)))
-    return sum(np.einsum("...kii->...", t) for t in terms)
-
-
-def asf_joint_coefficient(
-    steps: NoiseSteps, slot_i: int, weights, rho_sys, povm
-) -> np.ndarray:
-    """Coefficient tensor of the averaged fidelity in the joint node at slots
-    (slot_i, slot_i - 1), summed over lengths with real ``weights`` (length ->
-    weight; one length n alone is ``{n: 1.0}``).
-
-    Returns T = sum_n w_n T_n with axes (e_up, s_i, s_i', e_dn, s_j, s_j'):
-    for any joint node L at those slots (conjugate chain untouched) the
-    length-n averaged fidelity is sum(L * conj(T_n)).  Lengths n < slot_i - 1
-    lack the slots and add nothing.  T is linear in the pulled-back
-    measurement, so all lengths share one pass each way, and it does not
-    depend on the current values of the two freed nodes on the forward chain.
-    """
-    d_env, d_sys = steps.d_env, steps.d_sys
-
-    # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
-    # stacks: lower (Q, 1, bond, s_j, e_dn, s_j'), upper (P, 1, 1, e_up, s_i,
-    # bond, s_i'); the upper batch axes broadcast against the lower ones.
-    basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
-    lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
-    upper = basis.reshape(-1, 1, 1, d_env, d_sys, 1, d_sys)
-    vals = _free_node(steps, slot_i, weights, rho_sys, povm, upper, lower)  # (P, Q)
+    vals = sum(np.einsum("...kii->...", t) for t in terms)  # (P, Q)
 
     coeff = vals.reshape(d_env, d_sys, d_sys, d_sys, d_env, d_sys)
     coeff = coeff.transpose(0, 1, 2, 4, 3, 5)  # -> (e_up, s_i, s_i', e_dn, s_j, s_j')
     return np.conj(coeff)
-
-
-def asf_with_joint_node(
-    steps: NoiseSteps,
-    slot_i: int,
-    n: int,
-    rho_sys,
-    povm,
-    joint_ket: np.ndarray,
-    joint_bra: np.ndarray | None = None,
-) -> float | complex:
-    """Averaged fidelity with an explicit joint node at slots (slot_i, slot_i-1).
-
-    ``joint_ket`` replaces the two forward-chain nodes; ``joint_bra`` replaces
-    the two conjugate-chain nodes (defaults to the model's own nodes, which
-    makes the result linear in ``joint_ket`` and generally complex).  With
-    ``joint_bra = conj of joint_ket`` this is the physical, real-valued
-    evaluation used by the finite-difference tests.
-    """
-    d_env, d_sys = steps.d_env, steps.d_sys
-
-    def factor(joint6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a joint node into one-node Kraus stacks over a full bond."""
-        joint6 = np.asarray(joint6, dtype=np.complex128)
-        if joint6.shape != (d_env, d_sys, d_sys, d_env, d_sys, d_sys):
-            raise ShapeError(f"joint node has shape {joint6.shape}")
-        bond = d_env * d_sys * d_sys
-        upper = np.eye(bond, dtype=np.complex128).reshape(d_env, d_sys, d_sys, bond)
-        lower = joint6.reshape(bond, d_env, d_sys, d_sys)
-        # (1, e_up, s_i, bond, s_i') and (1, bond, s_j, e_dn, s_j')
-        return upper.transpose(0, 1, 3, 2)[None], lower.transpose(0, 2, 1, 3)[None]
-
-    bra = None if joint_bra is None else factor(joint_bra)
-    value = complex(_free_node(steps, slot_i, {n: 1.0}, rho_sys, povm, *factor(joint_ket), bra))
-    return value if joint_bra is None else float(np.real(value))
 
 
 def joint_node(node_up: np.ndarray, node_dn: np.ndarray, d_env: int, d_sys: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from rbmpo.learner import (
 )
 from rbmpo.linalg import dagger, project_to_unitary
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
-from rbmpo.process_tensor import asf_with_joint_node, contract_asf_dense, joint_node
+from rbmpo.process_tensor import asf_joint_coefficient, contract_asf_dense, joint_node
 from rbmpo.quantum import basis_state, sample_sequence, single_qubit_cliffords
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
 
@@ -145,7 +145,8 @@ def test_criterion_4_gradient_correctness():
             total = 0.0
             for n, f_exp in zip(data.lengths, data.means):
                 if n >= max(slot - 1, 1):
-                    f = asf_with_joint_node(steps, slot, n, RHO, POVM, joint, joint)
+                    f = np.real(np.sum(joint * np.conj(
+                        asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, joint))))
                 else:
                     f = clifford_averaged_asf(steps, RHO, POVM, n)
                 total += 0.5 * (f - f_exp) ** 2

@@ -327,11 +327,19 @@ class TestSelfcheck:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
 
+    @staticmethod
+    def failing_checks(capsys):
+        rc = main(["selfcheck", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_NUMERICAL
+        assert report["passed"] is False
+        return [row["check"] for row in report["checks"] if not row["ok"]]
+
     def test_injected_sign_error_is_caught(self, monkeypatch, capsys):
         # deliberate fault: flip the sign of every loop map.  The curve and the
         # joint-node coefficient share the one sector-map kernel, so the
-        # gradient still matches its finite differences, and the enumeration
-        # check is the one that fails
+        # gradient still matches its finite differences; the enumeration and
+        # the dense oracle, which share nothing with the kernel, both fail
         import rbmpo.average as average_mod
 
         original = average_mod.env_maps
@@ -341,12 +349,22 @@ class TestSelfcheck:
             return np.stack([mixed, -loop])
 
         monkeypatch.setattr(average_mod, "env_maps", broken)
-        rc = main(["selfcheck", "--json"])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == EXIT_NUMERICAL
-        assert report["passed"] is False
-        failing = [row["check"] for row in report["checks"] if not row["ok"]]
-        assert failing == ["closed-form average vs full enumeration (m=1)"]
+        assert self.failing_checks(capsys) == [
+            "closed-form average vs full enumeration (m=1)",
+            "closed form vs dense averaged oracle (m=2-3)"]
+
+    def test_stale_bulk_power_is_caught(self, monkeypatch, capsys):
+        # deliberate fault that shows only from m = 2 on: the closed-form
+        # curve repeats its m = 1 value at every length
+        import rbmpo.average as average_mod
+
+        original = average_mod._chain_curve
+
+        def stale(noise, rho_sys, povm, m_max):
+            return np.repeat(original(noise, rho_sys, povm, 1), m_max, axis=-1)
+
+        monkeypatch.setattr(average_mod, "_chain_curve", stale)
+        assert self.failing_checks(capsys) == ["closed form vs dense averaged oracle (m=2-3)"]
 
 
 class TestParsing:

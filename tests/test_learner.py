@@ -26,7 +26,7 @@ from rbmpo.linalg import dagger
 from rbmpo.noise import hermitian_expm, phase_flip, spin_unitary
 import rbmpo.learner as learner_mod
 import rbmpo.process_tensor as process_tensor_mod
-from rbmpo.process_tensor import asf_joint_coefficient, asf_with_joint_node, joint_node
+from rbmpo.process_tensor import asf_joint_coefficient, joint_node
 from rbmpo.quantum import basis_state
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf
 
@@ -190,7 +190,8 @@ class TestGradient:
             total = 0.0
             for n, f_exp in zip(data.lengths, data.means):
                 if n >= max(slot - 1, 1):
-                    f = asf_with_joint_node(steps, slot, n, RHO, POVM, joint, joint)
+                    f = np.real(np.sum(joint * np.conj(
+                        asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, joint))))
                 else:
                     f = clifford_averaged_asf(steps, RHO, POVM, n)
                 total += 0.5 * (f - f_exp) ** 2

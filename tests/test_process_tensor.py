@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from rbmpo.average import NoiseSteps, clifford_averaged_asf
-from rbmpo.errors import ResourceLimitError
+from rbmpo.errors import InputError, ResourceLimitError, ShapeError
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary
 from rbmpo.process_tensor import (
     DENSE_ORACLE_MAX_M,
     asf_joint_coefficient,
-    asf_with_joint_node,
     contract_asf_dense,
     contract_asf_dense_averaged,
     dense_noise_tensor,
@@ -28,6 +27,12 @@ def haar_unitary(n, rng):
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def physical(steps, slot, n, joint):
+    """Averaged fidelity at length n with ``joint`` on both chains at (slot, slot - 1)."""
+    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, joint)
+    return float(np.real(np.sum(joint * np.conj(coeff))))
 
 
 def random_model(rng):
@@ -137,7 +142,7 @@ class TestJointCoefficient:
                     coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
                     f_via = float(np.real(np.sum(joint * np.conj(coeff))))
                     assert abs(f_via - f_ref) < 1e-10, (n, slot)
-                    f_own = asf_with_joint_node(steps, slot, n, RHO, POVM, joint, joint)
+                    f_own = physical(steps, slot, n, joint)
                     assert abs(f_own - f_ref) < 1e-10, (n, slot)
 
     def test_identity_nodes_unit_fidelity(self):
@@ -146,64 +151,39 @@ class TestJointCoefficient:
         joint = joint_node(np.eye(4), np.eye(4), 2, 2)
         assert abs(np.sum(joint * np.conj(coeff)) - 1.0) < 1e-12
 
-    def test_linearity_superposition(self):
-        rng = np.random.default_rng(5)
-        steps = NoiseSteps.uniform(haar_unitary(4, rng), 2)
-        shape = (2, 2, 2, 2, 2, 2)
-        l1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        l2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        f = lambda L: asf_with_joint_node(steps, 2, 3, RHO, POVM, L)
-        zero = np.zeros(shape)
-        residual = f(l1 + l2) - f(l1) - f(l2) + f(zero)
-        assert abs(residual) < 1e-12
-        assert abs(f(zero)) < 1e-12
-
-    def test_linear_path_matches_coefficient(self):
-        rng = np.random.default_rng(6)
-        steps = NoiseSteps.uniform(haar_unitary(4, rng), 2)
-        coeff = asf_joint_coefficient(steps, 2, {4: 1.0}, RHO, POVM)
-        shape = (2, 2, 2, 2, 2, 2)
-        probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        linear = asf_with_joint_node(steps, 2, 4, RHO, POVM, probe)
-        assert abs(linear - np.sum(probe * np.conj(coeff))) < 1e-12
-
-    def test_single_entry_perturbation(self):
-        # perturbing one entry of the joint node changes the linear fidelity
-        # by exactly h times the conjugated coefficient entry
-        rng = np.random.default_rng(7)
-        lam = haar_unitary(4, rng)
-        steps = NoiseSteps.uniform(lam, 2)
-        coeff = asf_joint_coefficient(steps, 3, {4: 1.0}, RHO, POVM)
-        base = joint_node(lam, lam, 2, 2)
-        h = 1e-5
-        idx = (1, 0, 1, 0, 1, 1)
-        probe = np.zeros_like(base)
-        probe[idx] = 1.0
-        f = lambda L: asf_with_joint_node(steps, 3, 4, RHO, POVM, L)
-        fd = (f(base + h * probe) - f(base - h * probe)) / (2 * h)
-        rel = abs(fd - np.conj(coeff[idx])) / max(abs(coeff[idx]), 1e-12)
-        assert rel < 1e-6
-
-    def test_coefficient_independent_of_freed_node_values(self):
-        # the coefficient is defined by the surrounding contraction only:
-        # finite differences of the linear path about two different base
-        # points give the same tensor
-        rng = np.random.default_rng(8)
-        steps = NoiseSteps.uniform(haar_unitary(4, rng), 2)
-        shape = (2, 2, 2, 2, 2, 2)
-        base_a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        base_b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        f = lambda L: asf_with_joint_node(steps, 2, 2, RHO, POVM, L)
-        probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        diff_a = f(base_a + probe) - f(base_a)
-        diff_b = f(base_b + probe) - f(base_b)
-        assert abs(diff_a - diff_b) < 1e-12
-
     def test_physical_evaluation_at_model_point(self):
         rng = np.random.default_rng(9)
         lam = haar_unitary(4, rng)
         steps = NoiseSteps.uniform(lam, 2)
         joint = joint_node(lam, lam, 2, 2)
-        value = asf_with_joint_node(steps, 2, 3, RHO, POVM, joint, joint)
-        assert isinstance(value, float)
-        assert abs(value - clifford_averaged_asf(steps, RHO, POVM, 3)) < 1e-12
+        value = np.sum(joint * np.conj(asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, POVM, joint)))
+        assert abs(value.imag) < 1e-12
+        assert abs(value.real - clifford_averaged_asf(steps, RHO, POVM, 3)) < 1e-12
+
+    def test_physical_evaluation_away_from_model_point(self):
+        # at n = 1 each slot of the sequence (prep, bulk, final) is its own
+        # node, so a product joint node of two other unitaries is a model of
+        # its own: at slot 1 it replaces (bulk, prep), at slot 2 (final, bulk)
+        rng = np.random.default_rng(10)
+        base = dataclasses.replace(random_model(rng), prep=(haar_unitary(4, rng),),
+                                   final=(haar_unitary(4, rng),))
+        u_up, u_dn = haar_unitary(4, rng), haar_unitary(4, rng)
+        joint = joint_node(u_up, u_dn, 2, 2)
+        for slot, model in ((1, dataclasses.replace(base, bulk=(u_up,), prep=(u_dn,))),
+                            (2, dataclasses.replace(base, final=(u_up,), bulk=(u_dn,)))):
+            value = physical(base, slot, 1, joint)
+            assert abs(value - clifford_averaged_asf(model, RHO, POVM, 1)) < 1e-12, slot
+
+    def test_input_checks(self):
+        rng = np.random.default_rng(11)
+        steps = random_model(rng)
+        with pytest.raises(ShapeError, match="bra joint node"):
+            asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, POVM, np.zeros((8, 8)))
+        with pytest.raises(InputError, match="2 Kraus operators"):
+            asf_joint_coefficient(amplitude_damping(0.1), 2, {3: 1.0}, RHO, POVM)
+        with pytest.raises(ShapeError, match="system dimension"):
+            asf_joint_coefficient(steps, 2, {3: 1.0}, np.eye(4) / 4, POVM)
+        with pytest.raises(ShapeError, match="system dimension"):
+            asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, np.eye(3))
+        with pytest.raises(InputError, match="joint-node slot"):
+            asf_joint_coefficient(steps, 5, {3: 1.0}, RHO, POVM)
