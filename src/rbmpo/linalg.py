@@ -33,7 +33,8 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., r, c)."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def svd(m):

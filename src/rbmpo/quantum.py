@@ -101,7 +101,8 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
 
 
 def _kraus_sum(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    """sum_i K_i rho K_i^dag without checks; also the sequence simulator's slot."""
+    """sum_i K_i rho K_i^dag without checks, for a state or a stack of states
+    (..., d, d); also the sequence simulator's slot."""
     out = ops[0] @ rho @ dagger(ops[0])
     for k in ops[1:]:
         out += k @ rho @ dagger(k)
@@ -196,26 +197,36 @@ def sample_sequence(gate_set: GateSet, m: int, rng: np.random.Generator) -> list
     The random source is an explicit argument so sampling is reproducible and
     safe to parallelize with independent streams.
     """
+    return [gate_set.gates[int(i)] for i in _draw_indices(gate_set, m, rng)]
+
+
+def _draw_indices(gate_set: GateSet, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices into ``gate_set.gates`` of a length-m sequence: the one draw
+    from ``rng`` behind :func:`sample_sequence` and the batched Monte Carlo."""
     if m < 1:
         raise InputError(f"sequence length must be >= 1, got {m}")
-    if len(gate_set) == 0:
-        raise InputError("cannot sample from an empty gate set")
-    picks = rng.integers(0, len(gate_set), size=m)
-    return [gate_set.gates[int(i)] for i in picks]
+    return rng.integers(0, len(gate_set), size=m)
 
 
-def compile_undo(gates: list[np.ndarray]) -> np.ndarray:
+def compile_undo(gates) -> np.ndarray:
     """Inverse of the composed sequence: (G_m ... G_1)^dag.
 
-    Appending this to the sequence makes the ideal circuit the identity up to
-    a global phase.
+    ``gates`` is a list of m (d, d) matrices, which gives one (d, d) inverse,
+    or a stack (..., m, d, d) of sequences, which gives a stack (..., d, d):
+    one running product ``prod = g @ prod`` over the m gates of every
+    sequence at once.  Appending the inverse to its sequence makes the ideal
+    circuit the identity up to a global phase.
     """
-    if not gates:
+    try:
+        stack = np.asarray(gates)
+    except ValueError as exc:
+        raise ShapeError(f"gates in a sequence must share one shape: {exc}") from exc
+    if stack.size == 0:
         raise InputError("cannot compile the inverse of an empty sequence")
-    d = gates[0].shape[0]
-    prod = np.eye(d, dtype=np.complex128)
-    for g in gates:
-        if g.shape != (d, d):
-            raise ShapeError("gates in a sequence must share one dimension")
-        prod = g @ prod
+    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
+        raise ShapeError(f"gates must stack as (..., m, d, d), got {stack.shape}")
+    d = stack.shape[-1]
+    prod = np.broadcast_to(np.eye(d, dtype=np.complex128), (*stack.shape[:-3], d, d))
+    for j in range(stack.shape[-3]):
+        prod = stack[..., j, :, :] @ prod
     return dagger(prod)

@@ -8,6 +8,13 @@ gives the average sequence fidelity (ASF) curve with standard errors.
 
 Determinism contract: the random stream for sample k at length m is derived
 from (seed, m, k), so results are independent of evaluation order.
+
+Batches: :func:`run_sequence` runs one sequence, or a stack of n sequences
+of one length as one stack of n joint states; a single sequence is the batch
+of one.  :func:`estimate_asf` draws each sample's gate indices from its own
+stream, exactly as :func:`rbmpo.quantum.sample_sequence` would, and makes one
+batched call per length, so its values are those of running the samples one
+at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ from .errors import InputError, NumericalError, ShapeError
 from .noise import NoiseSteps
 from .quantum import (
     GateSet,
+    _draw_indices,
     _kraus_sum,
     basis_state,
     compile_undo,
     dagger,
-    sample_sequence,
     single_qubit_cliffords,
     validate_density_matrix,
     validate_povm_element,
@@ -113,37 +120,47 @@ class ExperimentConfig:
         object.__setattr__(self, "povm", povm)
 
 
-def run_sequence(noise: NoiseSteps, gates, rho_sys, povm) -> float:
-    """Survival probability of one RB sequence (the inverse gate is appended here).
+def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
+    """Survival probability of RB sequences (the inverse gate is appended here).
 
-    One pass over the slots (prep, bulk x m, final) of ``noise.slots``:
-    rho_env x rho_sys goes through the preparation slot, each gate is followed
-    by a bulk slot and the compiled inverse by the final slot, and I_env x povm
-    is measured.  Gates act on the system leg of the joint state; a
-    memoryless channel is the case ``noise.d_env == 1``.
+    ``gates`` is one sequence, a list of m (d, d) matrices, which gives a
+    float; or a stack (n, m, d, d) of n sequences of one length, which gives
+    an (n,) array.  A single sequence runs as the batch of one.  The joint
+    states of all n sequences go as one stack (n, dim, dim) through one pass
+    over the slots (prep, bulk x m, final) of ``noise.slots``: rho_env x
+    rho_sys goes through the preparation slot, each gate is followed by a
+    bulk slot and the compiled inverse by the final slot, and I_env x povm is
+    measured.  Gates act on the system leg of the joint state; a memoryless
+    channel is the case ``noise.d_env == 1``.  A survival probability outside
+    [-1e-10, 1 + 1e-10] raises :class:`NumericalError`; the others are
+    clipped to [0, 1].
     """
-    if not gates:
-        raise InputError("run_sequence needs at least one gate")
+    undo = compile_undo(gates)
+    stack = np.asarray(gates)
     d = noise.d_sys
-    for g in gates:
-        if g.shape != (d, d):
-            raise ShapeError(f"gate shape {g.shape} does not match system dim {d}")
+    if stack.ndim not in (3, 4) or stack.shape[-2:] != (d, d):
+        raise ShapeError(f"gates of shape {stack.shape} are not (m, {d}, {d}) or (n, m, {d}, {d})")
     rho_sys, povm = np.asarray(rho_sys), np.asarray(povm)
     if rho_sys.shape != (d, d) or povm.shape != (d, d):
         raise ShapeError("state/POVM dimensions do not match the noise model")
+    batch = stack if stack.ndim == 4 else stack[None]
+    n, m = batch.shape[:2]
     d_env, dim = noise.d_env, noise.dim
     state = (noise.rho_env[:, None, :, None] * rho_sys[None, :, None, :]).reshape(dim, dim)
-    controls = [None, *gates, compile_undo(gates)]
-    for g, ops in zip(controls, noise.slots(len(gates))):
+    state = np.broadcast_to(state, (n, dim, dim))
+    controls = [None, *batch.swapaxes(0, 1), undo.reshape(n, d, d)]
+    for g, ops in zip(controls, noise.slots(m)):
         if g is not None:
-            state = (g @ state.reshape(d_env, d, dim)).reshape(dim, d_env, d)
-            state = (state @ dagger(g)).reshape(dim, dim)
+            state = (g[:, None] @ state.reshape(n, d_env, d, dim)).reshape(n, dim, d_env, d)
+            state = (state @ dagger(g)[:, None]).reshape(n, dim, dim)
         state = _kraus_sum(ops, state)
-    reduced = np.trace(state.reshape(d_env, d, d_env, d), axis1=0, axis2=2)
-    f = float(np.trace(povm @ reduced).real)
-    if not -1e-10 <= f <= 1 + 1e-10:
-        raise NumericalError(f"survival probability {f} escaped [0, 1]")
-    return min(max(f, 0.0), 1.0)
+    reduced = np.trace(state.reshape(n, d_env, d, d_env, d), axis1=1, axis2=3)
+    f = np.trace(povm @ reduced, axis1=1, axis2=2).real
+    escaped = ~((f >= -1e-10) & (f <= 1 + 1e-10))
+    if escaped.any():
+        raise NumericalError(f"survival probability {f[escaped][0]} escaped [0, 1]")
+    f = np.clip(f, 0.0, 1.0)
+    return float(f[0]) if stack.ndim == 3 else f
 
 
 def sample_stream(seed: int, m: int, index: int) -> np.random.Generator:
@@ -155,15 +172,16 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     """Monte Carlo ASF estimate over lengths 1..m_max.
 
     For each length, n_samples independent sequences are drawn and the sample
-    mean and standard error (ddof=1, divided by sqrt(n)) are reported.
+    mean and standard error (ddof=1, divided by sqrt(n)) are reported.  The
+    samples of one length go through :func:`run_sequence` as one batch, whose
+    gate stack (n_samples, m, d, d) is gathered from the gate set's table.
     """
     lengths, means, stderrs = [], [], []
+    table = np.stack(cfg.gate_set.gates)
     for m in range(1, cfg.m_max + 1):
-        values = np.empty(cfg.n_samples, dtype=np.float64)
-        for k in range(cfg.n_samples):
-            rng = sample_stream(cfg.seed, m, k)
-            gates = sample_sequence(cfg.gate_set, m, rng)
-            values[k] = run_sequence(cfg.noise, gates, cfg.rho_sys, cfg.povm)
+        picks = np.stack([_draw_indices(cfg.gate_set, m, sample_stream(cfg.seed, m, k))
+                          for k in range(cfg.n_samples)])
+        values = run_sequence(cfg.noise, table[picks], cfg.rho_sys, cfg.povm)
         lengths.append(m)
         means.append(float(values.mean()))
         if cfg.n_samples > 1:

@@ -115,6 +115,19 @@ class TestClosedFormAverage:
         ]
         assert abs(np.mean(vals2) - clifford_averaged_asf(model, RHO, POVM, 2)) < 1e-10
 
+    @pytest.mark.slow
+    def test_matches_exhaustive_enumeration_m4(self):
+        # all 331,776 sequences, one batch of 13,824 per first gate
+        rng = np.random.default_rng(1104)
+        table = np.stack(single_qubit_cliffords().gates)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+        tails = table[np.indices((24,) * 3).reshape(3, -1).T]
+        total = sum(
+            np.sum(run_sequence(model, np.concatenate(
+                [np.broadcast_to(g, (len(tails), 1, 2, 2)), tails], axis=1), RHO, POVM))
+            for g in table)
+        assert abs(total / 24**4 - clifford_averaged_asf(model, RHO, POVM, 4)) < 1e-10
+
     def test_markovian_models_exactly_exponential(self):
         for model in (phase_flip(0.06), amplitude_damping(0.1), depolarizing(0.1)):
             curve_vals = clifford_averaged_asf_curve(model, RHO, POVM, 20)

@@ -338,8 +338,8 @@ class TestSelfcheck:
     def test_injected_sign_error_is_caught(self, monkeypatch, capsys):
         # deliberate fault: flip the sign of every loop map.  The curve and the
         # joint-node coefficient share the one sector-map kernel, so the
-        # gradient still matches its finite differences; the enumeration and
-        # the dense oracle, which share nothing with the kernel, both fail
+        # gradient still matches its finite differences; the enumerations and
+        # the dense oracle, which share nothing with the kernel, all fail
         import rbmpo.average as average_mod
 
         original = average_mod.env_maps
@@ -351,6 +351,7 @@ class TestSelfcheck:
         monkeypatch.setattr(average_mod, "env_maps", broken)
         assert self.failing_checks(capsys) == [
             "closed-form average vs full enumeration (m=1)",
+            "closed-form average vs full enumeration (m=3)",
             "closed form vs dense averaged oracle (m=2-3)"]
 
     def test_stale_bulk_power_is_caught(self, monkeypatch, capsys):
@@ -364,7 +365,9 @@ class TestSelfcheck:
             return np.repeat(original(noise, rho_sys, povm, 1), m_max, axis=-1)
 
         monkeypatch.setattr(average_mod, "_chain_curve", stale)
-        assert self.failing_checks(capsys) == ["closed form vs dense averaged oracle (m=2-3)"]
+        assert self.failing_checks(capsys) == [
+            "closed-form average vs full enumeration (m=3)",
+            "closed form vs dense averaged oracle (m=2-3)"]
 
 
 class TestParsing:

@@ -24,6 +24,20 @@ def random_complex(n, rng):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+class TestDagger:
+    def test_matrix(self):
+        m = np.array([[1 + 2j, 3j], [4, 5 - 1j], [6j, 7]])
+        assert np.array_equal(dagger(m), np.array([[1 - 2j, 4, -6j], [-3j, 5 + 1j, 7]]))
+
+    def test_stack_is_matrix_by_matrix(self):
+        rng = np.random.default_rng(40)
+        stack = rng.standard_normal((5, 3, 2, 4)) + 1j * rng.standard_normal((5, 3, 2, 4))
+        out = dagger(stack)
+        assert out.shape == (5, 3, 4, 2)
+        for idx in np.ndindex(5, 3):
+            assert np.array_equal(out[idx], dagger(stack[idx]))
+
+
 class TestSvd:
     def test_identity(self):
         res = svd(np.eye(2))

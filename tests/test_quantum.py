@@ -127,6 +127,14 @@ class TestCompileUndo:
         with pytest.raises(InputError):
             compile_undo([])
 
+    def test_stack_equals_per_sequence(self, cliffords):
+        rng = np.random.default_rng(901)
+        stack = np.stack(cliffords.gates)[rng.integers(0, 24, size=(4, 7, 5))]
+        undo = compile_undo(stack)
+        assert undo.shape == (4, 7, 2, 2)
+        for idx in np.ndindex(4, 7):
+            assert np.array_equal(undo[idx], compile_undo(list(stack[idx])))
+
 
 class TestApplyChannel:
     def test_identity_channel(self):

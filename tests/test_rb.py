@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rbmpo.average import clifford_averaged_asf
-from rbmpo.errors import InputError, NumericalError
+from rbmpo.errors import InputError, NumericalError, ShapeError
 from rbmpo.noise import (
+    NoiseSteps,
     amplitude_damping,
     depolarizing,
     joint_unitary,
@@ -24,7 +25,7 @@ from rbmpo.quantum import (
     sample_sequence,
     single_qubit_cliffords,
 )
-from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
+from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence, sample_stream
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
@@ -111,10 +112,36 @@ class TestRunSequence:
         model = joint_unitary((1 + 2e-10) * np.eye(4, dtype=complex), basis_state(0, 2), 2)
         with pytest.raises(NumericalError):
             run_sequence(model, [cliffords.gates[0]] * 5, RHO, POVM)
+        # a stack escapes when any one of its sequences does, here the last:
+        # the leak grows |1><1| and leaves |0><0| alone
+        leak = (np.diag([1.0, 1.0 + 1e-6]).astype(complex),)
+        leaky = NoiseSteps(1, 2, np.ones((1, 1), dtype=complex), leak, (I2,), (I2,))
+        stack = np.array([[I2], [I2], [HADAMARD]])
+        assert np.array_equal(run_sequence(leaky, stack[:2], RHO, POVM), [1.0, 1.0])
+        with pytest.raises(NumericalError):
+            run_sequence(leaky, stack, RHO, POVM)
 
     def test_shape_errors(self):
-        with pytest.raises(InputError):
-            run_sequence(identity_model(), [], RHO, POVM)
+        model = identity_model()
+        for empty in ([], np.zeros((3, 0, 2, 2)), np.zeros((0, 3, 2, 2))):
+            with pytest.raises(InputError):
+                run_sequence(model, empty, RHO, POVM)
+        for bad in (np.zeros((3, 4, 2, 3)), np.zeros((2, 3, 4, 4)), np.zeros((2, 2)),
+                    np.zeros((1, 1, 3, 2, 2)), [np.eye(2), np.eye(3)]):
+            with pytest.raises(ShapeError):
+                run_sequence(model, bad, RHO, POVM)
+
+    @pytest.mark.parametrize("model", [
+        amplitude_damping(0.2),
+        dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.3),
+                            prep=(np.kron(HADAMARD, I2),), final=(np.kron(I2, HADAMARD),)),
+    ], ids=["kraus", "joint_prep_final"])
+    def test_batch_equals_sequence_by_sequence(self, cliffords, model):
+        rng = np.random.default_rng(900)
+        stack = np.stack(cliffords.gates)[rng.integers(0, 24, size=(30, 6))]
+        batch = run_sequence(model, stack, RHO, POVM)
+        assert batch.shape == (30,)
+        assert np.array_equal(batch, [run_sequence(model, list(seq), RHO, POVM) for seq in stack])
 
 
 class TestEstimateAsf:
@@ -140,8 +167,6 @@ class TestEstimateAsf:
         # sample std with ddof=1, divided by sqrt(n)
         cfg = ExperimentConfig(noise=phase_flip(0.2), m_max=1, n_samples=50, seed=3)
         curve = estimate_asf(cfg)
-        from rbmpo.rb import sample_stream
-
         vals = []
         for k in range(50):
             rng = sample_stream(3, 1, k)
@@ -150,6 +175,23 @@ class TestEstimateAsf:
         vals = np.asarray(vals)
         assert abs(curve.means[0] - vals.mean()) < 1e-14
         assert abs(curve.stderrs[0] - vals.std(ddof=1) / np.sqrt(50)) < 1e-14
+
+    @pytest.mark.parametrize("model", [
+        amplitude_damping(0.1),
+        dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.05),
+                            prep=(np.kron(HADAMARD, I2),), final=(np.kron(I2, HADAMARD),)),
+    ], ids=["kraus", "joint_prep_final"])
+    def test_equals_one_sample_at_a_time(self, model):
+        # the batched estimate is bitwise the one-sequence-per-call reference
+        cfg = ExperimentConfig(noise=model, m_max=6, n_samples=25, seed=11)
+        curve = estimate_asf(cfg)
+        for m, mean, stderr in zip(curve.lengths, curve.means, curve.stderrs):
+            vals = np.array([
+                run_sequence(model, sample_sequence(cfg.gate_set, m, sample_stream(11, m, k)),
+                             RHO, POVM)
+                for k in range(25)])
+            assert mean == float(vals.mean())
+            assert stderr == float(vals.std(ddof=1) / np.sqrt(25))
 
 
 class TestGoldenValues:
