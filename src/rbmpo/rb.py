@@ -175,6 +175,9 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     mean and standard error (ddof=1, divided by sqrt(n)) are reported.  The
     samples of one length go through :func:`run_sequence` as one batch, whose
     gate stack (n_samples, m, d, d) is gathered from the gate set's table.
+    Memory therefore grows as O(n_samples * m * d^2), with (n_samples, dim,
+    dim) state temporaries besides: negligible at a few hundred samples, but
+    1e6 samples at m_max 100 need several GB.
     """
     lengths, means, stderrs = [], [], []
     table = np.stack(cfg.gate_set.gates)
