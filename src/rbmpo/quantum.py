@@ -97,16 +97,7 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (ch.dim, ch.dim):
         raise ShapeError(f"state has shape {rho.shape}, channel acts on dim {ch.dim}")
-    return _kraus_sum(ch.operators, rho)
-
-
-def _kraus_sum(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    """sum_i K_i rho K_i^dag without checks, for a state or a stack of states
-    (..., d, d); also the sequence simulator's slot."""
-    out = ops[0] @ rho @ dagger(ops[0])
-    for k in ops[1:]:
-        out += k @ rho @ dagger(k)
-    return out
+    return sum(k @ rho @ dagger(k) for k in ch.operators)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Determinism contract: the random stream for sample k at length m is derived
 from (seed, m, k), so results are independent of evaluation order.
 
 Batches: :func:`run_sequence` runs one sequence, or a stack of n sequences
-of one length as one stack of n joint states; a single sequence is the batch
-of one.  :func:`estimate_asf` draws each sample's gate indices from its own
+of one length, as one (n, dim^2) stack of vectorised joint states, each slot
+one superoperator product; a single sequence is the batch of one.
+:func:`estimate_asf` draws each sample's gate indices from its own
 stream, exactly as :func:`rbmpo.quantum.sample_sequence` would, and makes one
 batched call per length, so its values are those of running the samples one
 at a time, bit for bit.
@@ -29,10 +30,8 @@ from .noise import NoiseSteps
 from .quantum import (
     GateSet,
     _draw_indices,
-    _kraus_sum,
     basis_state,
     compile_undo,
-    dagger,
     single_qubit_cliffords,
     validate_density_matrix,
     validate_povm_element,
@@ -120,20 +119,30 @@ class ExperimentConfig:
         object.__setattr__(self, "povm", povm)
 
 
+def _superoperator(ops: tuple[np.ndarray, ...], d_env: int, d: int) -> np.ndarray:
+    """sum_q K_q (x) conj(K_q) as the matrix S with vec(sum_q K_q rho K_q^dag)
+    = vec(rho) @ S, for rho vectorised in (env, env', sys, sys') order."""
+    # K_q[e, s, f, t] as row q, columns (f, t, e, s): the input legs first
+    k = np.stack(ops).reshape(-1, d_env, d, d_env, d).transpose(0, 3, 4, 1, 2).reshape(len(ops), -1)
+    s = (k.T @ k.conj()).reshape((d_env, d) * 4)  # (f, t, e, s, f', t', e', s')
+    return s.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d_env**2 * d**2, -1)
+
+
 def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     """Survival probability of RB sequences (the inverse gate is appended here).
 
     ``gates`` is one sequence, a list of m (d, d) matrices, which gives a
     float; or a stack (n, m, d, d) of n sequences of one length, which gives
-    an (n,) array.  A single sequence runs as the batch of one.  The joint
-    states of all n sequences go as one stack (n, dim, dim) through one pass
-    over the slots (prep, bulk x m, final) of ``noise.slots``: rho_env x
-    rho_sys goes through the preparation slot, each gate is followed by a
-    bulk slot and the compiled inverse by the final slot, and I_env x povm is
-    measured.  Gates act on the system leg of the joint state; a memoryless
-    channel is the case ``noise.d_env == 1``.  A survival probability outside
-    [-1e-10, 1 + 1e-10] raises :class:`NumericalError`; the others are
-    clipped to [0, 1].
+    an (n,) array.  The n states go as one stack (n, dim^2) of vectors in
+    (env, env', sys, sys') order through the slots of ``noise.slots``:
+    rho_env x rho_sys through prep, each gate and then a bulk slot, the
+    compiled inverse and then the final slot; I_env x povm is measured.  A
+    noise slot is one product with its superoperator, built once per call
+    for each distinct slot; a gate is one product of the (n, d_env^2, d^2)
+    view with the per-sample g x conj(g).  Every product is per sample, so a
+    batch equals its sequences run one at a time, bit for bit.  A survival
+    probability outside [-1e-10, 1 + 1e-10] raises :class:`NumericalError`;
+    the others are clipped to [0, 1].
     """
     undo = compile_undo(gates)
     stack = np.asarray(gates)
@@ -145,17 +154,17 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
         raise ShapeError("state/POVM dimensions do not match the noise model")
     batch = stack if stack.ndim == 4 else stack[None]
     n, m = batch.shape[:2]
-    d_env, dim = noise.d_env, noise.dim
-    state = (noise.rho_env[:, None, :, None] * rho_sys[None, :, None, :]).reshape(dim, dim)
-    state = np.broadcast_to(state, (n, dim, dim))
+    d_env = noise.d_env
+    sup = {id(ops): _superoperator(ops, d_env, d) for ops in (noise.prep, noise.bulk, noise.final)}
+    state = np.broadcast_to(np.outer(noise.rho_env, rho_sys).reshape(1, -1), (n, 1, d_env**2 * d**2))
     controls = [None, *batch.swapaxes(0, 1), undo.reshape(n, d, d)]
     for g, ops in zip(controls, noise.slots(m)):
         if g is not None:
-            state = (g[:, None] @ state.reshape(n, d_env, d, dim)).reshape(n, dim, d_env, d)
-            state = (state @ dagger(g)[:, None]).reshape(n, dim, dim)
-        state = _kraus_sum(ops, state)
-    reduced = np.trace(state.reshape(n, d_env, d, d_env, d), axis1=1, axis2=3)
-    f = np.trace(povm @ reduced, axis1=1, axis2=2).real
+            gt = g.swapaxes(1, 2)  # right-acting g x conj(g): [a, b, s, s'] = g[s, a] conj(g[s', b])
+            g_sup = (gt[:, :, None, :, None] * gt.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+            state = (state.reshape(n, d_env**2, d * d) @ g_sup).reshape(n, 1, -1)
+        state = state @ sup[id(ops)]
+    f = (state.reshape(n, -1) * np.outer(np.eye(d_env), povm.T).ravel()).sum(axis=1).real
     escaped = ~((f >= -1e-10) & (f <= 1 + 1e-10))
     if escaped.any():
         raise NumericalError(f"survival probability {f[escaped][0]} escaped [0, 1]")
@@ -175,9 +184,9 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     mean and standard error (ddof=1, divided by sqrt(n)) are reported.  The
     samples of one length go through :func:`run_sequence` as one batch, whose
     gate stack (n_samples, m, d, d) is gathered from the gate set's table.
-    Memory therefore grows as O(n_samples * m * d^2), with (n_samples, dim,
-    dim) state temporaries besides: negligible at a few hundred samples, but
-    1e6 samples at m_max 100 need several GB.
+    Memory therefore grows as O(n_samples * m * d^2), with (n_samples, dim^2)
+    state vectors besides: negligible at a few hundred samples, but 1e6
+    samples at m_max 100 need several GB.
     """
     lengths, means, stderrs = [], [], []
     table = np.stack(cfg.gate_set.gates)

@@ -41,6 +41,32 @@ def identity_model(dim=2):
     return markovian_channel(KrausChannel((np.eye(dim, dtype=complex),)), label="identity")
 
 
+def qutrit_env_model():
+    """A joint model with d_env = 3 next to d_sys = 2, a mixed environment
+    and a unitary preparation slot: a swap of environment and system legs
+    cannot go unseen on it."""
+    rng = np.random.default_rng(1234)
+    return joint_unitary(haar_unitary(6, rng), np.diag([0.5, 0.3, 0.2]).astype(complex), 3,
+                         prep=KrausChannel((haar_unitary(6, rng),)), label="qutrit_env")
+
+
+def kraus_loop_survival(model, gates, rho_sys, povm):
+    """Survival probability by evolving the dense joint state slot by slot
+    with K rho K^dag: a reference that shares no code with run_sequence."""
+    d_env = model.d_env
+    inverse = np.eye(model.d_sys, dtype=complex)
+    for g in gates:
+        inverse = g @ inverse
+    rho = np.kron(model.rho_env, rho_sys)
+    controls = [None, *gates, inverse.conj().T]
+    for g, ops in zip(controls, [model.prep] + [model.bulk] * len(gates) + [model.final]):
+        if g is not None:
+            lifted = np.kron(np.eye(d_env), g)
+            rho = lifted @ rho @ lifted.conj().T
+        rho = sum(k @ rho @ k.conj().T for k in ops)
+    return float(np.trace(np.kron(np.eye(d_env), povm) @ rho).real)
+
+
 @pytest.fixture(scope="module")
 def cliffords():
     return single_qubit_cliffords()
@@ -80,6 +106,20 @@ class TestRunSequence:
         gates = sample_sequence(cliffords, int(rng.integers(1, 8)), rng)
         f = run_sequence(model, gates, RHO, POVM)
         assert -1e-10 <= f <= 1 + 1e-10
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_qutrit_environment_matches_kraus_loop(self, m):
+        # a generic state, POVM element and gates, so that a swap of the bra
+        # and ket legs changes the numbers too
+        rng = np.random.default_rng(1300 + m)
+        a, b = haar_unitary(2, rng), haar_unitary(2, rng)
+        rho_sys = a @ np.diag([0.8, 0.2]) @ a.conj().T
+        povm = b @ np.diag([0.9, 0.3]) @ b.conj().T
+        stack = np.array([[haar_unitary(2, rng) for _ in range(m)] for _ in range(8)])
+        model = qutrit_env_model()
+        got = run_sequence(model, stack, rho_sys, povm)
+        want = [kraus_loop_survival(model, list(seq), rho_sys, povm) for seq in stack]
+        assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("seed", range(3))
     def test_markovian_equals_embedded_joint(self, cliffords, seed):
@@ -135,7 +175,8 @@ class TestRunSequence:
         amplitude_damping(0.2),
         dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.3),
                             prep=(np.kron(HADAMARD, I2),), final=(np.kron(I2, HADAMARD),)),
-    ], ids=["kraus", "joint_prep_final"])
+        qutrit_env_model(),
+    ], ids=["kraus", "joint_prep_final", "qutrit_env"])
     def test_batch_equals_sequence_by_sequence(self, cliffords, model):
         rng = np.random.default_rng(900)
         stack = np.stack(cliffords.gates)[rng.integers(0, 24, size=(30, 6))]
