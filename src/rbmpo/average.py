@@ -11,14 +11,17 @@ into two environment-only superoperators per noise step:
 The averaged step never mixes the two sectors.  This module holds its one
 implementation, shared by the closed-form curve here and by the joint-node
 contractions in :mod:`rbmpo.process_tensor`: :func:`env_maps` builds both maps
-with one einsum from a ket and a bra node stack, :func:`sector_maps` stacks a
-slot's [mixed, T] as d_env^2 x d_env^2 matrices, and :func:`sector_pairs`
-pairs a 4-leg state X[e, s, f, t] = <es|X|ft> with a functional into the
-matrices [Y, P] of the two sectors, which those maps act on.  The fidelity
-after m bulk steps is tr(M^m Y) + tr(T^m P) (M the mixed map), one chain of
-matrix products over any leading batch axes of the Kraus operators; a
-1-dimensional environment gives A p^m + B.  :func:`raw_slot` and
-:func:`raw_slot_adjoint` apply an undressed preparation or final slot.
+from a ket and a bra node stack, each as one pairwise contraction (the mixed
+map pairs the nodes' system legs, the loop map is the outer product of their
+partial traces), :func:`sector_maps` stacks a slot's [mixed, T] as
+d_env^2 x d_env^2 matrices, and :func:`sector_pairs` pairs a 4-leg state
+X[e, s, f, t] = <es|X|ft> with a functional into the matrices [Y, P] of the
+two sectors, which those maps act on.  The fidelity after m bulk steps is
+tr(M^m Y) + tr(T^m P) (M the mixed map), one chain of matrix products over
+any leading batch axes of the Kraus operators whose states are traced at
+once for all lengths; a 1-dimensional environment gives A p^m + B.
+:func:`raw_slot` and :func:`raw_slot_adjoint` apply an undressed preparation
+or final slot, each as two pairwise contractions.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .rb import AsfCurve
 def kraus_stack(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
     """Kraus operators on environment x system as one (..., k, e, s, f, t) node
     stack; leading batch axes of the operators are kept in front."""
-    stack = np.stack([np.asarray(k, dtype=np.complex128) for k in ops], axis=-3)
+    stack = np.concatenate([np.asarray(k, dtype=np.complex128)[..., None, :, :] for k in ops],
+                           axis=-3)
     return stack.reshape(*stack.shape[:-3], -1, d_env, d_sys, d_env, d_sys)
 
 
@@ -49,14 +53,15 @@ def env_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
     (..., e, h, f, g), sending the environment operator eps[f, g] to
     ``tr_S[slot(eps x I/d_sys)]`` (mixed) or to
     ``sum_{s,s'} <s| slot(eps x |s><s'|) |s'>`` (loop), indexed [e, h].
+    Each map is one pairwise contraction of the two nodes: the mixed map
+    pairs their system legs, the loop map is the outer product of their
+    partial traces.
     """
-    d_sys = ket.shape[-1]
-    eye = np.eye(d_sys)
-    patterns = np.stack([
-        np.einsum("tv,uw->tuvw", eye, eye) / d_sys,
-        np.einsum("tu,vw->tuvw", eye, eye),
-    ])
-    return np.einsum("...qetfu,...qhvgw,ptuvw->p...ehfg", ket, np.conj(bra), patterns)
+    bra = np.conj(bra)
+    mixed = np.einsum("...qetfu,...qhtgu->...ehfg", ket, bra) / ket.shape[-1]
+    loop = np.einsum("...qef,...qhg->...ehfg", np.einsum("...qetft->...qef", ket),
+                     np.einsum("...qhtgt->...qhg", bra))
+    return np.array([mixed, loop])
 
 
 def env_loop_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
@@ -82,7 +87,8 @@ def sector_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
     on; right multiplication pulls the functional back one slot."""
     mixed, loop = env_maps(ket, bra)
     d_sys = ket.shape[-1]
-    maps = np.stack([mixed, (loop - mixed) / (d_sys * d_sys - 1)], axis=-5)
+    maps = np.concatenate([mixed[..., None, :, :, :, :],
+                           ((loop - mixed) / (d_sys * d_sys - 1))[..., None, :, :, :, :]], axis=-5)
     e, h, f, g = maps.shape[-4:]
     return maps.reshape(*maps.shape[:-4], e * h, f * g)
 
@@ -93,8 +99,9 @@ def sector_pairs(x: np.ndarray, l: np.ndarray) -> np.ndarray:
     sector), stacked as (..., 2, e f, g h).  The trace of Y + P is sum(l * x)."""
     d_sys = x.shape[-1]
     trace_part = np.einsum("...esfs,...gtht->...efgh", x, l) / d_sys
-    pairs = np.stack([trace_part, np.einsum("...esft,...gsht->...efgh", x, l) - trace_part],
-                     axis=-5)
+    traceless = np.einsum("...esft,...gsht->...efgh", x, l) - trace_part
+    pairs = np.concatenate([trace_part[..., None, :, :, :, :], traceless[..., None, :, :, :, :]],
+                           axis=-5)
     e, f, g, h = pairs.shape[-4:]
     return pairs.reshape(*pairs.shape[:-4], e * f, g * h)
 
@@ -104,15 +111,18 @@ def raw_slot(ket: np.ndarray, bra: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Node stacks as in :func:`env_maps`; x is (..., f, t, g, u).  The
     environment leg sizes may differ per argument (free bonds of a split
-    joint node are threaded through this way).
+    joint node are threaded through this way).  Two pairwise contractions:
+    ket_k X, then its product with each bra_k^dag.
     """
-    return np.einsum("...qaibj,...bjcl,...qdmcl->...aidm", ket, x, np.conj(bra))
+    kx = np.einsum("...qaibj,...bjcl->...qaicl", ket, x)
+    return np.einsum("...qaicl,...qdmcl->...aidm", kx, np.conj(bra))
 
 
 def raw_slot_adjoint(ket: np.ndarray, bra: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`raw_slot` under the pairing sum(l * X):
-    l -> sum_k ket_k^T l conj(bra_k)."""
-    return np.einsum("...qaibj,...aidm,...qdmcl->...bjcl", ket, l, np.conj(bra))
+    l -> sum_k ket_k^T l conj(bra_k), as two pairwise contractions."""
+    kl = np.einsum("...qaibj,...aidm->...qbjdm", ket, l)
+    return np.einsum("...qbjdm,...qdmcl->...bjcl", kl, np.conj(bra))
 
 
 def prepared_state(steps: NoiseSteps, rho_sys: np.ndarray, prep: bool = True) -> np.ndarray:
@@ -140,15 +150,15 @@ def _chain_curve(noise: NoiseSteps, rho_sys: np.ndarray, povm: np.ndarray, m_max
     """Averaged fidelity at lengths 1..m_max, (..., m_max) over the batch axes
     of ``noise``'s Kraus operators; unchecked inputs.  The prepared state's
     :func:`sector_pairs` with the measurement functional go through the bulk
-    slot's :func:`sector_maps` once per length."""
+    slot's :func:`sector_maps` once per length, each length's pairs written
+    into one (m_max, ...) stack that one einsum traces."""
     states = sector_pairs(prepared_state(noise, rho_sys), measurement_functional(noise, povm))
     bulk = kraus_stack(noise.bulk, noise.d_env, noise.d_sys)
     ops = sector_maps(bulk, bulk)
-    values = []
-    for _ in range(m_max):
-        states = ops @ states
-        values.append(np.einsum("...kii->...", states).real)
-    return np.stack(values, axis=-1)
+    chain = np.empty((m_max, *np.broadcast_shapes(ops.shape, states.shape)), dtype=np.complex128)
+    for n in range(m_max):
+        states = np.matmul(ops, states, out=chain[n])
+    return np.einsum("m...kii->...m", chain).real
 
 
 def clifford_averaged_asf_curve(

@@ -24,9 +24,12 @@ is matched or no ray descends.  Correlated data develops negative curvature
 in the environment-coupling directions, memoryless data does not.  The cost
 and the predicted curve broadcast over leading node axes (one averaged chain
 for a whole stack), so a round's probes are one cost call and its rays'
-line searches run in lockstep, one cost call per step.  Each node kept is
-evaluated once, into a :class:`Fit` (cost, l1 distance, node, predicted
-curve), from which the sweep and :func:`train` read residuals and traces.
+line searches run in lockstep, one cost call per step.  Every probe and ray
+direction is eigendecomposed once, in one stacked ``eigh`` per round, and
+each trial, endpoint and probe rotation exp(-i theta H) is taken from that
+decomposition.  Each node kept is evaluated once, into a :class:`Fit` (cost,
+l1 distance, node, predicted curve), from which the sweep and :func:`train`
+read residuals and traces.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from .average import _chain_curve, _golden_steps, _lockstep
 from .errors import DomainError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
-from .noise import NoiseSteps, hermitian_expm
+from .noise import NoiseSteps, eigh_expm
 from .process_tensor import asf_joint_coefficient, joint_node
 from .quantum import validate_density_matrix, validate_povm_element, validate_unitary
 from .rb import AsfCurve
@@ -258,34 +261,38 @@ def _unitarity_defect(node: np.ndarray) -> float:
 _PROBE_ANGLE = 1e-3
 
 
-def _hermitian_basis(dim: int) -> list[np.ndarray]:
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """An orthonormal basis of the Hermitian dim x dim matrices, (dim^2, dim, dim)."""
     basis = [np.diag(e) for e in np.eye(dim, dtype=np.complex128)]
     for j, k in combinations(range(dim), 2):
         sym, asym = np.zeros((2, dim, dim), dtype=np.complex128)
         sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
         asym[j, k], asym[k, j] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
         basis += [sym, asym]
-    return basis
+    return np.stack(basis)
 
 
 def _tangent_probe(
     node: np.ndarray, c0: float, d_env: int, data: AsfCurve, rho_sys, povm
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of the cost on the unitary tangent space at `node`.
 
     Central differences of cost(exp(-i eta H) node), eta = _PROBE_ANGLE, along
     each Hermitian basis element H and each pairwise sum; `c0` is the known
-    cost at `node`.  All probe nodes (two per direction: 272 at dim 4) are
-    costed in one batched :func:`cost` call.  Returns (gradient
-    coefficients, Hessian matrix, basis).
+    cost at `node`.  The probe directions +-H (272 at dim 4) are
+    eigendecomposed once each, in one stacked ``eigh`` (:func:`_ray_rotations`),
+    and all probe nodes are costed in one batched :func:`cost` call.  Returns
+    (gradient coefficients, Hessian matrix, basis).
     """
     basis = _hermitian_basis(node.shape[0])
     unit = np.eye(len(basis))
     pairs = list(combinations(range(len(basis)), 2))
-    probes = np.stack([
-        hermitian_expm(sum(c * b for c, b in zip(sign * v, basis)), -1j * _PROBE_ANGLE) @ node
-        for v in [*unit, *(unit[a] + unit[b] for a, b in pairs)] for sign in (1.0, -1.0)
-    ])
+    j, k = np.array(pairs).T
+    coeffs = np.concatenate([unit, unit[j] + unit[k]])
+    # each direction in both orientations, +H then -H
+    directions = np.tensordot(np.stack([coeffs, -coeffs], axis=1).reshape(-1, len(basis)),
+                              basis, axes=1)
+    probes = _ray_rotations(node, directions)(dict.fromkeys(range(len(directions)), _PROBE_ANGLE))
     plus, minus = cost(probes, d_env, data, rho_sys, povm).reshape(-1, 2).T
     grad = (plus[:len(basis)] - minus[:len(basis)]) / (2.0 * _PROBE_ANGLE)
     second = (plus - 2.0 * c0 + minus) / _PROBE_ANGLE**2
@@ -294,6 +301,34 @@ def _tangent_probe(
     for (a, b), mixed in zip(pairs, second[len(basis):]):
         hess[a, b] = hess[b, a] = (mixed - diag[a] - diag[b]) / 2.0
     return grad, hess, basis
+
+
+def _ray_rotations(node: np.ndarray, directions: np.ndarray):
+    """The rotations of ``node`` along Hermitian ``directions`` (r, dim, dim),
+    each eigendecomposed once, in one stacked ``eigh``.  Returns ``rotate``:
+    {ray index: angle theta} -> the stack of exp(-i theta H_r) node, in the
+    dict's order, equal bit for bit to ``hermitian_expm(H_r, -1j * theta) @ node``."""
+    w, v = np.linalg.eigh(directions)
+
+    def rotate(trials: dict[int, float]) -> np.ndarray:
+        rays = list(trials)
+        scale = -1j * np.array(list(trials.values()))[:, None]
+        return eigh_expm(w[rays], v[rays], scale) @ node
+
+    return rotate
+
+
+def _search_rays(node: np.ndarray, c0: float, directions: np.ndarray, d_env: int,
+                 data: AsfCurve, rho_sys, povm):
+    """Line-minimize the cost along each ray exp(-i theta H_r) node, H_r in
+    ``directions`` (r, dim, dim), given the cost ``c0`` at ``node``.  The
+    searches run in lockstep, one batched :func:`cost` call per step over the
+    rays still searching, and every rotation comes from :func:`_ray_rotations`.
+    Returns the minimizing angles and that ``rotate``."""
+    rotate = _ray_rotations(node, directions)
+    thetas = _lockstep([_line_minimize(c0) for _ in directions],
+                       lambda trials: cost(rotate(trials), d_env, data, rho_sys, povm))
+    return thetas, rotate
 
 
 def _line_minimize(f0: float):
@@ -345,8 +380,10 @@ def saddle_departure(
     carries and returns; the probes and the line searches need the cost
     alone.  A round's probes are one batched cost call, and its rays' line
     searches run in lockstep, one batched cost call per bracketing or
-    golden-section step over the rays still searching.  Deterministic: no
-    randomness enters at any point.
+    golden-section step over the rays still searching (:func:`_search_rays`).
+    The round's ray directions are eigendecomposed once, as one stacked
+    ``eigh``, and every trial and endpoint is rotated from it.
+    Deterministic: no randomness enters at any point.
     """
     current = evaluate(node.copy(), d_env, data, rho_sys, povm)
     for _ in range(max_rounds):
@@ -366,19 +403,13 @@ def saddle_departure(
         if not rays:
             break
 
-        directions = [sum(c * b for c, b in zip(coeffs, basis)) for coeffs in rays]
-
-        def ray_costs(trials: dict[int, float]) -> np.ndarray:
-            return cost(np.stack([hermitian_expm(directions[r], -1j * t) @ current.node
-                                  for r, t in trials.items()]), d_env, data, rho_sys, povm)
-
-        thetas = _lockstep([_line_minimize(current.cost) for _ in directions], ray_costs)
+        thetas, rotate = _search_rays(current.node, current.cost, np.tensordot(rays, basis, axes=1),
+                                      d_env, data, rho_sys, povm)
         endpoints = []
-        for direction, theta_star in zip(directions, thetas):
+        for r, theta_star in enumerate(thetas):
             if theta_star == 0.0:
                 continue
-            endpoint = evaluate(hermitian_expm(direction, -1j * theta_star) @ current.node,
-                                d_env, data, rho_sys, povm)
+            endpoint = evaluate(rotate({r: theta_star})[0], d_env, data, rho_sys, povm)
             if endpoint.cost < current.cost - 1e-15:
                 endpoints.append(endpoint)
         if not endpoints:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .linalg import dagger
 from .quantum import (
     I2,
     PAULI_X,
@@ -167,8 +168,17 @@ def spin_hamiltonian(coupling: float, field_x: float, field_y: float) -> np.ndar
 
 def hermitian_expm(h: np.ndarray, scale: complex) -> np.ndarray:
     """exp(scale * h) for Hermitian h via eigendecomposition (exact at 4x4)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ np.conj(v).T
+    return eigh_expm(*np.linalg.eigh(h), scale)
+
+
+def eigh_expm(w: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
+    """exp(scale * h) from the eigendecomposition (w, v) = ``np.linalg.eigh(h)``.
+
+    Takes stacks, w (..., n) and v (..., n, n), and a ``scale`` that
+    broadcasts against w (one scale per matrix as a (..., 1) array), so that
+    one decomposition serves every scale applied to the same h.
+    """
+    return (v * np.exp(scale * w)[..., None, :]) @ dagger(v)
 
 
 def spin_unitary(

@@ -16,9 +16,12 @@ module provides
   on the two-sector chain of :mod:`rbmpo.average`.  The averaged fidelity is
   linear in the forward chain's joint node, so a basis of nodes goes through
   the chain as one batch, and the coefficient tensor comes back summed over
-  lengths with any weights.  With the residuals as weights that sum is the
-  sweeping learner's gradient; with a joint node L on the conjugate chain as
-  well, pairing the tensor with L gives the physical fidelity at L.
+  lengths with any weights.  Each term is one einsum trace over every pair
+  of upper and lower basis nodes, and the bulk slot, the prepared state and
+  the measurement functional are built once per call.  With the residuals as
+  weights that sum is the sweeping learner's gradient; with a joint node L on
+  the conjugate chain as well, pairing the tensor with L gives the physical
+  fidelity at L.
 
 Layout conventions: an operator X on environment x system is stored either
 as a dim x dim matrix or as a 4-axis array X[e, s, f, t] = <es|X|ft>.  A
@@ -152,7 +155,7 @@ def asf_joint_coefficient(
     the conjugate chain, by default the two slots' own nodes (which must be
     unitary); T does not depend on the forward chain's values at the slots.
     With ``bra = L``, Re sum(L * conj(T)) is the physical fidelity.  Lengths
-    n < slot_i - 1 lack the slots and add nothing.
+    must be >= 1; lengths n < slot_i - 1 lack the slots and add nothing.
 
     In sector form (:func:`rbmpo.average.sector_maps`), with O the bulk slot
     and A_up, A_dn the free ones, lengths n >= slot_i add up to
@@ -160,12 +163,14 @@ def asf_joint_coefficient(
     measurement functional, and H = sum_n w_n O^{n-i} is summed by Horner's
     rule.  At slot 1 the raw preparation slot is applied to the state before
     pairing.  Length slot_i - 1 has the raw final slot above the node, pulled
-    back into the functional.  The forward chain carries a basis of nodes
-    with a one-dimensional bond as a batch, so all lengths and entries share
-    one pass.
+    back into the functional: tr(A_dn O^{i-2} X1) with X1 the state paired
+    with it.  The forward chain carries a basis of nodes with a
+    one-dimensional bond as a batch, so all lengths and entries share one
+    pass, and each term is one einsum over (A_up, A_dn, chain) that traces
+    every pair of basis nodes without forming their products.
     """
-    if not weights or not 1 <= slot_i <= max(weights) + 1:
-        raise InputError(f"joint-node slot must satisfy 1 <= i <= n+1 for some length n, "
+    if not weights or min(weights) < 1 or not 1 <= slot_i <= max(weights) + 1:
+        raise InputError(f"joint-node slot must satisfy 1 <= i <= n+1 for some length n >= 1, "
                          f"got i={slot_i}, lengths {sorted(weights)}")
     d_env, d_sys = steps.d_env, steps.d_sys
     rho_sys, povm = (np.asarray(x, dtype=np.complex128) for x in (rho_sys, povm))
@@ -181,49 +186,53 @@ def asf_joint_coefficient(
                   .transpose(0, 1, 3, 2)[None],
                   bra.reshape(bond, d_env, d_sys, d_sys).transpose(0, 2, 1, 3)[None])
 
-    def bra_node(ops: tuple[np.ndarray, ...], half: int) -> np.ndarray:
-        """The conjugate chain at one free slot: a slot's own node or a half of ``bra``."""
+    def bra_node(stack: np.ndarray, half: int) -> np.ndarray:
+        """The conjugate chain at one free slot: a slot's own node stack or a half of ``bra``."""
         if bra is not None:
             return halves[half]
-        if len(ops) != 1:
-            raise InputError(f"a free joint node needs a unitary node, not {len(ops)} Kraus operators")
-        return kraus_stack(ops, d_env, d_sys)
+        if stack.shape[-5] != 1:
+            raise InputError(f"a free joint node needs a unitary node, not {stack.shape[-5]} "
+                             "Kraus operators")
+        return stack
 
     # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
-    # stacks: lower (Q, 1, bond, s_j, e_dn, s_j'), upper (P, 1, 1, e_up, s_i,
-    # bond, s_i'); the upper batch axes broadcast against the lower ones.
+    # stacks: lower (Q, 1, bond, s_j, e_dn, s_j'), upper (P, 1, e_up, s_i,
+    # bond, s_i').  Their sector matrices are a_dn (Q, 2, b, k) and a_up
+    # (P, 2, a, b) over the bond b, and each term traces them with the chain
+    # in one einsum over all (P, Q) pairs.
     basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
     lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
-    upper = basis.reshape(-1, 1, 1, d_env, d_sys, 1, d_sys)
-    bra_dn = bra_node(steps.prep if slot_i == 1 else steps.bulk, 1)
+    upper = basis.reshape(-1, 1, d_env, d_sys, 1, d_sys)
     bulk = kraus_stack(steps.bulk, d_env, d_sys)
     o = sector_maps(bulk, bulk)
     x = prepared_state(steps, rho_sys, prep=slot_i >= 2)
+    meas = measurement_functional(steps, povm)
     if slot_i == 1:
-        x = raw_slot(lower, bra_dn, x)
+        # the free lower slot is the raw preparation: it goes into the state
+        prep = kraus_stack(steps.prep, d_env, d_sys)
+        a_dn = sector_pairs(raw_slot(lower, bra_node(prep, 1), x), meas)
     else:
-        a_dn = sector_maps(lower, bra_dn)
+        a_dn = sector_maps(lower, bra_node(bulk, 1))
+        bulk_power = np.linalg.matrix_power(o, slot_i - 2)
 
-    def below(pairs):
-        """A_dn O^{i-2} pairs; at slot 1 the raw preparation is already in x."""
-        for _ in range(slot_i - 2):
-            pairs = o @ pairs
-        return a_dn @ pairs if slot_i >= 2 else pairs
-
-    terms = []
+    vals = 0.0
     top = max(weights)
     if top >= slot_i:
         eye = np.eye(o.shape[-1])
-        h = weights[top] * eye
+        h = np.broadcast_to(weights[top] * eye, o.shape)
         for n in range(top - 1, slot_i - 1, -1):
-            h = h @ o + weights.get(n, 0.0) * eye
-        a_up = sector_maps(upper, bra_node(steps.bulk, 0))
-        terms.append(a_up @ below(sector_pairs(x, measurement_functional(steps, povm)) @ h))
-    if slot_i - 1 in weights:
-        l = raw_slot_adjoint(upper, bra_node(steps.final, 0),
+            h = h @ o
+            h += weights.get(n, 0.0) * eye
+        if slot_i >= 2:
+            h = bulk_power @ sector_pairs(x, meas) @ h
+        a_up = sector_maps(upper, bra_node(bulk, 0))
+        vals = np.einsum("psij,qsjk,ski->pq", a_up, a_dn, h)
+    if slot_i - 1 in weights:  # slot_i >= 2, as every length is
+        final = kraus_stack(steps.final, d_env, d_sys)
+        l = raw_slot_adjoint(upper, bra_node(final, 0),
                              measurement_functional(steps, povm, final=False))
-        terms.append(weights[slot_i - 1] * below(sector_pairs(x, l)))
-    vals = sum(np.einsum("...kii->...", t) for t in terms)  # (P, Q)
+        below = bulk_power @ sector_pairs(x, l)
+        vals = vals + weights[slot_i - 1] * np.einsum("qsij,psji->pq", a_dn, below)
 
     coeff = vals.reshape(d_env, d_sys, d_sys, d_sys, d_env, d_sys)
     coeff = coeff.transpose(0, 1, 2, 4, 3, 5)  # -> (e_up, s_i, s_i', e_dn, s_j, s_j')

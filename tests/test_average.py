@@ -14,6 +14,8 @@ from rbmpo.average import (
     kraus_stack,
     measurement_functional,
     prepared_state,
+    raw_slot,
+    raw_slot_adjoint,
 )
 from rbmpo.errors import InputError, UnsupportedConfigurationError
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
@@ -95,6 +97,84 @@ class TestEnvMaps:
         eps = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         out = (mixed @ eps.reshape(-1)).reshape(2, 2)
         assert abs(np.trace(out) - np.trace(eps)) < 1e-12
+
+
+def definitional_env_maps(ket, bra):
+    # both maps in one three-operand einsum over their delta patterns
+    d_sys = ket.shape[-1]
+    eye = np.eye(d_sys)
+    patterns = np.stack([
+        np.einsum("tv,uw->tuvw", eye, eye) / d_sys,
+        np.einsum("tu,vw->tuvw", eye, eye),
+    ])
+    return np.einsum("...qetfu,...qhvgw,ptuvw->p...ehfg", ket, np.conj(bra), patterns)
+
+
+def definitional_raw_slot(ket, bra, x):
+    return np.einsum("...qaibj,...bjcl,...qdmcl->...aidm", ket, x, np.conj(bra))
+
+
+def definitional_raw_slot_adjoint(ket, bra, l):
+    return np.einsum("...qaibj,...aidm,...qdmcl->...bjcl", ket, l, np.conj(bra))
+
+
+class TestFactoredKernels:
+    """The pairwise slot kernels against their three-operand definitions,
+    and their stacks against single nodes."""
+
+    @staticmethod
+    def haar_stack(rng, batch, kraus=2):
+        # Kraus stacks (*batch, k, e, s, f, t) of sqrt(1/k)-scaled Haar unitaries
+        nodes = [haar_unitary(4, rng) / np.sqrt(kraus) for _ in range(int(np.prod(batch)) * kraus)]
+        return np.stack(nodes).reshape(*batch, kraus, 2, 2, 2, 2)
+
+    @staticmethod
+    def gaussian(rng, shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2.0
+
+    def test_haar_stacks_with_unequal_batch_shapes(self):
+        rng = np.random.default_rng(1902)
+        ket, bra = self.haar_stack(rng, (3, 1)), self.haar_stack(rng, (1, 4))
+        x, l = self.gaussian(rng, (4, 2, 2, 2, 2)), self.gaussian(rng, (3, 1, 2, 2, 2, 2))
+        for kernel, reference, args in [
+            (env_maps, definitional_env_maps, (ket, bra)),
+            (raw_slot, definitional_raw_slot, (ket, bra, x)),
+            (raw_slot_adjoint, definitional_raw_slot_adjoint, (ket, bra, l)),
+        ]:
+            out, ref = kernel(*args), reference(*args)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) < 1e-14, kernel.__name__
+
+    def test_unequal_environment_legs(self):
+        # the joint node's free bonds: a (k, 2, s, 1, t) upper basis stack
+        # against a (k, 2, s, 8, t) bra half, and lower (k, 1, s, 2, t) nodes
+        # against a (k, 8, s, 2, t) one, as in the joint-node coefficient
+        rng = np.random.default_rng(1903)
+        for ket_shape, bra_shape, x_legs in [((5, 1, 2, 2, 1, 2), (1, 2, 2, 8, 2), (1, 8)),
+                                            ((5, 1, 1, 2, 2, 2), (1, 8, 2, 2, 2), (2, 2))]:
+            ket, bra = self.gaussian(rng, ket_shape), self.gaussian(rng, bra_shape)
+            f, g = x_legs
+            x = self.gaussian(rng, (f, 2, g, 2))
+            l = self.gaussian(rng, (ket_shape[-4], 2, bra_shape[-4], 2))
+            for kernel, reference, args in [
+                (env_maps, definitional_env_maps, (ket, bra)),
+                (raw_slot, definitional_raw_slot, (ket, bra, x)),
+                (raw_slot_adjoint, definitional_raw_slot_adjoint, (ket, bra, l)),
+            ]:
+                out, ref = kernel(*args), reference(*args)
+                assert out.shape == ref.shape
+                assert np.max(np.abs(out - ref)) < 1e-14, kernel.__name__
+
+    def test_stack_equals_single_nodes_bitwise(self):
+        rng = np.random.default_rng(1904)
+        ket = self.haar_stack(rng, (6,))
+        bra = self.haar_stack(rng, (6,))
+        x, l = self.gaussian(rng, (2, 2, 2, 2)), self.gaussian(rng, (2, 2, 2, 2))
+        stacked = [env_maps(ket, bra), raw_slot(ket, bra, x), raw_slot_adjoint(ket, bra, l)]
+        for n in range(6):
+            assert np.array_equal(stacked[0][:, n], env_maps(ket[n], bra[n]))
+            assert np.array_equal(stacked[1][n], raw_slot(ket[n], bra[n], x))
+            assert np.array_equal(stacked[2][n], raw_slot_adjoint(ket[n], bra[n], l))
 
 
 class TestClosedFormAverage:

@@ -366,22 +366,42 @@ class TestDeparture:
         rays = [s * v[:, k] for k in np.flatnonzero(w < floor) for s in (1.0, -1.0)]
         if np.linalg.norm(grad) > 0.0:
             rays.append(-grad / np.linalg.norm(grad))
-        return node, c0, [sum(c * b for c, b in zip(ray, basis)) for ray in rays]
+        return node, c0, np.tensordot(rays, basis, axes=1)
 
-    def test_lockstep_line_searches_match_solo_searches(self, phase_flip_data):
-        # the departure's first-round rays searched in lockstep, one batched
-        # cost call per step, against each ray's search driven alone
+    def test_lockstep_line_searches_match_solo_searches(self, phase_flip_data, monkeypatch):
+        # the departure's ray searches (one batched cost call per lockstep
+        # step, rotations from one stacked eigendecomposition) against each
+        # ray's search driven alone through hermitian_expm; every batch of
+        # rotated nodes equals its hermitian_expm reference bit for bit,
+        # also in the steps after some rays have stopped
         node, c0, directions = self.first_round_rays(phase_flip_data)
         assert len(directions) >= 4
+        trial_log, stacks = [], []
+        plain_cost = learner_mod.cost
+
+        def recorded_lockstep(searches, objective):
+            def recorded(trials):
+                trial_log.append(dict(trials))
+                return objective(trials)
+            return _lockstep(searches, recorded)
+
+        def recorded_cost(nodes, *args):
+            stacks.append(nodes.copy())
+            return plain_cost(nodes, *args)
+
+        monkeypatch.setattr(learner_mod, "_lockstep", recorded_lockstep)
+        monkeypatch.setattr(learner_mod, "cost", recorded_cost)
+        lockstep, _ = learner_mod._search_rays(node, c0, directions, 2, phase_flip_data, RHO, POVM)
+        monkeypatch.undo()
 
         def rotated(direction, theta):
             return hermitian_expm(direction, -1j * theta) @ node
 
-        def batched(trials):
-            return cost(np.stack([rotated(directions[r], t) for r, t in trials.items()]),
-                        2, phase_flip_data, RHO, POVM)
-
-        lockstep = _lockstep([learner_mod._line_minimize(c0) for _ in directions], batched)
+        assert len(trial_log) == len(stacks) > 0
+        for trials, nodes in zip(trial_log, stacks):
+            reference = np.stack([rotated(directions[r], t) for r, t in trials.items()])
+            assert np.array_equal(nodes, reference)
+        assert any(len(trials) < len(directions) for trials in trial_log)
         for direction, theta in zip(directions, lockstep):
             search = learner_mod._line_minimize(c0)
             angle = next(search)
@@ -391,6 +411,20 @@ class TestDeparture:
                                              RHO, POVM))
             assert theta == stop.value.value
         assert any(theta > 0.0 for theta in lockstep)
+
+    def test_cached_rotation_equals_hermitian_expm(self):
+        # rotations from one stacked eigendecomposition, for any subset of
+        # rays and angles, equal hermitian_expm(direction, -1j * theta) @ node
+        rng = np.random.default_rng(1901)
+        node = haar_unitary(4, rng)
+        directions = np.stack([(a + dagger(a)) / 2.0 for a in
+                               rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))])
+        rotate = learner_mod._ray_rotations(node, directions)
+        for trials in ({0: 1e-4, 1: 2e-4, 2: 4e-4, 3: 8e-4, 4: 1.6e-3},
+                       {1: 0.25, 3: 3.0, 4: 1e-12}, {3: np.pi}, {4: 0.0, 0: 0.7}):
+            reference = np.stack([hermitian_expm(directions[r], -1j * t) @ node
+                                  for r, t in trials.items()])
+            assert np.array_equal(rotate(trials), reference)
 
     @pytest.mark.parametrize("eigenvalue, rays", [(-1e-17, 0), (-1e-3, 2)])
     def test_round_off_curvature_gives_no_ray(self, phase_flip_data, monkeypatch, eigenvalue,

@@ -11,6 +11,7 @@ from rbmpo.linalg import matrix_to_json_dict
 from rbmpo.noise import (
     amplitude_damping,
     depolarizing,
+    eigh_expm,
     hermitian_expm,
     markovian_channel,
     phase_flip,
@@ -92,6 +93,33 @@ class TestDepolarizing:
         rho = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
         out = apply_channel(KrausChannel(depolarizing(p).bulk), rho)
         assert np.allclose(out, (1 - p) * rho + p * np.eye(2) / 2, atol=1e-12)
+
+
+class TestHermitianExpm:
+    @staticmethod
+    def complex_hermitian(rng, shape):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return (a + np.conj(a).swapaxes(-1, -2)) / 2.0
+
+    def test_matches_taylor_series(self):
+        # complex eigenvectors: a transpose in place of the adjoint fails here
+        h = self.complex_hermitian(np.random.default_rng(31), (4, 4))
+        theta = 0.7 / np.linalg.norm(h, 2)
+        series, term = np.eye(4, dtype=complex), np.eye(4, dtype=complex)
+        for k in range(1, 40):
+            term = term @ (-1j * theta * h) / k
+            series = series + term
+        assert np.max(np.abs(hermitian_expm(h, -1j * theta) - series)) < 1e-14
+
+    def test_stack_with_one_scale_per_matrix(self):
+        # one stacked decomposition, a scale per matrix: each slice is
+        # hermitian_expm of its own matrix, bit for bit
+        h = self.complex_hermitian(np.random.default_rng(32), (3, 4, 4))
+        thetas = np.array([0.1, -2.0, 3.5])
+        w, v = np.linalg.eigh(h)
+        stacked = eigh_expm(w, v, -1j * thetas[:, None])
+        for one, theta, out in zip(h, thetas, stacked):
+            assert np.array_equal(out, hermitian_expm(one, -1j * theta))
 
 
 class TestSpinUnitary:

@@ -187,3 +187,5 @@ class TestJointCoefficient:
             asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, np.eye(3))
         with pytest.raises(InputError, match="joint-node slot"):
             asf_joint_coefficient(steps, 5, {3: 1.0}, RHO, POVM)
+        with pytest.raises(InputError, match="length n >= 1"):
+            asf_joint_coefficient(steps, 1, {0: 1.0, 3: 1.0}, RHO, POVM)
