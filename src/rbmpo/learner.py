@@ -536,10 +536,13 @@ def diagnose_markovianity(
     measures how much the node couples the populated environment level to
     the rest.  Below `tol` the node acts on the system as the (then unitary)
     block node[:d_sys, :d_sys] alone: memoryless noise.  The measure is
-    invariant under a global phase.  `tol` must be finite and >= 0.
+    invariant under a global phase.  `tol` must be finite and >= 0, and
+    `d_env` at least 1.
     """
     if not 0.0 <= tol < np.inf:
         raise DomainError(f"Markovianity tolerance must be finite and >= 0, got {tol}")
+    if d_env < 1:
+        raise DomainError(f"environment dimension must be >= 1, got {d_env}")
     node = validate_unitary(node, tol=UNITARITY_TOL, name="noise node")
     dim = node.shape[0]
     if dim % d_env != 0:

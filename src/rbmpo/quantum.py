@@ -153,33 +153,20 @@ def single_qubit_cliffords() -> GateSet:
 
     Built as the closure of {I, H, S} under multiplication, deduplicated and
     canonicalized with :func:`fix_global_phase`.  The enumeration order is
-    deterministic (breadth-first over the generator words).
+    deterministic: breadth-first, one queue that grows while it is read.
     """
-    generators = [I2, HADAMARD, PHASE_S]
+    def key(c: np.ndarray) -> tuple:
+        return tuple(np.round(c.ravel(), 8).tolist())
 
-    def key(u: np.ndarray) -> tuple:
-        return tuple(np.round(fix_global_phase(u).ravel(), 8).tolist())
-
-    found: dict[tuple, np.ndarray] = {}
-    frontier = []
-    for g in generators:
-        c = fix_global_phase(g)
-        k = key(c)
-        if k not in found:
-            found[k] = c
-            frontier.append(c)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in generators[1:]:  # multiplying by I is a no-op
-                c = fix_global_phase(g @ u)
-                k = key(c)
-                if k not in found:
-                    found[k] = c
-                    nxt.append(c)
-        frontier = nxt
-    gates = tuple(found.values())
-    return GateSet(gates=gates, label="clifford_1q", is_two_design=True)
+    gates = [fix_global_phase(g) for g in (I2, HADAMARD, PHASE_S)]
+    seen = set(map(key, gates))
+    for u in gates:
+        for g in (HADAMARD, PHASE_S):  # multiplying by I is a no-op
+            c = fix_global_phase(g @ u)
+            if (k := key(c)) not in seen:
+                seen.add(k)
+                gates.append(c)
+    return GateSet(gates=tuple(gates), label="clifford_1q", is_two_design=True)
 
 
 def sample_sequence(gate_set: GateSet, m: int, rng: np.random.Generator) -> list[np.ndarray]:

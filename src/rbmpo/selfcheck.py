@@ -3,32 +3,79 @@
 Each suite returns a list of (name, passed, detail) triples.  The suites
 cross-check independent computation paths against each other, so a sign or
 conjugation error anywhere in the contraction machinery shows up as a
-disagreement here.
+disagreement here.  The tests import the same arbiters: the Haar sampler, the
+full Clifford enumeration and the finite-difference joint-node gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import average, process_tensor
+from .average import clifford_averaged_asf, clifford_averaged_asf_curve
+from .learner import evaluate, gradient_joint
 from .linalg import dagger, project_to_unitary
-from .noise import joint_unitary
-from .quantum import basis_state, sample_sequence, single_qubit_cliffords
-from .rb import run_sequence
+from .noise import NoiseSteps, joint_unitary
+from .process_tensor import (asf_joint_coefficient, contract_asf_dense,
+                             contract_asf_dense_averaged, joint_node)
+from .quantum import basis_state, equal_up_to_phase, sample_sequence, single_qubit_cliffords
+from .rb import AsfCurve, run_sequence
 
 
-def _haar(n: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def enumeration_mean(model: NoiseSteps, m: int, rho_sys, povm) -> float:
+    """Mean survival probability over all 24**m Clifford sequences of length m, one batch."""
+    table = np.stack(single_qubit_cliffords().gates)
+    picks = np.indices((len(table),) * m).reshape(m, -1).T
+    return float(np.mean(run_sequence(model, table[picks], rho_sys, povm)))
+
+
+def joint_fidelity(steps: NoiseSteps, slot: int, n: int, joint, rho_sys, povm) -> float:
+    """Averaged fidelity at length n with ``joint`` on both chains at (slot, slot - 1)."""
+    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, rho_sys, povm, joint)
+    return float(np.real(np.sum(joint * np.conj(coeff))))
+
+
+def joint_gradient_fd(node, data: AsfCurve, slot: int, idx: tuple, rho_sys, povm) -> complex:
+    """Central-difference Wirtinger derivative -dC/d conj(L) at entry ``idx`` of the
+    learner's cost in the joint node L = joint_node(node, node) at (slot, slot - 1).
+
+    L moves on both chains (:func:`joint_fidelity`), through the contraction the
+    gradient uses, :func:`rbmpo.process_tensor.asf_joint_coefficient`.  So this
+    pins that the gradient is the Wirtinger derivative of the cost, but not the
+    contraction itself: ``test_physical_evaluation_*`` (against the closed form)
+    and ``TestGoldenValues`` pin that.
+    """
+    d_env = node.shape[0] // np.shape(rho_sys)[0]
+    steps = NoiseSteps.uniform(node, d_env)
+    base = joint_node(node, node, d_env, d_env)
+
+    def cost_at(joint):
+        total = 0.0
+        for n, f_exp in zip(data.lengths, data.means):
+            if n >= max(slot - 1, 1):
+                f = joint_fidelity(steps, slot, n, joint, rho_sys, povm)
+            else:
+                f = clifford_averaged_asf(steps, rho_sys, povm, n)
+            total += 0.5 * (f - f_exp) ** 2
+        return total
+
+    probe = np.zeros_like(base)
+    probe[idx] = 1.0
+    h = 1e-5
+    d_re = (cost_at(base + h * probe) - cost_at(base - h * probe)) / (2 * h)
+    d_im = (cost_at(base + 1j * h * probe) - cost_at(base - 1j * h * probe)) / (2 * h)
+    return -(d_re + 1j * d_im) / 2.0
 
 
 def check_clifford_group() -> list[tuple[str, bool, str]]:
     results = []
     cl = single_qubit_cliffords()
     results.append(("clifford count", len(cl) == 24, f"found {len(cl)} elements"))
-    from .quantum import equal_up_to_phase
-
     closed = all(
         any(equal_up_to_phase(a @ b, g) for g in cl.gates)
         for a in cl.gates[:6]
@@ -44,33 +91,23 @@ def check_oracle_equivalence() -> list[tuple[str, bool, str]]:
     rho = basis_state(0, 2)
     worst = 0.0
     for _ in range(6):
-        lam = _haar(4, rng)
-        model = joint_unitary(lam, basis_state(0, 2), 2)
-        m = int(rng.integers(1, 4))
-        gates = sample_sequence(cl, m, rng)
+        model = joint_unitary(haar_unitary(4, rng), rho, 2)
+        gates = sample_sequence(cl, int(rng.integers(1, 4)), rng)
         f_run = run_sequence(model, gates, rho, rho)
-        f_dense = process_tensor.contract_asf_dense(model, gates, rho, rho)
+        f_dense = contract_asf_dense(model, gates, rho, rho)
         worst = max(worst, abs(f_run - f_dense))
     return [("dense tensor contraction vs direct evolution", worst < 1e-10, f"max |diff| {worst:.2e}")]
 
 
-def _enumeration_mean(model, table: np.ndarray, m: int, rho: np.ndarray) -> float:
-    """Mean survival probability over all len(table)**m gate sequences of length m."""
-    picks = np.indices((len(table),) * m).reshape(m, -1).T
-    return float(np.mean(run_sequence(model, table[picks], rho, rho)))
-
-
 def check_average_identity() -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(12)
-    table = np.stack(single_qubit_cliffords().gates)
     rho = basis_state(0, 2)
-    lam = _haar(4, rng)
-    model = joint_unitary(lam, basis_state(0, 2), 2)
-    curve = average.clifford_averaged_asf_curve(model, rho, rho, 3)
+    model = joint_unitary(haar_unitary(4, rng), rho, 2)
+    curve = clifford_averaged_asf_curve(model, rho, rho, 3)
     # the bulk powers first show at m = 2; neither the enumeration nor the
     # dense oracle shares a kernel with the chain
-    enum = {m: abs(_enumeration_mean(model, table, m, rho) - curve[m - 1]) for m in (1, 3)}
-    dense = max(abs(curve[m - 1] - process_tensor.contract_asf_dense_averaged(model, m, rho, rho))
+    enum = {m: abs(enumeration_mean(model, m, rho, rho) - curve[m - 1]) for m in (1, 3)}
+    dense = max(abs(curve[m - 1] - contract_asf_dense_averaged(model, m, rho, rho))
                 for m in (2, 3))
     rows = [(f"closed-form average vs full enumeration (m={m})", diff < 1e-10, f"|diff| {diff:.2e}")
             for m, diff in enum.items()]
@@ -79,46 +116,19 @@ def check_average_identity() -> list[tuple[str, bool, str]]:
 
 
 def check_gradient() -> list[tuple[str, bool, str]]:
-    from .learner import evaluate, gradient_joint
-    from .process_tensor import asf_joint_coefficient, joint_node
-    from .rb import AsfCurve
-
     rng = np.random.default_rng(13)
-    lam = _haar(4, rng)
+    lam = haar_unitary(4, rng)
     rho = basis_state(0, 2)
     m_max = 3
-    data = AsfCurve(
-        tuple(range(1, m_max + 1)),
-        tuple(float(x) for x in rng.uniform(0.6, 1.0, m_max)),
-        (0.0,) * m_max,
-        10,
-    )
-    steps = average.NoiseSteps.uniform(lam, 2)
-    base = joint_node(lam, lam, 2, 2)
-    h = 1e-5
+    data = AsfCurve(tuple(range(1, m_max + 1)),
+                    tuple(float(x) for x in rng.uniform(0.6, 1.0, m_max)), (0.0,) * m_max, 10)
     worst = 0.0
     fit = evaluate(lam, 2, data, rho, rho)
     # every slot pair, the raw preparation (slot 1) and final (slot m_max + 1) ones included
     for slot in range(1, m_max + 2):
         grad = gradient_joint(fit, 2, data, rho, rho, slot)
-
-        def cost_at(joint):
-            total = 0.0
-            for n, f_exp in zip(data.lengths, data.means):
-                if n >= max(slot - 1, 1):
-                    f = np.real(np.sum(joint * np.conj(
-                        asf_joint_coefficient(steps, slot, {n: 1.0}, rho, rho, joint))))
-                else:
-                    f = average.clifford_averaged_asf(steps, rho, rho, n)
-                total += 0.5 * (f - f_exp) ** 2
-            return total
-
         for idx in [(0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 1, 0), (0, 1, 1, 1, 0, 1)]:
-            probe = np.zeros_like(base)
-            probe[idx] = 1.0
-            d_re = (cost_at(base + h * probe) - cost_at(base - h * probe)) / (2 * h)
-            d_im = (cost_at(base + 1j * h * probe) - cost_at(base - 1j * h * probe)) / (2 * h)
-            fd = -(d_re + 1j * d_im) / 2.0
+            fd = joint_gradient_fd(lam, data, slot, idx, rho, rho)
             worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), 1e-12))
     return [("joint-node gradient vs finite differences", worst < 1e-6, f"max rel err {worst:.2e}")]
 
@@ -135,9 +145,7 @@ def check_projection() -> list[tuple[str, bool, str]]:
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     p = project_to_unitary(x)
     d0 = np.linalg.norm(x - p)
-    beaten = all(
-        d0 <= np.linalg.norm(x - _haar(4, rng)) + 1e-12 for _ in range(200)
-    )
+    beaten = all(d0 <= np.linalg.norm(x - haar_unitary(4, rng)) + 1e-12 for _ in range(200))
     results.append(("projection beats random unitaries", beaten, f"distance {d0:.3f}"))
     return results
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbmpo.average import NoiseSteps, clifford_averaged_asf, clifford_averaged_asf_curve, fit_exponential
+from rbmpo.average import clifford_averaged_asf, clifford_averaged_asf_curve, fit_exponential
 from rbmpo.learner import (
     Adagrad,
     Adam,
@@ -22,9 +22,10 @@ from rbmpo.learner import (
 )
 from rbmpo.linalg import dagger, project_to_unitary
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
-from rbmpo.process_tensor import asf_joint_coefficient, contract_asf_dense, joint_node
-from rbmpo.quantum import basis_state, sample_sequence, single_qubit_cliffords
+from rbmpo.process_tensor import contract_asf_dense
+from rbmpo.quantum import basis_state, sample_sequence
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
+from rbmpo.selfcheck import enumeration_mean, haar_unitary, joint_gradient_fd
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
@@ -33,17 +34,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def report(number, name, detail=""):
     print(f"[acceptance] criterion {number} ({name}): PASS {detail}")
-
-
-def haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-@pytest.fixture(scope="module")
-def cliffords():
-    return single_qubit_cliffords()
 
 
 @pytest.fixture(scope="module")
@@ -92,17 +82,15 @@ def test_criterion_1_oracle_equivalence(cliffords):
     report(1, "oracle equivalence", f"max |diff| {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_2_two_design_identity(cliffords):
+def test_criterion_2_two_design_identity():
     started = time.monotonic()
     rng = np.random.default_rng(20240502)
-    table = np.stack(cliffords.gates)
     worst = 0.0
     for _ in range(10):
         model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         for m in (1, 2, 3):
-            # all 24**m sequences of length m, as one batch
-            vals = run_sequence(model, table[np.indices((24,) * m).reshape(m, -1).T], RHO, POVM)
-            worst = max(worst, abs(np.mean(vals) - clifford_averaged_asf(model, RHO, POVM, m)))
+            worst = max(worst, abs(enumeration_mean(model, m, RHO, POVM)
+                                   - clifford_averaged_asf(model, RHO, POVM, m)))
     elapsed = time.monotonic() - started
     assert worst <= 1e-10
     assert elapsed < 60.0
@@ -122,7 +110,6 @@ def test_criterion_3_markovian_exponential_reduction():
 
 def test_criterion_4_gradient_correctness():
     rng = np.random.default_rng(20240504)
-    h = 1e-5
     worst = 0.0
     for case in range(20):
         lam = haar_unitary(4, rng)
@@ -135,28 +122,9 @@ def test_criterion_4_gradient_correctness():
         )
         slot = int(rng.integers(1, m_max + 2))
         grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
-        steps = NoiseSteps.uniform(lam, 2)
-        base = joint_node(lam, lam, 2, 2)
-
-        def cost_at(joint):
-            total = 0.0
-            for n, f_exp in zip(data.lengths, data.means):
-                if n >= max(slot - 1, 1):
-                    f = np.real(np.sum(joint * np.conj(
-                        asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, joint))))
-                else:
-                    f = clifford_averaged_asf(steps, RHO, POVM, n)
-                total += 0.5 * (f - f_exp) ** 2
-            return total
-
-        flat = np.argsort(np.abs(grad).ravel())[-3:]
-        for pos in flat:
+        for pos in np.argsort(np.abs(grad).ravel())[-3:]:
             idx = np.unravel_index(pos, grad.shape)
-            probe = np.zeros_like(base)
-            probe[idx] = 1.0
-            d_re = (cost_at(base + h * probe) - cost_at(base - h * probe)) / (2 * h)
-            d_im = (cost_at(base + 1j * h * probe) - cost_at(base - 1j * h * probe)) / (2 * h)
-            fd = -(d_re + 1j * d_im) / 2.0
+            fd = joint_gradient_fd(lam, data, slot, idx, RHO, POVM)
             worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), 1e-12))
     assert worst <= 1e-6
     report(4, "gradient correctness", f"max rel err {worst:.2e}")

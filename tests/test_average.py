@@ -23,15 +23,10 @@ from rbmpo.quantum import (
     GateSet, HADAMARD, KrausChannel, basis_state, dagger, single_qubit_cliffords,
 )
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
+from rbmpo.selfcheck import haar_unitary
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
-
-
-def haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def mixed_and_loop(ops):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rbmpo.average import NoiseSteps, _lockstep, clifford_averaged_asf
-from rbmpo.errors import InputError, NumericalError, ShapeError
+from rbmpo.errors import DomainError, InputError, NumericalError, ShapeError
 from rbmpo.learner import (
     Adagrad,
     Adam,
@@ -29,15 +29,10 @@ import rbmpo.process_tensor as process_tensor_mod
 from rbmpo.process_tensor import asf_joint_coefficient, joint_node
 from rbmpo.quantum import basis_state
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf
+from rbmpo.selfcheck import haar_unitary, joint_gradient_fd
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
-
-
-def haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def model_curve(node, m_max):
@@ -183,28 +178,28 @@ class TestGradient:
             100,
         )
         grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
-        steps = NoiseSteps.uniform(lam, 2)
-        base = joint_node(lam, lam, 2, 2)
-
-        def cost_at(joint):
-            total = 0.0
-            for n, f_exp in zip(data.lengths, data.means):
-                if n >= max(slot - 1, 1):
-                    f = np.real(np.sum(joint * np.conj(
-                        asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, joint))))
-                else:
-                    f = clifford_averaged_asf(steps, RHO, POVM, n)
-                total += 0.5 * (f - f_exp) ** 2
-            return total
-
-        h = 1e-5
         for idx in [(0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 1, 0), (0, 1, 1, 1, 0, 1)]:
-            probe = np.zeros_like(base)
-            probe[idx] = 1.0
-            d_re = (cost_at(base + h * probe) - cost_at(base - h * probe)) / (2 * h)
-            d_im = (cost_at(base + 1j * h * probe) - cost_at(base - 1j * h * probe)) / (2 * h)
-            fd = -(d_re + 1j * d_im) / 2.0
+            fd = joint_gradient_fd(lam, data, slot, idx, RHO, POVM)
             assert abs(grad[idx] - fd) / max(abs(fd), 1e-10) < 1e-6
+
+    def test_finite_differences_reject_wrong_gradients(self):
+        # the arbiter can fail: at every slot, the conjugate gradient and the
+        # neighbouring slot's gradient miss it by far more than its 1e-6 bound
+        rng = np.random.default_rng(13)
+        lam = haar_unitary(4, rng)
+        m_max = 3
+        data = AsfCurve(tuple(range(1, m_max + 1)), tuple(rng.uniform(0.6, 1.0, m_max)),
+                        (0.0,) * m_max, 10)
+        fit = evaluate(lam, 2, data, RHO, POVM)
+        grads = [gradient_joint(fit, 2, data, RHO, POVM, slot) for slot in range(1, m_max + 2)]
+        entries = [(0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 1, 0), (0, 1, 1, 1, 0, 1)]
+        for slot, grad in enumerate(grads, start=1):
+            fd = [joint_gradient_fd(lam, data, slot, idx, RHO, POVM) for idx in entries]
+            neighbour = grads[slot if slot < len(grads) else slot - 2]
+            true, conj, swapped = (max(abs(g[idx] - f) / max(abs(f), 1e-12)
+                                       for idx, f in zip(entries, fd))
+                                   for g in (grad, np.conj(grad), neighbour))
+            assert true < 1e-6 and conj > 0.1 and swapped > 0.1, (slot, true, conj, swapped)
 
     def test_early_lengths_do_not_contribute(self):
         # for the pair (slot, slot-1), curve points with n < slot-1 carry no
@@ -566,3 +561,12 @@ class TestDiagnosis:
     def test_non_unitary_rejected(self):
         with pytest.raises(InputError):
             diagnose_markovianity(np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex))
+
+    @pytest.mark.parametrize("d_env", [0, -1])
+    def test_environment_dimension_below_one_rejected(self, d_env):
+        # a coupling node (off-block 1.10 at d_env 2): d_env 0 would divide by
+        # zero, and d_env -1 would slice it into a Markovian verdict
+        node = spin_unitary(1.2, 1.17, -1.15, 0.5).bulk[0]
+        assert diagnose_markovianity(node).off_block_norm > 1.0
+        with pytest.raises(DomainError, match="environment dimension"):
+            diagnose_markovianity(node, d_env=d_env)

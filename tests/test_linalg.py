@@ -12,12 +12,7 @@ from rbmpo.linalg import (
     project_to_unitary,
     svd,
 )
-
-
-def haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from rbmpo.selfcheck import haar_unitary
 
 
 def random_complex(n, rng):

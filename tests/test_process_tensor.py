@@ -16,32 +16,16 @@ from rbmpo.process_tensor import (
     dense_noise_tensor,
     joint_node,
 )
-from rbmpo.quantum import basis_state, sample_sequence, single_qubit_cliffords
+from rbmpo.quantum import basis_state, sample_sequence
 from rbmpo.rb import run_sequence
+from rbmpo.selfcheck import haar_unitary, joint_fidelity
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
 
 
-def haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def physical(steps, slot, n, joint):
-    """Averaged fidelity at length n with ``joint`` on both chains at (slot, slot - 1)."""
-    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, joint)
-    return float(np.real(np.sum(joint * np.conj(coeff))))
-
-
 def random_model(rng):
     return joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
-
-
-@pytest.fixture(scope="module")
-def cliffords():
-    return single_qubit_cliffords()
 
 
 class TestDenseOracle:
@@ -142,7 +126,7 @@ class TestJointCoefficient:
                     coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
                     f_via = float(np.real(np.sum(joint * np.conj(coeff))))
                     assert abs(f_via - f_ref) < 1e-10, (n, slot)
-                    f_own = physical(steps, slot, n, joint)
+                    f_own = joint_fidelity(steps, slot, n, joint, RHO, POVM)
                     assert abs(f_own - f_ref) < 1e-10, (n, slot)
 
     def test_identity_nodes_unit_fidelity(self):
@@ -171,7 +155,7 @@ class TestJointCoefficient:
         joint = joint_node(u_up, u_dn, 2, 2)
         for slot, model in ((1, dataclasses.replace(base, bulk=(u_up,), prep=(u_dn,))),
                             (2, dataclasses.replace(base, final=(u_up,), bulk=(u_dn,)))):
-            value = physical(base, slot, 1, joint)
+            value = joint_fidelity(base, slot, 1, joint, RHO, POVM)
             assert abs(value - clifford_averaged_asf(model, RHO, POVM, 1)) < 1e-12, slot
 
     def test_input_checks(self):

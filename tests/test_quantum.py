@@ -25,11 +25,6 @@ from rbmpo.quantum import (
 )
 
 
-@pytest.fixture(scope="module")
-def cliffords():
-    return single_qubit_cliffords()
-
-
 class TestCliffordGroup:
     def test_count_is_24(self, cliffords):
         assert len(cliffords) == 24

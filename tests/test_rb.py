@@ -23,18 +23,12 @@ from rbmpo.quantum import (
     basis_state,
     dagger,
     sample_sequence,
-    single_qubit_cliffords,
 )
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence, sample_stream
+from rbmpo.selfcheck import haar_unitary
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
-
-
-def haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def identity_model(dim=2):
@@ -65,11 +59,6 @@ def kraus_loop_survival(model, gates, rho_sys, povm):
             rho = lifted @ rho @ lifted.conj().T
         rho = sum(k @ rho @ k.conj().T for k in ops)
     return float(np.trace(np.kron(np.eye(d_env), povm) @ rho).real)
-
-
-@pytest.fixture(scope="module")
-def cliffords():
-    return single_qubit_cliffords()
 
 
 class TestRunSequence:
