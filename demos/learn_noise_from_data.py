@@ -41,7 +41,7 @@ for title, noise, learner_cfg in experiments:
     print(f"converged: {result.converged} after {result.iterations} sweep iterations "
           f"(best iterate {result.best_iteration})")
     print(f"l1 distance to data {l1:.4f}, noise budget {sum(data.stderrs):.4f}")
-    report = diagnose_markovianity(result.node)
+    report = diagnose_markovianity(result.node, learner_cfg.d_env)
     verdict = "markovian" if report.markovian else "non-markovian"
     print(f"learned node is {verdict}: environment coupling norm {report.off_block_norm:.2e}")
     with np.printoptions(precision=3, suppress=True):

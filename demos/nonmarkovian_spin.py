@@ -40,7 +40,7 @@ else:
 print(f"max residual {fit.max_residual:.4f} vs median stderr {med_stderr:.4f} "
       f"({fit.max_residual / med_stderr:.1f}x)")
 
-report = diagnose_markovianity(noise.bulk[0], tol=1e-2)
+report = diagnose_markovianity(noise.bulk[0], noise.d_env, tol=1e-2)
 print(f"\nstructure of the true noise unitary: "
       f"{'markovian' if report.markovian else 'non-markovian'} "
       f"(environment coupling norm {report.off_block_norm:.3f})")

@@ -31,17 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, UnsupportedConfigurationError
-from .noise import NoiseSteps
+from .noise import NoiseSteps, kraus_stack
 from .quantum import GateSet, validate_density_matrix, validate_povm_element
 from .rb import AsfCurve
-
-
-def kraus_stack(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
-    """Kraus operators on environment x system as one (..., k, e, s, f, t) node
-    stack; leading batch axes of the operators are kept in front."""
-    stack = np.concatenate([np.asarray(k, dtype=np.complex128)[..., None, :, :] for k in ops],
-                           axis=-3)
-    return stack.reshape(*stack.shape[:-3], -1, d_env, d_sys, d_env, d_sys)
 
 
 def env_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
@@ -64,18 +56,18 @@ def env_maps(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
     return np.array([mixed, loop])
 
 
-def env_loop_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
+def env_loop_map(ops: tuple[np.ndarray, ...], d_env: int) -> np.ndarray:
     """The loop map of one slot's Kraus operators as a (d_env^2, d_env^2) matrix
     on row-major vectorized environment operators (d_sys^2 x identity for the
     identity step).  Nothing in the package calls it; :func:`env_maps` does the work."""
-    stack = kraus_stack(ops, d_env, d_sys)
+    stack = kraus_stack(ops, d_env)
     return env_maps(stack, stack)[1].reshape(d_env * d_env, d_env * d_env)
 
 
-def env_mixed_map(ops: tuple[np.ndarray, ...], d_env: int, d_sys: int) -> np.ndarray:
+def env_mixed_map(ops: tuple[np.ndarray, ...], d_env: int) -> np.ndarray:
     """The mixed-input map as :func:`env_loop_map` gives the loop map; trace
     preserving whenever the step is."""
-    stack = kraus_stack(ops, d_env, d_sys)
+    stack = kraus_stack(ops, d_env)
     return env_maps(stack, stack)[0].reshape(d_env * d_env, d_env * d_env)
 
 
@@ -130,7 +122,7 @@ def prepared_state(steps: NoiseSteps, rho_sys: np.ndarray, prep: bool = True) ->
     slot unless ``prep`` is False."""
     x = np.einsum("ef,st->esft", steps.rho_env, rho_sys)
     if prep:
-        ops = kraus_stack(steps.prep, steps.d_env, steps.d_sys)
+        ops = kraus_stack(steps.prep, steps.d_env)
         x = raw_slot(ops, ops, x)
     return x
 
@@ -141,7 +133,7 @@ def measurement_functional(steps: NoiseSteps, povm: np.ndarray, final: bool = Tr
     is False)."""
     l = np.einsum("ef,ts->esft", np.eye(steps.d_env, dtype=np.complex128), povm)
     if final:
-        ops = kraus_stack(steps.final, steps.d_env, steps.d_sys)
+        ops = kraus_stack(steps.final, steps.d_env)
         l = raw_slot_adjoint(ops, ops, l)
     return l
 
@@ -153,7 +145,7 @@ def _chain_curve(noise: NoiseSteps, rho_sys: np.ndarray, povm: np.ndarray, m_max
     slot's :func:`sector_maps` once per length, each length's pairs written
     into one (m_max, ...) stack that one einsum traces."""
     states = sector_pairs(prepared_state(noise, rho_sys), measurement_functional(noise, povm))
-    bulk = kraus_stack(noise.bulk, noise.d_env, noise.d_sys)
+    bulk = kraus_stack(noise.bulk, noise.d_env)
     ops = sector_maps(bulk, bulk)
     chain = np.empty((m_max, *np.broadcast_shapes(ops.shape, states.shape)), dtype=np.complex128)
     for n in range(m_max):
@@ -275,13 +267,6 @@ def _lockstep(searches: list, objective) -> list:
     return [results[r] for r in range(len(searches))]
 
 
-def golden_section(objective, lo: float, hi: float, tol: float, max_iter: int) -> float:
-    """Golden-section minimization of a unimodal `objective` on [lo, hi]: the
-    bracket's midpoint once narrower than `tol` or after `max_iter` shrinks."""
-    search = _golden_steps(lo, hi, tol, max_iter)
-    return _lockstep([search], lambda trials: [objective(p) for p in trials.values()])[0]
-
-
 def fit_exponential(curve: AsfCurve) -> ExpFit:
     """Fit A p^m + B with p constrained to [-1, 1), or its p -> 1 limit, a line.
 
@@ -302,7 +287,8 @@ def fit_exponential(curve: AsfCurve) -> ExpFit:
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
 
-    p_best = golden_section(lambda p: _solve_linear(p ** ms, ys)[2], lo, hi, 1e-15, 200)
+    p_best = _lockstep([_golden_steps(lo, hi, 1e-15, 200)],
+                       lambda trials: [_solve_linear(p ** ms, ys)[2] for p in trials.values()])[0]
     amp, off, sse = _solve_linear(p_best ** ms, ys)
     slope, line_off, line_sse = _solve_linear(ms, ys)
     if line_sse <= sse + len(ys) * (1e-14 * float(np.max(np.abs(ys)))) ** 2:

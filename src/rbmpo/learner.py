@@ -446,10 +446,8 @@ def sweep_iteration(
     if not np.abs(grad).max() > 0.0:
         return node
     update = config.optimizer.step(accumulators, grad)
-    d_sys = node.shape[0] // d_env
-    joint = joint_node(node, node, d_env, d_sys)
-    k = d_env * d_sys * d_sys
-    upper, lower = split_truncate((joint + update).reshape(k, k), d_env)
+    joint = joint_node(node, node, d_env) + update
+    upper, lower = split_truncate(joint.reshape(np.prod(joint.shape[:3]), -1), d_env)
     new_node = replacement_node(upper, lower, near=node)
     defect = _unitarity_defect(new_node)
     if not defect <= UNITARITY_TOL:
@@ -526,9 +524,7 @@ class MarkovianityReport:
     tol: float
 
 
-def diagnose_markovianity(
-    node: np.ndarray, d_env: int = 2, tol: float = 1e-2
-) -> MarkovianityReport:
+def diagnose_markovianity(node: np.ndarray, d_env: int, tol: float = 1e-2) -> MarkovianityReport:
     """Read the Markovianity of a learned node off its block structure.
 
     With the environment first and fiducial in |0><0|, the off-block norm

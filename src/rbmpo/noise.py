@@ -18,7 +18,8 @@ average, the dense oracle and the learner all read it.  A Markovian channel
 is the case of a one-dimensional environment.  :func:`markovian_channel` and
 :func:`joint_unitary` build validated noise; ``prep`` defaults to the
 identity and ``final`` to the bulk noise, and a set ``final`` takes the bulk
-noise's place in the last slot.
+noise's place in the last slot.  :func:`kraus_stack` regroups a slot's
+operators into the (k, e, s, f, t) node layout that every contraction reads.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ class NoiseSteps:
     ``rho_env`` is the initial environment state.  ``bulk`` fills the m
     gate-interleaved slots, ``prep`` the slot before the first gate and
     ``final`` the slot after the compiled inverse; :meth:`slots` lists them in
-    sequence order.  The fields are not validated here: build checked noise
-    with :func:`markovian_channel` or :func:`joint_unitary`.
+    sequence order.  Only arrays are stored: ``d_env`` and ``d_sys`` are read
+    off ``rho_env`` and the bulk operators.  The fields are not validated
+    here: build checked noise with :func:`markovian_channel` or
+    :func:`joint_unitary`.
     """
 
-    d_env: int
-    d_sys: int
     rho_env: np.ndarray
     bulk: tuple[np.ndarray, ...]
     prep: tuple[np.ndarray, ...]
@@ -61,8 +62,12 @@ class NoiseSteps:
     label: str = ""
 
     @property
-    def dim(self) -> int:
-        return self.d_env * self.d_sys
+    def d_env(self) -> int:
+        return self.rho_env.shape[0]
+
+    @property
+    def d_sys(self) -> int:
+        return self.bulk[0].shape[-1] // self.d_env
 
     def slots(self, m: int) -> list[tuple[np.ndarray, ...]]:
         """Kraus operators of the m + 2 slots of a length-m sequence, in order."""
@@ -75,11 +80,19 @@ class NoiseSteps:
         |0><0|: the learner's model class.  A stack of nodes (..., dim, dim)
         gives a stack of models, whose averaged curves are computed together."""
         node = np.asarray(node, dtype=np.complex128)
-        d_sys = node.shape[-1] // d_env
-        return NoiseSteps(d_env, d_sys, basis_state(0, d_env), (node,), (node,), (node,))
+        return NoiseSteps(basis_state(0, d_env), (node,), (node,), (node,))
 
 
-def _with_slots(d_env: int, rho_env: np.ndarray, bulk: tuple[np.ndarray, ...],
+def kraus_stack(ops: tuple[np.ndarray, ...], d_env: int) -> np.ndarray:
+    """Kraus operators on environment x system as one (..., k, e, s, f, t) node
+    stack; leading batch axes of the operators are kept in front."""
+    stack = np.concatenate([np.asarray(k, dtype=np.complex128)[..., None, :, :] for k in ops],
+                           axis=-3)
+    d_sys = stack.shape[-1] // d_env
+    return stack.reshape(*stack.shape[:-3], -1, d_env, d_sys, d_env, d_sys)
+
+
+def _with_slots(rho_env: np.ndarray, bulk: tuple[np.ndarray, ...],
                 prep: KrausChannel | None, final: KrausChannel | None, label: str) -> NoiseSteps:
     """Noise around validated bulk operators; ``prep`` defaults to the identity
     and ``final`` to the bulk, and a set slot must act on the bulk's space."""
@@ -89,15 +102,14 @@ def _with_slots(d_env: int, rho_env: np.ndarray, bulk: tuple[np.ndarray, ...],
             raise ShapeError(f"prep/final slots must act on the noise's dim {dim}, got {slot.dim}")
     prep_ops = prep.operators if prep is not None else (np.eye(dim, dtype=np.complex128),)
     final_ops = final.operators if final is not None else bulk
-    return NoiseSteps(d_env, dim // d_env, rho_env, bulk, prep_ops, final_ops, label)
+    return NoiseSteps(rho_env, bulk, prep_ops, final_ops, label)
 
 
 def markovian_channel(channel: KrausChannel, prep: KrausChannel | None = None,
                       final: KrausChannel | None = None, label: str = "markovian") -> NoiseSteps:
     """Memoryless noise: one Kraus channel on the system, reapplied per gate,
     with a one-dimensional environment."""
-    return _with_slots(1, np.ones((1, 1), dtype=np.complex128), channel.operators,
-                       prep, final, label)
+    return _with_slots(np.ones((1, 1), dtype=np.complex128), channel.operators, prep, final, label)
 
 
 def joint_unitary(unitary: np.ndarray, rho_env: np.ndarray, d_env: int,
@@ -116,7 +128,7 @@ def joint_unitary(unitary: np.ndarray, rho_env: np.ndarray, d_env: int,
         raise ShapeError(f"rho_env has dim {rho.shape[0]}, expected d_env={d_env}")
     if u.shape[0] % d_env != 0:
         raise ShapeError(f"joint unitary dim {u.shape[0]} is not divisible by d_env={d_env}")
-    return _with_slots(d_env, rho, (u,), prep, final, label)
+    return _with_slots(rho, (u,), prep, final, label)
 
 
 def _check_probability(p: float, name: str) -> float:

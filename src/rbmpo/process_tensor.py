@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .average import (
-    kraus_stack,
     measurement_functional,
     prepared_state,
     raw_slot,
@@ -47,7 +46,7 @@ from .average import (
     sector_pairs,
 )
 from .errors import InputError, ResourceLimitError, ShapeError
-from .noise import NoiseSteps
+from .noise import NoiseSteps, kraus_stack
 from .quantum import compile_undo
 
 #: Largest sequence length the dense noise tensor is built for (d_sys = 2
@@ -76,7 +75,7 @@ def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     slot_ops = steps.slots(m)
     ups = steps.rho_env  # (..., e, eps): the legs so far, then the open bond
     for j, ops in enumerate(slot_ops):
-        stack = kraus_stack(ops, steps.d_env, steps.d_sys)
+        stack = kraus_stack(ops, steps.d_env)
         pair = "qaibj,qamcl->bcijlm" if j == len(slot_ops) - 1 else "qaibj,qdmcl->bcijlmad"
         ups = np.tensordot(ups, np.einsum(pair, stack, np.conj(stack)), axes=2)
     return ups
@@ -203,13 +202,13 @@ def asf_joint_coefficient(
     basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
     lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
     upper = basis.reshape(-1, 1, d_env, d_sys, 1, d_sys)
-    bulk = kraus_stack(steps.bulk, d_env, d_sys)
+    bulk = kraus_stack(steps.bulk, d_env)
     o = sector_maps(bulk, bulk)
     x = prepared_state(steps, rho_sys, prep=slot_i >= 2)
     meas = measurement_functional(steps, povm)
     if slot_i == 1:
         # the free lower slot is the raw preparation: it goes into the state
-        prep = kraus_stack(steps.prep, d_env, d_sys)
+        prep = kraus_stack(steps.prep, d_env)
         a_dn = sector_pairs(raw_slot(lower, bra_node(prep, 1), x), meas)
     else:
         a_dn = sector_maps(lower, bra_node(bulk, 1))
@@ -228,7 +227,7 @@ def asf_joint_coefficient(
         a_up = sector_maps(upper, bra_node(bulk, 0))
         vals = np.einsum("psij,qsjk,ski->pq", a_up, a_dn, h)
     if slot_i - 1 in weights:  # slot_i >= 2, as every length is
-        final = kraus_stack(steps.final, d_env, d_sys)
+        final = kraus_stack(steps.final, d_env)
         l = raw_slot_adjoint(upper, bra_node(final, 0),
                              measurement_functional(steps, povm, final=False))
         below = bulk_power @ sector_pairs(x, l)
@@ -239,8 +238,9 @@ def asf_joint_coefficient(
     return np.conj(coeff)
 
 
-def joint_node(node_up: np.ndarray, node_dn: np.ndarray, d_env: int, d_sys: int) -> np.ndarray:
+def joint_node(node_up: np.ndarray, node_dn: np.ndarray, d_env: int) -> np.ndarray:
     """Fuse two adjacent noise nodes over their shared environment bond."""
+    d_sys = node_up.shape[-1] // d_env
     up = node_up.reshape(d_env, d_sys, d_env, d_sys)
     dn = node_dn.reshape(d_env, d_sys, d_env, d_sys)
     return np.einsum("aibj,bkcl->aijckl", up, dn)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError, ShapeError
-from .noise import NoiseSteps
+from .noise import NoiseSteps, kraus_stack
 from .quantum import (
     GateSet,
     _draw_indices,
@@ -119,13 +119,14 @@ class ExperimentConfig:
         object.__setattr__(self, "povm", povm)
 
 
-def _superoperator(ops: tuple[np.ndarray, ...], d_env: int, d: int) -> np.ndarray:
+def _superoperator(ops: tuple[np.ndarray, ...], d_env: int) -> np.ndarray:
     """sum_q K_q (x) conj(K_q) as the matrix S with vec(sum_q K_q rho K_q^dag)
     = vec(rho) @ S, for rho vectorised in (env, env', sys, sys') order."""
     # K_q[e, s, f, t] as row q, columns (f, t, e, s): the input legs first
-    k = np.stack(ops).reshape(-1, d_env, d, d_env, d).transpose(0, 3, 4, 1, 2).reshape(len(ops), -1)
-    s = (k.T @ k.conj()).reshape((d_env, d) * 4)  # (f, t, e, s, f', t', e', s')
-    return s.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d_env**2 * d**2, -1)
+    stack = kraus_stack(ops, d_env)
+    k = stack.transpose(0, 3, 4, 1, 2).reshape(len(ops), -1)
+    s = (k.T @ k.conj()).reshape(stack.shape[1:3] * 4)  # (f, t, e, s, f', t', e', s')
+    return s.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(k.shape[1], -1)
 
 
 def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
@@ -155,7 +156,7 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     batch = stack if stack.ndim == 4 else stack[None]
     n, m = batch.shape[:2]
     d_env = noise.d_env
-    sup = {id(ops): _superoperator(ops, d_env, d) for ops in (noise.prep, noise.bulk, noise.final)}
+    sup = {id(ops): _superoperator(ops, d_env) for ops in (noise.prep, noise.bulk, noise.final)}
     state = np.broadcast_to(np.outer(noise.rho_env, rho_sys).reshape(1, -1), (n, 1, d_env**2 * d**2))
     controls = [None, *batch.swapaxes(0, 1), undo.reshape(n, d, d)]
     for g, ops in zip(controls, noise.slots(m)):

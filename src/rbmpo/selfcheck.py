@@ -52,7 +52,7 @@ def joint_gradient_fd(node, data: AsfCurve, slot: int, idx: tuple, rho_sys, povm
     """
     d_env = node.shape[0] // np.shape(rho_sys)[0]
     steps = NoiseSteps.uniform(node, d_env)
-    base = joint_node(node, node, d_env, d_env)
+    base = joint_node(node, node, d_env)
 
     def cost_at(joint):
         total = 0.0

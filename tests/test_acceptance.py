@@ -158,7 +158,7 @@ def test_criterion_6_phase_flip_end_to_end(phase_flip_run):
     assert result.iterations <= 200
     l1_best = result.l1_trace[result.best_iteration]
     assert l1_best <= sigma_total
-    diag = diagnose_markovianity(result.node)
+    diag = diagnose_markovianity(result.node, 2)
     assert diag.markovian
     assert diag.off_block_norm <= 1e-2
     assert elapsed < 600.0
@@ -175,7 +175,7 @@ def test_criterion_7_spin_model_end_to_end(spin_run):
     fit = fit_exponential(data)
     med_stderr = float(np.median(data.stderrs))
     assert fit.max_residual > 3.0 * med_stderr, "data must carry a non-exponential signature"
-    diag = diagnose_markovianity(result.node)
+    diag = diagnose_markovianity(result.node, 2)
     assert not diag.markovian
     assert diag.off_block_norm >= 1e-2
     assert elapsed < 900.0

@@ -11,14 +11,15 @@ from rbmpo.average import (
     clifford_averaged_asf_curve,
     env_maps,
     fit_exponential,
-    kraus_stack,
     measurement_functional,
     prepared_state,
     raw_slot,
     raw_slot_adjoint,
 )
 from rbmpo.errors import InputError, UnsupportedConfigurationError
-from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_flip, spin_unitary
+from rbmpo.noise import (
+    amplitude_damping, depolarizing, joint_unitary, kraus_stack, phase_flip, spin_unitary,
+)
 from rbmpo.quantum import (
     GateSet, HADAMARD, KrausChannel, basis_state, dagger, single_qubit_cliffords,
 )
@@ -32,7 +33,7 @@ POVM = basis_state(0, 2)
 def mixed_and_loop(ops):
     """The mixed and loop maps of a two-qubit slot as 4 x 4 superoperators on
     row-major vectorized environment operators."""
-    stack = kraus_stack(ops, 2, 2)
+    stack = kraus_stack(ops, 2)
     mixed, loop = env_maps(stack, stack).reshape(2, 4, 4)
     return mixed, loop
 

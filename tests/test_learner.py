@@ -105,16 +105,16 @@ class TestSplitProject:
     def test_exact_split_of_unitary_pair(self):
         rng = np.random.default_rng(2)
         a, b = haar_unitary(4, rng), haar_unitary(4, rng)
-        joint = joint_node(a, b, 2, 2).reshape(8, 8)
+        joint = joint_node(a, b, 2).reshape(8, 8)
         upper, lower = split_truncate(joint, 2)
-        recon = joint_node(upper, lower, 2, 2).reshape(8, 8)
+        recon = joint_node(upper, lower, 2).reshape(8, 8)
         assert np.linalg.norm(recon - joint) < 1e-12
 
     def test_eckart_young_truncation_error(self):
         rng = np.random.default_rng(3)
         mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         upper, lower = split_truncate(mat, 2)
-        recon = joint_node(upper, lower, 2, 2).reshape(8, 8)
+        recon = joint_node(upper, lower, 2).reshape(8, 8)
         s = np.linalg.svd(mat, compute_uv=False)
         discarded = float(np.sum(s[2:] ** 2))
         assert abs(np.linalg.norm(mat - recon) ** 2 - discarded) < 1e-10
@@ -128,7 +128,7 @@ class TestSplitProject:
         u, s, vh = np.linalg.svd(mat)
         mat = (u[:, :2] * s[:2]) @ vh[:2]
         upper, lower = split_truncate(mat, 2)
-        recon = joint_node(upper, lower, 2, 2).reshape(8, 8)
+        recon = joint_node(upper, lower, 2).reshape(8, 8)
         assert np.linalg.norm(recon - mat) < 1e-10
 
     def test_replacement_node_restores_shared_node(self):
@@ -136,7 +136,7 @@ class TestSplitProject:
         # must hand back that node
         rng = np.random.default_rng(8)
         lam = haar_unitary(4, rng)
-        joint = joint_node(lam, lam, 2, 2).reshape(8, 8)
+        joint = joint_node(lam, lam, 2).reshape(8, 8)
         upper, lower = split_truncate(joint, 2)
         lam_back = replacement_node(upper, lower, near=lam)
         assert np.linalg.norm(lam_back - lam) < 1e-10
@@ -149,10 +149,10 @@ class TestSplitProject:
             rng = np.random.default_rng(1500 + seed)
             lam = haar_unitary(4, rng)
             noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            joint = joint_node(lam, lam, 2, 2).reshape(8, 8) + 0.01 * noise
+            joint = joint_node(lam, lam, 2).reshape(8, 8) + 0.01 * noise
             upper, lower = split_truncate(joint, 2)
             w = np.kron(haar_unitary(2, rng), np.eye(2))
-            moved = joint_node(upper @ w, dagger(w) @ lower, 2, 2) - joint_node(upper, lower, 2, 2)
+            moved = joint_node(upper @ w, dagger(w) @ lower, 2) - joint_node(upper, lower, 2)
             assert np.linalg.norm(moved) < 1e-12
             turned = replacement_node(upper @ w, dagger(w) @ lower, near=lam)
             assert np.linalg.norm(turned - replacement_node(upper, lower, near=lam)) < 1e-12
@@ -166,10 +166,11 @@ class TestGradient:
         grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, 2)
         assert np.abs(grad).max() < 1e-12
 
+    @pytest.mark.parametrize("d_env", [1, 2, 3])
     @pytest.mark.parametrize("slot", [1, 3, 5])
-    def test_matches_finite_differences(self, slot):
+    def test_matches_finite_differences(self, slot, d_env):
         rng = np.random.default_rng(1400 + slot)
-        lam = haar_unitary(4, rng)
+        lam = haar_unitary(2 * d_env, rng)
         m_max = 4
         data = AsfCurve(
             tuple(range(1, m_max + 1)),
@@ -177,8 +178,10 @@ class TestGradient:
             (0.0,) * m_max,
             100,
         )
-        grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
-        for idx in [(0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 1, 0), (0, 1, 1, 1, 0, 1)]:
+        grad = gradient_joint(evaluate(lam, d_env, data, RHO, POVM), d_env, data, RHO, POVM, slot)
+        # environment indices 0 and d_env - 1, so every entry exists at d_env 1
+        e = d_env - 1
+        for idx in [(0, 0, 0, 0, 0, 0), (e, 1, 0, 0, 1, 0), (0, 1, 1, e, 0, 1)]:
             fd = joint_gradient_fd(lam, data, slot, idx, RHO, POVM)
             assert abs(grad[idx] - fd) / max(abs(fd), 1e-10) < 1e-6
 
@@ -482,7 +485,7 @@ class TestTrain:
         result = train(phase_flip_data, RHO, POVM,
                        LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=200))
         assert result.converged
-        report = diagnose_markovianity(result.node)
+        report = diagnose_markovianity(result.node, 2)
         assert report.markovian
         # best-iterate cost never exceeds the no-noise starting cost
         init_cost = cost(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM)
@@ -524,10 +527,25 @@ class TestDiagnosis:
     def test_uncoupled_node_is_markovian(self):
         rng = np.random.default_rng(12)
         u = haar_unitary(2, rng)
-        report = diagnose_markovianity(np.kron(np.eye(2), u))
+        report = diagnose_markovianity(np.kron(np.eye(2), u), 2)
         assert report.markovian
         assert report.off_block_norm < 1e-14
         assert np.linalg.norm(report.system_block - u) < 1e-12
+
+    def test_three_level_environment_node_is_markovian(self):
+        # a system unitary on the populated level and a 4 x 4 one on the two
+        # others: Markovian at d_env 3, but read at d_env 2 it has a 3 x 3
+        # "system block" and a large off-block part
+        rng = np.random.default_rng(21)
+        block = haar_unitary(2, rng)
+        node = np.zeros((6, 6), dtype=complex)
+        node[:2, :2] = block
+        node[2:, 2:] = haar_unitary(4, rng)
+        report = diagnose_markovianity(node, 3)
+        assert report.markovian
+        assert report.off_block_norm == 0.0
+        assert np.array_equal(report.system_block, block)
+        assert not diagnose_markovianity(node, 2).markovian
 
     def test_direct_sum_block_form_is_markovian(self):
         # the published learned form: a system unitary in the populated
@@ -542,31 +560,31 @@ class TestDiagnosis:
             [block, np.zeros((2, 2))],
             [np.zeros((2, 2)), np.eye(2)],
         ]).astype(complex)
-        report = diagnose_markovianity(node)
+        report = diagnose_markovianity(node, 2)
         assert report.markovian
         assert report.off_block_norm < 1e-12
 
     def test_spin_unitary_is_non_markovian(self):
         node = spin_unitary(1.2, 1.17, -1.15, 0.05).bulk[0]
-        report = diagnose_markovianity(node, tol=1e-2)
+        report = diagnose_markovianity(node, 2, tol=1e-2)
         assert not report.markovian
         assert report.off_block_norm >= 1e-2
 
     def test_global_phase_invariance(self):
         node = spin_unitary(1.2, 1.17, -1.15, 0.05).bulk[0]
-        a = diagnose_markovianity(node)
-        b = diagnose_markovianity(np.exp(0.7j) * node)
+        a = diagnose_markovianity(node, 2)
+        b = diagnose_markovianity(np.exp(0.7j) * node, 2)
         assert abs(a.off_block_norm - b.off_block_norm) < 1e-12
 
     def test_non_unitary_rejected(self):
         with pytest.raises(InputError):
-            diagnose_markovianity(np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex))
+            diagnose_markovianity(np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex), 2)
 
     @pytest.mark.parametrize("d_env", [0, -1])
     def test_environment_dimension_below_one_rejected(self, d_env):
         # a coupling node (off-block 1.10 at d_env 2): d_env 0 would divide by
         # zero, and d_env -1 would slice it into a Markovian verdict
         node = spin_unitary(1.2, 1.17, -1.15, 0.5).bulk[0]
-        assert diagnose_markovianity(node).off_block_norm > 1.0
+        assert diagnose_markovianity(node, 2).off_block_norm > 1.0
         with pytest.raises(DomainError, match="environment dimension"):
             diagnose_markovianity(node, d_env=d_env)

@@ -94,7 +94,7 @@ class TestJointCoefficient:
         # must reproduce an index-by-index loop
         rng = np.random.default_rng(7)
         a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
-        fused = joint_node(a, b, 2, 2).reshape(8, 8)
+        fused = joint_node(a, b, 2).reshape(8, 8)
         a4, b4 = a.reshape(2, 2, 2, 2), b.reshape(2, 2, 2, 2)
         for eu in range(2):
             for si in range(2):
@@ -122,7 +122,7 @@ class TestJointCoefficient:
                 f_ref = clifford_averaged_asf(steps, RHO, POVM, n)
                 for slot in range(1, n + 2):
                     joint = joint_node(final if slot == n + 1 else bulk,
-                                       prep if slot == 1 else bulk, 2, 2)
+                                       prep if slot == 1 else bulk, 2)
                     coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
                     f_via = float(np.real(np.sum(joint * np.conj(coeff))))
                     assert abs(f_via - f_ref) < 1e-10, (n, slot)
@@ -132,14 +132,14 @@ class TestJointCoefficient:
     def test_identity_nodes_unit_fidelity(self):
         steps = NoiseSteps.uniform(np.eye(4, dtype=complex), 2)
         coeff = asf_joint_coefficient(steps, 1, {1: 1.0}, RHO, POVM)
-        joint = joint_node(np.eye(4), np.eye(4), 2, 2)
+        joint = joint_node(np.eye(4), np.eye(4), 2)
         assert abs(np.sum(joint * np.conj(coeff)) - 1.0) < 1e-12
 
     def test_physical_evaluation_at_model_point(self):
         rng = np.random.default_rng(9)
         lam = haar_unitary(4, rng)
         steps = NoiseSteps.uniform(lam, 2)
-        joint = joint_node(lam, lam, 2, 2)
+        joint = joint_node(lam, lam, 2)
         value = np.sum(joint * np.conj(asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, POVM, joint)))
         assert abs(value.imag) < 1e-12
         assert abs(value.real - clifford_averaged_asf(steps, RHO, POVM, 3)) < 1e-12
@@ -152,7 +152,7 @@ class TestJointCoefficient:
         base = dataclasses.replace(random_model(rng), prep=(haar_unitary(4, rng),),
                                    final=(haar_unitary(4, rng),))
         u_up, u_dn = haar_unitary(4, rng), haar_unitary(4, rng)
-        joint = joint_node(u_up, u_dn, 2, 2)
+        joint = joint_node(u_up, u_dn, 2)
         for slot, model in ((1, dataclasses.replace(base, bulk=(u_up,), prep=(u_dn,))),
                             (2, dataclasses.replace(base, final=(u_up,), bulk=(u_dn,)))):
             value = joint_fidelity(base, slot, 1, joint, RHO, POVM)

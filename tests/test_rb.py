@@ -144,7 +144,7 @@ class TestRunSequence:
         # a stack escapes when any one of its sequences does, here the last:
         # the leak grows |1><1| and leaves |0><0| alone
         leak = (np.diag([1.0, 1.0 + 1e-6]).astype(complex),)
-        leaky = NoiseSteps(1, 2, np.ones((1, 1), dtype=complex), leak, (I2,), (I2,))
+        leaky = NoiseSteps(np.ones((1, 1), dtype=complex), leak, (I2,), (I2,))
         stack = np.array([[I2], [I2], [HADAMARD]])
         assert np.array_equal(run_sequence(leaky, stack[:2], RHO, POVM), [1.0, 1.0])
         with pytest.raises(NumericalError):
