@@ -43,8 +43,8 @@ import numpy as np
 from .average import _chain_curve, _golden_steps, _lockstep
 from .errors import DomainError, NumericalError, ShapeError
 from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
-from .noise import NoiseSteps, eigh_expm
-from .process_tensor import asf_joint_coefficient, joint_node
+from .noise import NoiseSteps, eigh_expm, kraus_stack
+from .process_tensor import asf_joint_coefficient, joint_node, split_joint
 from .quantum import validate_density_matrix, validate_povm_element, validate_unitary
 from .rb import AsfCurve
 
@@ -207,33 +207,28 @@ def gradient_joint(
     one weighted coefficient; lengths n < slot_i - 1 contribute nothing.
     """
     steps = NoiseSteps.uniform(fit.node, d_env)
+    stack = kraus_stack(steps.bulk, d_env)
     resid = fit.predicted - np.asarray(data.means)
-    return asf_joint_coefficient(steps, slot_i, dict(zip(data.lengths, -resid)), rho_sys, povm)
+    return asf_joint_coefficient(steps, slot_i, dict(zip(data.lengths, -resid)), rho_sys, povm,
+                                 (stack, stack))
 
 
-def split_truncate(joint_mat: np.ndarray, d_env: int) -> tuple[np.ndarray, np.ndarray]:
+def split_truncate(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SVD-split a joint node and keep the leading d_env bond directions.
 
-    The (d_env d_sys^2) square input is factored as (U sqrt(S)) (sqrt(S) V^dag),
-    truncated to bond d_env, and each factor is regrouped into a square
-    d_env*d_sys node: the bond becomes the upper factor's environment input
-    and the lower factor's environment output.
+    The (e_up, s_i, s_i', e_dn, s_j, s_j') joint node's (d_env d_sys^2)
+    square matrix is factored as (U sqrt(S)) (sqrt(S) V^dag), truncated to
+    bond d_env, and each factor is regrouped by
+    :func:`rbmpo.process_tensor.split_joint` into a square d_env*d_sys node:
+    the bond becomes the upper factor's environment input and the lower
+    factor's environment output.
     """
-    joint_mat = np.asarray(joint_mat, dtype=np.complex128)
-    k = joint_mat.shape[0]
-    if joint_mat.ndim != 2 or joint_mat.shape[1] != k or k % d_env != 0:
-        raise ShapeError(f"joint node matrix has shape {joint_mat.shape}")
-    d_sys = int(round(np.sqrt(k // d_env)))
-    if d_env * d_sys * d_sys != k:
-        raise ShapeError(f"cannot infer system dimension from shape {joint_mat.shape}")
-    u, s, vh = svd(joint_mat)
+    d_env, d_sys = joint.shape[:2]
+    u, s, vh = svd(joint.reshape(d_env * d_sys * d_sys, -1))
     sqrt_s = np.sqrt(s[:d_env])
-    u_part = u[:, :d_env] * sqrt_s
-    vh_part = sqrt_s[:, None] * vh[:d_env, :]
+    upper, lower = split_joint(u[:, :d_env] * sqrt_s, sqrt_s[:, None] * vh[:d_env, :], joint.shape)
     n = d_env * d_sys
-    upper = u_part.reshape(d_env, d_sys, d_sys, d_env).transpose(0, 1, 3, 2).reshape(n, n)
-    lower = vh_part.reshape(d_env, d_env, d_sys, d_sys).transpose(0, 2, 1, 3).reshape(n, n)
-    return upper, lower
+    return upper.reshape(n, n), lower.reshape(n, n)
 
 
 def replacement_node(
@@ -447,7 +442,7 @@ def sweep_iteration(
         return node
     update = config.optimizer.step(accumulators, grad)
     joint = joint_node(node, node, d_env) + update
-    upper, lower = split_truncate(joint.reshape(np.prod(joint.shape[:3]), -1), d_env)
+    upper, lower = split_truncate(joint)
     new_node = replacement_node(upper, lower, near=node)
     defect = _unitarity_defect(new_node)
     if not defect <= UNITARITY_TOL:

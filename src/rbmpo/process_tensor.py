@@ -19,18 +19,20 @@ module provides
   lengths with any weights.  Each term is one einsum trace over every pair
   of upper and lower basis nodes, and the bulk slot, the prepared state and
   the measurement functional are built once per call.  With the residuals as
-  weights that sum is the sweeping learner's gradient; with a joint node L on
-  the conjugate chain as well, pairing the tensor with L gives the physical
-  fidelity at L.
+  weights and the node's own stack on the conjugate chain that sum is the
+  sweeping learner's gradient; with a joint node L on the conjugate chain
+  instead, pairing the tensor with L gives the physical fidelity at L.
 
 Layout conventions: an operator X on environment x system is stored either
 as a dim x dim matrix or as a 4-axis array X[e, s, f, t] = <es|X|ft>.  A
 noise node is a 4-axis array node[e_out, s_out, e_in, s_in]; the environment
 legs may have unequal sizes mid-contraction (that is how joint nodes with a
 free bond are threaded through).  A joint node over slots (i, i-1) is a
-6-axis array L[e_up, s_i, s_i', e_dn, s_j, s_j'] whose row-major reshape to
-a (d_env d_sys^2) square matrix matches the grouping used by the learner's
-SVD split.
+6-axis array L[e_up, s_i, s_i', e_dn, s_j, s_j'], fused by :func:`joint_node`.
+Its row-major reshape is a (d_env d_sys^2) square matrix, and
+:func:`split_joint` is the one regrouping of that matrix's factors back into
+node stacks: the learner's SVD split and the conjugate chain's halves both
+use it.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def contract_asf_dense_averaged(
 # --------------------------------------------------------------------------
 
 def asf_joint_coefficient(
-    steps: NoiseSteps, slot_i: int, weights, rho_sys, povm, bra=None
+    steps: NoiseSteps, slot_i: int, weights, rho_sys, povm, bra
 ) -> np.ndarray:
     """Coefficient tensor of the averaged fidelity in the joint node at slots
     (slot_i, slot_i - 1), summed over lengths with real ``weights`` (length ->
@@ -150,11 +152,13 @@ def asf_joint_coefficient(
 
     Returns T = sum_n w_n T_n with axes (e_up, s_i, s_i', e_dn, s_j, s_j'):
     for any joint node L at those slots on the forward chain the length-n
-    averaged fidelity is sum(L * conj(T_n)).  ``bra`` is the joint node on
-    the conjugate chain, by default the two slots' own nodes (which must be
-    unitary); T does not depend on the forward chain's values at the slots.
-    With ``bra = L``, Re sum(L * conj(T)) is the physical fidelity.  Lengths
-    must be >= 1; lengths n < slot_i - 1 lack the slots and add nothing.
+    averaged fidelity is sum(L * conj(T_n)).  ``bra`` is the conjugate
+    chain at the two slots, the pair (upper, lower) of node stacks
+    (k, e_up, s_i, b, s_i') and (k, b, s_j, e_dn, s_j') over any bond b:
+    the slots' own unitary node stack twice, or :func:`split_joint` of a
+    joint node L, with which Re sum(L * conj(T)) is the physical fidelity.
+    ``steps`` is read only at the other slots.  Lengths must be >= 1;
+    lengths n < slot_i - 1 lack the slots and add nothing.
 
     In sector form (:func:`rbmpo.average.sector_maps`), with O the bulk slot
     and A_up, A_dn the free ones, lengths n >= slot_i add up to
@@ -175,43 +179,26 @@ def asf_joint_coefficient(
     rho_sys, povm = (np.asarray(x, dtype=np.complex128) for x in (rho_sys, povm))
     if rho_sys.shape != (d_sys,) * 2 or povm.shape != (d_sys,) * 2:
         raise ShapeError("rho_sys or povm does not match the noise model's system dimension")
-    if bra is not None:
-        bra = np.asarray(bra, dtype=np.complex128)
-        if bra.shape != (d_env, d_sys, d_sys) * 2:
-            raise ShapeError(f"bra joint node has shape {bra.shape}")
-        # one-node stacks over a full bond: (1, e_up, s_i, bond, s_i'), (1, bond, s_j, e_dn, s_j')
-        bond = d_env * d_sys * d_sys
-        halves = (np.eye(bond, dtype=np.complex128).reshape(d_env, d_sys, d_sys, bond)
-                  .transpose(0, 1, 3, 2)[None],
-                  bra.reshape(bond, d_env, d_sys, d_sys).transpose(0, 2, 1, 3)[None])
+    bra_up, bra_dn = bra
 
-    def bra_node(stack: np.ndarray, half: int) -> np.ndarray:
-        """The conjugate chain at one free slot: a slot's own node stack or a half of ``bra``."""
-        if bra is not None:
-            return halves[half]
-        if stack.shape[-5] != 1:
-            raise InputError(f"a free joint node needs a unitary node, not {stack.shape[-5]} "
-                             "Kraus operators")
-        return stack
-
-    # Basis nodes with a one-dimensional bond, as batches of one-node Kraus
-    # stacks: lower (Q, 1, bond, s_j, e_dn, s_j'), upper (P, 1, e_up, s_i,
-    # bond, s_i').  Their sector matrices are a_dn (Q, 2, b, k) and a_up
-    # (P, 2, a, b) over the bond b, and each term traces them with the chain
+    # Basis nodes with a one-dimensional bond, numbered in the joint node's
+    # (e_up, s_i, s_i') and (e_dn, s_j, s_j') orders, as batches of one-node
+    # Kraus stacks: upper (P, 1, e_up, s_i, bond, s_i'), lower (Q, 1, bond,
+    # s_j, e_dn, s_j').  Their sector matrices are a_up (P, 2, a, b) and a_dn
+    # (Q, 2, b, k) over the bond b, and each term traces them with the chain
     # in one einsum over all (P, Q) pairs.
     basis = np.eye(d_env * d_sys * d_sys, dtype=np.complex128)
-    lower = basis.reshape(-1, 1, 1, d_sys, d_env, d_sys)
     upper = basis.reshape(-1, 1, d_env, d_sys, 1, d_sys)
+    lower = basis.reshape(-1, 1, 1, d_env, d_sys, d_sys).swapaxes(3, 4)
     bulk = kraus_stack(steps.bulk, d_env)
     o = sector_maps(bulk, bulk)
     x = prepared_state(steps, rho_sys, prep=slot_i >= 2)
     meas = measurement_functional(steps, povm)
     if slot_i == 1:
         # the free lower slot is the raw preparation: it goes into the state
-        prep = kraus_stack(steps.prep, d_env)
-        a_dn = sector_pairs(raw_slot(lower, bra_node(prep, 1), x), meas)
+        a_dn = sector_pairs(raw_slot(lower, bra_dn, x), meas)
     else:
-        a_dn = sector_maps(lower, bra_node(bulk, 1))
+        a_dn = sector_maps(lower, bra_dn)
         bulk_power = np.linalg.matrix_power(o, slot_i - 2)
 
     vals = 0.0
@@ -224,18 +211,13 @@ def asf_joint_coefficient(
             h += weights.get(n, 0.0) * eye
         if slot_i >= 2:
             h = bulk_power @ sector_pairs(x, meas) @ h
-        a_up = sector_maps(upper, bra_node(bulk, 0))
+        a_up = sector_maps(upper, bra_up)
         vals = np.einsum("psij,qsjk,ski->pq", a_up, a_dn, h)
     if slot_i - 1 in weights:  # slot_i >= 2, as every length is
-        final = kraus_stack(steps.final, d_env)
-        l = raw_slot_adjoint(upper, bra_node(final, 0),
-                             measurement_functional(steps, povm, final=False))
+        l = raw_slot_adjoint(upper, bra_up, measurement_functional(steps, povm, final=False))
         below = bulk_power @ sector_pairs(x, l)
         vals = vals + weights[slot_i - 1] * np.einsum("qsij,psji->pq", a_dn, below)
-
-    coeff = vals.reshape(d_env, d_sys, d_sys, d_sys, d_env, d_sys)
-    coeff = coeff.transpose(0, 1, 2, 4, 3, 5)  # -> (e_up, s_i, s_i', e_dn, s_j, s_j')
-    return np.conj(coeff)
+    return np.conj(vals.reshape(d_env, d_sys, d_sys, d_env, d_sys, d_sys))
 
 
 def joint_node(node_up: np.ndarray, node_dn: np.ndarray, d_env: int) -> np.ndarray:
@@ -244,3 +226,18 @@ def joint_node(node_up: np.ndarray, node_dn: np.ndarray, d_env: int) -> np.ndarr
     up = node_up.reshape(d_env, d_sys, d_env, d_sys)
     dn = node_dn.reshape(d_env, d_sys, d_env, d_sys)
     return np.einsum("aibj,bkcl->aijckl", up, dn)
+
+
+def split_joint(left: np.ndarray, right: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Regroup the factors of a joint node of ``shape`` into its node stacks,
+    the inverse of :func:`joint_node`.
+
+    ``left`` ((e_up s_i s_i'), b) and ``right`` (b, (e_dn s_j s_j')) have
+    the joint node's matrix as their product, over any bond b.  They become
+    the one-node stacks (1, e_up, s_i, b, s_i') and (1, b, s_j, e_dn, s_j'),
+    the slots' nodes with the bond as the upper node's environment input and
+    the lower node's environment output.
+    """
+    upper = np.reshape(left, (*shape[:3], -1)).swapaxes(2, 3)
+    lower = np.reshape(right, (-1, *shape[3:])).swapaxes(1, 2)
+    return upper[None], lower[None]

@@ -16,7 +16,7 @@ from .learner import evaluate, gradient_joint
 from .linalg import dagger, project_to_unitary
 from .noise import NoiseSteps, joint_unitary
 from .process_tensor import (asf_joint_coefficient, contract_asf_dense,
-                             contract_asf_dense_averaged, joint_node)
+                             contract_asf_dense_averaged, joint_node, split_joint)
 from .quantum import basis_state, equal_up_to_phase, sample_sequence, single_qubit_cliffords
 from .rb import AsfCurve, run_sequence
 
@@ -36,7 +36,9 @@ def enumeration_mean(model: NoiseSteps, m: int, rho_sys, povm) -> float:
 
 def joint_fidelity(steps: NoiseSteps, slot: int, n: int, joint, rho_sys, povm) -> float:
     """Averaged fidelity at length n with ``joint`` on both chains at (slot, slot - 1)."""
-    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, rho_sys, povm, joint)
+    bond = np.prod(joint.shape[:3])
+    bra = split_joint(np.eye(bond, dtype=np.complex128), joint.reshape(bond, -1), joint.shape)
+    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, rho_sys, povm, bra)
     return float(np.real(np.sum(joint * np.conj(coeff))))
 
 

@@ -279,14 +279,18 @@ def dump_json(obj: dict, path):
 def node_from_file(path) -> tuple[np.ndarray, int]:
     """Read a unitary node and its environment dimension from either a
     training result (d_env from its learner config) or a bare matrix
-    record (d_env 2)."""
+    record (d_env its size over 2: every experiment's system is one qubit)."""
     d = load_json(path)
     if d.get("kind") == "training_result":
         _check_schema(d, "training result")
         config = learner_config_from_dict(_require(d, "config", "training result"))
         return matrix_from_json_dict(_require(d, "node", "training result")), config.d_env
     if "re" in d and "im" in d:
-        return matrix_from_json_dict(d), 2
+        node = matrix_from_json_dict(d)
+        if node.shape[0] % 2:
+            raise InputError(f"{path} holds a {node.shape[0]}-row matrix, not a node on "
+                             "environment x qubit")
+        return node, node.shape[0] // 2
     raise InputError(f"{path} holds neither a matrix record nor a training result")
 
 

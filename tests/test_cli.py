@@ -15,6 +15,7 @@ from rbmpo.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_NUMERICAL, EXIT_OK, m
 from rbmpo.learner import Adagrad, LearnerConfig, train
 from rbmpo.linalg import matrix_to_json_dict
 from rbmpo.quantum import basis_state
+from rbmpo.selfcheck import haar_unitary
 from rbmpo.serialize import dump_json, learner_config_to_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -301,6 +302,32 @@ class TestDiagnose:
         dump_json(matrix_to_json_dict(np.linalg.qr(node)[0]), path)
         assert main(["diagnose", str(path), "--tol", "1e-2"]) == EXIT_OK
         assert main(["diagnose", str(path), "--tol", "nan"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("d_env", [1, 3])
+    def test_d_env_of_matrix_record_is_its_size_over_two(self, tmp_path, capsys, d_env):
+        # the system is one qubit: a 2 x 2 rotation is a d_env 1 node, and a
+        # system unitary on the populated level next to a 4 x 4 one on the
+        # two others is a Markovian d_env 3 node
+        c, s = np.cos(0.3), np.sin(0.3)
+        node = np.array([[c, -s], [s, c]], dtype=complex)
+        if d_env == 3:
+            rng = np.random.default_rng(21)
+            node = np.zeros((6, 6), dtype=complex)
+            node[:2, :2] = haar_unitary(2, rng)
+            node[2:, 2:] = haar_unitary(4, rng)
+        path = tmp_path / "node.json"
+        dump_json(matrix_to_json_dict(node), path)
+        assert main(["diagnose", str(path), "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["markovian"] is True
+        assert report["off_block_norm"] == 0.0
+        assert report["system_block"]["rows"] == 2
+
+    def test_odd_matrix_record_rejected(self, tmp_path, capsys):
+        path = tmp_path / "node.json"
+        dump_json(matrix_to_json_dict(haar_unitary(3, np.random.default_rng(3))), path)
+        assert main(["diagnose", str(path)]) == EXIT_INPUT
+        assert "markovian" not in capsys.readouterr().out
 
     def test_d_env_comes_from_training_result(self, tmp_path, capsys):
         # a d_env = 1 node is a system-only unitary: Markovian, and its

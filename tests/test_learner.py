@@ -23,7 +23,7 @@ from rbmpo.learner import (
     train,
 )
 from rbmpo.linalg import dagger
-from rbmpo.noise import hermitian_expm, phase_flip, spin_unitary
+from rbmpo.noise import hermitian_expm, kraus_stack, phase_flip, spin_unitary
 import rbmpo.learner as learner_mod
 import rbmpo.process_tensor as process_tensor_mod
 from rbmpo.process_tensor import asf_joint_coefficient, joint_node
@@ -102,18 +102,20 @@ class TestOptimizers:
 
 
 class TestSplitProject:
-    def test_exact_split_of_unitary_pair(self):
+    @pytest.mark.parametrize("d_env", [1, 2, 3])
+    def test_exact_split_of_unitary_pair(self, d_env):
         rng = np.random.default_rng(2)
-        a, b = haar_unitary(4, rng), haar_unitary(4, rng)
-        joint = joint_node(a, b, 2).reshape(8, 8)
-        upper, lower = split_truncate(joint, 2)
-        recon = joint_node(upper, lower, 2).reshape(8, 8)
+        a, b = haar_unitary(2 * d_env, rng), haar_unitary(2 * d_env, rng)
+        joint = joint_node(a, b, d_env)
+        upper, lower = split_truncate(joint)
+        assert upper.shape == lower.shape == a.shape
+        recon = joint_node(upper, lower, d_env)
         assert np.linalg.norm(recon - joint) < 1e-12
 
     def test_eckart_young_truncation_error(self):
         rng = np.random.default_rng(3)
         mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        upper, lower = split_truncate(mat, 2)
+        upper, lower = split_truncate(mat.reshape((2,) * 6))
         recon = joint_node(upper, lower, 2).reshape(8, 8)
         s = np.linalg.svd(mat, compute_uv=False)
         discarded = float(np.sum(s[2:] ** 2))
@@ -127,7 +129,7 @@ class TestSplitProject:
         # force rank exactly 2
         u, s, vh = np.linalg.svd(mat)
         mat = (u[:, :2] * s[:2]) @ vh[:2]
-        upper, lower = split_truncate(mat, 2)
+        upper, lower = split_truncate(mat.reshape((2,) * 6))
         recon = joint_node(upper, lower, 2).reshape(8, 8)
         assert np.linalg.norm(recon - mat) < 1e-10
 
@@ -136,8 +138,7 @@ class TestSplitProject:
         # must hand back that node
         rng = np.random.default_rng(8)
         lam = haar_unitary(4, rng)
-        joint = joint_node(lam, lam, 2).reshape(8, 8)
-        upper, lower = split_truncate(joint, 2)
+        upper, lower = split_truncate(joint_node(lam, lam, 2))
         lam_back = replacement_node(upper, lower, near=lam)
         assert np.linalg.norm(lam_back - lam) < 1e-10
 
@@ -149,8 +150,7 @@ class TestSplitProject:
             rng = np.random.default_rng(1500 + seed)
             lam = haar_unitary(4, rng)
             noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            joint = joint_node(lam, lam, 2).reshape(8, 8) + 0.01 * noise
-            upper, lower = split_truncate(joint, 2)
+            upper, lower = split_truncate(joint_node(lam, lam, 2) + 0.01 * noise.reshape((2,) * 6))
             w = np.kron(haar_unitary(2, rng), np.eye(2))
             moved = joint_node(upper @ w, dagger(w) @ lower, 2) - joint_node(upper, lower, 2)
             assert np.linalg.norm(moved) < 1e-12
@@ -230,10 +230,11 @@ class TestGradient:
         data = AsfCurve(lengths, tuple(rng.uniform(0.5, 1.0, len(lengths))),
                         (0.0,) * len(lengths), 1)
         steps = NoiseSteps.uniform(lam, 2)
+        stack = kraus_stack(steps.bulk, 2)
         resid = predicted_curve(lam, 2, RHO, POVM, lengths) - np.asarray(data.means)
         fit = evaluate(lam, 2, data, RHO, POVM)
         for slot in range(1, max(lengths) + 2):
-            ref = sum(-r * asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
+            ref = sum(-r * asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, (stack, stack))
                       for n, r in zip(lengths, resid) if n >= slot - 1)
             grad = gradient_joint(fit, 2, data, RHO, POVM, slot)
             assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), slot
@@ -319,6 +320,18 @@ class TestSweep:
             defects.append(_unitarity_defect(node))
             fit = evaluate(node, 2, phase_flip_data, RHO, POVM)
         assert max(defects) <= 1e-9
+
+    @pytest.mark.parametrize("d_env", [1, 3])
+    def test_step_off_two_level_environment(self, phase_flip_data, d_env):
+        # the identity is stationary, so the step starts from a Haar node
+        lam = haar_unitary(2 * d_env, np.random.default_rng(30 + d_env))
+        config = LearnerConfig(d_env=d_env, optimizer=Adagrad(rate=1e-5))
+        acc = config.optimizer.init((d_env, 2, 2, d_env, 2, 2))
+        fit = evaluate(lam, d_env, phase_flip_data, RHO, POVM)
+        node = sweep_iteration(fit, acc, 1, phase_flip_data, RHO, POVM, config)
+        assert node.shape == lam.shape
+        assert _unitarity_defect(node) <= learner_mod.UNITARITY_TOL
+        assert not np.array_equal(node, lam)
 
     def test_non_unitary_update_is_numerical_error(self, phase_flip_data, monkeypatch):
         exact = learner_mod.replacement_node

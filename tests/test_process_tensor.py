@@ -7,7 +7,7 @@ import pytest
 
 from rbmpo.average import NoiseSteps, clifford_averaged_asf
 from rbmpo.errors import InputError, ResourceLimitError, ShapeError
-from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary
+from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, kraus_stack
 from rbmpo.process_tensor import (
     DENSE_ORACLE_MAX_M,
     asf_joint_coefficient,
@@ -15,6 +15,7 @@ from rbmpo.process_tensor import (
     contract_asf_dense_averaged,
     dense_noise_tensor,
     joint_node,
+    split_joint,
 )
 from rbmpo.quantum import basis_state, sample_sequence
 from rbmpo.rb import run_sequence
@@ -117,13 +118,14 @@ class TestJointCoefficient:
         distinct = dataclasses.replace(NoiseSteps.uniform(haar_unitary(4, rng), 2),
                                        prep=(haar_unitary(4, rng),), final=(haar_unitary(4, rng),))
         for steps in (NoiseSteps.uniform(lam, 2), distinct):
-            prep, bulk, final = steps.prep[0], steps.bulk[0], steps.final[0]
+            prep, bulk, final = steps.prep, steps.bulk, steps.final
             for n in (1, 2, 5):
                 f_ref = clifford_averaged_asf(steps, RHO, POVM, n)
                 for slot in range(1, n + 2):
-                    joint = joint_node(final if slot == n + 1 else bulk,
-                                       prep if slot == 1 else bulk, 2)
-                    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM)
+                    up, dn = final if slot == n + 1 else bulk, prep if slot == 1 else bulk
+                    joint = joint_node(up[0], dn[0], 2)
+                    own = (kraus_stack(up, 2), kraus_stack(dn, 2))
+                    coeff = asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, own)
                     f_via = float(np.real(np.sum(joint * np.conj(coeff))))
                     assert abs(f_via - f_ref) < 1e-10, (n, slot)
                     f_own = joint_fidelity(steps, slot, n, joint, RHO, POVM)
@@ -131,7 +133,8 @@ class TestJointCoefficient:
 
     def test_identity_nodes_unit_fidelity(self):
         steps = NoiseSteps.uniform(np.eye(4, dtype=complex), 2)
-        coeff = asf_joint_coefficient(steps, 1, {1: 1.0}, RHO, POVM)
+        own = kraus_stack(steps.bulk, 2)
+        coeff = asf_joint_coefficient(steps, 1, {1: 1.0}, RHO, POVM, (own, own))
         joint = joint_node(np.eye(4), np.eye(4), 2)
         assert abs(np.sum(joint * np.conj(coeff)) - 1.0) < 1e-12
 
@@ -140,7 +143,8 @@ class TestJointCoefficient:
         lam = haar_unitary(4, rng)
         steps = NoiseSteps.uniform(lam, 2)
         joint = joint_node(lam, lam, 2)
-        value = np.sum(joint * np.conj(asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, POVM, joint)))
+        bra = split_joint(np.eye(8), joint.reshape(8, 8), joint.shape)
+        value = np.sum(joint * np.conj(asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, POVM, bra)))
         assert abs(value.imag) < 1e-12
         assert abs(value.real - clifford_averaged_asf(steps, RHO, POVM, 3)) < 1e-12
 
@@ -161,15 +165,12 @@ class TestJointCoefficient:
     def test_input_checks(self):
         rng = np.random.default_rng(11)
         steps = random_model(rng)
-        with pytest.raises(ShapeError, match="bra joint node"):
-            asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, POVM, np.zeros((8, 8)))
-        with pytest.raises(InputError, match="2 Kraus operators"):
-            asf_joint_coefficient(amplitude_damping(0.1), 2, {3: 1.0}, RHO, POVM)
+        own = (kraus_stack(steps.bulk, 2),) * 2
         with pytest.raises(ShapeError, match="system dimension"):
-            asf_joint_coefficient(steps, 2, {3: 1.0}, np.eye(4) / 4, POVM)
+            asf_joint_coefficient(steps, 2, {3: 1.0}, np.eye(4) / 4, POVM, own)
         with pytest.raises(ShapeError, match="system dimension"):
-            asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, np.eye(3))
+            asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, np.eye(3), own)
         with pytest.raises(InputError, match="joint-node slot"):
-            asf_joint_coefficient(steps, 5, {3: 1.0}, RHO, POVM)
+            asf_joint_coefficient(steps, 5, {3: 1.0}, RHO, POVM, own)
         with pytest.raises(InputError, match="length n >= 1"):
-            asf_joint_coefficient(steps, 1, {0: 1.0, 3: 1.0}, RHO, POVM)
+            asf_joint_coefficient(steps, 1, {0: 1.0, 3: 1.0}, RHO, POVM, own)
