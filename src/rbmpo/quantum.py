@@ -175,15 +175,16 @@ def sample_sequence(gate_set: GateSet, m: int, rng: np.random.Generator) -> list
     The random source is an explicit argument so sampling is reproducible and
     safe to parallelize with independent streams.
     """
-    return [gate_set.gates[int(i)] for i in _draw_indices(gate_set, m, rng)]
+    return [gate_set.gates[int(i)] for i in _draw_indices(len(gate_set), m, rng)]
 
 
-def _draw_indices(gate_set: GateSet, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices into ``gate_set.gates`` of a length-m sequence: the one draw
-    from ``rng`` behind :func:`sample_sequence` and the batched Monte Carlo."""
+def _draw_indices(n_gates: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices into a set of ``n_gates`` gates of a length-m sequence: the one
+    draw from ``rng`` behind :func:`sample_sequence`, and the oracle that the
+    Monte Carlo's vectorised streams (:mod:`rbmpo.rb`) reproduce."""
     if m < 1:
         raise InputError(f"sequence length must be >= 1, got {m}")
-    return rng.integers(0, len(gate_set), size=m)
+    return rng.integers(0, n_gates, size=m)
 
 
 def compile_undo(gates) -> np.ndarray:

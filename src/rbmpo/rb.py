@@ -9,29 +9,31 @@ gives the average sequence fidelity (ASF) curve with standard errors.
 Determinism contract: the random stream for sample k at length m is derived
 from (seed, m, k), so results are independent of evaluation order.
 
-Batches: :func:`run_sequence` runs one sequence, or a stack of n sequences
-of one length, as one (n, dim^2) stack of vectorised joint states, each slot
-one superoperator product; a single sequence is the batch of one.
-:func:`estimate_asf` draws each sample's gate indices from its own
-stream, exactly as :func:`rbmpo.quantum.sample_sequence` would, and makes one
-batched call per length, so its values are those of running the samples one
-at a time, bit for bit.
+One loop: ``_survival`` runs sequences of non-increasing lengths as a stack
+(rows, dim^2) of vectorised joint states, each slot one superoperator
+product.  :func:`run_sequence` is its one-length case.  :func:`estimate_asf`
+runs all lengths through it in one pass, in chunks of a fixed number of rows,
+and draws each chunk's gates at once, exactly as each sample's own stream
+(:func:`sample_stream`, :func:`rbmpo.quantum.sample_sequence`) would.  Every
+product is per row, so the values are those of running the samples one at a
+time, bit for bit, and memory does not grow with n_samples or m_max.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from .errors import InputError, NumericalError, ShapeError
+from .linalg import dagger
 from .noise import NoiseSteps, kraus_stack
 from .quantum import (
     GateSet,
     _draw_indices,
     basis_state,
-    compile_undo,
     single_qubit_cliffords,
     validate_density_matrix,
     validate_povm_element,
@@ -109,6 +111,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.m_max < 1 or self.n_samples < 1:
             raise InputError("m_max and n_samples must be positive")
+        if self.m_max >= 2**32 or self.n_samples >= 2**32:
+            raise InputError("m_max and n_samples must be below 2**32: each is one 32-bit word "
+                             "of a sample's seed")
         rho = validate_density_matrix(self.rho_sys, name="rho_sys")
         povm = validate_povm_element(self.povm)
         if rho.shape[0] != self.noise.d_sys or povm.shape[0] != self.noise.d_sys:
@@ -117,6 +122,11 @@ class ExperimentConfig:
             raise ShapeError("gate dimension must match the system dimension")
         object.__setattr__(self, "rho_sys", rho)
         object.__setattr__(self, "povm", povm)
+
+
+# Rows per chunk of the evolution loop: a fixed internal size, on which no
+# output depends; it bounds the memory of long runs.
+_CHUNK_ROWS = 1024
 
 
 def _superoperator(ops: tuple[np.ndarray, ...], d_env: int) -> np.ndarray:
@@ -129,76 +139,207 @@ def _superoperator(ops: tuple[np.ndarray, ...], d_env: int) -> np.ndarray:
     return s.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(k.shape[1], -1)
 
 
+def _gate_superoperators(gates: np.ndarray) -> np.ndarray:
+    """Right-acting g x conj(g) of each gate of a stack (r, d, d), as (r, d^2, d^2):
+    entry [a, b, s, s'] is g[s, a] conj(g[s', b])."""
+    gt = gates.swapaxes(1, 2)
+    d = gt.shape[-1]
+    return (gt[:, :, None, :, None] * gt.conj()[:, None, :, None, :]).reshape(-1, d * d, d * d)
+
+
+def _survival(noise: NoiseSteps, gates, picks, lengths, rho_sys, povm) -> np.ndarray:
+    """Survival probabilities of rows of non-increasing ``lengths``: the one evolution loop.
+
+    Row i runs the gates ``gates[picks[i, :lengths[i]]]``, each a product with
+    its g x conj(g) gathered from the table's, built once.  The states, vectors
+    in (env, env', sys, sys') order, start as rho_env x rho_sys through prep.
+    At step j the rows longer than j, a prefix, take their gate and a bulk slot
+    and extend a running product for the inverse; the rows of length j then
+    take the inverse (G_j ... G_1)^dag and the final slot, and I_env x povm is
+    measured.  A value outside [-1e-10, 1 + 1e-10] raises
+    :class:`NumericalError`; the others are clipped to [0, 1].
+    """
+    d, d_env = gates.shape[-1], noise.d_env
+    lifted = _gate_superoperators(gates)
+    prep, bulk, final = (_superoperator(ops, d_env) for ops in (noise.prep, noise.bulk, noise.final))
+    measure = np.outer(np.eye(d_env), povm.T).ravel()
+    rows = len(lengths)
+    # live[j]: rows longer than j, which are the first live[j]
+    live = np.searchsorted(-lengths, -np.arange(lengths[0] + 1))
+    state = np.broadcast_to(np.outer(noise.rho_env, rho_sys).reshape(1, -1),
+                            (rows, 1, d_env**2 * d**2)) @ prep
+    prod = np.broadcast_to(np.eye(d, dtype=np.complex128), (rows, d, d))
+    f = np.empty(rows)
+    for j in range(lengths[0]):
+        n, done = live[j], live[j + 1]
+        step = picks[:n, j]
+        state = (state[:n].reshape(n, d_env**2, d * d) @ lifted[step]).reshape(n, 1, -1)
+        state = state @ bulk
+        prod = gates[step] @ prod[:n]
+        if done < n:
+            undo = _gate_superoperators(dagger(prod[done:]))
+            end = (state[done:].reshape(n - done, d_env**2, d * d) @ undo).reshape(n - done, 1, -1)
+            end = end @ final
+            f[done:n] = (end.reshape(n - done, -1) * measure).sum(axis=1).real
+    escaped = ~((f >= -1e-10) & (f <= 1 + 1e-10))
+    if escaped.any():
+        raise NumericalError(f"survival probability {f[escaped][0]} escaped [0, 1]")
+    return np.clip(f, 0.0, 1.0)
+
+
 def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     """Survival probability of RB sequences (the inverse gate is appended here).
 
     ``gates`` is one sequence, a list of m (d, d) matrices, which gives a
     float; or a stack (n, m, d, d) of n sequences of one length, which gives
-    an (n,) array.  The n states go as one stack (n, dim^2) of vectors in
-    (env, env', sys, sys') order through the slots of ``noise.slots``:
-    rho_env x rho_sys through prep, each gate and then a bulk slot, the
-    compiled inverse and then the final slot; I_env x povm is measured.  A
-    noise slot is one product with its superoperator, built once per call
-    for each distinct slot; a gate is one product of the (n, d_env^2, d^2)
-    view with the per-sample g x conj(g).  Every product is per sample, so a
-    batch equals its sequences run one at a time, bit for bit.  A survival
-    probability outside [-1e-10, 1 + 1e-10] raises :class:`NumericalError`;
-    the others are clipped to [0, 1].
+    an (n,) array.  This is the one-length case of the evolution loop behind
+    :func:`estimate_asf` (``_survival``), with the stack as its own gate
+    table, run in chunks of a fixed number of sequences.  Every product is per
+    sequence, so a batch equals its sequences run one at a time, bit for bit.
     """
-    undo = compile_undo(gates)
-    stack = np.asarray(gates)
+    try:
+        stack = np.asarray(gates)
+    except ValueError as exc:
+        raise ShapeError(f"gates in a sequence must share one shape: {exc}") from exc
+    if stack.size == 0:
+        raise InputError("cannot run an empty sequence")
     d = noise.d_sys
     if stack.ndim not in (3, 4) or stack.shape[-2:] != (d, d):
         raise ShapeError(f"gates of shape {stack.shape} are not (m, {d}, {d}) or (n, m, {d}, {d})")
     rho_sys, povm = np.asarray(rho_sys), np.asarray(povm)
     if rho_sys.shape != (d, d) or povm.shape != (d, d):
         raise ShapeError("state/POVM dimensions do not match the noise model")
-    batch = stack if stack.ndim == 4 else stack[None]
+    batch = stack.reshape(-1, *stack.shape[-3:])
     n, m = batch.shape[:2]
-    d_env = noise.d_env
-    sup = {id(ops): _superoperator(ops, d_env) for ops in (noise.prep, noise.bulk, noise.final)}
-    state = np.broadcast_to(np.outer(noise.rho_env, rho_sys).reshape(1, -1), (n, 1, d_env**2 * d**2))
-    controls = [None, *batch.swapaxes(0, 1), undo.reshape(n, d, d)]
-    for g, ops in zip(controls, noise.slots(m)):
-        if g is not None:
-            gt = g.swapaxes(1, 2)  # right-acting g x conj(g): [a, b, s, s'] = g[s, a] conj(g[s', b])
-            g_sup = (gt[:, :, None, :, None] * gt.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
-            state = (state.reshape(n, d_env**2, d * d) @ g_sup).reshape(n, 1, -1)
-        state = state @ sup[id(ops)]
-    f = (state.reshape(n, -1) * np.outer(np.eye(d_env), povm.T).ravel()).sum(axis=1).real
-    escaped = ~((f >= -1e-10) & (f <= 1 + 1e-10))
-    if escaped.any():
-        raise NumericalError(f"survival probability {f[escaped][0]} escaped [0, 1]")
-    f = np.clip(f, 0.0, 1.0)
+    parts = []
+    for start in range(0, n, _CHUNK_ROWS):
+        table = batch[start:start + _CHUNK_ROWS].reshape(-1, d, d)
+        rows = len(table) // m
+        parts.append(_survival(noise, table, np.arange(rows * m).reshape(rows, m),
+                               np.full(rows, m), rho_sys, povm))
+    f = np.concatenate(parts)
     return float(f[0]) if stack.ndim == 3 else f
 
 
 def sample_stream(seed: int, m: int, index: int) -> np.random.Generator:
     """Independent random stream for sample `index` at sequence length `m`."""
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, m, index])
+    return np.random.default_rng([seed & _M64, m, index])
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, as
+# (high, low) words (numpy/random/bit_generator.pyx, src/pcg64/pcg64.h)
+_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """SeedSequence's hashmix of 32-bit words held as uint64; returns the next constant too."""
+    step = const * mult & _M32
+    value = (value ^ const) * step & _M32
+    return value ^ value >> 16, step
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products of a uint64 array and a 64-bit int."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * multiplier + inc mod 2^128, on (high, low) words."""
+    m_hi, m_lo = _PCG_MULT
+    hi = _mulhi(lo, m_lo) + hi * m_lo + lo * m_hi + inc_hi
+    lo = lo * m_lo + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _stream_indices(seed: int, lengths: np.ndarray, index: np.ndarray, n_gates: int) -> np.ndarray:
+    """Gate indices of the streams (seed, lengths[i], index[i]) at once, as rows.
+
+    Row i starts with exactly ``_draw_indices(n_gates, m, sample_stream(seed, m, k))``
+    for m = lengths[i] and k = index[i] (lengths non-increasing, m and k below
+    2^32, n_gates at most 2^32).  numpy's SeedSequence mixing, PCG64 seeding
+    and step with its XSL-RR output, and the buffered 32-bit Lemire draw run
+    on uint64 arrays.  A row where Lemire rejects a draw, so that numpy draws
+    again, is redrawn from its own stream.
+    """
+    seed = int(seed) & _M64
+    rows = len(lengths)
+    words = [np.full(rows, seed >> s & _M32, dtype=np.uint64)
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [lengths.astype(np.uint64), index.astype(np.uint64)]
+    words += [np.zeros(rows, dtype=np.uint64)] * (4 - len(words))
+    const, pool = _INIT_A, []
+    for word in words:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src, dst in permutations(range(4), 2):
+        word, const = _hashmix(pool[src], const, _MULT_A)
+        mixed = (_MIX_L * pool[dst] - _MIX_R * word) & _M32
+        pool[dst] = mixed ^ mixed >> 16
+    const, out = _INIT_B, []
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, _MULT_B)
+        out.append(word)
+    s_hi, s_lo, i_hi, i_lo = (out[2 * i] | out[2 * i + 1] << 32 for i in range(4))
+    # PCG64 seeding: inc = 2 i + 1, and the state 0 takes one step (to inc),
+    # adds s and takes another
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = inc_lo + s_lo
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+
+    width = int(lengths[0])
+    picks = np.zeros((rows, width), dtype=np.int64)
+    rejected = np.zeros(rows, dtype=bool)
+    threshold = (2**32 - n_gates) % n_gates
+    for t in range(0, width, 2):
+        n = np.count_nonzero(lengths > t)
+        hi, lo = _pcg_step(hi[:n], lo[:n], inc_hi[:n], inc_lo[:n])
+        x = hi ^ lo  # XSL-RR: the halves' xor, rotated right by the top six bits
+        rot = hi >> 58
+        x = x >> rot | x << (-rot & 63)
+        for col, word in ((t, x & _M32), (t + 1, x >> 32)):
+            if col < width:
+                scaled = word * n_gates
+                picks[:n, col] = scaled >> 32
+                rejected[:n] |= ((scaled & _M32) < threshold) & (lengths[:n] > col)
+    for i in np.flatnonzero(rejected):
+        m, k = int(lengths[i]), int(index[i])
+        picks[i, :m] = _draw_indices(n_gates, m, sample_stream(seed, m, k))
+    return picks
 
 
 def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     """Monte Carlo ASF estimate over lengths 1..m_max.
 
     For each length, n_samples independent sequences are drawn and the sample
-    mean and standard error (ddof=1, divided by sqrt(n)) are reported.  The
-    samples of one length go through :func:`run_sequence` as one batch, whose
-    gate stack (n_samples, m, d, d) is gathered from the gate set's table.
-    Memory therefore grows as O(n_samples * m * d^2), with (n_samples, dim^2)
-    state vectors besides: negligible at a few hundred samples, but 1e6
-    samples at m_max 100 need several GB.
+    mean and standard error (ddof=1, divided by sqrt(n)) are reported.  All
+    lengths make one pass: the sequences, longest first, go in chunks of a
+    fixed number through the evolution loop, each chunk's gate indices drawn
+    at once.  A length is reduced once all its samples are in, so memory is
+    bounded whatever n_samples and m_max are; the values are those of running
+    the samples one at a time, bit for bit.
     """
-    lengths, means, stderrs = [], [], []
-    table = np.stack(cfg.gate_set.gates)
-    for m in range(1, cfg.m_max + 1):
-        picks = np.stack([_draw_indices(cfg.gate_set, m, sample_stream(cfg.seed, m, k))
-                          for k in range(cfg.n_samples)])
-        values = run_sequence(cfg.noise, table[picks], cfg.rho_sys, cfg.povm)
-        lengths.append(m)
-        means.append(float(values.mean()))
-        if cfg.n_samples > 1:
-            stderrs.append(float(values.std(ddof=1) / np.sqrt(cfg.n_samples)))
-        else:
-            stderrs.append(0.0)
-    return AsfCurve(tuple(lengths), tuple(means), tuple(stderrs), cfg.n_samples)
+    n, m_max = cfg.n_samples, cfg.m_max
+    gates = np.stack(cfg.gate_set.gates)
+    means, stderrs = [0.0] * m_max, [0.0] * m_max
+    pending = {}
+    for start in range(0, n * m_max, _CHUNK_ROWS):
+        row = np.arange(start, min(start + _CHUNK_ROWS, n * m_max))
+        lengths, index = m_max - row // n, row % n
+        picks = _stream_indices(cfg.seed, lengths, index, len(gates))
+        f = _survival(cfg.noise, gates, picks, lengths, cfg.rho_sys, cfg.povm)
+        for m in range(lengths[0], lengths[-1] - 1, -1):
+            part = lengths == m
+            values = pending.setdefault(m, np.empty(n))
+            values[index[part]] = f[part]
+            if index[part][-1] == n - 1:
+                del pending[m]
+                means[m - 1] = float(values.mean())
+                if n > 1:
+                    stderrs[m - 1] = float(values.std(ddof=1) / np.sqrt(n))
+    return AsfCurve(tuple(range(1, m_max + 1)), tuple(means), tuple(stderrs), n)

@@ -1,15 +1,18 @@
-"""Property tests of the file formats: curve CSV round trips and the real-field parser."""
+"""Property tests of the file formats (curve CSV round trips and the real-field
+parser) and of the Monte Carlo's vectorised sample streams."""
 
 import math
 import sys
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 from rbmpo.errors import InputError  # noqa: E402
-from rbmpo.rb import AsfCurve  # noqa: E402
+from rbmpo.quantum import _draw_indices  # noqa: E402
+from rbmpo.rb import AsfCurve, _stream_indices, sample_stream  # noqa: E402
 from rbmpo.serialize import _number  # noqa: E402
 
 FLOAT_MAX_INT = int(sys.float_info.max)
@@ -51,3 +54,11 @@ def test_real_field_accepts_finite_numbers(value):
 def test_real_field_rejects_non_numbers(value):
     with pytest.raises(InputError):
         _number({"x": value}, "x", float, "record")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2**70, 2**70), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_stream_draw_equals_sample_stream(seed, m, k):
+    """One row of the vectorised draw is numpy's own stream (see test_rb.TestStreams, NEP 19)."""
+    picks = _stream_indices(seed, np.array([m]), np.array([k]), 24)
+    assert np.array_equal(picks[0], _draw_indices(24, m, sample_stream(seed, m, k)))

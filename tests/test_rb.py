@@ -1,6 +1,10 @@
 """Monte Carlo RB engine: single sequences, curves, reproducibility."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +20,25 @@ from rbmpo.noise import (
     phase_flip,
     spin_unitary,
 )
+from rbmpo import rb
 from rbmpo.quantum import (
     HADAMARD,
     I2,
     KrausChannel,
+    _draw_indices,
     basis_state,
+    compile_undo,
     dagger,
     sample_sequence,
 )
-from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence, sample_stream
+from rbmpo.rb import (
+    AsfCurve,
+    ExperimentConfig,
+    _stream_indices,
+    estimate_asf,
+    run_sequence,
+    sample_stream,
+)
 from rbmpo.selfcheck import haar_unitary
 
 RHO = basis_state(0, 2)
@@ -173,6 +187,21 @@ class TestRunSequence:
         assert batch.shape == (30,)
         assert np.array_equal(batch, [run_sequence(model, list(seq), RHO, POVM) for seq in stack])
 
+    def test_loop_inverse_equals_compile_undo(self, cliffords, monkeypatch):
+        # the loop's running product, lifted for the last gate, is the dense
+        # oracle's inverse; chunks of 7 split the 30 sequences unevenly
+        monkeypatch.setattr(rb, "_CHUNK_ROWS", 7)
+        lifted = []
+        lift = rb._gate_superoperators
+        monkeypatch.setattr(rb, "_gate_superoperators", lambda g: lifted.append(g) or lift(g))
+        rng = np.random.default_rng(901)
+        stack = np.stack(cliffords.gates)[rng.integers(0, 24, size=(30, 6))]
+        chunked = run_sequence(qutrit_env_model(), stack, RHO, POVM)
+        undo = np.concatenate(lifted[1::2])  # each chunk lifts its table, then its inverses
+        assert np.array_equal(undo, compile_undo(stack))
+        monkeypatch.undo()
+        assert np.array_equal(chunked, run_sequence(qutrit_env_model(), stack, RHO, POVM))
+
 
 class TestEstimateAsf:
     def test_identity_noise_flat_curve(self):
@@ -222,6 +251,79 @@ class TestEstimateAsf:
                 for k in range(25)])
             assert mean == float(vals.mean())
             assert stderr == float(vals.std(ddof=1) / np.sqrt(25))
+
+    @pytest.mark.parametrize("model", [
+        amplitude_damping(0.1),
+        dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.05),
+                            prep=(np.kron(HADAMARD, I2),), final=(np.kron(I2, HADAMARD),)),
+    ], ids=["kraus", "joint_prep_final"])
+    def test_chunks_do_not_move_the_estimate(self, model, monkeypatch):
+        # chunks of 7 rows over 6 lengths of 25 samples: most chunks hold two
+        # lengths, and every length spans four or five chunks
+        cfg = ExperimentConfig(noise=model, m_max=6, n_samples=25, seed=11)
+        whole = estimate_asf(cfg)
+        monkeypatch.setattr(rb, "_CHUNK_ROWS", 7)
+        chunked = estimate_asf(cfg)
+        assert chunked == whole
+        for m, mean in zip(chunked.lengths, chunked.means):
+            vals = [run_sequence(model, sample_sequence(cfg.gate_set, m, sample_stream(11, m, k)),
+                                 RHO, POVM) for k in range(25)]
+            assert mean == float(np.mean(vals))
+
+    def test_leaves_numpy_random_unimported(self):
+        # the streams are numpy's arithmetic on arrays: generate does not pay
+        # for importing numpy.random unless a draw is rejected
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = ("import sys; from rbmpo.noise import phase_flip; "
+                "from rbmpo.rb import ExperimentConfig, estimate_asf; "
+                "estimate_asf(ExperimentConfig(noise=phase_flip(0.1), m_max=5, n_samples=20, seed=7)); "
+                "print('numpy.random' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("field", ["m_max", "n_samples"])
+    def test_sizes_fit_one_entropy_word(self, field):
+        cfg = ExperimentConfig(noise=phase_flip(0.1), m_max=2, n_samples=2, seed=1)
+        dataclasses.replace(cfg, **{field: 2**32 - 1})  # valid, though never run
+        with pytest.raises(InputError):
+            dataclasses.replace(cfg, **{field: 2**32})
+
+
+class TestStreams:
+    """The vectorised gate draws reproduce numpy's per-sample streams bit for bit.
+
+    Sample k at length m draws ``default_rng([seed & (2**64 - 1), m, k])``
+    ``.integers(0, G, size=m)``.  numpy's stream policy (NEP 19) lets the
+    Generator's streams change between numpy versions; such a change fails
+    these tests first, and ``_stream_indices`` must follow it.
+    """
+
+    SEEDS = (2024, 7, 0, 1, 2**40 + 5, -3, 12345678901234)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_sample_stream(self, seed):
+        lengths = np.repeat([40, 17, 3, 2, 1], 300)
+        index = np.tile(np.arange(300), 5)
+        picks = _stream_indices(seed, lengths, index, 24)
+        for row, m, k in zip(picks, lengths, index):
+            assert np.array_equal(row[:m], _draw_indices(24, m, sample_stream(seed, m, k)))
+
+    def test_rejected_rows_redrawn(self, monkeypatch):
+        # with 3 * 2**30 + 1 gates a quarter of the 32-bit draws fall below
+        # Lemire's threshold, so numpy draws again and the row takes its own stream
+        n_gates = 3 * 2**30 + 1
+        redrawn = []
+        monkeypatch.setattr(rb, "sample_stream", lambda *a: redrawn.append(a) or sample_stream(*a))
+        lengths = np.repeat([17, 3, 1], 40)
+        index = np.tile(np.arange(40), 3)
+        picks = _stream_indices(-3, lengths, index, n_gates)
+        assert 0 < len(redrawn) < len(lengths)
+        for row, m, k in zip(picks, lengths, index):
+            assert np.array_equal(row[:m], _draw_indices(n_gates, m, sample_stream(-3, m, k)))
 
 
 class TestGoldenValues:
