@@ -13,7 +13,6 @@ The package has three layers:
 
 from .average import (
     ExpFit,
-    clifford_averaged_asf,
     clifford_averaged_asf_curve,
     fit_exponential,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "TrainingResult",
     "amplitude_damping",
     "apply_channel",
-    "clifford_averaged_asf",
     "clifford_averaged_asf_curve",
     "compile_undo",
     "depolarizing",

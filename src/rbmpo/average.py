@@ -189,17 +189,6 @@ def clifford_averaged_asf_curve(
     return _chain_curve(noise, rho_sys, povm, m_max)
 
 
-def clifford_averaged_asf(
-    noise: NoiseSteps,
-    rho_sys: np.ndarray,
-    povm: np.ndarray,
-    m: int,
-    gate_set: GateSet | None = None,
-) -> float:
-    """Exact 2-design-averaged sequence fidelity at one length."""
-    return float(clifford_averaged_asf_curve(noise, rho_sys, povm, m, gate_set)[-1])
-
-
 @dataclass(frozen=True)
 class ExpFit:
     """Least-squares fit of an ASF curve to amplitude * decay^m + offset + slope * m.

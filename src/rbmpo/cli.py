@@ -141,8 +141,7 @@ def cmd_learn(args) -> int:
         )
     if args.require_convergence and not result.converged:
         raise ConvergenceError(
-            "training did not reach the l1 target", iteration=result.iterations
-        )
+            f"training did not reach the l1 target (at iteration {result.iterations})")
     return EXIT_OK
 
 

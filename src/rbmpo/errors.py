@@ -35,13 +35,6 @@ class NumericalError(ToolkitError, ArithmeticError):
 class FactorizationError(NumericalError):
     """The underlying matrix factorization did not converge."""
 
-    def __init__(self, message: str, rows: int | None = None, cols: int | None = None):
-        if rows is not None and cols is not None:
-            message = f"{message} (input was {rows}x{cols})"
-        super().__init__(message)
-        self.rows = rows
-        self.cols = cols
-
 
 class SingularMatrixError(NumericalError):
     """An operation requiring full rank received a (numerically) singular input."""
@@ -53,9 +46,3 @@ class ResourceLimitError(ToolkitError, RuntimeError):
 
 class ConvergenceError(ToolkitError, RuntimeError):
     """An iterative procedure did not reach its convergence target."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        if iteration is not None:
-            message = f"{message} (at iteration {iteration})"
-        super().__init__(message)
-        self.iteration = iteration

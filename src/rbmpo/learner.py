@@ -42,8 +42,8 @@ import numpy as np
 
 from .average import _chain_curve, _golden_steps, _lockstep
 from .errors import DomainError, NumericalError, ShapeError
-from .linalg import dagger, principal_unitary_sqrt, project_to_unitary, svd
-from .noise import NoiseSteps, eigh_expm, kraus_stack
+from .linalg import principal_unitary_sqrt, project_to_unitary, svd, unitarity_defect
+from .noise import UNITARITY_TOL, NoiseSteps, eigh_expm, kraus_stack
 from .process_tensor import asf_joint_coefficient, joint_node, split_joint
 from .quantum import validate_density_matrix, validate_povm_element, validate_unitary
 from .rb import AsfCurve
@@ -123,11 +123,6 @@ OptimizerConfig = Union[Adagrad, Adam]
 # --------------------------------------------------------------------------
 # configuration and result
 # --------------------------------------------------------------------------
-
-#: Largest ||U^dag U - I||_F a node may have: a sweep update beyond it is a
-#: numerical failure, and :func:`diagnose_markovianity` rejects such a node.
-UNITARITY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -245,11 +240,6 @@ def replacement_node(
     not change the result.
     """
     return principal_unitary_sqrt(project_to_unitary(upper) @ project_to_unitary(lower), near=near)
-
-
-def _unitarity_defect(node: np.ndarray) -> float:
-    eye = np.eye(node.shape[0])
-    return float(np.linalg.norm(dagger(node) @ node - eye))
 
 
 #: Angle of the finite-difference probes along the unitary tangent directions.
@@ -444,7 +434,7 @@ def sweep_iteration(
     joint = joint_node(node, node, d_env) + update
     upper, lower = split_truncate(joint)
     new_node = replacement_node(upper, lower, near=node)
-    defect = _unitarity_defect(new_node)
+    defect = unitarity_defect(new_node)
     if not defect <= UNITARITY_TOL:
         raise NumericalError(f"updated node violates unitarity ({defect:.3e} > {UNITARITY_TOL})")
     return new_node
@@ -500,7 +490,7 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
         ),
         cost_trace=cost_trace,
         l1_trace=tuple(f.l1 for f in fits),
-        unitarity_trace=tuple(_unitarity_defect(f.node) for f in fits),
+        unitarity_trace=tuple(unitarity_defect(f.node) for f in fits),
         converged=fit.l1 <= threshold,
         iterations=iteration,
         best_iteration=best_iteration,

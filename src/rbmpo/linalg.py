@@ -37,6 +37,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
+def unitarity_defect(u: np.ndarray) -> float:
+    """||U^dag U - I||_F, the distance of a square matrix from unitarity."""
+    return float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])))
+
+
 def svd(m):
     """Thin SVD ``m = U @ diag(S) @ Vh``, as numpy's ``SVDResult(U, S, Vh)``.
 
@@ -45,13 +50,14 @@ def svd(m):
 
     Raises:
         FactorizationError: if the underlying LAPACK routine fails to
-            converge; the error records the input dimensions.
+            converge; the message names the input's shape.
     """
     a = as_complex_matrix(m)
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD did not converge: {exc}", a.shape[0], a.shape[1]) from exc
+        raise FactorizationError(
+            f"SVD did not converge: {exc} (input was {a.shape[0]}x{a.shape[1]})") from exc
 
 
 def project_to_unitary(x) -> np.ndarray:

@@ -41,6 +41,10 @@ from .quantum import (
     validate_unitary,
 )
 
+#: Largest ||U^dag U - I||_F a noise node may have; :func:`joint_unitary`, the
+#: learner's sweep update and its Markovianity diagnosis reject a larger one.
+UNITARITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class NoiseSteps:
@@ -120,7 +124,7 @@ def joint_unitary(unitary: np.ndarray, rho_env: np.ndarray, d_env: int,
     ``unitary`` acts on the composite space with the environment as the first
     tensor factor; ``rho_env`` is the initial environment state.
     """
-    u = validate_unitary(unitary, tol=1e-9, name="joint unitary")
+    u = validate_unitary(unitary, tol=UNITARITY_TOL, name="joint unitary")
     rho = validate_density_matrix(rho_env, name="rho_env")
     if d_env < 1:
         raise DomainError(f"d_env must be positive, got {d_env}")

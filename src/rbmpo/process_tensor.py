@@ -53,7 +53,8 @@ from .quantum import compile_undo
 
 #: Largest sequence length the dense noise tensor is built for (d_sys = 2
 #: keeps it at 2^{4(m+2)} entries, ~268 MB at the cap).  Both oracles build
-#: only the noise tensor and contract the control operations into it.
+#: only the noise tensor and contract the control operations into it one at a
+#: time; either peaks at about 360 MB of resident memory at the cap.
 DENSE_ORACLE_MAX_M = 4
 
 
@@ -83,6 +84,24 @@ def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     return ups
 
 
+def _contract_controls(ups: np.ndarray, rho_sys, factors: list, povm) -> float:
+    """Contract the control operations into the dense noise tensor ``ups``.
+
+    rho_sys goes on slot 0's inputs, each (factor, legs) of ``factors`` on its
+    legs of :func:`dense_noise_tensor`'s slot order, and povm on the last
+    slot's outputs.  Each is one two-operand einsum with the open legs written
+    out in order, so the tensor is never transposed or copied; rho_sys goes
+    first and shrinks it d_sys^2-fold.
+    """
+    legs = list(range(ups.ndim))
+    top = ups.ndim - 4
+    for factor, on in [(rho_sys, [1, 2]), *factors, (povm, [top + 3, top])]:
+        keep = [leg for leg in legs if leg not in on]
+        ups = np.einsum(ups, legs, np.asarray(factor, dtype=np.complex128), on, keep)
+        legs = keep
+    return float(np.real(ups))
+
+
 def contract_asf_dense(
     steps: NoiseSteps, gates: list[np.ndarray], rho_sys: np.ndarray, povm: np.ndarray
 ) -> float:
@@ -95,15 +114,12 @@ def contract_asf_dense(
     :func:`rbmpo.rb.run_sequence` on the same inputs; exponentially expensive
     and capped, existing purely as an independent oracle.
     """
-    m = len(gates)
     # slot j's legs 4j..4j+3 are (s out, s in, z in, z out), s ket-side, z bra-side
-    operands = [dense_noise_tensor(steps, m), list(range(4 * (m + 2))),
-                np.asarray(rho_sys, dtype=np.complex128), [1, 2]]
+    factors = []
     for j, g in enumerate([*gates, compile_undo(gates)], start=1):
         g = np.asarray(g, dtype=np.complex128)
-        operands += [g, [4 * j + 1, 4 * j - 4], np.conj(g), [4 * j + 2, 4 * j - 1]]
-    operands += [np.asarray(povm, dtype=np.complex128), [4 * m + 7, 4 * m + 4]]
-    return float(np.real(np.einsum(*operands, [], optimize="greedy")))
+        factors += [(g, [4 * j + 1, 4 * j - 4]), (np.conj(g), [4 * j + 2, 4 * j - 1])]
+    return _contract_controls(dense_noise_tensor(steps, len(gates)), rho_sys, factors, povm)
 
 
 def contract_asf_dense_averaged(
@@ -115,7 +131,7 @@ def contract_asf_dense_averaged(
     delta-pattern chains: a depolarizing-style term acting per bulk step and
     a trace term, each with its own boundary pattern linking slot 0 to slot
     m + 1.  Each chain, with rho_sys and povm, is contracted into the noise
-    tensor in one einsum, as :func:`contract_asf_dense` does with the gates.
+    tensor as :func:`contract_asf_dense` contracts the gates.
     """
     ups = dense_noise_tensor(steps, m)
     d = steps.d_sys
@@ -129,12 +145,9 @@ def contract_asf_dense_averaged(
     top = 4 * (m + 1)
 
     def chain(step_factor: np.ndarray, boundary: np.ndarray, norm: float) -> float:
-        operands = [ups, list(range(4 * (m + 2))), boundary, [0, 3, top + 1, top + 2],
-                    np.asarray(rho_sys, dtype=np.complex128), [1, 2],
-                    np.asarray(povm, dtype=np.complex128), [top + 3, top]]
-        for n in range(1, m + 1):
-            operands += [step_factor, [4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3]]
-        return float(np.real(np.einsum(*operands, [], optimize="greedy"))) / norm
+        factors = [(boundary, [0, 3, top + 1, top + 2])]
+        factors += [(step_factor, list(range(4 * n, 4 * n + 4))) for n in range(1, m + 1)]
+        return _contract_controls(ups, rho_sys, factors, povm) / norm
 
     return chain(f_a, b_a, float(d ** m * (d * d - 1) ** m)) + chain(f_b, b_b, float(d ** m))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .linalg import dagger
+from .linalg import dagger, unitarity_defect
 
 I2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -62,7 +62,7 @@ def validate_unitary(u, tol: float = 1e-10, name: str = "gate") -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ShapeError(f"{name} must be square, got {u.shape}")
-    defect = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0]))
+    defect = unitarity_defect(u)
     if not defect <= tol:
         raise InputError(f"{name} is not unitary (||U^dag U - I|| = {defect:.3e} > {tol})")
     return u

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .average import clifford_averaged_asf, clifford_averaged_asf_curve
+from .average import clifford_averaged_asf_curve
 from .learner import evaluate, gradient_joint
-from .linalg import dagger, project_to_unitary
+from .linalg import project_to_unitary, unitarity_defect
 from .noise import NoiseSteps, joint_unitary
 from .process_tensor import (asf_joint_coefficient, contract_asf_dense,
                              contract_asf_dense_averaged, joint_node, split_joint)
@@ -55,6 +55,7 @@ def joint_gradient_fd(node, data: AsfCurve, slot: int, idx: tuple, rho_sys, povm
     d_env = node.shape[0] // np.shape(rho_sys)[0]
     steps = NoiseSteps.uniform(node, d_env)
     base = joint_node(node, node, d_env)
+    curve = clifford_averaged_asf_curve(steps, rho_sys, povm, max(data.lengths))
 
     def cost_at(joint):
         total = 0.0
@@ -62,7 +63,7 @@ def joint_gradient_fd(node, data: AsfCurve, slot: int, idx: tuple, rho_sys, povm
             if n >= max(slot - 1, 1):
                 f = joint_fidelity(steps, slot, n, joint, rho_sys, povm)
             else:
-                f = clifford_averaged_asf(steps, rho_sys, povm, n)
+                f = curve[n - 1]
             total += 0.5 * (f - f_exp) ** 2
         return total
 
@@ -142,7 +143,7 @@ def check_projection() -> list[tuple[str, bool, str]]:
     for _ in range(5):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         p = project_to_unitary(x)
-        worst_unitarity = max(worst_unitarity, float(np.linalg.norm(dagger(p) @ p - np.eye(4))))
+        worst_unitarity = max(worst_unitarity, unitarity_defect(p))
     results.append(("unitary projection unitarity", worst_unitarity < 1e-12, f"max defect {worst_unitarity:.2e}"))
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     p = project_to_unitary(x)

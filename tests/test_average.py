@@ -7,7 +7,6 @@ import pytest
 
 from rbmpo.average import (
     NoiseSteps,
-    clifford_averaged_asf,
     clifford_averaged_asf_curve,
     env_maps,
     fit_exponential,
@@ -185,11 +184,11 @@ class TestClosedFormAverage:
         cl = single_qubit_cliffords()
         model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         vals1 = [run_sequence(model, [g], RHO, POVM) for g in cl.gates]
-        assert abs(np.mean(vals1) - clifford_averaged_asf(model, RHO, POVM, 1)) < 1e-10
+        assert abs(np.mean(vals1) - clifford_averaged_asf_curve(model, RHO, POVM, 1)[-1]) < 1e-10
         vals2 = [
             run_sequence(model, [g1, g2], RHO, POVM) for g1 in cl.gates for g2 in cl.gates
         ]
-        assert abs(np.mean(vals2) - clifford_averaged_asf(model, RHO, POVM, 2)) < 1e-10
+        assert abs(np.mean(vals2) - clifford_averaged_asf_curve(model, RHO, POVM, 2)[-1]) < 1e-10
 
     @pytest.mark.slow
     def test_matches_exhaustive_enumeration_m4(self):
@@ -202,7 +201,7 @@ class TestClosedFormAverage:
             np.sum(run_sequence(model, np.concatenate(
                 [np.broadcast_to(g, (len(tails), 1, 2, 2)), tails], axis=1), RHO, POVM))
             for g in table)
-        assert abs(total / 24**4 - clifford_averaged_asf(model, RHO, POVM, 4)) < 1e-10
+        assert abs(total / 24**4 - clifford_averaged_asf_curve(model, RHO, POVM, 4)[-1]) < 1e-10
 
     def test_markovian_models_exactly_exponential(self):
         for model in (phase_flip(0.06), amplitude_damping(0.1), depolarizing(0.1)):
@@ -229,7 +228,7 @@ class TestClosedFormAverage:
     def test_non_two_design_rejected(self):
         gs = GateSet(gates=(HADAMARD,), label="not_a_design", is_two_design=False)
         with pytest.raises(UnsupportedConfigurationError):
-            clifford_averaged_asf(phase_flip(0.1), RHO, POVM, 3, gate_set=gs)
+            clifford_averaged_asf_curve(phase_flip(0.1), RHO, POVM, 3, gate_set=gs)
 
     def test_matches_dense_averaged_control(self):
         from rbmpo.process_tensor import contract_asf_dense_averaged
@@ -238,7 +237,7 @@ class TestClosedFormAverage:
         model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
         for m in (1, 2, 3):
             dense = contract_asf_dense_averaged(model, m, RHO, POVM)
-            exact = clifford_averaged_asf(model, RHO, POVM, m)
+            exact = clifford_averaged_asf_curve(model, RHO, POVM, m)[-1]
             assert abs(dense - exact) < 1e-10
 
 

@@ -4,16 +4,23 @@ The benchmark reads `<module>.<function>.{calls,s}` from spans recorded
 around the public functions of each ``rbmpo`` module; a metric whose
 function was renamed or made private has nothing behind it.  Its fit
 checker (``bench/check.py``) imports ``rbmpo`` names directly, and a
-removed one would break every benchmark run.
+removed one would break every benchmark run, as would a changed signature
+of one it calls: a tiny run of the checker catches that.
 """
 
 import ast
 import importlib
 import inspect
 import json
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from rbmpo.cli import EXIT_OK, main
+from rbmpo.serialize import dump_json
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -60,3 +67,32 @@ def test_checker_imports_found():
 def test_checker_import_resolves(module, name):
     mod = importlib.import_module(module)
     assert hasattr(mod, name), f"bench/check.py imports {name!r} from {module}, which lacks it"
+
+
+def test_checker_runs_on_tiny_outputs(tmp_path):
+    """bench/check.py, run from src/ as the benchmark runs it, on a 5-length
+    phase-flip curve and a fit of it with one departure round and no sweep."""
+    cfg = tmp_path / "pf.json"
+    dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 5, "m_max": 5,
+               "n_samples": 20, "noise": {"kind": "phase_flip", "p": 0.06},
+               "rho_sys": "zero", "povm": "zero"}, cfg)
+    lcfg = tmp_path / "learner.json"
+    dump_json({"schema_version": 1, "kind": "learner", "d_env": 2, "max_iterations": 0,
+               "departure_rounds": 1, "convergence_divisor": 1.0,
+               "optimizer": {"kind": "adagrad", "rate": 1e-5, "epsilon": 1e-8}}, lcfg)
+    csv = tmp_path / "data" / "asf.csv"
+    assert main(["generate", str(cfg), "-o", str(csv.parent)]) == EXIT_OK
+    assert main(["learn", str(csv), str(lcfg), "-o", str(tmp_path / "fit")]) == EXIT_OK
+    request = tmp_path / "request.json"
+    dump_json({"asf": [{"config": str(cfg), "seed": 5, "csv": str(csv)}], "fit": [str(csv)],
+               "learn": [{"result": str(tmp_path / "fit" / "result.json"), "data": str(csv)}]},
+              request)
+    run = subprocess.run([sys.executable, str(ROOT / "bench" / "check.py"), str(request)],
+                         cwd=ROOT / "src", capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    answer = json.loads(run.stdout)
+    assert math.isfinite(answer["asf"][0]["max_abs_z"])
+    assert [fit["csv"] for fit in answer["fit"]] == [str(csv)]
+    (learned,) = answer["learn"]
+    assert learned["defect"] < 1e-9
+    assert learned["fit_l1_over_sigma"] <= learned["identity_l1_over_sigma"]

@@ -167,7 +167,7 @@ class TestLearn:
         write_learner_config(lcfg)
         assert main(["learn", str(data), str(lcfg), "-o", str(tmp_path / "o")]) == EXIT_INPUT
 
-    def test_require_convergence_exit_code(self, tmp_path):
+    def test_require_convergence_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         write_identity_config(cfg, m_max=6, n_samples=5, seed=9)
         main(["generate", str(cfg), "-o", str(tmp_path / "data")])
@@ -187,6 +187,7 @@ class TestLearn:
         rc = main(["learn", str(data), str(lcfg), "-o", str(tmp_path / "fit"),
                    "--require-convergence"])
         assert rc == EXIT_NOT_CONVERGED
+        assert "did not reach the l1 target (at iteration 2)" in capsys.readouterr().err
 
     def test_learn_fits_the_generated_state_and_povm(self, tmp_path, monkeypatch):
         one = basis_state(1, 2)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rbmpo.average import NoiseSteps, _lockstep, clifford_averaged_asf
+from rbmpo.average import NoiseSteps, _lockstep, clifford_averaged_asf_curve
 from rbmpo.errors import DomainError, InputError, NumericalError, ShapeError
 from rbmpo.learner import (
     Adagrad,
@@ -22,7 +22,7 @@ from rbmpo.learner import (
     sweep_iteration,
     train,
 )
-from rbmpo.linalg import dagger
+from rbmpo.linalg import dagger, unitarity_defect
 from rbmpo.noise import hermitian_expm, kraus_stack, phase_flip, spin_unitary
 import rbmpo.learner as learner_mod
 import rbmpo.process_tensor as process_tensor_mod
@@ -65,7 +65,7 @@ class TestCost:
         data = AsfCurve((1, 2, 3, 5), tuple(rng.uniform(0.4, 1.0, 4)), (0.0,) * 4, 1)
         total = 0.0
         for n, f_exp in zip(data.lengths, data.means):
-            f = clifford_averaged_asf(NoiseSteps.uniform(lam, 2), RHO, POVM, n)
+            f = clifford_averaged_asf_curve(NoiseSteps.uniform(lam, 2), RHO, POVM, n)[-1]
             total += 0.5 * (f - f_exp) ** 2
         assert abs(cost(lam, 2, data, RHO, POVM) - total) < 1e-14
 
@@ -274,10 +274,6 @@ class TestGradient:
         assert peak[5] == peak[20] <= 5, peak
 
 
-def _unitarity_defect(node):
-    return float(np.linalg.norm(dagger(node) @ node - np.eye(node.shape[0])))
-
-
 class TestSweep:
     def test_zero_residual_is_stationary(self):
         rng = np.random.default_rng(11)
@@ -317,7 +313,7 @@ class TestSweep:
         defects = []
         for it in range(10):
             node = sweep_iteration(fit, acc, it, phase_flip_data, RHO, POVM, config)
-            defects.append(_unitarity_defect(node))
+            defects.append(unitarity_defect(node))
             fit = evaluate(node, 2, phase_flip_data, RHO, POVM)
         assert max(defects) <= 1e-9
 
@@ -330,7 +326,7 @@ class TestSweep:
         fit = evaluate(lam, d_env, phase_flip_data, RHO, POVM)
         node = sweep_iteration(fit, acc, 1, phase_flip_data, RHO, POVM, config)
         assert node.shape == lam.shape
-        assert _unitarity_defect(node) <= learner_mod.UNITARITY_TOL
+        assert unitarity_defect(node) <= learner_mod.UNITARITY_TOL
         assert not np.array_equal(node, lam)
 
     def test_non_unitary_update_is_numerical_error(self, phase_flip_data, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rbmpo.errors import InputError, ShapeError, SingularMatrixError
+from rbmpo.errors import FactorizationError, InputError, ShapeError, SingularMatrixError
 from rbmpo.linalg import (
     dagger,
     matrix_from_json_dict,
@@ -80,6 +80,14 @@ class TestSvd:
             svd(np.zeros((0, 0)))
         with pytest.raises(ShapeError):
             svd(np.array([[np.nan, 0], [0, 1]]))
+
+    def test_lapack_failure_names_the_shape(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(FactorizationError, match=r"\(input was 3x2\)"):
+            svd(np.ones((3, 2)))
 
 
 class TestProjectToUnitary:

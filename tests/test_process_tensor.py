@@ -1,11 +1,16 @@
 """Dense process-tensor oracle and the joint-node coefficient machinery."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rbmpo.average import NoiseSteps, clifford_averaged_asf
+from rbmpo.average import NoiseSteps, clifford_averaged_asf_curve
 from rbmpo.errors import InputError, ResourceLimitError, ShapeError
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, kraus_stack
 from rbmpo.process_tensor import (
@@ -85,8 +90,41 @@ class TestDenseOracle:
             model = dataclasses.replace(model, prep=(haar_unitary(4, rng),),
                                         final=(haar_unitary(4, rng),))
         dense = contract_asf_dense_averaged(model, m, RHO, POVM)
-        exact = clifford_averaged_asf(model, RHO, POVM, m)
+        exact = clifford_averaged_asf_curve(model, RHO, POVM, m)[-1]
         assert abs(dense - exact) < 1e-10
+
+
+    @pytest.mark.slow
+    def test_oracles_at_the_cap_stay_below_450_mb(self):
+        # Both oracles contract their controls into the 268 MB noise tensor one
+        # at a time; a transposed copy of the tensor would take the peak past
+        # 450 MB.  One fresh process, so ru_maxrss is the oracles' own peak.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = (
+            "import json, resource, numpy as np\n"
+            "from rbmpo.average import clifford_averaged_asf_curve\n"
+            "from rbmpo.noise import joint_unitary\n"
+            "from rbmpo.process_tensor import contract_asf_dense, contract_asf_dense_averaged\n"
+            "from rbmpo.quantum import basis_state, sample_sequence, single_qubit_cliffords\n"
+            "from rbmpo.rb import run_sequence\n"
+            "from rbmpo.selfcheck import haar_unitary\n"
+            "rng, rho = np.random.default_rng(1404), basis_state(0, 2)\n"
+            "model = joint_unitary(haar_unitary(4, rng), rho, 2)\n"
+            "gates = sample_sequence(single_qubit_cliffords(), 4, rng)\n"
+            "seq = abs(contract_asf_dense(model, gates, rho, rho)\n"
+            "          - run_sequence(model, gates, rho, rho))\n"
+            "avg = abs(contract_asf_dense_averaged(model, 4, rho, rho)\n"
+            "          - clifford_averaged_asf_curve(model, rho, rho, 4)[-1])\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps({'seq': seq, 'avg': avg, 'peak_mb': peak}))\n")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout)
+        assert out["seq"] < 1e-10 and out["avg"] < 1e-10, out
+        assert out["peak_mb"] < 450, out
 
 
 class TestJointCoefficient:
@@ -120,7 +158,7 @@ class TestJointCoefficient:
         for steps in (NoiseSteps.uniform(lam, 2), distinct):
             prep, bulk, final = steps.prep, steps.bulk, steps.final
             for n in (1, 2, 5):
-                f_ref = clifford_averaged_asf(steps, RHO, POVM, n)
+                f_ref = clifford_averaged_asf_curve(steps, RHO, POVM, n)[-1]
                 for slot in range(1, n + 2):
                     up, dn = final if slot == n + 1 else bulk, prep if slot == 1 else bulk
                     joint = joint_node(up[0], dn[0], 2)
@@ -146,7 +184,7 @@ class TestJointCoefficient:
         bra = split_joint(np.eye(8), joint.reshape(8, 8), joint.shape)
         value = np.sum(joint * np.conj(asf_joint_coefficient(steps, 2, {3: 1.0}, RHO, POVM, bra)))
         assert abs(value.imag) < 1e-12
-        assert abs(value.real - clifford_averaged_asf(steps, RHO, POVM, 3)) < 1e-12
+        assert abs(value.real - clifford_averaged_asf_curve(steps, RHO, POVM, 3)[-1]) < 1e-12
 
     def test_physical_evaluation_away_from_model_point(self):
         # at n = 1 each slot of the sequence (prep, bulk, final) is its own
@@ -160,7 +198,7 @@ class TestJointCoefficient:
         for slot, model in ((1, dataclasses.replace(base, bulk=(u_up,), prep=(u_dn,))),
                             (2, dataclasses.replace(base, final=(u_up,), bulk=(u_dn,)))):
             value = joint_fidelity(base, slot, 1, joint, RHO, POVM)
-            assert abs(value - clifford_averaged_asf(model, RHO, POVM, 1)) < 1e-12, slot
+            assert abs(value - clifford_averaged_asf_curve(model, RHO, POVM, 1)[-1]) < 1e-12, slot
 
     def test_input_checks(self):
         rng = np.random.default_rng(11)

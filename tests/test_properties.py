@@ -1,5 +1,9 @@
 """Property tests of the file formats (curve CSV round trips and the real-field
-parser) and of the Monte Carlo's vectorised sample streams."""
+parser), of the Monte Carlo's vectorised sample streams, and of direct
+evolution against the dense oracle on random models.
+
+The random models are drawn as seeds, not arrays, so that shrinking stays
+cheap: :func:`random_model` builds one from its seed."""
 
 import math
 import sys
@@ -11,8 +15,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from rbmpo.errors import InputError  # noqa: E402
+from rbmpo.noise import NoiseSteps  # noqa: E402
+from rbmpo.process_tensor import contract_asf_dense  # noqa: E402
 from rbmpo.quantum import _draw_indices  # noqa: E402
-from rbmpo.rb import AsfCurve, _stream_indices, sample_stream  # noqa: E402
+from rbmpo.rb import AsfCurve, _stream_indices, run_sequence, sample_stream  # noqa: E402
+from rbmpo.selfcheck import haar_unitary  # noqa: E402
 from rbmpo.serialize import _number  # noqa: E402
 
 FLOAT_MAX_INT = int(sys.float_info.max)
@@ -62,3 +69,40 @@ def test_stream_draw_equals_sample_stream(seed, m, k):
     """One row of the vectorised draw is numpy's own stream (see test_rb.TestStreams, NEP 19)."""
     picks = _stream_indices(seed, np.array([m]), np.array([k]), 24)
     assert np.array_equal(picks[0], _draw_indices(24, m, sample_stream(seed, m, k)))
+
+
+def _density_matrix(d, rng):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _slot(dim, rng):
+    """A Haar unitary, or a Stinespring channel: the Kraus operators are the
+    (dim, dim) blocks of a Haar isometry from dim to k * dim dimensions."""
+    if rng.random() < 0.5:
+        return (haar_unitary(dim, rng),)
+    k = int(rng.integers(2, 4))
+    return tuple(haar_unitary(k * dim, rng)[:, :dim].reshape(k, dim, dim))
+
+
+def random_model(seed):
+    """Noise on d_env in {1, 2, 3} x one qubit, a generic rho_env, its own slot
+    in each of prep, bulk and final; with a generic state, POVM element and
+    gate sequence of length 1 or 2."""
+    rng = np.random.default_rng(seed)
+    d_env = int(rng.integers(1, 4))
+    model = NoiseSteps(_density_matrix(d_env, rng), *(_slot(2 * d_env, rng) for _ in range(3)))
+    u = haar_unitary(2, rng)
+    povm = u @ np.diag(rng.uniform(0.0, 1.0, 2)) @ u.conj().T
+    gates = [haar_unitary(2, rng) for _ in range(int(rng.integers(1, 3)))]
+    return model, _density_matrix(2, rng), povm, gates
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_direct_evolution_equals_dense_oracle(seed):
+    """run_sequence against the dense contraction, criterion 1's bound."""
+    model, rho_sys, povm, gates = random_model(seed)
+    assert abs(run_sequence(model, gates, rho_sys, povm)
+               - contract_asf_dense(model, gates, rho_sys, povm)) < 1e-10

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rbmpo.errors import InputError
-from rbmpo.noise import joint_unitary, phase_flip
+from rbmpo.linalg import unitarity_defect
+from rbmpo.noise import UNITARITY_TOL, joint_unitary, phase_flip
 from rbmpo.quantum import (
     HADAMARD,
     I2,
@@ -181,6 +182,18 @@ class TestValidators:
     def test_nan_entry_rejected(self, check, matrix):
         with pytest.raises(InputError):
             check(matrix)
+
+    def test_node_tolerance_is_the_boundary(self):
+        # diag(1 + delta, 1, 1, 1) has defect (1 + delta)^2 - 1, about 2 delta
+        under, over = (np.diag([1.0 + delta, 1.0, 1.0, 1.0]).astype(complex)
+                       for delta in (0.45 * UNITARITY_TOL, 0.55 * UNITARITY_TOL))
+        assert unitarity_defect(under) < UNITARITY_TOL < unitarity_defect(over)
+        validate_unitary(under, tol=UNITARITY_TOL)
+        joint_unitary(under, basis_state(0, 2), 2)
+        with pytest.raises(InputError, match="not unitary"):
+            validate_unitary(over, tol=UNITARITY_TOL)
+        with pytest.raises(InputError, match="not unitary"):
+            joint_unitary(over, basis_state(0, 2), 2)
 
 
 def test_fix_global_phase_is_canonical():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbmpo.average import clifford_averaged_asf
+from rbmpo.average import clifford_averaged_asf_curve
 from rbmpo.errors import InputError, NumericalError, ShapeError
 from rbmpo.noise import (
     NoiseSteps,
@@ -146,7 +146,7 @@ class TestRunSequence:
     ], ids=["phase_flip", "markovian_final", "joint_prep_final"])
     def test_enumeration_mean_matches_closed_form(self, cliffords, model):
         vals = [run_sequence(model, [g], RHO, POVM) for g in cliffords.gates]
-        exact = clifford_averaged_asf(model, RHO, POVM, 1)
+        exact = clifford_averaged_asf_curve(model, RHO, POVM, 1)[-1]
         assert abs(np.mean(vals) - exact) < 1e-10
 
     def test_probability_escape_is_numerical(self, cliffords):
@@ -218,7 +218,8 @@ class TestEstimateAsf:
     def test_phase_flip_tracks_closed_form(self):
         cfg = ExperimentConfig(noise=phase_flip(0.06), m_max=20, n_samples=100, seed=2024)
         curve = estimate_asf(cfg)
-        exact = [clifford_averaged_asf(cfg.noise, RHO, POVM, m) for m in curve.lengths]
+        exact = clifford_averaged_asf_curve(cfg.noise, RHO, POVM, cfg.m_max)
+        exact = exact[np.array(curve.lengths) - 1]
         for mean, se, ex in zip(curve.means, curve.stderrs, exact):
             assert abs(mean - ex) <= 3 * max(se, 1e-6)
 
