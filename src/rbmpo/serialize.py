@@ -136,8 +136,8 @@ def noise_model_from_dict(d: dict) -> NoiseSteps:
         return build(*(_number(d, key, float, where) for key in params))
     if kind == "identity":
         dim = _number(d, "dim", int, where, 2)
-        if dim < 1:
-            raise DomainError(f"{where} field 'dim' must be positive, got {dim}")
+        if dim != 2:  # checked before anything of size dim is built
+            raise DomainError(f"{where} field 'dim' must be 2, the one-qubit system's, got {dim}")
         eye = np.eye(dim, dtype=np.complex128)
         return markovian_channel(KrausChannel((eye,)), label="identity")
 

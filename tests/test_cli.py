@@ -22,20 +22,19 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def write_identity_config(path, m_max=5, n_samples=10, seed=3):
-    dump_json(
-        {
-            "schema_version": 1,
-            "kind": "rb_experiment",
-            "seed": seed,
-            "m_max": m_max,
-            "n_samples": n_samples,
-            "noise": {"kind": "identity", "dim": 2},
-            "rho_sys": "zero",
-            "povm": "zero",
-        },
-        path,
-    )
+def write_experiment(path, noise=None, **fields):
+    """An experiment config at `path`: identity noise, seed 1, m_max 3 and 5
+    samples, unless `noise` or `fields` say otherwise."""
+    dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
+               "n_samples": 5, "noise": noise or {"kind": "identity", "dim": 2}, **fields}, path)
+    return path
+
+
+def generated(tmp_path, noise=None, **fields):
+    """The ASF table that `generate` writes to tmp_path/data for that config."""
+    cfg = write_experiment(tmp_path / "cfg.json", noise, **fields)
+    assert main(["generate", str(cfg), "-o", str(tmp_path / "data")]) == EXIT_OK
+    return tmp_path / "data" / "asf.csv"
 
 
 def nan_matrix_record(dim, row, col):
@@ -47,15 +46,19 @@ def nan_matrix_record(dim, row, col):
 
 def write_learner_config(path, **overrides):
     cfg = LearnerConfig(optimizer=Adagrad(rate=1e-5), max_iterations=20)
-    d = learner_config_to_dict(cfg)
-    d.update(overrides)
-    dump_json(d, path)
+    dump_json({**learner_config_to_dict(cfg), **overrides}, path)
+    return path
+
+
+def learn(data, tmp_path, *flags, **overrides):
+    """`learn` on `data` with the learner config `overrides` make, into tmp_path/fit."""
+    lcfg = write_learner_config(tmp_path / "learner.json", **overrides)
+    return main(["learn", str(data), str(lcfg), "-o", str(tmp_path / "fit"), *flags])
 
 
 class TestGenerate:
     def test_identity_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg)
+        cfg = write_experiment(tmp_path / "cfg.json", m_max=5, n_samples=10, seed=3)
         rc = main(["generate", str(cfg), "-o", str(tmp_path / "out")])
         assert rc == EXIT_OK
         table = (tmp_path / "out" / "asf.csv").read_text()
@@ -76,8 +79,7 @@ class TestGenerate:
         assert len(rows) == 21  # header + 20 lengths
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg, m_max=3)
+        cfg = write_experiment(tmp_path / "cfg.json", n_samples=10, seed=3)
         main(["generate", str(cfg), "-o", str(tmp_path / "a")])
         main(["generate", str(cfg), "-o", str(tmp_path / "b")])
         assert (tmp_path / "a" / "asf.csv").read_bytes() == (tmp_path / "b" / "asf.csv").read_bytes()
@@ -87,12 +89,7 @@ class TestGenerate:
         assert rc == EXIT_INPUT
 
     def test_bad_parameter_is_input_error(self, tmp_path):
-        cfg = tmp_path / "bad.json"
-        dump_json(
-            {"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
-             "n_samples": 5, "noise": {"kind": "phase_flip", "p": 1.5}},
-            cfg,
-        )
+        cfg = write_experiment(tmp_path / "bad.json", {"kind": "phase_flip", "p": 1.5})
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
 
     @pytest.mark.parametrize("noise", [{"kind": "phase_flip", "p": True},
@@ -103,43 +100,35 @@ class TestGenerate:
                                         "rho_env": matrix_to_json_dict(np.diag([1.0, 0.0]))},
                                        {"kind": "markovian", "label": 5,
                                         "kraus": [matrix_to_json_dict(np.eye(2))]},
-                                       {"kind": "phase_flip", "p": 0.1, "gamma": 0.2}])
-    def test_mistyped_noise_parameter_is_input_error(self, tmp_path, noise):
-        cfg = tmp_path / "bad.json"
-        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
-                   "n_samples": 5, "noise": noise}, cfg)
+                                       {"kind": "phase_flip", "p": 0.1, "gamma": 0.2},
+                                       # the system is one qubit: no identity of another
+                                       # size is built, however large
+                                       *({"kind": "identity", "dim": dim}
+                                         for dim in (0, 3, 2**40, 2**64))])
+    def test_mistyped_noise_parameter_is_input_error(self, tmp_path, capsys, noise):
+        cfg = write_experiment(tmp_path / "bad.json", noise)
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_config_field_is_input_error(self, tmp_path):
         # a misspelt "povm" would otherwise leave the default |0><0| measured
-        cfg = tmp_path / "bad.json"
-        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
-                   "n_samples": 5, "noise": {"kind": "phase_flip", "p": 0.1},
-                   "pvom": matrix_to_json_dict(np.diag([0.0, 1.0]))}, cfg)
+        cfg = write_experiment(tmp_path / "bad.json", {"kind": "phase_flip", "p": 0.1},
+                               pvom=matrix_to_json_dict(np.diag([0.0, 1.0])))
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
         assert not (tmp_path / "out" / "asf.csv").exists()
 
     def test_non_finite_state_record_is_input_error(self, tmp_path):
         # NaN compares false with every tolerance, so only the record reader
         # can stop it before it becomes a NaN survival probability (exit 2)
-        cfg = tmp_path / "bad.json"
-        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
-                   "n_samples": 5, "noise": {"kind": "identity", "dim": 2},
-                   "rho_sys": nan_matrix_record(2, 0, 0)}, cfg)
+        cfg = write_experiment(tmp_path / "bad.json", rho_sys=nan_matrix_record(2, 0, 0))
         assert "NaN" in cfg.read_text()
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
 
 
 class TestLearn:
     def test_end_to_end_and_diagnose(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg)
-        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg)
-        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg),
-                   "-o", str(tmp_path / "fit"), "--json"])
-        assert rc == EXIT_OK
+        data = generated(tmp_path, m_max=5, n_samples=10, seed=3)
+        assert learn(data, tmp_path, "--json") == EXIT_OK
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["converged"] is True
         rc = main(["diagnose", str(tmp_path / "fit" / "result.json"), "--json"])
@@ -151,29 +140,20 @@ class TestLearn:
     @pytest.mark.parametrize("key, value", [("unitarity_tol", float("nan")),
                                             ("convergence_divisor", float("inf"))])
     def test_non_finite_config_number_is_input_error(self, tmp_path, key, value):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg, m_max=4, n_samples=2)
-        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg, **{key: value})
-        assert "NaN" in lcfg.read_text() or "Infinity" in lcfg.read_text()
-        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "o")])
-        assert rc == EXIT_INPUT
+        data = generated(tmp_path, m_max=4, n_samples=2, seed=3)
+        assert learn(data, tmp_path, **{key: value}) == EXIT_INPUT
+        text = (tmp_path / "learner.json").read_text()
+        assert "NaN" in text or "Infinity" in text
 
     def test_empty_data_is_input_error(self, tmp_path):
         data = tmp_path / "empty.csv"
         data.write_text("")
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg)
-        assert main(["learn", str(data), str(lcfg), "-o", str(tmp_path / "o")]) == EXIT_INPUT
+        assert learn(data, tmp_path) == EXIT_INPUT
 
     def test_require_convergence_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg, m_max=6, n_samples=5, seed=9)
-        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
+        csv = generated(tmp_path, m_max=6, n_samples=5, seed=9).read_text().splitlines()
         # doctor the curve so no uncoupled unitary model can match it and
         # tighten the target so nothing converges
-        csv = (tmp_path / "data" / "asf.csv").read_text().splitlines()
         doctored = [csv[0]]
         for i, row in enumerate(csv[1:]):
             parts = row.split(",")
@@ -181,21 +161,15 @@ class TestLearn:
             doctored.append(",".join(parts))
         data = tmp_path / "doctored.csv"
         data.write_text("\n".join(doctored) + "\n")
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg, max_iterations=2, departure_rounds=1,
-                             convergence_divisor=1e9)
-        rc = main(["learn", str(data), str(lcfg), "-o", str(tmp_path / "fit"),
-                   "--require-convergence"])
+        rc = learn(data, tmp_path, "--require-convergence", max_iterations=2, departure_rounds=1,
+                   convergence_divisor=1e9)
         assert rc == EXIT_NOT_CONVERGED
         assert "did not reach the l1 target (at iteration 2)" in capsys.readouterr().err
 
     def test_learn_fits_the_generated_state_and_povm(self, tmp_path, monkeypatch):
         one = basis_state(1, 2)
-        cfg = tmp_path / "cfg.json"
-        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 4,
-                   "n_samples": 5, "noise": {"kind": "phase_flip", "p": 0.06},
-                   "povm": matrix_to_json_dict(one)}, cfg)
-        assert main(["generate", str(cfg), "-o", str(tmp_path / "data")]) == EXIT_OK
+        data = generated(tmp_path, {"kind": "phase_flip", "p": 0.06}, m_max=4,
+                         povm=matrix_to_json_dict(one))
         seen = {}
 
         def spy(data, rho_sys, povm, config):
@@ -203,10 +177,7 @@ class TestLearn:
             return train(data, rho_sys, povm, config)
 
         monkeypatch.setattr(cli_mod, "train", spy)
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
-        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "fit")])
-        assert rc == EXIT_OK
+        assert learn(data, tmp_path, departure_rounds=0, max_iterations=0) == EXIT_OK
         assert np.array_equal(seen["povm"], one)
         assert np.array_equal(seen["rho_sys"], basis_state(0, 2))
         inputs = json.loads((tmp_path / "fit" / "manifest.json").read_text())["inputs"]
@@ -214,27 +185,18 @@ class TestLearn:
 
     @pytest.mark.parametrize("config", [[1, 2], {"kind": "rb_experiment", "seed": 1}])
     def test_malformed_generate_manifest_is_input_error(self, tmp_path, config):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg, m_max=4, n_samples=2)
-        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
+        data = generated(tmp_path, m_max=4, n_samples=2, seed=3)
         manifest = tmp_path / "data" / "manifest.json"
         dump_json({**json.loads(manifest.read_text()), "config": config}, manifest)
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
-        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "o")])
-        assert rc == EXIT_INPUT
+        assert learn(data, tmp_path, departure_rounds=0, max_iterations=0) == EXIT_INPUT
 
     @pytest.mark.parametrize("out", [("data",), ("data", "..", "data")])
     def test_output_over_the_generate_manifest_is_input_error(self, tmp_path, out):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg, m_max=4, n_samples=2)
-        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
+        data = generated(tmp_path, m_max=4, n_samples=2, seed=3)
         manifest = tmp_path / "data" / "manifest.json"
         before = manifest.read_bytes()
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
-        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg),
-                   "-o", str(tmp_path.joinpath(*out))])
+        lcfg = write_learner_config(tmp_path / "learner.json", departure_rounds=0, max_iterations=0)
+        rc = main(["learn", str(data), str(lcfg), "-o", str(tmp_path.joinpath(*out))])
         assert rc == EXIT_INPUT
         assert manifest.read_bytes() == before
         assert not (tmp_path / "data" / "result.json").exists()
@@ -243,26 +205,9 @@ class TestLearn:
         exact = learner_mod.replacement_node
         monkeypatch.setattr(learner_mod, "replacement_node",
                             lambda *args, **kw: exact(*args, **kw) * (1.0 + 1e-6))
-        cfg = tmp_path / "cfg.json"
-        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 4,
-                   "n_samples": 5, "noise": {"kind": "phase_flip", "p": 0.06}}, cfg)
-        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg, departure_rounds=1, max_iterations=1, convergence_divisor=1e9)
-        rc = main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg), "-o", str(tmp_path / "o")])
+        data = generated(tmp_path, {"kind": "phase_flip", "p": 0.06}, m_max=4)
+        rc = learn(data, tmp_path, departure_rounds=1, max_iterations=1, convergence_divisor=1e9)
         assert rc == EXIT_NUMERICAL
-
-    def test_learn_rerun_byte_identical(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        write_identity_config(cfg, m_max=4)
-        main(["generate", str(cfg), "-o", str(tmp_path / "data")])
-        lcfg = tmp_path / "learner.json"
-        write_learner_config(lcfg)
-        for tag in ("x", "y"):
-            main(["learn", str(tmp_path / "data" / "asf.csv"), str(lcfg),
-                  "-o", str(tmp_path / tag)])
-        assert (tmp_path / "x" / "result.json").read_bytes() == (tmp_path / "y" / "result.json").read_bytes()
-        assert (tmp_path / "x" / "predicted.csv").read_bytes() == (tmp_path / "y" / "predicted.csv").read_bytes()
 
 
 class TestDiagnose:
@@ -402,8 +347,9 @@ class TestParsing:
     def test_unknown_command_is_input_error(self):
         assert main(["frobnicate"]) == EXIT_INPUT
 
-    def test_non_object_json_is_input_error(self, tmp_path):
-        # run as a user runs it, so an exception that escapes main shows as a traceback
+    def test_non_object_json_is_input_error(self, tmp_path, capsys):
+        # in process an exception that escapes main fails the test; the first
+        # case also runs as a user runs it, where one would print a traceback
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]\n")
         data = tmp_path / "asf.csv"
@@ -411,9 +357,8 @@ class TestParsing:
         result = tmp_path / "result.json"
         dump_json({"kind": "training_result", "config": [1, 2],
                    "node": matrix_to_json_dict(np.eye(4))}, result)
-        cfg, lcfg = tmp_path / "cfg.json", tmp_path / "learner.json"
-        write_identity_config(cfg)
-        write_learner_config(lcfg, departure_rounds=0, max_iterations=0)
+        cfg = write_experiment(tmp_path / "cfg.json", m_max=5, n_samples=10, seed=3)
+        lcfg = write_learner_config(tmp_path / "learner.json", departure_rounds=0, max_iterations=0)
         latin1 = tmp_path / "latin1.json"  # not UTF-8
         latin1.write_bytes(b'{"kind": "learner", "label": "\xe9"}\n')
         latin1_csv = tmp_path / "latin1.csv"
@@ -422,6 +367,11 @@ class TestParsing:
         a_file.write_text("")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-m", "rbmpo.cli", "generate", str(bad), "-o",
+                              str(tmp_path / "g")], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == EXIT_INPUT and run.stderr.startswith("error:"), run.stderr
+        assert "Traceback" not in run.stderr, run.stderr
         for argv in (["generate", str(bad), "-o", str(tmp_path / "g")],
                      ["learn", str(data), str(bad), "-o", str(tmp_path / "l")],
                      ["diagnose", str(bad)], ["diagnose", str(result)],
@@ -438,11 +388,8 @@ class TestParsing:
                      # an output directory that names an existing file
                      ["generate", str(cfg), "-o", str(a_file)],
                      ["learn", str(data), str(lcfg), "-o", str(a_file)]):
-            run = subprocess.run([sys.executable, "-m", "rbmpo.cli", *argv], env=env,
-                                 capture_output=True, text=True, timeout=60)
-            assert run.returncode == EXIT_INPUT, (argv[0], run.stderr)
-            assert run.stderr.startswith("error:"), (argv[0], run.stderr)
-            assert "Traceback" not in run.stderr, (argv[0], run.stderr)
+            assert main(argv) == EXIT_INPUT, argv
+            assert capsys.readouterr().err.startswith("error:"), argv
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

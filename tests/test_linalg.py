@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from rbmpo.errors import FactorizationError, InputError, ShapeError, SingularMatrixError
-from rbmpo.linalg import (
-    dagger,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
-    principal_unitary_sqrt,
-    project_to_unitary,
-    svd,
-)
+from rbmpo.linalg import (dagger, matrix_from_json_dict, matrix_to_json_dict,
+                          principal_unitary_sqrt, project_to_unitary, svd)
 from rbmpo.selfcheck import haar_unitary
 
 

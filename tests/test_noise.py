@@ -8,26 +8,11 @@ import pytest
 
 from rbmpo.errors import DomainError, InputError
 from rbmpo.linalg import matrix_to_json_dict
-from rbmpo.noise import (
-    amplitude_damping,
-    depolarizing,
-    eigh_expm,
-    hermitian_expm,
-    markovian_channel,
-    phase_flip,
-    spin_hamiltonian,
-    spin_unitary,
-)
+from rbmpo.noise import (amplitude_damping, depolarizing, eigh_expm, hermitian_expm,
+                         markovian_channel, phase_flip, spin_hamiltonian, spin_unitary)
 from rbmpo.process_tensor import contract_asf_dense
-from rbmpo.quantum import (
-    HADAMARD,
-    I2,
-    KrausChannel,
-    apply_channel,
-    basis_state,
-    dagger,
-    single_qubit_cliffords,
-)
+from rbmpo.quantum import (HADAMARD, I2, KrausChannel, apply_channel, basis_state, dagger,
+                           single_qubit_cliffords)
 from rbmpo.rb import run_sequence
 from rbmpo.serialize import noise_model_from_dict, noise_model_to_dict
 

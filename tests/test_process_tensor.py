@@ -13,15 +13,9 @@ import pytest
 from rbmpo.average import NoiseSteps, clifford_averaged_asf_curve
 from rbmpo.errors import InputError, ResourceLimitError, ShapeError
 from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, kraus_stack
-from rbmpo.process_tensor import (
-    DENSE_ORACLE_MAX_M,
-    asf_joint_coefficient,
-    contract_asf_dense,
-    contract_asf_dense_averaged,
-    dense_noise_tensor,
-    joint_node,
-    split_joint,
-)
+from rbmpo.process_tensor import (DENSE_ORACLE_MAX_M, asf_joint_coefficient, contract_asf_dense,
+                                  contract_asf_dense_averaged, dense_noise_tensor, joint_node,
+                                  split_joint)
 from rbmpo.quantum import basis_state, sample_sequence
 from rbmpo.rb import run_sequence
 from rbmpo.selfcheck import haar_unitary, joint_fidelity
@@ -32,6 +26,18 @@ POVM = basis_state(0, 2)
 
 def random_model(rng):
     return joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+
+
+def variant_model(rng, variant):
+    """A Haar joint unitary ("spam": with Haar prep and final slots of its own),
+    amplitude damping ("ad"), or damping with a depolarizing final slot ("ad-final")."""
+    if variant == "ad-final":
+        return dataclasses.replace(amplitude_damping(0.3), final=depolarizing(0.2).bulk)
+    model = amplitude_damping(0.3) if variant == "ad" else random_model(rng)
+    if variant == "spam":
+        model = dataclasses.replace(model, prep=(haar_unitary(4, rng),),
+                                    final=(haar_unitary(4, rng),))
+    return model
 
 
 class TestDenseOracle:
@@ -47,15 +53,7 @@ class TestDenseOracle:
         ids=["1", "2", "3", "1-spam", "2-spam", "2-ad", "3-ad-final"])
     def test_agrees_with_direct_evolution(self, cliffords, m, variant):
         rng = np.random.default_rng(1200 + m)
-        if variant == "ad":
-            model = amplitude_damping(0.3)
-        elif variant == "ad-final":
-            model = dataclasses.replace(amplitude_damping(0.3), final=depolarizing(0.2).bulk)
-        else:
-            model = random_model(rng)
-        if variant == "spam":
-            model = dataclasses.replace(model, prep=(haar_unitary(4, rng),),
-                                        final=(haar_unitary(4, rng),))
+        model = variant_model(rng, variant)
         gates = sample_sequence(cliffords, m, rng)
         f_dense = contract_asf_dense(model, gates, RHO, POVM)
         f_run = run_sequence(model, gates, RHO, POVM)
@@ -81,14 +79,7 @@ class TestDenseOracle:
     def test_averaged_dense_matches_closed_form(self, m, variant):
         # the Kraus slots share one index per slot; the spam model's raw
         # preparation and final slots are Haar unitaries of their own
-        rng = np.random.default_rng(1300 + m)
-        if variant == "ad-final":
-            model = dataclasses.replace(amplitude_damping(0.3), final=depolarizing(0.2).bulk)
-        else:
-            model = random_model(rng)
-        if variant == "spam":
-            model = dataclasses.replace(model, prep=(haar_unitary(4, rng),),
-                                        final=(haar_unitary(4, rng),))
+        model = variant_model(np.random.default_rng(1300 + m), variant)
         dense = contract_asf_dense_averaged(model, m, RHO, POVM)
         exact = clifford_averaged_asf_curve(model, RHO, POVM, m)[-1]
         assert abs(dense - exact) < 1e-10
@@ -135,18 +126,11 @@ class TestJointCoefficient:
         a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
         fused = joint_node(a, b, 2).reshape(8, 8)
         a4, b4 = a.reshape(2, 2, 2, 2), b.reshape(2, 2, 2, 2)
-        for eu in range(2):
-            for si in range(2):
-                for sip in range(2):
-                    for ed in range(2):
-                        for sj in range(2):
-                            for sjp in range(2):
-                                expected = sum(
-                                    a4[eu, si, e, sip] * b4[e, sj, ed, sjp] for e in range(2)
-                                )
-                                row = (eu * 2 + si) * 2 + sip
-                                col = (ed * 2 + sj) * 2 + sjp
-                                assert abs(fused[row, col] - expected) < 1e-14
+        for eu, si, sip, ed, sj, sjp in np.ndindex((2,) * 6):
+            expected = sum(a4[eu, si, e, sip] * b4[e, sj, ed, sjp] for e in range(2))
+            row = (eu * 2 + si) * 2 + sip
+            col = (ed * 2 + sj) * 2 + sjp
+            assert abs(fused[row, col] - expected) < 1e-14
 
     def test_full_contraction_reproduces_average(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,7 @@
 """Property tests of the file formats (curve CSV round trips and the real-field
-parser), of the Monte Carlo's vectorised sample streams, and of direct
-evolution against the dense oracle on random models.
+parser), of the Monte Carlo's vectorised sample streams, and, on random
+models, of direct evolution against the dense oracle, of batches against
+single sequences, and of the closed form against the Clifford enumeration.
 
 The random models are drawn as seeds, not arrays, so that shrinking stays
 cheap: :func:`random_model` builds one from its seed."""
@@ -14,12 +15,13 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from rbmpo.average import clifford_averaged_asf_curve  # noqa: E402
 from rbmpo.errors import InputError  # noqa: E402
 from rbmpo.noise import NoiseSteps  # noqa: E402
 from rbmpo.process_tensor import contract_asf_dense  # noqa: E402
 from rbmpo.quantum import _draw_indices  # noqa: E402
 from rbmpo.rb import AsfCurve, _stream_indices, run_sequence, sample_stream  # noqa: E402
-from rbmpo.selfcheck import haar_unitary  # noqa: E402
+from rbmpo.selfcheck import enumeration_mean, haar_unitary  # noqa: E402
 from rbmpo.serialize import _number  # noqa: E402
 
 FLOAT_MAX_INT = int(sys.float_info.max)
@@ -106,3 +108,22 @@ def test_direct_evolution_equals_dense_oracle(seed):
     model, rho_sys, povm, gates = random_model(seed)
     assert abs(run_sequence(model, gates, rho_sys, povm)
                - contract_asf_dense(model, gates, rho_sys, povm)) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_batch_equals_sequences_one_at_a_time(seed):
+    """A batch of three sequences against each run alone, bit for bit."""
+    model, rho_sys, povm, gates = random_model(seed)
+    stack = np.array([gates, gates[::-1], [g.conj() for g in gates]])
+    assert np.array_equal(run_sequence(model, stack, rho_sys, povm),
+                          [run_sequence(model, list(seq), rho_sys, povm) for seq in stack])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_closed_form_equals_enumeration_at_m1(seed):
+    """The closed form against all 24 length-1 Clifford sequences, criterion 2's bound."""
+    model, rho_sys, povm, _ = random_model(seed)
+    assert abs(clifford_averaged_asf_curve(model, rho_sys, povm, 1)[0]
+               - enumeration_mean(model, 1, rho_sys, povm)) < 1e-10

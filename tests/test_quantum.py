@@ -6,24 +6,10 @@ import pytest
 from rbmpo.errors import InputError
 from rbmpo.linalg import unitarity_defect
 from rbmpo.noise import UNITARITY_TOL, joint_unitary, phase_flip
-from rbmpo.quantum import (
-    HADAMARD,
-    I2,
-    PHASE_S,
-    GateSet,
-    KrausChannel,
-    apply_channel,
-    basis_state,
-    compile_undo,
-    dagger,
-    equal_up_to_phase,
-    fix_global_phase,
-    sample_sequence,
-    single_qubit_cliffords,
-    validate_density_matrix,
-    validate_povm_element,
-    validate_unitary,
-)
+from rbmpo.quantum import (HADAMARD, I2, PHASE_S, GateSet, KrausChannel, apply_channel,
+                           basis_state, compile_undo, dagger, equal_up_to_phase, fix_global_phase,
+                           sample_sequence, single_qubit_cliffords, validate_density_matrix,
+                           validate_povm_element, validate_unitary)
 
 
 class TestCliffordGroup:

@@ -11,38 +11,19 @@ import pytest
 
 from rbmpo.average import clifford_averaged_asf_curve
 from rbmpo.errors import InputError, NumericalError, ShapeError
-from rbmpo.noise import (
-    NoiseSteps,
-    amplitude_damping,
-    depolarizing,
-    joint_unitary,
-    markovian_channel,
-    phase_flip,
-    spin_unitary,
-)
+from rbmpo.noise import (NoiseSteps, amplitude_damping, depolarizing, joint_unitary,
+                         markovian_channel, phase_flip, spin_unitary)
 from rbmpo import rb
-from rbmpo.quantum import (
-    HADAMARD,
-    I2,
-    KrausChannel,
-    _draw_indices,
-    basis_state,
-    compile_undo,
-    dagger,
-    sample_sequence,
-)
-from rbmpo.rb import (
-    AsfCurve,
-    ExperimentConfig,
-    _stream_indices,
-    estimate_asf,
-    run_sequence,
-    sample_stream,
-)
-from rbmpo.selfcheck import haar_unitary
+from rbmpo.quantum import (HADAMARD, I2, KrausChannel, _draw_indices, basis_state, compile_undo,
+                           sample_sequence)
+from rbmpo.rb import (AsfCurve, ExperimentConfig, _stream_indices, estimate_asf, run_sequence,
+                      sample_stream)
+from rbmpo.selfcheck import enumeration_mean, haar_unitary
+from rbmpo.serialize import experiment_config_from_dict, load_json
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def identity_model(dim=2):
@@ -144,10 +125,9 @@ class TestRunSequence:
                             prep=(np.kron(HADAMARD, I2),),
                             final=(np.kron(HADAMARD, I2),)),
     ], ids=["phase_flip", "markovian_final", "joint_prep_final"])
-    def test_enumeration_mean_matches_closed_form(self, cliffords, model):
-        vals = [run_sequence(model, [g], RHO, POVM) for g in cliffords.gates]
+    def test_enumeration_mean_matches_closed_form(self, model):
         exact = clifford_averaged_asf_curve(model, RHO, POVM, 1)[-1]
-        assert abs(np.mean(vals) - exact) < 1e-10
+        assert abs(enumeration_mean(model, 1, RHO, POVM) - exact) < 1e-10
 
     def test_probability_escape_is_numerical(self, cliffords):
         # passes the 1e-9 unitarity check (defect 8e-10), yet six noise slots
@@ -203,6 +183,14 @@ class TestRunSequence:
         assert np.array_equal(chunked, run_sequence(qutrit_env_model(), stack, RHO, POVM))
 
 
+#: Models of the batched estimate's checks against the one-sample-at-a-time reference.
+ESTIMATE_MODELS = [
+    amplitude_damping(0.1),
+    dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.05),
+                        prep=(np.kron(HADAMARD, I2),), final=(np.kron(I2, HADAMARD),)),
+]
+
+
 class TestEstimateAsf:
     def test_identity_noise_flat_curve(self):
         cfg = ExperimentConfig(noise=identity_model(), m_max=5, n_samples=10, seed=1)
@@ -223,24 +211,7 @@ class TestEstimateAsf:
         for mean, se, ex in zip(curve.means, curve.stderrs, exact):
             assert abs(mean - ex) <= 3 * max(se, 1e-6)
 
-    def test_stderr_convention(self):
-        # sample std with ddof=1, divided by sqrt(n)
-        cfg = ExperimentConfig(noise=phase_flip(0.2), m_max=1, n_samples=50, seed=3)
-        curve = estimate_asf(cfg)
-        vals = []
-        for k in range(50):
-            rng = sample_stream(3, 1, k)
-            gates = sample_sequence(cfg.gate_set, 1, rng)
-            vals.append(run_sequence(cfg.noise, gates, RHO, POVM))
-        vals = np.asarray(vals)
-        assert abs(curve.means[0] - vals.mean()) < 1e-14
-        assert abs(curve.stderrs[0] - vals.std(ddof=1) / np.sqrt(50)) < 1e-14
-
-    @pytest.mark.parametrize("model", [
-        amplitude_damping(0.1),
-        dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.05),
-                            prep=(np.kron(HADAMARD, I2),), final=(np.kron(I2, HADAMARD),)),
-    ], ids=["kraus", "joint_prep_final"])
+    @pytest.mark.parametrize("model", ESTIMATE_MODELS, ids=["kraus", "joint_prep_final"])
     def test_equals_one_sample_at_a_time(self, model):
         # the batched estimate is bitwise the one-sequence-per-call reference
         cfg = ExperimentConfig(noise=model, m_max=6, n_samples=25, seed=11)
@@ -253,30 +224,21 @@ class TestEstimateAsf:
             assert mean == float(vals.mean())
             assert stderr == float(vals.std(ddof=1) / np.sqrt(25))
 
-    @pytest.mark.parametrize("model", [
-        amplitude_damping(0.1),
-        dataclasses.replace(spin_unitary(1.2, 1.17, -1.15, 0.05),
-                            prep=(np.kron(HADAMARD, I2),), final=(np.kron(I2, HADAMARD),)),
-    ], ids=["kraus", "joint_prep_final"])
+    @pytest.mark.parametrize("model", ESTIMATE_MODELS, ids=["kraus", "joint_prep_final"])
     def test_chunks_do_not_move_the_estimate(self, model, monkeypatch):
         # chunks of 7 rows over 6 lengths of 25 samples: most chunks hold two
-        # lengths, and every length spans four or five chunks
+        # lengths, and every length spans four or five chunks; the whole
+        # estimate is the one-sample-at-a-time reference (test above)
         cfg = ExperimentConfig(noise=model, m_max=6, n_samples=25, seed=11)
         whole = estimate_asf(cfg)
         monkeypatch.setattr(rb, "_CHUNK_ROWS", 7)
-        chunked = estimate_asf(cfg)
-        assert chunked == whole
-        for m, mean in zip(chunked.lengths, chunked.means):
-            vals = [run_sequence(model, sample_sequence(cfg.gate_set, m, sample_stream(11, m, k)),
-                                 RHO, POVM) for k in range(25)]
-            assert mean == float(np.mean(vals))
+        assert estimate_asf(cfg) == whole
 
     def test_leaves_numpy_random_unimported(self):
         # the streams are numpy's arithmetic on arrays: generate does not pay
         # for importing numpy.random unless a draw is rejected
-        src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+            [str(CONFIGS.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
         code = ("import sys; from rbmpo.noise import phase_flip; "
                 "from rbmpo.rb import ExperimentConfig, estimate_asf; "
                 "estimate_asf(ExperimentConfig(noise=phase_flip(0.1), m_max=5, n_samples=20, seed=7)); "
@@ -354,12 +316,7 @@ class TestGoldenValues:
         ("spin_model", SPIN), ("amplitude_damping", AMPLITUDE_DAMPING),
     ])
     def test_bundled_config_estimates(self, name, expected):
-        from pathlib import Path
-
-        from rbmpo.serialize import experiment_config_from_dict, load_json
-
-        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-        cfg = experiment_config_from_dict(load_json(path))
+        cfg = experiment_config_from_dict(load_json(CONFIGS / f"{name}.json"))
         curve = estimate_asf(dataclasses.replace(cfg, n_samples=20, m_max=10))
         assert curve.lengths == tuple(range(1, 11)) and curve.n_samples == 20
         assert np.max(np.abs(np.asarray(curve.means) - expected[0])) < 1e-14

@@ -9,15 +9,9 @@ from rbmpo.linalg import matrix_to_json_dict
 from rbmpo.noise import phase_flip
 from rbmpo.quantum import basis_state
 from rbmpo.rb import AsfCurve, ExperimentConfig
-from rbmpo.serialize import (
-    dump_json,
-    experiment_config_from_dict,
-    experiment_config_to_dict,
-    learner_config_from_dict,
-    learner_config_to_dict,
-    node_from_file,
-    training_result_to_dict,
-)
+from rbmpo.serialize import (dump_json, experiment_config_from_dict, experiment_config_to_dict,
+                             learner_config_from_dict, learner_config_to_dict, node_from_file,
+                             training_result_to_dict)
 
 
 def test_experiment_config_round_trip():
