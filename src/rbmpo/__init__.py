@@ -9,73 +9,39 @@ The package has three layers:
 * learning: the constrained sweeping optimizer that fits a unitary
   environment-coupled noise node to ASF data and diagnoses Markovianity
   (:mod:`rbmpo.learner`).
+
+The public names below load their module, and numpy, on first access, so
+``import rbmpo`` and the command line's start-up pay only for what they use.
 """
 
-from .average import (
-    ExpFit,
-    clifford_averaged_asf_curve,
-    fit_exponential,
-)
-from .learner import (
-    Adagrad,
-    Adam,
-    LearnerConfig,
-    MarkovianityReport,
-    TrainingResult,
-    diagnose_markovianity,
-    train,
-)
-from .linalg import principal_unitary_sqrt, project_to_unitary, svd
-from .noise import (
-    NoiseSteps,
-    amplitude_damping,
-    depolarizing,
-    joint_unitary,
-    markovian_channel,
-    phase_flip,
-    spin_unitary,
-)
-from .quantum import (
-    GateSet,
-    KrausChannel,
-    apply_channel,
-    compile_undo,
-    sample_sequence,
-    single_qubit_cliffords,
-)
-from .rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adagrad",
-    "Adam",
-    "AsfCurve",
-    "ExpFit",
-    "ExperimentConfig",
-    "GateSet",
-    "KrausChannel",
-    "LearnerConfig",
-    "MarkovianityReport",
-    "NoiseSteps",
-    "TrainingResult",
-    "amplitude_damping",
-    "apply_channel",
-    "clifford_averaged_asf_curve",
-    "compile_undo",
-    "depolarizing",
-    "diagnose_markovianity",
-    "estimate_asf",
-    "fit_exponential",
-    "joint_unitary",
-    "markovian_channel",
-    "phase_flip",
-    "principal_unitary_sqrt",
-    "project_to_unitary",
-    "run_sequence",
-    "sample_sequence",
-    "single_qubit_cliffords",
-    "spin_unitary",
-    "svd",
-    "train",
-]
+#: Each public name and the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(["ExpFit", "clifford_averaged_asf_curve", "fit_exponential"], "average"),
+    **dict.fromkeys(["Adagrad", "Adam", "LearnerConfig", "MarkovianityReport", "TrainingResult",
+                     "diagnose_markovianity", "train"], "learner"),
+    **dict.fromkeys(["principal_unitary_sqrt", "project_to_unitary", "svd"], "linalg"),
+    **dict.fromkeys(["NoiseSteps", "amplitude_damping", "depolarizing", "joint_unitary",
+                     "markovian_channel", "phase_flip", "spin_unitary"], "noise"),
+    **dict.fromkeys(["GateSet", "KrausChannel", "apply_channel", "compile_undo",
+                     "sample_sequence", "single_qubit_cliffords"], "quantum"),
+    **dict.fromkeys(["AsfCurve", "ExperimentConfig", "estimate_asf", "run_sequence"], "rb"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the module that defines public ``name`` and keep the name here (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -28,23 +28,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
+# numpy and the numerical modules are imported by the command that runs them,
+# so --version, --help and a usage error start without them
 from . import __version__
 from .errors import ConvergenceError, InputError, NumericalError, ToolkitError
-from .learner import diagnose_markovianity, train
-from .linalg import matrix_to_json_dict
-from .quantum import basis_state
-from .rb import estimate_asf
-from .serialize import (
-    dump_json,
-    experiment_config_from_dict,
-    learner_config_from_dict,
-    load_curve,
-    load_json,
-    node_from_file,
-    training_result_to_dict,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -76,6 +63,9 @@ def _out_dir(path: str) -> Path:
 
 
 def cmd_generate(args) -> int:
+    from .rb import estimate_asf
+    from .serialize import dump_json, experiment_config_from_dict, load_json
+
     started = time.monotonic()
     cfg_dict = load_json(args.config)
     if args.seed is not None:
@@ -97,6 +87,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    from .learner import train
+    from .quantum import basis_state
+    from .serialize import (
+        dump_json, experiment_config_from_dict, learner_config_from_dict, load_curve, load_json,
+        training_result_to_dict,
+    )
+
     started = time.monotonic()
     data = load_curve(args.data)
     cfg_dict = load_json(args.config)
@@ -146,6 +143,12 @@ def cmd_learn(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    import numpy as np
+
+    from .learner import diagnose_markovianity
+    from .linalg import matrix_to_json_dict
+    from .serialize import node_from_file
+
     node, d_env = node_from_file(args.model)
     report = diagnose_markovianity(node, d_env, tol=args.tol)
     if args.json:

@@ -38,8 +38,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """||U^dag U - I||_F, the distance of a square matrix from unitarity."""
-    return float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])))
+    """||U^dag U - I||_F, the distance of a square matrix from unitarity; inf
+    or NaN, without a warning, when U^dag U overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])))
 
 
 def svd(m):

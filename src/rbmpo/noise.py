@@ -208,6 +208,10 @@ def spin_unitary(
     """
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}")
+    # every phase of exp(-i delta H) is at most delta ||H|| <= delta (|J| + 2|hx| + 2|hy|)
+    if not np.isfinite(delta * (abs(coupling) + 2 * abs(field_x) + 2 * abs(field_y))):
+        raise DomainError(f"delta * (|J| + 2|hx| + 2|hy|) must be finite, got delta={delta}, "
+                          f"J={coupling}, hx={field_x}, hy={field_y}")
     h = spin_hamiltonian(coupling, field_x, field_y)
     lam = hermitian_expm(h, -1j * float(delta))
     label = f"spin_unitary(J={coupling}, hx={field_x}, hy={field_y}, delta={delta})"

@@ -84,22 +84,20 @@ def dense_noise_tensor(steps: NoiseSteps, m: int) -> np.ndarray:
     return ups
 
 
-def _contract_controls(ups: np.ndarray, rho_sys, factors: list, povm) -> float:
-    """Contract the control operations into the dense noise tensor ``ups``.
+def _contract_controls(ups: np.ndarray, factors: list, legs: list) -> tuple[np.ndarray, list]:
+    """Contract control operations into the dense noise tensor ``ups``.
 
-    rho_sys goes on slot 0's inputs, each (factor, legs) of ``factors`` on its
-    legs of :func:`dense_noise_tensor`'s slot order, and povm on the last
-    slot's outputs.  Each is one two-operand einsum with the open legs written
-    out in order, so the tensor is never transposed or copied; rho_sys goes
-    first and shrinks it d_sys^2-fold.
+    The axes of ``ups`` are the labels ``legs``, at first
+    :func:`dense_noise_tensor`'s slot order, and each (factor, on) of
+    ``factors`` is contracted over its legs ``on``.  Each is one two-operand
+    einsum with the open legs written out in order, so the tensor is never
+    transposed or copied.  Returns the tensor and the labels of its open legs.
     """
-    legs = list(range(ups.ndim))
-    top = ups.ndim - 4
-    for factor, on in [(rho_sys, [1, 2]), *factors, (povm, [top + 3, top])]:
+    for factor, on in factors:
         keep = [leg for leg in legs if leg not in on]
         ups = np.einsum(ups, legs, np.asarray(factor, dtype=np.complex128), on, keep)
         legs = keep
-    return float(np.real(ups))
+    return ups, legs
 
 
 def contract_asf_dense(
@@ -114,12 +112,17 @@ def contract_asf_dense(
     :func:`rbmpo.rb.run_sequence` on the same inputs; exponentially expensive
     and capped, existing purely as an independent oracle.
     """
-    # slot j's legs 4j..4j+3 are (s out, s in, z in, z out), s ket-side, z bra-side
-    factors = []
+    # slot j's legs 4j..4j+3 are (s out, s in, z in, z out), s ket-side, z bra-side;
+    # rho_sys goes first and shrinks the tensor d_sys^2-fold
+    top = 4 * (len(gates) + 1)
+    factors = [(rho_sys, [1, 2])]
     for j, g in enumerate([*gates, compile_undo(gates)], start=1):
         g = np.asarray(g, dtype=np.complex128)
         factors += [(g, [4 * j + 1, 4 * j - 4]), (np.conj(g), [4 * j + 2, 4 * j - 1])]
-    return _contract_controls(dense_noise_tensor(steps, len(gates)), rho_sys, factors, povm)
+    # the noise tensor is passed, not held, so it is freed after the first contraction
+    ups, _ = _contract_controls(dense_noise_tensor(steps, len(gates)),
+                                [*factors, (povm, [top + 3, top])], list(range(top + 4)))
+    return float(np.real(ups))
 
 
 def contract_asf_dense_averaged(
@@ -130,10 +133,13 @@ def contract_asf_dense_averaged(
     The 2-design average of the gates collapses into a sum of two
     delta-pattern chains: a depolarizing-style term acting per bulk step and
     a trace term, each with its own boundary pattern linking slot 0 to slot
-    m + 1.  Each chain, with rho_sys and povm, is contracted into the noise
-    tensor as :func:`contract_asf_dense` contracts the gates.
+    m + 1.  rho_sys and povm are contracted into the noise tensor once, as
+    :func:`contract_asf_dense` contracts them, and each chain into what is left.
     """
-    ups = dense_noise_tensor(steps, m)
+    top = 4 * (m + 1)
+    # shared by both chains, they shrink the tensor d_sys^4-fold
+    ups, legs = _contract_controls(dense_noise_tensor(steps, m),
+                                   [(rho_sys, [1, 2]), (povm, [top + 3, top])], list(range(top + 4)))
     d = steps.d_sys
     eye = np.eye(d)
     # per bulk step n: factor[s_n, s_n', z_n, z_n']
@@ -142,12 +148,11 @@ def contract_asf_dense_averaged(
     # boundaries over (s_0, z_0', s_{m+1}', z_{m+1})
     b_a = np.einsum("ab,cd->acbd", eye, eye) - np.einsum("ac,bd->acbd", eye, eye) / d
     b_b = np.einsum("ac,bd->acbd", eye, eye) / d
-    top = 4 * (m + 1)
 
     def chain(step_factor: np.ndarray, boundary: np.ndarray, norm: float) -> float:
         factors = [(boundary, [0, 3, top + 1, top + 2])]
         factors += [(step_factor, list(range(4 * n, 4 * n + 4))) for n in range(1, m + 1)]
-        return _contract_controls(ups, rho_sys, factors, povm) / norm
+        return float(np.real(_contract_controls(ups, factors, legs)[0])) / norm
 
     return chain(f_a, b_a, float(d ** m * (d * d - 1) ** m)) + chain(f_b, b_b, float(d ** m))
 

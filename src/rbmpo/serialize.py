@@ -11,11 +11,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .learner import Adagrad, Adam, LearnerConfig, TrainingResult
 from .linalg import matrix_from_json_dict, matrix_to_json_dict
 from .noise import (
     NoiseSteps, amplitude_damping, depolarizing, joint_unitary, markovian_channel, phase_flip,
@@ -23,6 +23,9 @@ from .noise import (
 )
 from .quantum import KrausChannel, basis_state
 from .rb import AsfCurve, ExperimentConfig
+
+if TYPE_CHECKING:  # the learner records import the learner when they run, not `generate`
+    from .learner import LearnerConfig, TrainingResult
 
 SCHEMA_VERSION = 1
 
@@ -201,9 +204,6 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
-#: Optimizer records by their "kind" tag.
-_OPTIMIZERS = {opt.kind: opt for opt in (Adagrad, Adam)}
-
 #: Removed learner options: config files may still name them, at their only values in use.
 _RETIRED = {"sweep_order": "ascending", "update_jitter": 0.0, "unitarity_tol": 1e-9}
 
@@ -224,13 +224,15 @@ def learner_config_to_dict(cfg: LearnerConfig) -> dict:
 
 
 def learner_config_from_dict(d: dict) -> LearnerConfig:
+    from .learner import Adagrad, Adam, LearnerConfig
+
     where = "learner config"
     if _record(d, where).get("kind") != "learner":
         raise InputError(f"expected a learner config, got kind={d.get('kind')!r}")
     _check_schema(d, where)
     opt_rec = _record(_require(d, "optimizer", where), "optimizer record")
     opt_kind = _require(opt_rec, "kind", "optimizer record")
-    opt_cls = _OPTIMIZERS.get(opt_kind) if isinstance(opt_kind, str) else None
+    opt_cls = next((opt for opt in (Adagrad, Adam) if opt.kind == opt_kind), None)
     if opt_cls is None:
         raise InputError(f"unknown optimizer kind {opt_kind!r}")
     optimizer = opt_cls(**_fields(opt_cls, opt_rec, "optimizer record", {"kind"}))

@@ -70,12 +70,21 @@ FAULTS = [Fault(*entry) for entry in [
      "the joint-node gradient comes back complex-conjugated"),
     ("gradient-neighbouring-slot", "learner.py", "(steps, slot_i,", "(steps, slot_i - 1 or 2,",
      "the gradient is taken at the neighbouring slot pair"),
+    ("cli-imports-learner-eagerly", "cli.py", "NumericalError, ToolkitError\n",
+     "NumericalError, ToolkitError\nfrom .learner import train\n",
+     "--version, --help and every usage error import numpy and the learner"),
+    ("generate-imports-learner", "serialize.py", "if TYPE_CHECKING:", "if True:",
+     "generate imports the learner, the closed form and the dense oracle, which it never runs"),
     ("learn-swaps-state-and-povm", "cli.py", "experiment.rho_sys, experiment.povm",
      "experiment.povm, experiment.rho_sys", "learn fits the generated POVM as the state"),
+    ("unitarity-defect-warns", "linalg.py", 'np.errstate(over="ignore", invalid="ignore")',
+     "np.errstate()", "a node whose U^dag U overflows warns before it fails the unitarity check"),
     ("sqrt-branch-flipped", "linalg.py", "overlap) < 0.0", "overlap) > 0.0",
      "the unitary square root takes the branch away from the node it replaces"),
     ("final-defaults-to-prep", "noise.py", "is not None else bulk", "is not None else prep_ops",
      "an unset final slot holds the preparation noise instead of the bulk noise"),
+    ("spin-phase-overflow", "noise.py", "if not np.isfinite(delta * (", "if np.isnan(delta * (",
+     "a spin unitary whose phases overflow warns, and fails only as a NaN node"),
     ("coefficient-bulk-power", "process_tensor.py", "(o, slot_i - 2)", "(o, slot_i - 1)",
      "the joint coefficient takes one bulk slot too many below the node"),
     ("undo-product-reversed", "quantum.py", "stack[..., j, :, :] @ prod",

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rbmpo.cli as cli_mod
 import rbmpo.learner as learner_mod
 from rbmpo.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_NUMERICAL, EXIT_OK, main
 from rbmpo.learner import Adagrad, LearnerConfig, train
@@ -176,7 +175,7 @@ class TestLearn:
             seen.update(rho_sys=rho_sys, povm=povm)
             return train(data, rho_sys, povm, config)
 
-        monkeypatch.setattr(cli_mod, "train", spy)
+        monkeypatch.setattr(learner_mod, "train", spy)
         assert learn(data, tmp_path, departure_rounds=0, max_iterations=0) == EXIT_OK
         assert np.array_equal(seen["povm"], one)
         assert np.array_equal(seen["rho_sys"], basis_state(0, 2))
@@ -341,6 +340,47 @@ class TestSelfcheck:
         assert self.failing_checks(capsys) == [
             "closed-form average vs full enumeration (m=3)",
             "closed form vs dense averaged oracle (m=2-3)"]
+
+
+#: Run in a fresh interpreter with a config path and an output directory: the
+#: modules loaded after each stage, and the public names that do not resolve
+#: to the object their module defines.
+STARTUP = """
+import contextlib, io, json, sys
+import rbmpo
+from rbmpo.cli import main
+loaded = {"import": sorted(sys.modules)}
+for argv in (["--version"], ["--help"], ["frobnicate"], ["generate", *sys.argv[1:]]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            main(argv)
+    loaded[argv[0]] = sorted(sys.modules)
+wrong = [name for name in rbmpo.__all__ if name not in dir(rbmpo)
+         or getattr(rbmpo, name) is not getattr(
+             sys.modules["rbmpo." + rbmpo._EXPORTS[name]], name)
+         or getattr(rbmpo, name).__module__ != "rbmpo." + rbmpo._EXPORTS[name]]
+print(json.dumps({"loaded": loaded, "wrong": wrong}))
+"""
+
+
+class TestStartup:
+    def test_each_command_imports_only_what_it_runs(self, tmp_path):
+        # the package, --version, --help and a usage error load no numpy,
+        # generate loads no learner, and each public name loads its own object
+        cfg = write_experiment(tmp_path / "cfg.json")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", STARTUP, str(cfg), "-o", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        report = json.loads(run.stdout)
+        for stage in ("import", "--version", "--help", "frobnicate"):
+            assert "numpy" not in report["loaded"][stage], stage
+        assert "rbmpo.rb" in report["loaded"]["generate"]
+        assert (tmp_path / "out" / "asf.csv").is_file()
+        assert {"rbmpo.learner", "rbmpo.average", "rbmpo.process_tensor"}.isdisjoint(
+            report["loaded"]["generate"])
+        assert report["wrong"] == []
 
 
 class TestParsing:

@@ -1,28 +1,39 @@
 """Property tests of the file formats (curve CSV round trips and the real-field
-parser), of the Monte Carlo's vectorised sample streams, and, on random
-models, of direct evolution against the dense oracle, of batches against
-single sequences, and of the closed form against the Clifford enumeration.
+parser), of the command line on edited input files, of the Monte Carlo's
+vectorised sample streams, and, on random models, of direct evolution against
+the dense oracle, of batches against single sequences, and of the closed form
+against the Clifford enumeration.
 
 The random models are drawn as seeds, not arrays, so that shrinking stays
 cheap: :func:`random_model` builds one from its seed."""
 
+import copy
+import functools
+import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from rbmpo.average import clifford_averaged_asf_curve  # noqa: E402
+from rbmpo.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_NUMERICAL, EXIT_OK, main  # noqa: E402
 from rbmpo.errors import InputError  # noqa: E402
+from rbmpo.learner import train  # noqa: E402
+from rbmpo.linalg import matrix_to_json_dict  # noqa: E402
 from rbmpo.noise import NoiseSteps  # noqa: E402
 from rbmpo.process_tensor import contract_asf_dense  # noqa: E402
-from rbmpo.quantum import _draw_indices  # noqa: E402
-from rbmpo.rb import AsfCurve, _stream_indices, run_sequence, sample_stream  # noqa: E402
+from rbmpo.quantum import _draw_indices, basis_state  # noqa: E402
+from rbmpo.rb import AsfCurve, _stream_indices, estimate_asf, run_sequence, sample_stream  # noqa: E402
 from rbmpo.selfcheck import enumeration_mean, haar_unitary  # noqa: E402
-from rbmpo.serialize import _number  # noqa: E402
+from rbmpo.serialize import (  # noqa: E402
+    _number, experiment_config_from_dict, learner_config_from_dict, training_result_to_dict,
+)
 
 FLOAT_MAX_INT = int(sys.float_info.max)
 
@@ -63,6 +74,135 @@ def test_real_field_accepts_finite_numbers(value):
 def test_real_field_rejects_non_numbers(value):
     with pytest.raises(InputError):
         _number({"x": value}, "x", float, "record")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EXPERIMENTS = ["amplitude_damping", "depolarizing", "identity", "phase_flip", "spin_model"]
+#: The largest value drawn for each size field: larger ones are valid inputs that only take long.
+CAPS = {"m_max": 4, "n_samples": 3, "departure_rounds": 1, "max_iterations": 2, "d_env": 3}
+DELETE = "<delete the field>"
+VALUES = [DELETE, None, True, False, -1, 0, 1, 2, 3, 0.5, 2.9, -0.5, 1e308, 2**40, 2**64,
+          math.nan, math.inf, "", "zero", "x", [], [1, 2], {}, {"kind": "phase_flip", "p": 0.1}]
+CELLS = ["", "x", "nan", "inf", "-1", "0", "1", "2", "5", "0.5", "1e309", "1e-320", "9" * 20]
+#: The length column's pool: a valid length of 10^20 only takes long.
+LENGTH_CELLS = ["", "x", "nan", "-1", "0", "1", "2", "5", "0.5"]
+
+
+def _above(value, cap: float) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > cap
+
+
+@functools.cache
+def bundled(name: str) -> dict:
+    """A bundled config with its size fields capped."""
+    record = json.loads((CONFIGS / f"{name}.json").read_text())
+    return {k: min(v, CAPS[k]) if k in CAPS else v for k, v in record.items()}
+
+
+@functools.cache
+def generated_csv() -> str:
+    return estimate_asf(experiment_config_from_dict(bundled("phase_flip"))).to_csv()
+
+
+@functools.cache
+def training_record() -> dict:
+    cfg = learner_config_from_dict(bundled("learner_adagrad"))
+    curve = AsfCurve.from_csv(generated_csv())
+    return training_result_to_dict(train(curve, *(basis_state(0, 2),) * 2, cfg), cfg)
+
+
+def _paths(value, prefix=()):
+    """The path of every field and list item in a JSON value, and of a new field in each object."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    out = [(*prefix, "extra")] if isinstance(value, dict) else []
+    for key, item in items:
+        out.append((*prefix, key))
+        if isinstance(item, (dict, list)):
+            out += _paths(item, (*prefix, key))
+    return out
+
+
+@st.composite
+def edited(draw, record):
+    """`record` with up to two fields or items replaced by, or deleted for, a pool value."""
+    record = copy.deepcopy(record)
+    for _ in range(draw(st.integers(0, 2))):
+        *parents, key = draw(st.sampled_from(_paths(record)))
+        value = draw(st.sampled_from([v for v in VALUES if not _above(v, CAPS.get(key, math.inf))]))
+        target = functools.reduce(lambda node, k: node[k], parents, record)
+        if value != DELETE:
+            target[key] = copy.deepcopy(value)
+        elif key in target or isinstance(target, list):
+            del target[key]
+    return record
+
+
+@st.composite
+def edited_csv(draw, text):
+    """`text` with up to two cells replaced by a pool value or rows dropped; lengths stay small."""
+    rows = [line.split(",") for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(-1, len(rows[row]) - 1))
+        if col < 0:
+            del rows[row]
+            if not rows:
+                break
+        else:
+            rows[row][col] = draw(st.sampled_from(CELLS if col else LENGTH_CELLS))
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@st.composite
+def cli_runs(draw):
+    """A command, its edited input files (name -> JSON record or text) and its flags."""
+    command = draw(st.sampled_from(["generate", "learn", "diagnose"]))
+    flags = draw(st.sampled_from([[], ["--json"]]))
+    if command == "generate":
+        return command, {"cfg.json": draw(edited(bundled(draw(st.sampled_from(EXPERIMENTS)))))}, flags
+    if command == "learn":
+        files = {"data/asf.csv": draw(edited_csv(generated_csv())),
+                 "learner.json": draw(edited(bundled(draw(st.sampled_from(
+                     ["learner_adagrad", "learner_adam"])))))}
+        if draw(st.booleans()):  # the generate manifest that learn reads its state and POVM from
+            files["data/manifest.json"] = draw(edited(
+                {"command": "generate", "config": bundled("phase_flip")}))
+        return command, files, flags + draw(st.sampled_from([[], ["--require-convergence"]]))
+    record = training_record() if draw(st.booleans()) else training_record()["node"]
+    return command, {"result.json": draw(edited(record))}, flags + draw(st.sampled_from(
+        [[], ["--tol", "0"], ["--tol", "nan"], ["--tol", "-1"]]))
+
+
+#: Inputs that escaped main before they were mended: an identity dim of 2^64
+#: (ValueError), and overflows in a spin unitary's phases and in a node's
+#: unitarity check (RuntimeWarning).
+IDENTITY_DIM = ("generate", {"cfg.json": {**bundled("identity"),
+                                          "noise": {"kind": "identity", "dim": 2**64}}}, [])
+SPIN_PHASE = ("generate", {"cfg.json": {**bundled("spin_model"), "noise": {
+    **bundled("spin_model")["noise"], "delta": 1e308}}}, [])
+NODE_OVERFLOW = ("diagnose", {"result.json": matrix_to_json_dict(np.diag([1e308, 1, 1, 1]))}, [])
+INPUTS = {"generate": ["cfg.json"], "learn": ["data/asf.csv", "learner.json"],
+          "diagnose": ["result.json"]}
+
+
+@settings(max_examples=40, deadline=None)
+@example(IDENTITY_DIM)
+@example(SPIN_PHASE)
+@example(NODE_OVERFLOW)
+@given(cli_runs())
+def test_cli_returns_an_exit_code_on_edited_inputs(run):
+    """generate, learn and diagnose on bundled inputs with fields edited exit
+    0-3 and raise nothing (a RuntimeWarning is an error under pyproject.toml)."""
+    command, files, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            path = Path(tmp, name)
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        inputs = [str(Path(tmp, name)) for name in INPUTS[command]]
+        out = [] if command == "diagnose" else ["-o", str(Path(tmp, "out"))]
+        assert main([command, *inputs, *out, *flags]) in (
+            EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL, EXIT_NOT_CONVERGED)
 
 
 @settings(max_examples=60, deadline=None)
