@@ -82,8 +82,10 @@ class KrausChannel:
         for k in ops:
             if k.shape != (d, d):
                 raise ShapeError(f"Kraus operators must share one square shape, got {k.shape}")
-        total = sum(dagger(k) @ k for k in ops)
-        if not np.linalg.norm(total - np.eye(d)) <= 1e-10:
+        # an overflowing sum is inf or NaN, which fails the check without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.linalg.norm(sum(dagger(k) @ k for k in ops) - np.eye(d))
+        if not defect <= 1e-10:
             raise InputError("Kraus operators do not satisfy sum K^dag K = I within 1e-10")
         object.__setattr__(self, "operators", ops)
 
@@ -175,16 +177,9 @@ def sample_sequence(gate_set: GateSet, m: int, rng: np.random.Generator) -> list
     The random source is an explicit argument so sampling is reproducible and
     safe to parallelize with independent streams.
     """
-    return [gate_set.gates[int(i)] for i in _draw_indices(len(gate_set), m, rng)]
-
-
-def _draw_indices(n_gates: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices into a set of ``n_gates`` gates of a length-m sequence: the one
-    draw from ``rng`` behind :func:`sample_sequence`, and the oracle that the
-    Monte Carlo's vectorised streams (:mod:`rbmpo.rb`) reproduce."""
     if m < 1:
         raise InputError(f"sequence length must be >= 1, got {m}")
-    return rng.integers(0, n_gates, size=m)
+    return [gate_set.gates[int(i)] for i in rng.integers(0, len(gate_set), size=m)]
 
 
 def compile_undo(gates) -> np.ndarray:

@@ -13,10 +13,11 @@ One loop: ``_survival`` runs sequences of non-increasing lengths as a stack
 (rows, dim^2) of vectorised joint states, each slot one superoperator
 product.  :func:`run_sequence` is its one-length case.  :func:`estimate_asf`
 runs all lengths through it in one pass, in chunks of a fixed number of rows,
-and draws each chunk's gates at once, exactly as each sample's own stream
-(:func:`sample_stream`, :func:`rbmpo.quantum.sample_sequence`) would.  Every
-product is per row, so the values are those of running the samples one at a
-time, bit for bit, and memory does not grow with n_samples or m_max.
+and draws each chunk's gates at once (:func:`_stream_indices`, the one
+definition of the gate stream; it reproduces numpy's ``Generator.integers`` on
+each sample's own stream).  Every product is per row, so the values are those
+of running the samples one at a time, bit for bit, and memory does not grow
+with n_samples or m_max.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .linalg import dagger
 from .noise import NoiseSteps, kraus_stack
 from .quantum import (
     GateSet,
-    _draw_indices,
     basis_state,
     single_qubit_cliffords,
     validate_density_matrix,
@@ -221,11 +221,6 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     return float(f[0]) if stack.ndim == 3 else f
 
 
-def sample_stream(seed: int, m: int, index: int) -> np.random.Generator:
-    """Independent random stream for sample `index` at sequence length `m`."""
-    return np.random.default_rng([seed & _M64, m, index])
-
-
 # numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, as
 # (high, low) words (numpy/random/bit_generator.pyx, src/pcg64/pcg64.h)
 _M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
@@ -260,12 +255,13 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 def _stream_indices(seed: int, lengths: np.ndarray, index: np.ndarray, n_gates: int) -> np.ndarray:
     """Gate indices of the streams (seed, lengths[i], index[i]) at once, as rows.
 
-    Row i starts with exactly ``_draw_indices(n_gates, m, sample_stream(seed, m, k))``
-    for m = lengths[i] and k = index[i] (lengths non-increasing, m and k below
+    Row i starts with the m = lengths[i] indices that numpy's
+    ``Generator.integers(0, n_gates, size=m)`` draws from the stream seeded with
+    (seed mod 2^64, m, index[i]) (lengths non-increasing, m and index[i] below
     2^32, n_gates at most 2^32).  numpy's SeedSequence mixing, PCG64 seeding
     and step with its XSL-RR output, and the buffered 32-bit Lemire draw run
-    on uint64 arrays.  A row where Lemire rejects a draw, so that numpy draws
-    again, is redrawn from its own stream.
+    on uint64 arrays: each step gives two words, low half first, and a word
+    that Lemire's method rejects is skipped, as numpy skips it.
     """
     seed = int(seed) & _M64
     rows = len(lengths)
@@ -292,24 +288,21 @@ def _stream_indices(seed: int, lengths: np.ndarray, index: np.ndarray, n_gates: 
     lo = inc_lo + s_lo
     hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
 
-    width = int(lengths[0])
-    picks = np.zeros((rows, width), dtype=np.int64)
-    rejected = np.zeros(rows, dtype=bool)
+    picks = np.zeros((rows, int(lengths[0])), dtype=np.int64)
+    filled = np.zeros(rows, dtype=np.int64)
     threshold = (2**32 - n_gates) % n_gates
-    for t in range(0, width, 2):
-        n = np.count_nonzero(lengths > t)
+    # the rows up to the last one still drawing take each step: a slice, not a gather
+    while (todo := np.flatnonzero(filled < lengths)).size:
+        n = todo[-1] + 1
         hi, lo = _pcg_step(hi[:n], lo[:n], inc_hi[:n], inc_lo[:n])
         x = hi ^ lo  # XSL-RR: the halves' xor, rotated right by the top six bits
         rot = hi >> 58
         x = x >> rot | x << (-rot & 63)
-        for col, word in ((t, x & _M32), (t + 1, x >> 32)):
-            if col < width:
-                scaled = word * n_gates
-                picks[:n, col] = scaled >> 32
-                rejected[:n] |= ((scaled & _M32) < threshold) & (lengths[:n] > col)
-    for i in np.flatnonzero(rejected):
-        m, k = int(lengths[i]), int(index[i])
-        picks[i, :m] = _draw_indices(n_gates, m, sample_stream(seed, m, k))
+        for word in (x & _M32, x >> 32):
+            scaled = word * n_gates
+            take = np.flatnonzero(((scaled & _M32) >= threshold) & (filled[:n] < lengths[:n]))
+            picks[take, filled[take]] = scaled[take] >> 32
+            filled[take] += 1
     return picks
 
 

@@ -3,8 +3,9 @@
 Each suite returns a list of (name, passed, detail) triples.  The suites
 cross-check independent computation paths against each other, so a sign or
 conjugation error anywhere in the contraction machinery shows up as a
-disagreement here.  The tests import the same arbiters: the Haar sampler, the
-full Clifford enumeration and the finite-difference joint-node gradient.
+disagreement here.  The tests import the same arbiters: the Haar sampler,
+numpy's own per-sample stream, the full Clifford enumeration and the
+finite-difference joint-node gradient.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def sample_stream(seed: int, m: int, index: int) -> np.random.Generator:
+    """Independent random stream for sample `index` at sequence length `m`: numpy's
+    own, which :func:`rbmpo.rb._stream_indices` reproduces with ``.integers``."""
+    return np.random.default_rng([seed & (2**64 - 1), m, index])
 
 
 def enumeration_mean(model: NoiseSteps, m: int, rho_sys, povm) -> float:

@@ -53,6 +53,8 @@ FAULTS = [Fault(*entry) for entry in [
      "every sequence ending at a step takes the first one's inverse"),
     ("pcg-carry-dropped", "rb.py", "return hi + (lo < inc_lo), lo", "return hi, lo",
      "PCG64's 128-bit step loses its carry: gate draws leave numpy's stream"),
+    ("rejected-draw-kept", "rb.py", ">= threshold", ">= 0",
+     "a word that Lemire's draw rejects is kept: gate draws leave numpy's stream"),
     ("length-reduced-early", "rb.py", "if index[part][-1] == n - 1:", "if index[part].size:",
      "a length is reduced at the end of each chunk, before its last sample is in"),
     ("adam-bias-correction-dropped", "learner.py", 'acc["m1"] / (1.0 - self.beta1 ** acc["t"])',
@@ -77,8 +79,9 @@ FAULTS = [Fault(*entry) for entry in [
      "generate imports the learner, the closed form and the dense oracle, which it never runs"),
     ("learn-swaps-state-and-povm", "cli.py", "experiment.rho_sys, experiment.povm",
      "experiment.povm, experiment.rho_sys", "learn fits the generated POVM as the state"),
-    ("unitarity-defect-warns", "linalg.py", 'np.errstate(over="ignore", invalid="ignore")',
-     "np.errstate()", "a node whose U^dag U overflows warns before it fails the unitarity check"),
+    ("unitarity-defect-warns", "linalg.py",
+     'np.errstate(over="ignore", invalid="ignore"):\n        return', "np.errstate():\n        return",
+     "a node whose U^dag U overflows warns before it fails the unitarity check"),
     ("sqrt-branch-flipped", "linalg.py", "overlap) < 0.0", "overlap) > 0.0",
      "the unitary square root takes the branch away from the node it replaces"),
     ("final-defaults-to-prep", "noise.py", "is not None else bulk", "is not None else prep_ops",
@@ -89,6 +92,10 @@ FAULTS = [Fault(*entry) for entry in [
      "the joint coefficient takes one bulk slot too many below the node"),
     ("undo-product-reversed", "quantum.py", "stack[..., j, :, :] @ prod",
      "prod @ stack[..., j, :, :]", "compile_undo multiplies the gates in reverse order"),
+    ("kraus-sum-warns", "quantum.py",
+     'np.errstate(over="ignore", invalid="ignore"):\n            defect',
+     "np.errstate():\n            defect",
+     "a channel whose sum K^dag K overflows warns before it fails the channel check"),
     ("unitary-check-accepts-nan", "quantum.py", "if not defect <= tol:", "if defect > tol:",
      "a NaN unitarity defect passes the unitarity check"),
     ("fd-gradient-conjugated", "selfcheck.py", "-(d_re + 1j * d_im)", "-(d_re - 1j * d_im)",

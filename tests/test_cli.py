@@ -103,7 +103,13 @@ class TestGenerate:
                                        # the system is one qubit: no identity of another
                                        # size is built, however large
                                        *({"kind": "identity", "dim": dim}
-                                         for dim in (0, 3, 2**40, 2**64))])
+                                         for dim in (0, 3, 2**40, 2**64)),
+                                       # an entry of 1e308 overflows sum K^dag K in any
+                                       # slot: the channel check fails, without a warning
+                                       *({"kind": "markovian",
+                                          "kraus": [matrix_to_json_dict(np.eye(2))],
+                                          slot: [matrix_to_json_dict(np.diag([1e308, 1.0]))]}
+                                         for slot in ("kraus", "prep", "final"))])
     def test_mistyped_noise_parameter_is_input_error(self, tmp_path, capsys, noise):
         cfg = write_experiment(tmp_path / "bad.json", noise)
         assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT

@@ -28,9 +28,9 @@ from rbmpo.learner import train  # noqa: E402
 from rbmpo.linalg import matrix_to_json_dict  # noqa: E402
 from rbmpo.noise import NoiseSteps  # noqa: E402
 from rbmpo.process_tensor import contract_asf_dense  # noqa: E402
-from rbmpo.quantum import _draw_indices, basis_state  # noqa: E402
-from rbmpo.rb import AsfCurve, _stream_indices, estimate_asf, run_sequence, sample_stream  # noqa: E402
-from rbmpo.selfcheck import enumeration_mean, haar_unitary  # noqa: E402
+from rbmpo.quantum import basis_state  # noqa: E402
+from rbmpo.rb import AsfCurve, _stream_indices, estimate_asf, run_sequence  # noqa: E402
+from rbmpo.selfcheck import enumeration_mean, haar_unitary, sample_stream  # noqa: E402
 from rbmpo.serialize import (  # noqa: E402
     _number, experiment_config_from_dict, learner_config_from_dict, training_result_to_dict,
 )
@@ -206,11 +206,14 @@ def test_cli_returns_an_exit_code_on_edited_inputs(run):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-2**70, 2**70), st.integers(1, 64), st.integers(0, 2**32 - 1))
-def test_stream_draw_equals_sample_stream(seed, m, k):
-    """One row of the vectorised draw is numpy's own stream (see test_rb.TestStreams, NEP 19)."""
-    picks = _stream_indices(seed, np.array([m]), np.array([k]), 24)
-    assert np.array_equal(picks[0], _draw_indices(24, m, sample_stream(seed, m, k)))
+@given(st.integers(-2**70, 2**70), st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.sampled_from([24, 1, 5, 2**31 + 1, 3 * 2**30 + 1, 2**32]))
+def test_stream_draw_equals_sample_stream(seed, m, k, n_gates):
+    """One row of the vectorised draw is numpy's own stream (see test_rb.TestStreams, NEP 19).
+    At 2**31 + 1 and 3 * 2**30 + 1 gates, Lemire's draw rejects about half and a quarter of
+    the 32-bit words."""
+    picks = _stream_indices(seed, np.array([m]), np.array([k]), n_gates)
+    assert np.array_equal(picks[0], sample_stream(seed, m, k).integers(0, n_gates, size=m))
 
 
 def _density_matrix(d, rng):

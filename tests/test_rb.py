@@ -14,11 +14,9 @@ from rbmpo.errors import InputError, NumericalError, ShapeError
 from rbmpo.noise import (NoiseSteps, amplitude_damping, depolarizing, joint_unitary,
                          markovian_channel, phase_flip, spin_unitary)
 from rbmpo import rb
-from rbmpo.quantum import (HADAMARD, I2, KrausChannel, _draw_indices, basis_state, compile_undo,
-                           sample_sequence)
-from rbmpo.rb import (AsfCurve, ExperimentConfig, _stream_indices, estimate_asf, run_sequence,
-                      sample_stream)
-from rbmpo.selfcheck import enumeration_mean, haar_unitary
+from rbmpo.quantum import HADAMARD, I2, KrausChannel, basis_state, compile_undo, sample_sequence
+from rbmpo.rb import AsfCurve, ExperimentConfig, _stream_indices, estimate_asf, run_sequence
+from rbmpo.selfcheck import enumeration_mean, haar_unitary, sample_stream
 from rbmpo.serialize import experiment_config_from_dict, load_json
 
 RHO = basis_state(0, 2)
@@ -236,12 +234,14 @@ class TestEstimateAsf:
 
     def test_leaves_numpy_random_unimported(self):
         # the streams are numpy's arithmetic on arrays: generate does not pay
-        # for importing numpy.random unless a draw is rejected
+        # for importing numpy.random, even where Lemire's draw rejects words
+        # (a quarter of them at 3 * 2**30 + 1 gates)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(CONFIGS.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        code = ("import sys; from rbmpo.noise import phase_flip; "
-                "from rbmpo.rb import ExperimentConfig, estimate_asf; "
+        code = ("import sys; import numpy as np; from rbmpo.noise import phase_flip; "
+                "from rbmpo.rb import ExperimentConfig, _stream_indices, estimate_asf; "
                 "estimate_asf(ExperimentConfig(noise=phase_flip(0.1), m_max=5, n_samples=20, seed=7)); "
+                "_stream_indices(7, np.repeat([17, 3], 20), np.tile(np.arange(20), 2), 3 * 2**30 + 1); "
                 "print('numpy.random' in sys.modules)")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)
@@ -273,20 +273,23 @@ class TestStreams:
         index = np.tile(np.arange(300), 5)
         picks = _stream_indices(seed, lengths, index, 24)
         for row, m, k in zip(picks, lengths, index):
-            assert np.array_equal(row[:m], _draw_indices(24, m, sample_stream(seed, m, k)))
+            assert np.array_equal(row[:m], sample_stream(seed, m, k).integers(0, 24, size=m))
 
-    def test_rejected_rows_redrawn(self, monkeypatch):
-        # with 3 * 2**30 + 1 gates a quarter of the 32-bit draws fall below
-        # Lemire's threshold, so numpy draws again and the row takes its own stream
+    def test_rejected_rows_redrawn(self):
+        # with 3 * 2**30 + 1 gates a quarter of the 32-bit words fall below
+        # Lemire's threshold, so numpy skips them and draws again.  With 2**32
+        # gates the threshold is 0, and the draw returns the raw words: a row
+        # meets a rejection when one of its first m words would be skipped
         n_gates = 3 * 2**30 + 1
-        redrawn = []
-        monkeypatch.setattr(rb, "sample_stream", lambda *a: redrawn.append(a) or sample_stream(*a))
         lengths = np.repeat([17, 3, 1], 40)
         index = np.tile(np.arange(40), 3)
+        words = _stream_indices(-3, lengths, index, 2**32).astype(np.uint64)
+        skipped = (words * n_gates & 0xFFFFFFFF) < (2**32 - n_gates) % n_gates
+        rejecting = [skipped[i, :m].any() for i, m in enumerate(lengths)]
+        assert 0 < sum(rejecting) < len(lengths)
         picks = _stream_indices(-3, lengths, index, n_gates)
-        assert 0 < len(redrawn) < len(lengths)
         for row, m, k in zip(picks, lengths, index):
-            assert np.array_equal(row[:m], _draw_indices(n_gates, m, sample_stream(-3, m, k)))
+            assert np.array_equal(row[:m], sample_stream(-3, m, k).integers(0, n_gates, size=m))
 
 
 class TestGoldenValues:
