@@ -15,9 +15,9 @@ Every command is a pure function of its input bytes and the seed: rerunning
 with the same config produces byte-identical data outputs (the manifest
 records wall-clock time and is the one file that differs).
 
-Exit codes: 0 success, 1 input error (a malformed or unreadable input, an
-output directory that cannot be made), 2 numerical failure, 3 non-convergence
-(learn only, with --require-convergence).
+Exit codes: 0 success, 1 input error (a malformed or unreadable input, one
+too large for memory, an output directory that cannot be made), 2 numerical
+failure, 3 non-convergence (learn only, with --require-convergence).
 """
 
 from __future__ import annotations
@@ -235,6 +235,9 @@ def main(argv=None) -> int:
         if isinstance(exc, ConvergenceError):
             return EXIT_NOT_CONVERGED
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
+    except MemoryError as exc:  # an input whose arrays do not fit, such as a huge length
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

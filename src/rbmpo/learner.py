@@ -21,15 +21,15 @@ measures the cost gradient and Hessian along the unitary tangent directions
 by finite differences, line-minimizes along the descent ray and every
 negative-curvature eigenray, and moves to the best endpoint, until the data
 is matched or no ray descends.  Correlated data develops negative curvature
-in the environment-coupling directions, memoryless data does not.  The cost
-and the predicted curve broadcast over leading node axes (one averaged chain
-for a whole stack), so a round's probes are one cost call and its rays'
-line searches run in lockstep, one cost call per step.  Every probe and ray
-direction is eigendecomposed once, in one stacked ``eigh`` per round, and
-each trial, endpoint and probe rotation exp(-i theta H) is taken from that
-decomposition.  Each node kept is evaluated once, into a :class:`Fit` (cost,
-l1 distance, node, predicted curve), from which the sweep and :func:`train`
-read residuals and traces.
+in the environment-coupling directions, memoryless data does not.  The one
+evaluator, :func:`evaluate`, takes a node or a stack (one averaged chain for
+the stack) into a :class:`Fit` (cost, l1, node, predicted curve), and
+:func:`cost` reads its cost: a round's probes are one cost call, its rays'
+line searches one cost call per lockstep step, and its endpoints one
+evaluation.  Every probe and ray direction is eigendecomposed once, in one
+stacked ``eigh`` per round, and each rotation exp(-i theta H) is taken from
+it.  Each node is evaluated once; the sweep and :func:`train` read
+residuals and traces off the fits they keep.
 """
 
 from __future__ import annotations
@@ -169,27 +169,26 @@ def predicted_curve(node: np.ndarray, d_env: int, rho_sys, povm, lengths) -> np.
 
 
 class Fit(NamedTuple):
-    """One model evaluation at ``node``: cost, l1 distance, predicted curve."""
+    """Cost, l1 distance and predicted curve at ``node``, over a stack's leading axes."""
 
-    cost: float
-    l1: float
+    cost: float | np.ndarray
+    l1: float | np.ndarray
     node: np.ndarray
     predicted: np.ndarray
 
 
 def evaluate(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> Fit:
-    """Evaluate the model at `node` once, into a :class:`Fit`."""
+    """The model at one node (dim, dim) or a stack (..., dim, dim), evaluated once into a
+    :class:`Fit`; each row of a stack's fit equals its node's own, bit for bit."""
     predicted = predicted_curve(node, d_env, rho_sys, povm, data.lengths)
     resid = predicted - np.asarray(data.means)
-    return Fit(float(0.5 * np.sum(resid * resid)), float(np.sum(np.abs(resid))), node, predicted)
+    return Fit(0.5 * np.sum(resid * resid, -1), np.sum(np.abs(resid), -1), node, predicted)
 
 
 def cost(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> float | np.ndarray:
     """Quadratic cost between model predictions and the measured curve: a
     float for one node, an array over the leading axes of a node stack."""
-    resid = predicted_curve(node, d_env, rho_sys, povm, data.lengths) - np.asarray(data.means)
-    value = 0.5 * np.sum(resid * resid, axis=-1)
-    return float(value) if np.ndim(value) == 0 else value
+    return evaluate(node, d_env, data, rho_sys, povm).cost
 
 
 def gradient_joint(
@@ -271,8 +270,7 @@ def _tangent_probe(
     """
     basis = _hermitian_basis(node.shape[0])
     unit = np.eye(len(basis))
-    pairs = list(combinations(range(len(basis)), 2))
-    j, k = np.array(pairs).T
+    j, k = np.triu_indices(len(basis), 1)
     coeffs = np.concatenate([unit, unit[j] + unit[k]])
     # each direction in both orientations, +H then -H
     directions = np.tensordot(np.stack([coeffs, -coeffs], axis=1).reshape(-1, len(basis)),
@@ -283,8 +281,7 @@ def _tangent_probe(
     second = (plus - 2.0 * c0 + minus) / _PROBE_ANGLE**2
     diag = second[:len(basis)]
     hess = np.diag(diag)
-    for (a, b), mixed in zip(pairs, second[len(basis):]):
-        hess[a, b] = hess[b, a] = (mixed - diag[a] - diag[b]) / 2.0
+    hess[j, k] = hess[k, j] = (second[len(basis):] - diag[j] - diag[k]) / 2.0
     return grad, hess, basis
 
 
@@ -360,14 +357,14 @@ def saddle_departure(
     them with the least environment coupling (the model should carry no
     more non-Markovianity than the data demands); otherwise it moves to the
     lowest-cost endpoint.  Rounds stop when the data is matched, no ray
-    improves the cost, or ``max_rounds`` have run.  The start and each
-    endpoint are evaluated once, into the :class:`Fit` that the round
-    carries and returns; the probes and the line searches need the cost
-    alone.  A round's probes are one batched cost call, and its rays' line
-    searches run in lockstep, one batched cost call per bracketing or
-    golden-section step over the rays still searching (:func:`_search_rays`).
-    The round's ray directions are eigendecomposed once, as one stacked
-    ``eigh``, and every trial and endpoint is rotated from it.
+    improves the cost, or ``max_rounds`` have run.  The start is evaluated
+    once, a round's endpoints at non-zero angles once, as one stack, and the
+    round carries the chosen row's :class:`Fit`.  A round's probes are one
+    batched cost call, and its rays' line searches run in lockstep, one
+    batched cost call per bracketing or golden-section step over the rays
+    still searching (:func:`_search_rays`).  The round's ray directions are
+    eigendecomposed once, as one stacked ``eigh``, and every trial and
+    endpoint is rotated from it.
     Deterministic: no randomness enters at any point.
     """
     current = evaluate(node.copy(), d_env, data, rho_sys, povm)
@@ -390,20 +387,19 @@ def saddle_departure(
 
         thetas, rotate = _search_rays(current.node, current.cost, np.tensordot(rays, basis, axes=1),
                                       d_env, data, rho_sys, povm)
-        endpoints = []
-        for r, theta_star in enumerate(thetas):
-            if theta_star == 0.0:
-                continue
-            endpoint = evaluate(rotate({r: theta_star})[0], d_env, data, rho_sys, povm)
-            if endpoint.cost < current.cost - 1e-15:
-                endpoints.append(endpoint)
-        if not endpoints:
+        moved = {r: theta for r, theta in enumerate(thetas) if theta != 0.0}
+        if not moved:
             break
-        matched = [e for e in endpoints if e.l1 <= l1_stop]
-        if matched:
-            current = min(matched, key=lambda e: diagnose_markovianity(e.node, d_env).off_block_norm)
+        ends = evaluate(rotate(moved), d_env, data, rho_sys, povm)
+        better = np.flatnonzero(ends.cost < current.cost - 1e-15)
+        if not better.size:
+            break
+        matched = better[ends.l1[better] <= l1_stop]
+        if matched.size:
+            k = min(matched, key=lambda i: diagnose_markovianity(ends.node[i], d_env).off_block_norm)
         else:
-            current = min(endpoints, key=lambda e: e.cost)
+            k = better[np.argmin(ends.cost[better])]
+        current = Fit._make(value[k] for value in ends)
     return current
 
 
@@ -476,7 +472,7 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
         node = sweep_iteration(fit, accumulators, iteration, data, rho_sys, povm, config)
         fits.append(evaluate(node, config.d_env, data, rho_sys, povm))
 
-    cost_trace = tuple(f.cost for f in fits)
+    cost_trace = tuple(float(f.cost) for f in fits)
     best_iteration = int(np.argmin(cost_trace))
     best = fits[best_iteration]
     lengths = tuple(data.lengths)
@@ -489,9 +485,9 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
             n_samples=1,
         ),
         cost_trace=cost_trace,
-        l1_trace=tuple(f.l1 for f in fits),
+        l1_trace=tuple(float(f.l1) for f in fits),
         unitarity_trace=tuple(unitarity_defect(f.node) for f in fits),
-        converged=fit.l1 <= threshold,
+        converged=bool(fit.l1 <= threshold),
         iterations=iteration,
         best_iteration=best_iteration,
     )

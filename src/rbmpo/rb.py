@@ -313,14 +313,15 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     mean and standard error (ddof=1, divided by sqrt(n)) are reported.  All
     lengths make one pass: the sequences, longest first, go in chunks of a
     fixed number through the evolution loop, each chunk's gate indices drawn
-    at once.  A length is reduced once all its samples are in, so memory is
-    bounded whatever n_samples and m_max are; the values are those of running
-    the samples one at a time, bit for bit.
+    at once.  A length is reduced once all its samples are in one buffer of
+    n_samples values, so memory does not grow with n_samples * m_max; the
+    values are those of running the samples one at a time, bit for bit.
     """
     n, m_max = cfg.n_samples, cfg.m_max
     gates = np.stack(cfg.gate_set.gates)
     means, stderrs = [0.0] * m_max, [0.0] * m_max
-    pending = {}
+    # rows come longest first, by ascending index: one length is open at a time
+    values = np.empty(n)
     for start in range(0, n * m_max, _CHUNK_ROWS):
         row = np.arange(start, min(start + _CHUNK_ROWS, n * m_max))
         lengths, index = m_max - row // n, row % n
@@ -328,10 +329,8 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
         f = _survival(cfg.noise, gates, picks, lengths, cfg.rho_sys, cfg.povm)
         for m in range(lengths[0], lengths[-1] - 1, -1):
             part = lengths == m
-            values = pending.setdefault(m, np.empty(n))
             values[index[part]] = f[part]
             if index[part][-1] == n - 1:
-                del pending[m]
                 means[m - 1] = float(values.mean())
                 if n > 1:
                     stderrs[m - 1] = float(values.std(ddof=1) / np.sqrt(n))

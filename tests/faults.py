@@ -55,15 +55,18 @@ FAULTS = [Fault(*entry) for entry in [
      "PCG64's 128-bit step loses its carry: gate draws leave numpy's stream"),
     ("rejected-draw-kept", "rb.py", ">= threshold", ">= 0",
      "a word that Lemire's draw rejects is kept: gate draws leave numpy's stream"),
-    ("length-reduced-early", "rb.py", "if index[part][-1] == n - 1:", "if index[part].size:",
-     "a length is reduced at the end of each chunk, before its last sample is in"),
+    ("length-reduced-early", "rb.py", "if index[part][-1] == n - 1:", "if index[part][0] == 0:",
+     "a length is reduced in the chunk that holds its first sample, before its last one is in"),
     ("adam-bias-correction-dropped", "learner.py", 'acc["m1"] / (1.0 - self.beta1 ** acc["t"])',
      'acc["m1"]', "Adam's first moment is not bias-corrected"),
     ("adagrad-epsilon-outside-root", "learner.py", 'np.sqrt(acc["sq_sum"] + self.epsilon)',
      '(np.sqrt(acc["sq_sum"]) + self.epsilon)', "Adagrad adds epsilon to the root, not under it"),
-    ("departure-lowest-cost-match", "learner.py", "key=lambda e: diagnose_markovianity(e.node, "
-     "d_env).off_block_norm", "key=lambda e: e.cost",
+    ("departure-lowest-cost-match", "learner.py",
+     "key=lambda i: diagnose_markovianity(ends.node[i], d_env).off_block_norm",
+     "key=lambda i: ends.cost[i]",
      "among matched endpoints the departure takes the best fit, not the least coupling"),
+    ("departure-keeps-worse-endpoints", "learner.py", "(ends.cost < current.cost - 1e-15)",
+     "(ends.cost < np.inf)", "a round moves to an endpoint that does not lower the cost"),
     ("departure-curvature-floor", "learner.py", "(w < floor)", "(w < 0.0)",
      "round-off curvature counts as negative curvature and adds rays"),
     ("train-returns-last-fit", "learner.py", "int(np.argmin(cost_trace))", "len(cost_trace) - 1",
@@ -77,6 +80,9 @@ FAULTS = [Fault(*entry) for entry in [
      "--version, --help and every usage error import numpy and the learner"),
     ("generate-imports-learner", "serialize.py", "if TYPE_CHECKING:", "if True:",
      "generate imports the learner, the closed form and the dense oracle, which it never runs"),
+    ("memory-error-escapes", "cli.py", "except MemoryError as exc:",
+     "except NotImplementedError as exc:",
+     "an input too large for memory raises numpy's MemoryError out of main, with a traceback"),
     ("learn-swaps-state-and-povm", "cli.py", "experiment.rho_sys, experiment.povm",
      "experiment.povm, experiment.rho_sys", "learn fits the generated POVM as the state"),
     ("unitarity-defect-warns", "linalg.py",

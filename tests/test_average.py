@@ -237,7 +237,7 @@ class TestChainKernel:
         return np.stack([haar_unitary(4, rng) for _ in range(16)])
 
     def test_stack_equals_single_nodes_bitwise(self):
-        from rbmpo.learner import cost, predicted_curve
+        from rbmpo.learner import cost, evaluate, predicted_curve
 
         nodes = self.haar_nodes()
         # at least 8 lengths: numpy sums those pairwise, and a strided row would not be
@@ -245,13 +245,18 @@ class TestChainKernel:
         data = AsfCurve(lengths, tuple(np.linspace(0.95, 0.6, len(lengths))), (0.0,) * 11, 1)
         curves = predicted_curve(nodes, 2, RHO, POVM, lengths)
         costs = cost(nodes, 2, data, RHO, POVM)
-        assert curves.shape == (16, len(lengths)) and costs.shape == (16,)
-        for node, curve, value in zip(nodes, curves, costs):
+        fits = evaluate(nodes, 2, data, RHO, POVM)
+        assert curves.shape == (16, len(lengths)) and costs.shape == fits.l1.shape == (16,)
+        for node, curve, value, *row in zip(nodes, curves, costs, *fits):
             single = predicted_curve(node, 2, RHO, POVM, lengths)
             assert single.shape == (len(lengths),)
             assert np.array_equal(curve, single)
             single_cost = cost(node, 2, data, RHO, POVM)
             assert isinstance(single_cost, float) and value == single_cost
+            # each row of the stacked fit: cost, l1, node and predicted curve
+            single_fit = evaluate(node, 2, data, RHO, POVM)
+            assert isinstance(single_fit.l1, float)
+            assert all(np.array_equal(a, b) for a, b in zip(row, single_fit, strict=True))
         grid = nodes.reshape(4, 4, 4, 4)
         assert np.array_equal(predicted_curve(grid, 2, RHO, POVM, lengths),
                               curves.reshape(4, 4, len(lengths)))

@@ -21,6 +21,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+#: An ASF table whose last length, 10^15, no averaged chain can hold in memory.
+HUGE_LENGTH_TABLE = "m,mean,stderr,n_samples\n1,0.96,0.003,100\n1000000000000000,0.5,0.01,100\n"
+
+
 def write_experiment(path, noise=None, **fields):
     """An experiment config at `path`: identity noise, seed 1, m_max 3 and 5
     samples, unless `noise` or `fields` say otherwise."""
@@ -150,10 +154,16 @@ class TestLearn:
         text = (tmp_path / "learner.json").read_text()
         assert "NaN" in text or "Infinity" in text
 
-    def test_empty_data_is_input_error(self, tmp_path):
+    def test_empty_data_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("")
         assert learn(data, tmp_path) == EXIT_INPUT
+        # a length whose averaged chain cannot be allocated (455 PiB) fails at
+        # once with numpy's MemoryError, which exits 1 as well
+        data.write_text(HUGE_LENGTH_TABLE)
+        capsys.readouterr()
+        assert learn(data, tmp_path) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: out of memory")
 
     def test_require_convergence_exit_code(self, tmp_path, capsys):
         csv = generated(tmp_path, m_max=6, n_samples=5, seed=9).read_text().splitlines()

@@ -28,6 +28,11 @@ def model_curve(node, m_max):
     return AsfCurve(tuple(range(1, m_max + 1)), tuple(float(v) for v in vals), (0.0,) * m_max, 1)
 
 
+def rotation(theta):
+    """An uncoupled node: exp(-i theta X) on the system, nothing on the environment."""
+    return np.kron(np.eye(2), hermitian_expm(PAULI_X, -1j * theta))
+
+
 @pytest.fixture(scope="module")
 def phase_flip_data():
     cfg = ExperimentConfig(noise=phase_flip(0.06), m_max=20, n_samples=100, seed=2024)
@@ -432,6 +437,45 @@ class TestDeparture:
         assert 0.0 < fit.l1 <= 0.05 and fit.cost > cost(coupled, 2, data, RHO, POVM)
         assert np.array_equal(fit.node, uncoupled)
 
+    def test_round_endpoints_are_one_stack(self, phase_flip_data, monkeypatch):
+        # after its line searches, a round hands the endpoints of every ray that
+        # moved to predicted_curve as one stack, rotated to the angles found
+        stacks, searched = [], []
+        curve, search = learner_mod.predicted_curve, learner_mod._search_rays
+
+        def recorded_curve(node, *args):
+            stacks.append(node)
+            return curve(node, *args)
+
+        def recorded_search(*args):
+            thetas, rotate = search(*args)
+            searched.append((len(stacks), thetas, rotate))
+            return thetas, rotate
+
+        monkeypatch.setattr(learner_mod, "predicted_curve", recorded_curve)
+        monkeypatch.setattr(learner_mod, "_search_rays", recorded_search)
+        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+                         max_rounds=1, l1_stop=0.0)
+        [(before, thetas, rotate)] = searched
+        moved = {r: theta for r, theta in enumerate(thetas) if theta != 0.0}
+        assert len(moved) > 1
+        assert len(stacks) == before + 1
+        assert np.array_equal(stacks[-1], rotate(moved))
+
+    def test_endpoints_that_raise_the_cost_are_dropped(self, monkeypatch):
+        # the stubbed probe gives three rays; two searches end at rotations that
+        # fit the data worse than the start and one does not move, so the round
+        # keeps no endpoint and the departure stays at its start
+        start, worse = rotation(0.12), (rotation(0.3), rotation(0.5))
+        data = model_curve(rotation(0.1), 6)
+        monkeypatch.setattr(learner_mod, "_tangent_probe", lambda *args: (
+            np.ones(16), np.diag([-1.0, *np.ones(15)]), learner_mod._hermitian_basis(4)))
+        monkeypatch.setattr(learner_mod, "_search_rays", lambda *args: (
+            [1.0, 1.0, 0.0], lambda trials: np.stack([worse[r] for r in trials])))
+        fit = saddle_departure(start, 2, data, RHO, POVM, max_rounds=1, l1_stop=0.0)
+        assert all(cost(node, 2, data, RHO, POVM) > fit.cost for node in worse)
+        assert np.array_equal(fit.node, start)
+
     def test_probe_is_one_cost_call_per_round(self, phase_flip_data, monkeypatch):
         # every probe node of a round goes into one batched cost call
         calls = []
@@ -498,9 +542,6 @@ class TestTrain:
     def test_returns_the_first_minimum_cost_fit(self, monkeypatch):
         # a sweep whose cost trace falls to its minimum at iterations 1 and 2
         # (the same node twice) and rises after it
-        def rotation(theta):
-            return np.kron(np.eye(2), hermitian_expm(PAULI_X, -1j * theta))
-
         path = [rotation(0.15), rotation(0.15), rotation(0.05)]
         monkeypatch.setattr(learner_mod, "sweep_iteration", lambda fit, acc, it, *args: path[it])
         result = train(model_curve(rotation(0.2), 6), RHO, POVM,

@@ -174,13 +174,17 @@ def cli_runs(draw):
 
 
 #: Inputs that escaped main before they were mended: an identity dim of 2^64
-#: (ValueError), and overflows in a spin unitary's phases and in a node's
-#: unitarity check (RuntimeWarning).
+#: (ValueError), overflows in a spin unitary's phases and in a node's
+#: unitarity check (RuntimeWarning), and a length of 10^15 in an ASF table,
+#: whose averaged chain numpy cannot allocate (MemoryError, at once).
 IDENTITY_DIM = ("generate", {"cfg.json": {**bundled("identity"),
                                           "noise": {"kind": "identity", "dim": 2**64}}}, [])
 SPIN_PHASE = ("generate", {"cfg.json": {**bundled("spin_model"), "noise": {
     **bundled("spin_model")["noise"], "delta": 1e308}}}, [])
 NODE_OVERFLOW = ("diagnose", {"result.json": matrix_to_json_dict(np.diag([1e308, 1, 1, 1]))}, [])
+HUGE_LENGTH = ("learn", {"data/asf.csv": "m,mean,stderr,n_samples\n1,0.96,0.003,100\n"
+                                         "1000000000000000,0.5,0.01,100\n",
+                         "learner.json": bundled("learner_adagrad")}, [])
 INPUTS = {"generate": ["cfg.json"], "learn": ["data/asf.csv", "learner.json"],
           "diagnose": ["result.json"]}
 
@@ -189,6 +193,7 @@ INPUTS = {"generate": ["cfg.json"], "learn": ["data/asf.csv", "learner.json"],
 @example(IDENTITY_DIM)
 @example(SPIN_PHASE)
 @example(NODE_OVERFLOW)
+@example(HUGE_LENGTH)
 @given(cli_runs())
 def test_cli_returns_an_exit_code_on_edited_inputs(run):
     """generate, learn and diagnose on bundled inputs with fields edited exit
