@@ -7,8 +7,9 @@ The package has three layers:
 * analysis: the exact Clifford-averaged fidelity, exponential fits and the
   dense process-tensor oracle (:mod:`rbmpo.average`, :mod:`rbmpo.process_tensor`);
 * learning: the constrained sweeping optimizer that fits a unitary
-  environment-coupled noise node to ASF data and diagnoses Markovianity
-  (:mod:`rbmpo.learner`).
+  environment-coupled noise node to ASF data (:mod:`rbmpo.learner`), whose
+  Markovianity is read off the node's block structure
+  (:func:`rbmpo.noise.diagnose_markovianity`).
 
 The public names below load their module, and numpy, on first access, so
 ``import rbmpo`` and the command line's start-up pay only for what they use.
@@ -21,11 +22,11 @@ __version__ = "0.1.0"
 #: Each public name and the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(["ExpFit", "clifford_averaged_asf_curve", "fit_exponential"], "average"),
-    **dict.fromkeys(["Adagrad", "Adam", "LearnerConfig", "MarkovianityReport", "TrainingResult",
-                     "diagnose_markovianity", "train"], "learner"),
+    **dict.fromkeys(["Adagrad", "Adam", "LearnerConfig", "TrainingResult", "train"], "learner"),
     **dict.fromkeys(["principal_unitary_sqrt", "project_to_unitary", "svd"], "linalg"),
-    **dict.fromkeys(["NoiseSteps", "amplitude_damping", "depolarizing", "joint_unitary",
-                     "markovian_channel", "phase_flip", "spin_unitary"], "noise"),
+    **dict.fromkeys(["MarkovianityReport", "NoiseSteps", "amplitude_damping", "depolarizing",
+                     "diagnose_markovianity", "joint_unitary", "markovian_channel", "phase_flip",
+                     "spin_unitary"], "noise"),
     **dict.fromkeys(["GateSet", "KrausChannel", "apply_channel", "compile_undo",
                      "sample_sequence", "single_qubit_cliffords"], "quantum"),
     **dict.fromkeys(["AsfCurve", "ExperimentConfig", "estimate_asf", "run_sequence"], "rb"),

@@ -18,14 +18,16 @@ d_env^2 x d_env^2 matrices, and :func:`sector_pairs` pairs a 4-leg state
 X[e, s, f, t] = <es|X|ft> with a functional into the matrices [Y, P] of the
 two sectors, which those maps act on.  The fidelity after m bulk steps is
 tr(M^m Y) + tr(T^m P) (M the mixed map), one chain of matrix products over
-any leading batch axes of the Kraus operators whose states are traced at
-once for all lengths; a 1-dimensional environment gives A p^m + B.
+any leading batch axes of the Kraus operators, traced in blocks of about
+sqrt(m_max) lengths, so that its memory is O(nodes * sqrt(m_max)); a
+1-dimensional environment gives A p^m + B.
 :func:`raw_slot` and :func:`raw_slot_adjoint` apply an undressed preparation
 or final slot, each as two pairwise contractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,15 +144,23 @@ def _chain_curve(noise: NoiseSteps, rho_sys: np.ndarray, povm: np.ndarray, m_max
     """Averaged fidelity at lengths 1..m_max, (..., m_max) over the batch axes
     of ``noise``'s Kraus operators; unchecked inputs.  The prepared state's
     :func:`sector_pairs` with the measurement functional go through the bulk
-    slot's :func:`sector_maps` once per length, each length's pairs written
-    into one (m_max, ...) stack that one einsum traces."""
+    slot's :func:`sector_maps` once per length, in blocks of k = ceil(sqrt(m_max))
+    lengths: each block's pairs are written into one reusable (k, ...) buffer
+    that one einsum traces into the block's slice of the curve, and the last
+    pairs carry over to the next block.  Memory is O(nodes * sqrt(m_max)), and
+    each value is the one tracing all lengths at once would give, bit for bit."""
     states = sector_pairs(prepared_state(noise, rho_sys), measurement_functional(noise, povm))
     bulk = kraus_stack(noise.bulk, noise.d_env)
     ops = sector_maps(bulk, bulk)
-    chain = np.empty((m_max, *np.broadcast_shapes(ops.shape, states.shape)), dtype=np.complex128)
-    for n in range(m_max):
-        states = np.matmul(ops, states, out=chain[n])
-    return np.einsum("m...kii->...m", chain).real
+    k = math.isqrt(m_max - 1) + 1
+    block = np.empty((k, *np.broadcast_shapes(ops.shape, states.shape)), dtype=np.complex128)
+    curve = np.empty((*block.shape[1:-3], m_max))
+    for start in range(0, m_max, k):
+        size = min(k, m_max - start)
+        for n in range(size):
+            states = np.matmul(ops, states, out=block[n])
+        curve[..., start:start + size] = np.einsum("m...kii->...m", block[:size]).real
+    return curve
 
 
 def clifford_averaged_asf_curve(

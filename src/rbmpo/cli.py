@@ -145,8 +145,8 @@ def cmd_learn(args) -> int:
 def cmd_diagnose(args) -> int:
     import numpy as np
 
-    from .learner import diagnose_markovianity
     from .linalg import matrix_to_json_dict
+    from .noise import diagnose_markovianity
     from .serialize import node_from_file
 
     node, d_env = node_from_file(args.model)

@@ -43,9 +43,9 @@ import numpy as np
 from .average import _chain_curve, _golden_steps, _lockstep
 from .errors import DomainError, NumericalError, ShapeError
 from .linalg import principal_unitary_sqrt, project_to_unitary, svd, unitarity_defect
-from .noise import UNITARITY_TOL, NoiseSteps, eigh_expm, kraus_stack
+from .noise import UNITARITY_TOL, NoiseSteps, diagnose_markovianity, eigh_expm, kraus_stack
 from .process_tensor import asf_joint_coefficient, joint_node, split_joint
-from .quantum import validate_density_matrix, validate_povm_element, validate_unitary
+from .quantum import validate_density_matrix, validate_povm_element
 from .rb import AsfCurve
 
 
@@ -490,45 +490,4 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
         converged=bool(fit.l1 <= threshold),
         iterations=iteration,
         best_iteration=best_iteration,
-    )
-
-
-# --------------------------------------------------------------------------
-# structure diagnosis
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MarkovianityReport:
-    markovian: bool
-    off_block_norm: float
-    system_block: np.ndarray
-    tol: float
-
-
-def diagnose_markovianity(node: np.ndarray, d_env: int, tol: float = 1e-2) -> MarkovianityReport:
-    """Read the Markovianity of a learned node off its block structure.
-
-    With the environment first and fiducial in |0><0|, the off-block norm
-    ||(I - P0 x I) node (P0 x I)||_F is that of node[d_sys:, :d_sys]; it
-    measures how much the node couples the populated environment level to
-    the rest.  Below `tol` the node acts on the system as the (then unitary)
-    block node[:d_sys, :d_sys] alone: memoryless noise.  The measure is
-    invariant under a global phase.  `tol` must be finite and >= 0, and
-    `d_env` at least 1.
-    """
-    if not 0.0 <= tol < np.inf:
-        raise DomainError(f"Markovianity tolerance must be finite and >= 0, got {tol}")
-    if d_env < 1:
-        raise DomainError(f"environment dimension must be >= 1, got {d_env}")
-    node = validate_unitary(node, tol=UNITARITY_TOL, name="noise node")
-    dim = node.shape[0]
-    if dim % d_env != 0:
-        raise ShapeError(f"node dimension {dim} not divisible by d_env {d_env}")
-    d_sys = dim // d_env
-    off_norm = float(np.linalg.norm(node[d_sys:, :d_sys]))
-    return MarkovianityReport(
-        markovian=off_norm <= tol,
-        off_block_norm=off_norm,
-        system_block=node[:d_sys, :d_sys].copy(),
-        tol=tol,
     )

@@ -20,6 +20,8 @@ is the case of a one-dimensional environment.  :func:`markovian_channel` and
 identity and ``final`` to the bulk noise, and a set ``final`` takes the bulk
 noise's place in the last slot.  :func:`kraus_stack` regroups a slot's
 operators into the (k, e, s, f, t) node layout that every contraction reads.
+:func:`diagnose_markovianity` reads a node's memory off that layout: the
+block that couples the environment's fiducial level to the others.
 """
 
 from __future__ import annotations
@@ -42,8 +44,45 @@ from .quantum import (
 )
 
 #: Largest ||U^dag U - I||_F a noise node may have; :func:`joint_unitary`, the
-#: learner's sweep update and its Markovianity diagnosis reject a larger one.
+#: learner's sweep update and :func:`diagnose_markovianity` reject a larger one.
 UNITARITY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class MarkovianityReport:
+    markovian: bool
+    off_block_norm: float
+    system_block: np.ndarray
+    tol: float
+
+
+def diagnose_markovianity(node: np.ndarray, d_env: int, tol: float = 1e-2) -> MarkovianityReport:
+    """Read the Markovianity of a learned node off its block structure.
+
+    With the environment first and fiducial in |0><0|, the off-block norm
+    ||(I - P0 x I) node (P0 x I)||_F is that of node[d_sys:, :d_sys]; it
+    measures how much the node couples the populated environment level to
+    the rest.  Below `tol` the node acts on the system as the (then unitary)
+    block node[:d_sys, :d_sys] alone: memoryless noise.  The measure is
+    invariant under a global phase.  `tol` must be finite and >= 0, and
+    `d_env` at least 1.
+    """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"Markovianity tolerance must be finite and >= 0, got {tol}")
+    if d_env < 1:
+        raise DomainError(f"environment dimension must be >= 1, got {d_env}")
+    node = validate_unitary(node, tol=UNITARITY_TOL, name="noise node")
+    dim = node.shape[0]
+    if dim % d_env != 0:
+        raise ShapeError(f"node dimension {dim} not divisible by d_env {d_env}")
+    d_sys = dim // d_env
+    off_norm = float(np.linalg.norm(node[d_sys:, :d_sys]))
+    return MarkovianityReport(
+        markovian=off_norm <= tol,
+        off_block_norm=off_norm,
+        system_block=node[:d_sys, :d_sys].copy(),
+        tol=tol,
+    )
 
 
 @dataclass(frozen=True)

@@ -314,12 +314,14 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     lengths make one pass: the sequences, longest first, go in chunks of a
     fixed number through the evolution loop, each chunk's gate indices drawn
     at once.  A length is reduced once all its samples are in one buffer of
-    n_samples values, so memory does not grow with n_samples * m_max; the
-    values are those of running the samples one at a time, bit for bit.
+    n_samples values, so memory does not grow with n_samples * m_max, and its
+    mean and standard error are written as it completes, so nothing of size
+    m_max is written up front; the values are those of running the samples
+    one at a time, bit for bit.
     """
     n, m_max = cfg.n_samples, cfg.m_max
     gates = np.stack(cfg.gate_set.gates)
-    means, stderrs = [0.0] * m_max, [0.0] * m_max
+    stats = np.empty((2, m_max))  # means and stderrs, untouched until their length completes
     # rows come longest first, by ascending index: one length is open at a time
     values = np.empty(n)
     for start in range(0, n * m_max, _CHUNK_ROWS):
@@ -331,7 +333,6 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
             part = lengths == m
             values[index[part]] = f[part]
             if index[part][-1] == n - 1:
-                means[m - 1] = float(values.mean())
-                if n > 1:
-                    stderrs[m - 1] = float(values.std(ddof=1) / np.sqrt(n))
+                stats[:, m - 1] = values.mean(), values.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+    means, stderrs = stats.tolist()
     return AsfCurve(tuple(range(1, m_max + 1)), tuple(means), tuple(stderrs), n)

@@ -35,6 +35,8 @@ FAULTS = [Fault(*entry) for entry in [
      "every loop map changes sign (the self-check's injected fault)"),
     ("stale-bulk-power", "average.py", "states = np.matmul(ops, states", "np.matmul(ops, states",
      "the chain stops advancing: every length repeats the m = 1 value"),
+    ("chain-unblocked", "average.py", "k = math.isqrt(m_max - 1) + 1", "k = m_max",
+     "the chain buffers every length's sector pairs at once: its memory grows with m_max"),
     ("measurement-functional-transpose", "average.py", '"ef,ts->esft"', '"ef,st->esft"',
      "the closed form measures the transpose of the POVM element"),
     ("golden-section-direction", "average.py", "if fc < fd:", "if fc > fd:",
@@ -57,6 +59,8 @@ FAULTS = [Fault(*entry) for entry in [
      "a word that Lemire's draw rejects is kept: gate draws leave numpy's stream"),
     ("length-reduced-early", "rb.py", "if index[part][-1] == n - 1:", "if index[part][0] == 0:",
      "a length is reduced in the chunk that holds its first sample, before its last one is in"),
+    ("generate-writes-up-front", "rb.py", "np.empty((2, m_max))", "np.array([[0.0] * m_max] * 2)",
+     "generate writes lists of m_max means and standard errors before it draws anything"),
     ("adam-bias-correction-dropped", "learner.py", 'acc["m1"] / (1.0 - self.beta1 ** acc["t"])',
      'acc["m1"]', "Adam's first moment is not bias-corrected"),
     ("adagrad-epsilon-outside-root", "learner.py", 'np.sqrt(acc["sq_sum"] + self.epsilon)',
@@ -83,6 +87,9 @@ FAULTS = [Fault(*entry) for entry in [
     ("memory-error-escapes", "cli.py", "except MemoryError as exc:",
      "except NotImplementedError as exc:",
      "an input too large for memory raises numpy's MemoryError out of main, with a traceback"),
+    ("diagnose-imports-learner", "cli.py", "from .noise import diagnose_markovianity",
+     "from .learner import diagnose_markovianity",
+     "diagnose imports the learner, the closed form and the dense oracle, which it never runs"),
     ("learn-swaps-state-and-povm", "cli.py", "experiment.rho_sys, experiment.povm",
      "experiment.povm, experiment.rho_sys", "learn fits the generated POVM as the state"),
     ("unitarity-defect-warns", "linalg.py",

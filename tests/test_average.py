@@ -269,6 +269,39 @@ class TestChainKernel:
             assert np.max(np.abs(chain - self.stepped_curve(model, 20))) < 1e-13
 
 
+    @pytest.mark.parametrize("short, long", [(20, 26), (9, 40), (26, 40), (7, 50), (1, 5)])
+    def test_blocks_do_not_move_the_curve(self, short, long):
+        # the chain runs in blocks of ceil(sqrt(m_max)) lengths, so the two
+        # lengths split it differently; a curve's first lengths may not depend
+        # on that, bit for bit, for a single model or a stack
+        nodes = self.haar_nodes()
+        for model in (NoiseSteps.uniform(nodes, 2), NoiseSteps.uniform(nodes[3], 2),
+                      replace(amplitude_damping(0.3), final=depolarizing(0.2).bulk)):
+            head = clifford_averaged_asf_curve(model, RHO, POVM, short)
+            whole = clifford_averaged_asf_curve(model, RHO, POVM, long)
+            assert head.shape[:-1] == whole.shape[:-1] and head.shape[-1] == short
+            assert np.array_equal(head, whole[..., :short])
+
+    def test_memory_does_not_grow_with_m_max(self):
+        # a departure-sized stack of 272 nodes at m_max 100: a buffer of every
+        # length's sector pairs would take 100 x 272 x 2 x 4 x 4 complex entries
+        import tracemalloc
+
+        from rbmpo.learner import predicted_curve
+
+        nodes = np.tile(self.haar_nodes(), (17, 1, 1))
+        lengths = tuple(range(1, 101))
+        every_length = len(lengths) * len(nodes) * 2 * 16 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            curve = predicted_curve(nodes, 2, RHO, POVM, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.shape == (272, 100)
+        assert peak < every_length / 3, (peak, every_length)
+
+
 class TestExpFit:
     def test_recovers_synthetic_model(self):
         ms = tuple(range(1, 15))

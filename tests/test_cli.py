@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,23 @@ class TestGenerate:
         main(["generate", str(cfg), "-o", str(tmp_path / "a")])
         main(["generate", str(cfg), "-o", str(tmp_path / "b")])
         assert (tmp_path / "a" / "asf.csv").read_bytes() == (tmp_path / "b" / "asf.csv").read_bytes()
+
+    def test_huge_m_max_fails_before_writing_its_lengths(self, tmp_path):
+        # m_max 2**24: the first chunk's gate indices (128 GiB) cannot be
+        # allocated, and nothing of size m_max may be written before they are.
+        # One child under a 4 GiB address-space limit, so ru_maxrss is its own peak.
+        cfg = write_experiment(tmp_path / "cfg.json", {"kind": "phase_flip", "p": 0.06},
+                               m_max=2**24, n_samples=2)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        limit = 4 * 2**30
+        run = subprocess.run(
+            [sys.executable, "-c", MAXRSS, "generate", str(cfg), "-o", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert run.returncode == EXIT_INPUT, run.stderr
+        assert run.stderr.startswith("error: out of memory"), run.stderr
+        assert int(run.stdout) < 100 * 1024  # KiB
 
     def test_missing_config_is_input_error(self, tmp_path):
         rc = main(["generate", str(tmp_path / "nope.json"), "-o", str(tmp_path / "out")])
@@ -358,44 +376,61 @@ class TestSelfcheck:
             "closed form vs dense averaged oracle (m=2-3)"]
 
 
-#: Run in a fresh interpreter with a config path and an output directory: the
-#: modules loaded after each stage, and the public names that do not resolve
-#: to the object their module defines.
+#: Run in a fresh interpreter with the arguments of ``rbmpo``: print the peak
+#: resident set size in KiB, and exit with the command's exit code.
+MAXRSS = """
+import resource, sys
+from rbmpo.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+#: Run in a fresh interpreter with a config path, an output directory and a
+#: node record: the modules loaded after each stage, the exit codes of
+#: generate and diagnose, and the public names that do not resolve to the
+#: object their module defines.
 STARTUP = """
 import contextlib, io, json, sys
 import rbmpo
 from rbmpo.cli import main
-loaded = {"import": sorted(sys.modules)}
-for argv in (["--version"], ["--help"], ["frobnicate"], ["generate", *sys.argv[1:]]):
+loaded, codes = {"import": sorted(sys.modules)}, {}
+for argv in (["--version"], ["--help"], ["frobnicate"], ["generate", *sys.argv[1:4]],
+             ["diagnose", sys.argv[4]]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         with contextlib.suppress(SystemExit):
-            main(argv)
+            codes[argv[0]] = main(argv)
     loaded[argv[0]] = sorted(sys.modules)
 wrong = [name for name in rbmpo.__all__ if name not in dir(rbmpo)
          or getattr(rbmpo, name) is not getattr(
              sys.modules["rbmpo." + rbmpo._EXPORTS[name]], name)
          or getattr(rbmpo, name).__module__ != "rbmpo." + rbmpo._EXPORTS[name]]
-print(json.dumps({"loaded": loaded, "wrong": wrong}))
+print(json.dumps({"loaded": loaded, "codes": codes, "wrong": wrong}))
 """
 
 
 class TestStartup:
     def test_each_command_imports_only_what_it_runs(self, tmp_path):
         # the package, --version, --help and a usage error load no numpy,
-        # generate loads no learner, and each public name loads its own object
+        # generate and diagnose load no learner, and each public name loads
+        # its own object
         cfg = write_experiment(tmp_path / "cfg.json")
+        node = tmp_path / "node.json"
+        dump_json(matrix_to_json_dict(np.eye(4, dtype=complex)), node)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        run = subprocess.run([sys.executable, "-c", STARTUP, str(cfg), "-o", str(tmp_path / "out")],
-                             env=env, capture_output=True, text=True, timeout=60)
+        run = subprocess.run([sys.executable, "-c", STARTUP, str(cfg), "-o", str(tmp_path / "out"),
+                              str(node)], env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         report = json.loads(run.stdout)
         for stage in ("import", "--version", "--help", "frobnicate"):
             assert "numpy" not in report["loaded"][stage], stage
         assert "rbmpo.rb" in report["loaded"]["generate"]
         assert (tmp_path / "out" / "asf.csv").is_file()
-        assert {"rbmpo.learner", "rbmpo.average", "rbmpo.process_tensor"}.isdisjoint(
-            report["loaded"]["generate"])
+        assert report["codes"]["generate"] == report["codes"]["diagnose"] == EXIT_OK
+        for stage in ("generate", "diagnose"):
+            assert {"rbmpo.learner", "rbmpo.average", "rbmpo.process_tensor"}.isdisjoint(
+                report["loaded"][stage]), stage
         assert report["wrong"] == []
 
 
