@@ -24,12 +24,12 @@ is matched or no ray descends.  Correlated data develops negative curvature
 in the environment-coupling directions, memoryless data does not.  The one
 evaluator, :func:`evaluate`, takes a node or a stack (one averaged chain for
 the stack) into a :class:`Fit` (cost, l1, node, predicted curve), and
-:func:`cost` reads its cost: a round's probes are one cost call, its rays'
-line searches one cost call per lockstep step, and its endpoints one
-evaluation.  Every probe and ray direction is eigendecomposed once, in one
-stacked ``eigh`` per round, and each rotation exp(-i theta H) is taken from
-it.  Each node is evaluated once; the sweep and :func:`train` read
-residuals and traces off the fits they keep.
+:func:`cost` reads its cost: a round's probes are cost calls of at most
+2 dim^2 nodes each, its rays' line searches one cost call per lockstep step,
+and its endpoints one evaluation.  Every probe and ray direction is
+eigendecomposed once, in one stacked ``eigh`` per round, and each rotation
+exp(-i theta H) is taken from it.  Each node is evaluated once; the sweep and
+:func:`train` read residuals and traces off the fits they keep.
 """
 
 from __future__ import annotations
@@ -263,20 +263,25 @@ def _tangent_probe(
 
     Central differences of cost(exp(-i eta H) node), eta = _PROBE_ANGLE, along
     each Hermitian basis element H and each pairwise sum; `c0` is the known
-    cost at `node`.  The probe directions +-H (272 at dim 4) are
-    eigendecomposed once each, in one stacked ``eigh`` (:func:`_ray_rotations`),
-    and all probe nodes are costed in one batched :func:`cost` call.  Returns
-    (gradient coefficients, Hessian matrix, basis).
+    cost at `node`.  The probe directions +-H (272 at dim 4, 1,332 at dim 6)
+    are eigendecomposed once each, in one stacked ``eigh``
+    (:func:`_ray_rotations`), and the probe nodes are rotated and costed in
+    order, in batched :func:`cost` calls of at most 2 dim^2 nodes, the size of
+    a line-search step's stack, so the probe's memory is that of one slice.
+    Returns (gradient coefficients, Hessian matrix, basis).
     """
     basis = _hermitian_basis(node.shape[0])
     unit = np.eye(len(basis))
     j, k = np.triu_indices(len(basis), 1)
     coeffs = np.concatenate([unit, unit[j] + unit[k]])
-    # each direction in both orientations, +H then -H
-    directions = np.tensordot(np.stack([coeffs, -coeffs], axis=1).reshape(-1, len(basis)),
-                              basis, axes=1)
-    probes = _ray_rotations(node, directions)(dict.fromkeys(range(len(directions)), _PROBE_ANGLE))
-    plus, minus = cost(probes, d_env, data, rho_sys, povm).reshape(-1, 2).T
+    # each direction in both orientations, +H then -H; the coefficients are 0 and +-1, so each
+    # entry is one exact sum, which einsum forms without a (threaded) BLAS product
+    signed = np.stack([coeffs, -coeffs], axis=1).reshape(-1, len(basis))
+    rotate = _ray_rotations(node, np.einsum("rb,bij->rij", signed, basis))
+    rays, size = range(len(signed)), 2 * len(basis)
+    plus, minus = np.concatenate([
+        cost(rotate(dict.fromkeys(rays[s:s + size], _PROBE_ANGLE)), d_env, data, rho_sys, povm)
+        for s in range(0, len(rays), size)]).reshape(-1, 2).T
     grad = (plus[:len(basis)] - minus[:len(basis)]) / (2.0 * _PROBE_ANGLE)
     second = (plus - 2.0 * c0 + minus) / _PROBE_ANGLE**2
     diag = second[:len(basis)]
@@ -359,10 +364,11 @@ def saddle_departure(
     lowest-cost endpoint.  Rounds stop when the data is matched, no ray
     improves the cost, or ``max_rounds`` have run.  The start is evaluated
     once, a round's endpoints at non-zero angles once, as one stack, and the
-    round carries the chosen row's :class:`Fit`.  A round's probes are one
-    batched cost call, and its rays' line searches run in lockstep, one
-    batched cost call per bracketing or golden-section step over the rays
-    still searching (:func:`_search_rays`).  The round's ray directions are
+    round carries the chosen row's :class:`Fit`.  A round's probes are costed
+    in slices of at most 2 dim^2 nodes (:func:`_tangent_probe`), and its
+    rays' line searches run in lockstep, one batched cost call per
+    bracketing or golden-section step over the rays still searching
+    (:func:`_search_rays`).  The round's ray directions are
     eigendecomposed once, as one stacked ``eigh``, and every trial and
     endpoint is rotated from it.
     Deterministic: no randomness enters at any point.

@@ -16,8 +16,10 @@ runs all lengths through it in one pass, in chunks of a fixed number of rows,
 and draws each chunk's gates at once (:func:`_stream_indices`, the one
 definition of the gate stream; it reproduces numpy's ``Generator.integers`` on
 each sample's own stream).  Every product is per row, so the values are those
-of running the samples one at a time, bit for bit, and memory does not grow
-with n_samples or m_max.
+of running the samples one at a time, bit for bit.  Memory does not grow with
+n_samples; it grows with m_max through each chunk's gate indices, an int64
+table of ``_CHUNK_ROWS`` x m_max (8 KiB per unit of m_max), and the m_max
+means and standard errors.
 """
 
 from __future__ import annotations
@@ -314,10 +316,11 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     lengths make one pass: the sequences, longest first, go in chunks of a
     fixed number through the evolution loop, each chunk's gate indices drawn
     at once.  A length is reduced once all its samples are in one buffer of
-    n_samples values, so memory does not grow with n_samples * m_max, and its
-    mean and standard error are written as it completes, so nothing of size
-    m_max is written up front; the values are those of running the samples
-    one at a time, bit for bit.
+    n_samples values, and its mean and standard error are written as it
+    completes, so nothing of size m_max is written up front; the values are
+    those of running the samples one at a time, bit for bit.  Memory is
+    O(n_samples + _CHUNK_ROWS * m_max): each chunk's gate indices are a
+    (_CHUNK_ROWS, m_max) int64 table, 8 KiB per unit of m_max.
     """
     n, m_max = cfg.n_samples, cfg.m_max
     gates = np.stack(cfg.gate_set.gates)

@@ -73,6 +73,12 @@ FAULTS = [Fault(*entry) for entry in [
      "(ends.cost < np.inf)", "a round moves to an endpoint that does not lower the cost"),
     ("departure-curvature-floor", "learner.py", "(w < floor)", "(w < 0.0)",
      "round-off curvature counts as negative curvature and adds rays"),
+    ("probe-one-stack", "learner.py", "range(len(signed)), 2 * len(basis)",
+     "range(len(signed)), len(signed)",
+     "a round's probe nodes are costed as one stack: the probe's memory grows with dim^4"),
+    ("probe-directions-blas", "learner.py", 'np.einsum("rb,bij->rij", signed, basis)',
+     "np.tensordot(signed, basis, axes=1)",
+     "the probe directions come from a threaded BLAS product, which wakes a spinning worker"),
     ("train-returns-last-fit", "learner.py", "int(np.argmin(cost_trace))", "len(cost_trace) - 1",
      "train returns its last fit instead of its first minimum-cost one"),
     ("gradient-conjugated", "learner.py", "(stack, stack))", "(stack, stack)).conj()",

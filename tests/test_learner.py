@@ -1,6 +1,11 @@
 """Sweeping learner: cost, gradient, split/project pipeline, training, diagnosis."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,49 @@ def model_curve(node, m_max):
 def rotation(theta):
     """An uncoupled node: exp(-i theta X) on the system, nothing on the environment."""
     return np.kron(np.eye(2), hermitian_expm(PAULI_X, -1j * theta))
+
+
+def probe_directions(dim):
+    """The probe's +-H directions as the tensordot of their 0/+-1 coefficients with the basis."""
+    basis = learner_mod._hermitian_basis(dim)
+    unit = np.eye(len(basis))
+    j, k = np.triu_indices(len(basis), 1)
+    coeffs = np.concatenate([unit, unit[j] + unit[k]])
+    return np.tensordot(np.stack([coeffs, -coeffs], axis=1).reshape(-1, len(basis)), basis, axes=1)
+
+
+#: The BLAS library numpy was built against, as its build configuration names it.
+BLAS_NAME = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+#: Prints the CPU ticks that the threads other than the main one spend over one
+#: dim-4 probe and the 0.3 s after it, 0.5 s after start-up.
+BLAS_WORKER_CHILD = """
+import os, threading, time
+import numpy as np
+from rbmpo.learner import _tangent_probe, cost
+from rbmpo.quantum import basis_state
+from rbmpo.rb import AsfCurve
+
+def ticks():
+    total = 0
+    for task in os.listdir("/proc/self/task"):
+        if int(task) != threading.get_native_id():
+            with open(f"/proc/self/task/{task}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])  # utime, stime
+    return total
+
+rho = basis_state(0, 2)
+data = AsfCurve(tuple(range(1, 21)), tuple(0.5 + 0.5 * 0.99 ** m for m in range(1, 21)),
+                (0.01,) * 20, 100)
+node = np.eye(4, dtype=complex)
+c0 = cost(node, 2, data, rho, rho)
+time.sleep(0.5)
+before = ticks()
+_tangent_probe(node, c0, 2, data, rho, rho)
+time.sleep(0.3)
+print(ticks() - before)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -476,27 +524,81 @@ class TestDeparture:
         assert all(cost(node, 2, data, RHO, POVM) > fit.cost for node in worse)
         assert np.array_equal(fit.node, start)
 
-    def test_probe_is_one_cost_call_per_round(self, phase_flip_data, monkeypatch):
-        # every probe node of a round goes into one batched cost call
+    def test_probe_costs_its_nodes_in_order_in_bounded_slices(self, phase_flip_data,
+                                                               monkeypatch):
+        # a round's 272 probe nodes arrive in order, in cost calls of at most
+        # 2 dim^2 = 32 nodes, the size of a line-search step's stack
         calls = []
         per_round = []
         plain_cost, probe = learner_mod.cost, learner_mod._tangent_probe
 
         def counted_cost(node, *args):
-            calls.append(node.shape)
+            calls.append(node)
             return plain_cost(node, *args)
 
-        def counted_probe(*args):
+        def counted_probe(node, *args):
             before = len(calls)
-            out = probe(*args)
-            per_round.append(calls[before:])
+            out = probe(node, *args)
+            per_round.append((node, calls[before:]))
             return out
 
         monkeypatch.setattr(learner_mod, "cost", counted_cost)
         monkeypatch.setattr(learner_mod, "_tangent_probe", counted_probe)
         saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
                          max_rounds=2, l1_stop=0.0)
-        assert per_round == [[(272, 4, 4)]] * 2
+        assert len(per_round) == 2
+        for node, stacks in per_round:
+            assert [len(stack) for stack in stacks] == [32] * 8 + [16]
+            rotate = learner_mod._ray_rotations(node, probe_directions(4))
+            assert np.array_equal(np.concatenate(stacks),
+                                  rotate(dict.fromkeys(range(272), learner_mod._PROBE_ANGLE)))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_probe_directions_equal_the_basis_products(self, monkeypatch, dim):
+        # the probe's +-H directions, formed without a BLAS product, equal the
+        # tensordot of their 0/+-1 coefficients with the basis, bit for bit
+        # (signed zeros included)
+        seen = []
+
+        class Captured(Exception):
+            pass
+
+        def captured(node, directions):
+            seen.append(directions)
+            raise Captured
+
+        monkeypatch.setattr(learner_mod, "_ray_rotations", captured)
+        with pytest.raises(Captured):
+            learner_mod._tangent_probe(np.eye(dim, dtype=complex), 0.0, dim // 2, None, RHO, POVM)
+        assert seen[0].tobytes() == probe_directions(dim).tobytes()
+
+    def test_probe_memory_is_one_slice(self, phase_flip_data):
+        # at d_env 3 the probe costs 1,332 nodes; in slices of 72 its tracemalloc
+        # peak stays below 4 MB (25.7 MB when all of them were one stack)
+        node = np.eye(6, dtype=complex)
+        c0 = cost(node, 3, phase_flip_data, RHO, POVM)
+        tracemalloc.start()
+        try:
+            learner_mod._tangent_probe(node, c0, 3, phase_flip_data, RHO, POVM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2
+                        or "openblas" not in BLAS_NAME, reason="needs Linux, 2 CPUs and OpenBLAS")
+    def test_probe_leaves_the_blas_worker_asleep(self):
+        # a child with two OpenBLAS threads runs one dim-4 probe; the CPU ticks of
+        # its other threads over the probe and 0.3 s after it stay at most 2 (a
+        # threaded BLAS product in the probe wakes the worker, which then spins
+        # for about 0.1 s: 12 ticks)
+        src = str(Path(learner_mod.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", BLAS_WORKER_CHILD], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) <= 2
 
 
 class TestTrain:

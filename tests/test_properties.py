@@ -1,13 +1,16 @@
 """Property tests of the file formats (curve CSV round trips and the real-field
 parser), of the command line on edited input files, of the Monte Carlo's
 vectorised sample streams, and, on random models, of direct evolution against
-the dense oracle, of batches against single sequences, and of the closed form
-against the Clifford enumeration.
+the dense oracle, of batches against single sequences, of the closed form
+against the Clifford enumeration and the [0, 1] bound of a probability, of the
+exponential fit against the decay of a memoryless channel, and of noise
+records against the model they were written from.
 
 The random models are drawn as seeds, not arrays, so that shrinking stays
 cheap: :func:`random_model` builds one from its seed."""
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -21,7 +24,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from rbmpo.average import clifford_averaged_asf_curve  # noqa: E402
+from rbmpo.average import clifford_averaged_asf_curve, fit_exponential  # noqa: E402
 from rbmpo.cli import EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_NUMERICAL, EXIT_OK, main  # noqa: E402
 from rbmpo.errors import InputError  # noqa: E402
 from rbmpo.learner import train  # noqa: E402
@@ -32,7 +35,8 @@ from rbmpo.quantum import basis_state  # noqa: E402
 from rbmpo.rb import AsfCurve, _stream_indices, estimate_asf, run_sequence  # noqa: E402
 from rbmpo.selfcheck import enumeration_mean, haar_unitary, sample_stream  # noqa: E402
 from rbmpo.serialize import (  # noqa: E402
-    _number, experiment_config_from_dict, learner_config_from_dict, training_result_to_dict,
+    _number, experiment_config_from_dict, learner_config_from_dict, noise_model_from_dict,
+    noise_model_to_dict, training_result_to_dict,
 )
 
 FLOAT_MAX_INT = int(sys.float_info.max)
@@ -236,12 +240,13 @@ def _slot(dim, rng):
     return tuple(haar_unitary(k * dim, rng)[:, :dim].reshape(k, dim, dim))
 
 
-def random_model(seed):
-    """Noise on d_env in {1, 2, 3} x one qubit, a generic rho_env, its own slot
-    in each of prep, bulk and final; with a generic state, POVM element and
-    gate sequence of length 1 or 2."""
+def random_model(seed, d_env=None):
+    """Noise on d_env in {1, 2, 3} (or the given d_env) x one qubit, a generic
+    rho_env, its own slot in each of prep, bulk and final; with a generic
+    state, POVM element and gate sequence of length 1 or 2."""
     rng = np.random.default_rng(seed)
-    d_env = int(rng.integers(1, 4))
+    drawn = int(rng.integers(1, 4))  # drawn either way, so that the later draws stay put
+    d_env = drawn if d_env is None else d_env
     model = NoiseSteps(_density_matrix(d_env, rng), *(_slot(2 * d_env, rng) for _ in range(3)))
     u = haar_unitary(2, rng)
     povm = u @ np.diag(rng.uniform(0.0, 1.0, 2)) @ u.conj().T
@@ -275,3 +280,47 @@ def test_closed_form_equals_enumeration_at_m1(seed):
     model, rho_sys, povm, _ = random_model(seed)
     assert abs(clifford_averaged_asf_curve(model, rho_sys, povm, 1)[0]
                - enumeration_mean(model, 1, rho_sys, povm)) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@example(27)  # a model whose curve leaves [0, 1] when the loop map changes sign
+@given(st.integers(0, 2**64 - 1))
+def test_averaged_curve_is_a_probability(seed):
+    """The closed form's curve up to m = 30 is a survival probability: it lies in [0, 1]."""
+    model, rho_sys, povm, _ = random_model(seed)
+    curve = clifford_averaged_asf_curve(model, rho_sys, povm, 30)
+    assert -1e-12 <= curve.min() and curve.max() <= 1.0 + 1e-12
+
+
+@settings(max_examples=5, deadline=None)  # each fit takes about 0.1 s
+@given(st.integers(0, 2**64 - 1))
+def test_fit_exponential_recovers_a_memoryless_decay(seed):
+    """At d_env 1 the closed form is an exact A p^m + B, with the bulk channel's
+    p = (sum_k |tr K_k|^2 - 1) / 3; fit_exponential recovers that p.  The
+    bound is on A (p_fit - p), since p is only as well determined as A is large."""
+    model, rho_sys, povm, _ = random_model(seed, d_env=1)
+    lengths = tuple(range(1, 21))
+    curve = clifford_averaged_asf_curve(model, rho_sys, povm, len(lengths))
+    fit = fit_exponential(AsfCurve(lengths, tuple(curve), (0.0,) * len(lengths), 1))
+    p = (sum(abs(np.trace(k)) ** 2 for k in model.bulk) - 1.0) / 3.0
+    assert not fit.degenerate and abs(fit.amplitude * (fit.decay - p)) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_noise_record_round_trips_bit_for_bit(seed):
+    """A model read back from its JSON record equals it bit for bit, but for a
+    one-dimensional environment, whose state a memoryless record does not
+    store and reads back as exactly 1; a model with an environment and more
+    than one bulk operator has no record."""
+    model, *_ = random_model(seed)
+    if model.d_env > 1 and len(model.bulk) > 1:
+        with pytest.raises(InputError):
+            noise_model_to_dict(model)
+        return
+    if model.d_env == 1:  # random_model's 1 x 1 state can be 1 - 2^-53
+        model = dataclasses.replace(model, rho_env=np.ones((1, 1), dtype=np.complex128))
+    back = noise_model_from_dict(json.loads(json.dumps(noise_model_to_dict(model))))
+    assert back.label == model.label
+    for field in ("rho_env", "bulk", "prep", "final"):
+        assert np.array(getattr(back, field)).tobytes() == np.array(getattr(model, field)).tobytes()
