@@ -11,15 +11,15 @@ from (seed, m, k), so results are independent of evaluation order.
 
 One loop: ``_survival`` runs sequences of non-increasing lengths as a stack
 (rows, dim^2) of vectorised joint states, each slot one superoperator
-product.  :func:`run_sequence` is its one-length case.  :func:`estimate_asf`
-runs all lengths through it in one pass, in chunks of a fixed number of rows,
-and draws each chunk's gates at once (:func:`_stream_indices`, the one
-definition of the gate stream; it reproduces numpy's ``Generator.integers`` on
-each sample's own stream).  Every product is per row, so the values are those
-of running the samples one at a time, bit for bit.  Memory does not grow with
-n_samples; it grows with m_max through each chunk's gate indices, an int64
-table of ``_CHUNK_ROWS`` x m_max (8 KiB per unit of m_max), and the m_max
-means and standard errors.
+product, and takes each step's gate indices as one column.
+:func:`run_sequence` is its one-length case.  :func:`estimate_asf` runs all
+lengths through it in one pass, in chunks of a fixed number of rows, and
+draws each step's column as the loop reaches it (:func:`_stream_indices`, the
+one definition of the gate stream; it reproduces numpy's
+``Generator.integers`` on each sample's own stream).  Every product is per
+row, so the values are those of running the samples one at a time, bit for
+bit.  Memory is O(n_samples + _CHUNK_ROWS) plus the m_max means and standard
+errors: a row keeps its stream's state, not its gate indices.
 """
 
 from __future__ import annotations
@@ -149,16 +149,17 @@ def _gate_superoperators(gates: np.ndarray) -> np.ndarray:
     return (gt[:, :, None, :, None] * gt.conj()[:, None, :, None, :]).reshape(-1, d * d, d * d)
 
 
-def _survival(noise: NoiseSteps, gates, picks, lengths, rho_sys, povm) -> np.ndarray:
+def _survival(noise: NoiseSteps, gates, columns, lengths, rho_sys, povm) -> np.ndarray:
     """Survival probabilities of rows of non-increasing ``lengths``: the one evolution loop.
 
-    Row i runs the gates ``gates[picks[i, :lengths[i]]]``, each a product with
-    its g x conj(g) gathered from the table's, built once.  The states, vectors
-    in (env, env', sys, sys') order, start as rho_env x rho_sys through prep.
-    At step j the rows longer than j, a prefix, take their gate and a bulk slot
-    and extend a running product for the inverse; the rows of length j then
-    take the inverse (G_j ... G_1)^dag and the final slot, and I_env x povm is
-    measured.  A value outside [-1e-10, 1 + 1e-10] raises
+    ``columns`` yields one array of gate indices per step: the j-th holds the
+    j-th index of each row longer than j, a prefix.  Each gate is a product
+    with its g x conj(g) gathered from the table's, built once.  The states,
+    vectors in (env, env', sys, sys') order, start as rho_env x rho_sys
+    through prep.  At step j the rows longer than j take their gate and a bulk
+    slot and extend a running product for the inverse; the rows of length
+    j + 1 then take the inverse (G_j+1 ... G_1)^dag and the final slot, and
+    I_env x povm is measured.  A value outside [-1e-10, 1 + 1e-10] raises
     :class:`NumericalError`; the others are clipped to [0, 1].
     """
     d, d_env = gates.shape[-1], noise.d_env
@@ -166,15 +167,13 @@ def _survival(noise: NoiseSteps, gates, picks, lengths, rho_sys, povm) -> np.nda
     prep, bulk, final = (_superoperator(ops, d_env) for ops in (noise.prep, noise.bulk, noise.final))
     measure = np.outer(np.eye(d_env), povm.T).ravel()
     rows = len(lengths)
-    # live[j]: rows longer than j, which are the first live[j]
-    live = np.searchsorted(-lengths, -np.arange(lengths[0] + 1))
     state = np.broadcast_to(np.outer(noise.rho_env, rho_sys).reshape(1, -1),
                             (rows, 1, d_env**2 * d**2)) @ prep
     prod = np.broadcast_to(np.eye(d, dtype=np.complex128), (rows, d, d))
     f = np.empty(rows)
-    for j in range(lengths[0]):
-        n, done = live[j], live[j + 1]
-        step = picks[:n, j]
+    for j, step in enumerate(columns):
+        n = len(step)
+        done = np.count_nonzero(lengths[:n] > j + 1)
         state = (state[:n].reshape(n, d_env**2, d * d) @ lifted[step]).reshape(n, 1, -1)
         state = state @ bulk
         prod = gates[step] @ prod[:n]
@@ -217,7 +216,7 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     for start in range(0, n, _CHUNK_ROWS):
         table = batch[start:start + _CHUNK_ROWS].reshape(-1, d, d)
         rows = len(table) // m
-        parts.append(_survival(noise, table, np.arange(rows * m).reshape(rows, m),
+        parts.append(_survival(noise, table, np.arange(rows * m).reshape(rows, m).T,
                                np.full(rows, m), rho_sys, povm))
     f = np.concatenate(parts)
     return float(f[0]) if stack.ndim == 3 else f
@@ -254,16 +253,19 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return hi + (lo < inc_lo), lo
 
 
-def _stream_indices(seed: int, lengths: np.ndarray, index: np.ndarray, n_gates: int) -> np.ndarray:
-    """Gate indices of the streams (seed, lengths[i], index[i]) at once, as rows.
+def _stream_indices(seed: int, lengths: np.ndarray, index: np.ndarray, n_gates: int):
+    """Gate indices of the streams (seed, lengths[i], index[i]), one column per step.
 
-    Row i starts with the m = lengths[i] indices that numpy's
+    Column j holds the j-th of the m = lengths[i] indices that numpy's
     ``Generator.integers(0, n_gates, size=m)`` draws from the stream seeded with
-    (seed mod 2^64, m, index[i]) (lengths non-increasing, m and index[i] below
-    2^32, n_gates at most 2^32).  numpy's SeedSequence mixing, PCG64 seeding
-    and step with its XSL-RR output, and the buffered 32-bit Lemire draw run
-    on uint64 arrays: each step gives two words, low half first, and a word
-    that Lemire's method rejects is skipped, as numpy skips it.
+    (seed mod 2^64, m, index[i]), for the rows longer than j: a prefix, as
+    lengths do not increase (m and index[i] below 2^32, n_gates at most 2^32).
+    numpy's SeedSequence mixing, PCG64 seeding and step with its XSL-RR
+    output, and the buffered 32-bit Lemire draw run on uint64 arrays: each
+    step gives two words, low half first, the high one held for the row's
+    next draw, and a word that Lemire's method rejects is skipped, as numpy
+    skips it, by the rejected rows alone.  A row keeps only its PCG64 words
+    and its held word.
     """
     seed = int(seed) & _M64
     rows = len(lengths)
@@ -290,22 +292,28 @@ def _stream_indices(seed: int, lengths: np.ndarray, index: np.ndarray, n_gates: 
     lo = inc_lo + s_lo
     hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
 
-    picks = np.zeros((rows, int(lengths[0])), dtype=np.int64)
-    filled = np.zeros(rows, dtype=np.int64)
+    spare = np.zeros(rows, dtype=np.uint64)  # numpy's buffered high word, where held
+    held = np.zeros(rows, dtype=bool)
     threshold = (2**32 - n_gates) % n_gates
-    # the rows up to the last one still drawing take each step: a slice, not a gather
-    while (todo := np.flatnonzero(filled < lengths)).size:
-        n = todo[-1] + 1
-        hi, lo = _pcg_step(hi[:n], lo[:n], inc_hi[:n], inc_lo[:n])
-        x = hi ^ lo  # XSL-RR: the halves' xor, rotated right by the top six bits
-        rot = hi >> 58
-        x = x >> rot | x << (-rot & 63)
-        for word in (x & _M32, x >> 32):
+    for j in range(int(lengths[0])):
+        todo = np.arange(np.count_nonzero(lengths > j))
+        column = np.empty(len(todo), dtype=np.int64)
+        while todo.size:  # the rows whose last word Lemire's method rejected draw again
+            fresh = ~held[todo]
+            word, stepped = spare[todo], todo[fresh]
+            if stepped.size:
+                top, low = _pcg_step(hi[stepped], lo[stepped], inc_hi[stepped], inc_lo[stepped])
+                hi[stepped], lo[stepped] = top, low
+                x = top ^ low  # XSL-RR: the halves' xor, rotated right by the top six bits
+                rot = top >> 58
+                x = x >> rot | x << (-rot & 63)
+                word[fresh], spare[stepped] = x & _M32, x >> 32
+            held[todo] = fresh
             scaled = word * n_gates
-            take = np.flatnonzero(((scaled & _M32) >= threshold) & (filled[:n] < lengths[:n]))
-            picks[take, filled[take]] = scaled[take] >> 32
-            filled[take] += 1
-    return picks
+            kept = (scaled & _M32) >= threshold
+            column[todo[kept]] = scaled[kept] >> 32
+            todo = todo[~kept]
+        yield column
 
 
 def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
@@ -314,13 +322,13 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     For each length, n_samples independent sequences are drawn and the sample
     mean and standard error (ddof=1, divided by sqrt(n)) are reported.  All
     lengths make one pass: the sequences, longest first, go in chunks of a
-    fixed number through the evolution loop, each chunk's gate indices drawn
-    at once.  A length is reduced once all its samples are in one buffer of
-    n_samples values, and its mean and standard error are written as it
-    completes, so nothing of size m_max is written up front; the values are
-    those of running the samples one at a time, bit for bit.  Memory is
-    O(n_samples + _CHUNK_ROWS * m_max): each chunk's gate indices are a
-    (_CHUNK_ROWS, m_max) int64 table, 8 KiB per unit of m_max.
+    fixed number through the evolution loop, which draws each step's gate
+    indices as it reaches that step.  A length is reduced once all its samples
+    are in one buffer of n_samples values, and its mean and standard error are
+    written as it completes, so nothing of size m_max is written up front; the
+    values are those of running the samples one at a time, bit for bit.
+    Memory is O(n_samples + _CHUNK_ROWS) plus the m_max means and standard
+    errors.
     """
     n, m_max = cfg.n_samples, cfg.m_max
     gates = np.stack(cfg.gate_set.gates)
@@ -330,8 +338,8 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
     for start in range(0, n * m_max, _CHUNK_ROWS):
         row = np.arange(start, min(start + _CHUNK_ROWS, n * m_max))
         lengths, index = m_max - row // n, row % n
-        picks = _stream_indices(cfg.seed, lengths, index, len(gates))
-        f = _survival(cfg.noise, gates, picks, lengths, cfg.rho_sys, cfg.povm)
+        columns = _stream_indices(cfg.seed, lengths, index, len(gates))
+        f = _survival(cfg.noise, gates, columns, lengths, cfg.rho_sys, cfg.povm)
         for m in range(lengths[0], lengths[-1] - 1, -1):
             part = lengths == m
             values[index[part]] = f[part]

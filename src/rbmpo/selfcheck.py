@@ -30,7 +30,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_stream(seed: int, m: int, index: int) -> np.random.Generator:
     """Independent random stream for sample `index` at sequence length `m`: numpy's
-    own, which :func:`rbmpo.rb._stream_indices` reproduces with ``.integers``."""
+    own, whose ``.integers`` draws :func:`rbmpo.rb._stream_indices` yields step by step."""
     return np.random.default_rng([seed & (2**64 - 1), m, index])
 
 

@@ -49,14 +49,16 @@ FAULTS = [Fault(*entry) for entry in [
      "the simulator measures the transpose of the POVM element"),
     ("running-product-reversed", "rb.py", "gates[step] @ prod[:n]", "prod[:n] @ gates[step]",
      "the compiled inverse is built from the gates in reverse order"),
-    ("running-prefix-off-by-one", "rb.py", "(lengths[0] + 1))", '(lengths[0] + 1), side="right")',
-     "the live prefix counts the rows of length j as longer than j"),
+    ("running-prefix-off-by-one", "rb.py", "lengths[:n] > j + 1)", "lengths[:n] >= j + 1)",
+     "the live prefix counts the rows of length j + 1 as longer than j + 1"),
     ("first-row-inverse-for-all", "rb.py", "dagger(prod[done:])", "dagger(prod[done:done + 1])",
      "every sequence ending at a step takes the first one's inverse"),
     ("pcg-carry-dropped", "rb.py", "return hi + (lo < inc_lo), lo", "return hi, lo",
      "PCG64's 128-bit step loses its carry: gate draws leave numpy's stream"),
     ("rejected-draw-kept", "rb.py", ">= threshold", ">= 0",
      "a word that Lemire's draw rejects is kept: gate draws leave numpy's stream"),
+    ("spare-word-dropped", "rb.py", "held[todo] = fresh", "held[todo] = False",
+     "a row steps PCG64 for every column, which drops numpy's buffered high word"),
     ("length-reduced-early", "rb.py", "if index[part][-1] == n - 1:", "if index[part][0] == 0:",
      "a length is reduced in the chunk that holds its first sample, before its last one is in"),
     ("generate-writes-up-front", "rb.py", "np.empty((2, m_max))", "np.array([[0.0] * m_max] * 2)",

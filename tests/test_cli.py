@@ -89,11 +89,12 @@ class TestGenerate:
         assert (tmp_path / "a" / "asf.csv").read_bytes() == (tmp_path / "b" / "asf.csv").read_bytes()
 
     def test_huge_m_max_fails_before_writing_its_lengths(self, tmp_path):
-        # m_max 2**24: the first chunk's gate indices (128 GiB) cannot be
-        # allocated, and nothing of size m_max may be written before they are.
+        # m_max 2**24 with n_samples 2**31: the buffer of one length's samples
+        # (16 GiB) cannot be allocated, and nothing of size m_max may be written
+        # before it is; the (2, m_max) statistics come first and stay untouched.
         # One child under a 4 GiB address-space limit, so ru_maxrss is its own peak.
         cfg = write_experiment(tmp_path / "cfg.json", {"kind": "phase_flip", "p": 0.06},
-                               m_max=2**24, n_samples=2)
+                               m_max=2**24, n_samples=2**31)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
         limit = 4 * 2**30

@@ -32,12 +32,13 @@ from rbmpo.linalg import matrix_to_json_dict  # noqa: E402
 from rbmpo.noise import NoiseSteps  # noqa: E402
 from rbmpo.process_tensor import contract_asf_dense  # noqa: E402
 from rbmpo.quantum import basis_state  # noqa: E402
-from rbmpo.rb import AsfCurve, _stream_indices, estimate_asf, run_sequence  # noqa: E402
+from rbmpo.rb import AsfCurve, estimate_asf, run_sequence  # noqa: E402
 from rbmpo.selfcheck import enumeration_mean, haar_unitary, sample_stream  # noqa: E402
 from rbmpo.serialize import (  # noqa: E402
     _number, experiment_config_from_dict, learner_config_from_dict, noise_model_from_dict,
     noise_model_to_dict, training_result_to_dict,
 )
+from test_rb import stream_table  # noqa: E402
 
 FLOAT_MAX_INT = int(sys.float_info.max)
 
@@ -221,7 +222,7 @@ def test_stream_draw_equals_sample_stream(seed, m, k, n_gates):
     """One row of the vectorised draw is numpy's own stream (see test_rb.TestStreams, NEP 19).
     At 2**31 + 1 and 3 * 2**30 + 1 gates, Lemire's draw rejects about half and a quarter of
     the 32-bit words."""
-    picks = _stream_indices(seed, np.array([m]), np.array([k]), n_gates)
+    picks = stream_table(seed, np.array([m]), np.array([k]), n_gates)
     assert np.array_equal(picks[0], sample_stream(seed, m, k).integers(0, n_gates, size=m))
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,15 @@ def qutrit_env_model():
     rng = np.random.default_rng(1234)
     return joint_unitary(haar_unitary(6, rng), np.diag([0.5, 0.3, 0.2]).astype(complex), 3,
                          prep=KrausChannel((haar_unitary(6, rng),)), label="qutrit_env")
+
+
+def stream_table(seed, lengths, index, n_gates):
+    """``_stream_indices``' columns stacked as rows: row i holds its lengths[i]
+    gate indices, then -1."""
+    table = np.full((len(lengths), int(lengths[0])), -1, dtype=np.int64)
+    for j, column in enumerate(_stream_indices(seed, lengths, index, n_gates)):
+        table[:len(column), j] = column
+    return table
 
 
 def kraus_loop_survival(model, gates, rho_sys, povm):
@@ -232,6 +242,21 @@ class TestEstimateAsf:
         monkeypatch.setattr(rb, "_CHUNK_ROWS", 7)
         assert estimate_asf(cfg) == whole
 
+    def test_memory_does_not_grow_with_m_max(self):
+        # one chunk of 1,000 rows each, m_max 1,000 x 1 sample and m_max 50 x
+        # 20 samples, so only m_max differs: the gate indices are drawn one
+        # step at a time, where a (rows, m_max) int64 table of them would add 7.6 MB
+        def peak(m_max, n_samples):
+            tracemalloc.start()
+            try:
+                estimate_asf(ExperimentConfig(noise=phase_flip(0.1), m_max=m_max,
+                                              n_samples=n_samples, seed=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(1000, 1) - peak(50, 20)) < 256 * 1024
+
     def test_leaves_numpy_random_unimported(self):
         # the streams are numpy's arithmetic on arrays: generate does not pay
         # for importing numpy.random, even where Lemire's draw rejects words
@@ -241,7 +266,8 @@ class TestEstimateAsf:
         code = ("import sys; import numpy as np; from rbmpo.noise import phase_flip; "
                 "from rbmpo.rb import ExperimentConfig, _stream_indices, estimate_asf; "
                 "estimate_asf(ExperimentConfig(noise=phase_flip(0.1), m_max=5, n_samples=20, seed=7)); "
-                "_stream_indices(7, np.repeat([17, 3], 20), np.tile(np.arange(20), 2), 3 * 2**30 + 1); "
+                "list(_stream_indices(7, np.repeat([17, 3], 20), np.tile(np.arange(20), 2), "
+                "3 * 2**30 + 1)); "
                 "print('numpy.random' in sys.modules)")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)
@@ -271,7 +297,7 @@ class TestStreams:
     def test_equals_sample_stream(self, seed):
         lengths = np.repeat([40, 17, 3, 2, 1], 300)
         index = np.tile(np.arange(300), 5)
-        picks = _stream_indices(seed, lengths, index, 24)
+        picks = stream_table(seed, lengths, index, 24)
         for row, m, k in zip(picks, lengths, index):
             assert np.array_equal(row[:m], sample_stream(seed, m, k).integers(0, 24, size=m))
 
@@ -283,11 +309,11 @@ class TestStreams:
         n_gates = 3 * 2**30 + 1
         lengths = np.repeat([17, 3, 1], 40)
         index = np.tile(np.arange(40), 3)
-        words = _stream_indices(-3, lengths, index, 2**32).astype(np.uint64)
+        words = stream_table(-3, lengths, index, 2**32).astype(np.uint64)
         skipped = (words * n_gates & 0xFFFFFFFF) < (2**32 - n_gates) % n_gates
         rejecting = [skipped[i, :m].any() for i, m in enumerate(lengths)]
         assert 0 < sum(rejecting) < len(lengths)
-        picks = _stream_indices(-3, lengths, index, n_gates)
+        picks = stream_table(-3, lengths, index, n_gates)
         for row, m, k in zip(picks, lengths, index):
             assert np.array_equal(row[:m], sample_stream(-3, m, k).integers(0, n_gates, size=m))
 
