@@ -27,8 +27,8 @@ _EXPORTS = {
     **dict.fromkeys(["MarkovianityReport", "NoiseSteps", "amplitude_damping", "depolarizing",
                      "diagnose_markovianity", "joint_unitary", "markovian_channel", "phase_flip",
                      "spin_unitary"], "noise"),
-    **dict.fromkeys(["GateSet", "KrausChannel", "apply_channel", "compile_undo",
-                     "sample_sequence", "single_qubit_cliffords"], "quantum"),
+    **dict.fromkeys(["GateSet", "KrausChannel", "compile_undo", "sample_sequence",
+                     "single_qubit_cliffords"], "quantum"),
     **dict.fromkeys(["AsfCurve", "ExperimentConfig", "estimate_asf", "run_sequence"], "rb"),
 }
 

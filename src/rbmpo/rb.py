@@ -12,14 +12,11 @@ from (seed, m, k), so results are independent of evaluation order.
 One loop: ``_survival`` runs sequences of non-increasing lengths as a stack
 (rows, dim^2) of vectorised joint states, each slot one superoperator
 product, and takes each step's gate indices as one column.
-:func:`run_sequence` is its one-length case.  :func:`estimate_asf` runs all
-lengths through it in one pass, in chunks of a fixed number of rows, and
-draws each step's column as the loop reaches it (:func:`_stream_indices`, the
-one definition of the gate stream; it reproduces numpy's
-``Generator.integers`` on each sample's own stream).  Every product is per
-row, so the values are those of running the samples one at a time, bit for
-bit.  Memory is O(n_samples + _CHUNK_ROWS) plus the m_max means and standard
-errors: a row keeps its stream's state, not its gate indices.
+:func:`run_sequence` is its one-length case, and :func:`estimate_asf` runs
+all lengths through it in one pass, drawing each column as the loop reaches
+it (:func:`_stream_indices`, the one definition of the gate stream).  Both
+run in chunks whose states and gathered gates hold at most 320 KiB, at any
+joint width, and every product is per row.
 """
 
 from __future__ import annotations
@@ -126,9 +123,15 @@ class ExperimentConfig:
         object.__setattr__(self, "povm", povm)
 
 
-# Rows per chunk of the evolution loop: a fixed internal size, on which no
-# output depends; it bounds the memory of long runs.
-_CHUNK_ROWS = 1024
+# Complex entries per chunk of the evolution loop (320 KiB), at any joint
+# width: a fixed internal size, on which no output depends.
+_CHUNK_ENTRIES = 20480
+
+
+def _chunk_rows(noise: NoiseSteps) -> int:
+    """Rows per chunk: a row holds a joint state and a gathered gate superoperator."""
+    d = noise.d_sys
+    return max(1, _CHUNK_ENTRIES // (noise.d_env**2 * d * d + d**4))
 
 
 def _superoperator(ops: tuple[np.ndarray, ...], d_env: int) -> np.ndarray:
@@ -195,8 +198,8 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     float; or a stack (n, m, d, d) of n sequences of one length, which gives
     an (n,) array.  This is the one-length case of the evolution loop behind
     :func:`estimate_asf` (``_survival``), with the stack as its own gate
-    table, run in chunks of a fixed number of sequences.  Every product is per
-    sequence, so a batch equals its sequences run one at a time, bit for bit.
+    table, run in chunks of at most 320 KiB.  Every product is per sequence,
+    so a batch equals its sequences run one at a time, bit for bit.
     """
     try:
         stack = np.asarray(gates)
@@ -212,9 +215,9 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
         raise ShapeError("state/POVM dimensions do not match the noise model")
     batch = stack.reshape(-1, *stack.shape[-3:])
     n, m = batch.shape[:2]
-    parts = []
-    for start in range(0, n, _CHUNK_ROWS):
-        table = batch[start:start + _CHUNK_ROWS].reshape(-1, d, d)
+    parts, size = [], _chunk_rows(noise)
+    for start in range(0, n, size):
+        table = batch[start:start + size].reshape(-1, d, d)
         rows = len(table) // m
         parts.append(_survival(noise, table, np.arange(rows * m).reshape(rows, m).T,
                                np.full(rows, m), rho_sys, povm))
@@ -321,22 +324,21 @@ def estimate_asf(cfg: ExperimentConfig) -> AsfCurve:
 
     For each length, n_samples independent sequences are drawn and the sample
     mean and standard error (ddof=1, divided by sqrt(n)) are reported.  All
-    lengths make one pass: the sequences, longest first, go in chunks of a
-    fixed number through the evolution loop, which draws each step's gate
+    lengths make one pass: the sequences, longest first, go in chunks of at
+    most 320 KiB through the evolution loop, which draws each step's gate
     indices as it reaches that step.  A length is reduced once all its samples
     are in one buffer of n_samples values, and its mean and standard error are
     written as it completes, so nothing of size m_max is written up front; the
     values are those of running the samples one at a time, bit for bit.
-    Memory is O(n_samples + _CHUNK_ROWS) plus the m_max means and standard
-    errors.
+    Memory is O(n_samples + m_max) plus one chunk.
     """
     n, m_max = cfg.n_samples, cfg.m_max
     gates = np.stack(cfg.gate_set.gates)
     stats = np.empty((2, m_max))  # means and stderrs, untouched until their length completes
     # rows come longest first, by ascending index: one length is open at a time
-    values = np.empty(n)
-    for start in range(0, n * m_max, _CHUNK_ROWS):
-        row = np.arange(start, min(start + _CHUNK_ROWS, n * m_max))
+    values, size = np.empty(n), _chunk_rows(cfg.noise)
+    for start in range(0, n * m_max, size):
+        row = np.arange(start, min(start + size, n * m_max))
         lengths, index = m_max - row // n, row % n
         columns = _stream_indices(cfg.seed, lengths, index, len(gates))
         f = _survival(cfg.noise, gates, columns, lengths, cfg.rho_sys, cfg.povm)

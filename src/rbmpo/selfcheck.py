@@ -5,17 +5,18 @@ cross-check independent computation paths against each other, so a sign or
 conjugation error anywhere in the contraction machinery shows up as a
 disagreement here.  The tests import the same arbiters: the Haar sampler,
 numpy's own per-sample stream, the full Clifford enumeration and the
-finite-difference joint-node gradient.
+finite-difference joint-node gradient, and the gauge-invariant values that
+pin a learned node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .average import clifford_averaged_asf_curve
+from .average import clifford_averaged_asf_curve, sector_maps
 from .learner import evaluate, gradient_joint
 from .linalg import project_to_unitary, unitarity_defect
-from .noise import NoiseSteps, joint_unitary
+from .noise import NoiseSteps, diagnose_markovianity, joint_unitary, kraus_stack
 from .process_tensor import (asf_joint_coefficient, contract_asf_dense,
                              contract_asf_dense_averaged, joint_node, split_joint)
 from .quantum import basis_state, equal_up_to_phase, sample_sequence, single_qubit_cliffords
@@ -80,6 +81,23 @@ def joint_gradient_fd(node, data: AsfCurve, slot: int, idx: tuple, rho_sys, povm
     d_re = (cost_at(base + h * probe) - cost_at(base - h * probe)) / (2 * h)
     d_im = (cost_at(base + 1j * h * probe) - cost_at(base - 1j * h * probe)) / (2 * h)
     return -(d_re + 1j * d_im) / 2.0
+
+
+def gauge_invariants(node, d_env: int, data: AsfCurve, rho_sys, povm) -> dict:
+    """What the method reads off a learned node, in values that no gauge of the
+    node moves: ``traces``, tr(M^k) and tr(T^k) for k = 1 .. d_env^2 of the bulk
+    slot's :func:`rbmpo.average.sector_maps` (M the mixed map), as (2, d_env^2);
+    the ``curve`` predicted at the data's lengths; the ``off_block`` norm of
+    :func:`rbmpo.noise.diagnose_markovianity`; and the ``l1`` distance from the
+    data.  The power traces are polynomials in the maps, so they stay smooth
+    where the maps' eigenvalues are degenerate, as sorted eigenvalues do not."""
+    stack = kraus_stack((node,), d_env)
+    maps = sector_maps(stack, stack)
+    traces = [np.trace(np.linalg.matrix_power(maps, k), axis1=-2, axis2=-1)
+              for k in range(1, d_env * d_env + 1)]
+    fit = evaluate(node, d_env, data, rho_sys, povm)
+    return {"traces": np.array(traces).T, "curve": fit.predicted,
+            "off_block": diagnose_markovianity(node, d_env).off_block_norm, "l1": fit.l1}
 
 
 def check_clifford_group() -> list[tuple[str, bool, str]]:

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion.
 
-Each test prints a `[acceptance] criterion N` line (run with ``pytest -s``
-to see them live).  Criteria with stated runtime budgets assert them.
+Each criterion's test prints a `[acceptance] criterion N` line (run with
+``pytest -s`` to see them live).  Criteria with stated runtime budgets assert
+them.  The golden tests at the end pin what the two fixtures' learned nodes
+report, in values that no gauge of the node moves.
 """
 
 import time
@@ -25,7 +27,7 @@ from rbmpo.noise import amplitude_damping, depolarizing, joint_unitary, phase_fl
 from rbmpo.process_tensor import contract_asf_dense
 from rbmpo.quantum import basis_state, sample_sequence
 from rbmpo.rb import AsfCurve, ExperimentConfig, estimate_asf, run_sequence
-from rbmpo.selfcheck import enumeration_mean, haar_unitary, joint_gradient_fd
+from rbmpo.selfcheck import enumeration_mean, gauge_invariants, haar_unitary, joint_gradient_fd
 
 RHO = basis_state(0, 2)
 POVM = basis_state(0, 2)
@@ -219,3 +221,48 @@ def test_criterion_9_determinism(tmp_path):
         )
     assert fits[0] == fits[1]
     report(9, "determinism", "generate and learn outputs byte-identical across reruns")
+
+
+#: Gauge-invariant values of the two fixtures' learned nodes
+#: (:func:`rbmpo.selfcheck.gauge_invariants`), with tolerances.  Multiplying
+#: each data mean by 1 + 1e-15 x a normal draw (48 draws per fixture) moved
+#: the learned node by more than 0.1 in half the runs, but these values by
+#: at most 2.7e-9 (traces), 1.1e-9 (curve), 3.8e-11 (off-block) and 1.8e-9
+#: (l1) on phase flip, and 9.8e-5, 1.3e-6, 3.5e-6 and 4.5e-6 on spin; each
+#: tolerance is 14 to 28 times that drift.  Values and drift were taken on
+#: numpy 2.4.6 with scipy-openblas 0.3.31 only, not on the OpenBLAS that CI's
+#: Python 3.10 / numpy 2.0 leg runs.
+GOLDEN = {
+    "phase_flip_run": ({
+        "traces": [[3.939026980045383, 3.8799128146692627, 3.822600833883025, 3.7670360953682307],
+                   [3.8589688566835845, 3.7262058710696406, 3.6011412563888903, 3.4832480327087896]],
+        "curve": [0.9599709381499439, 0.9231465280063698, 0.8892702110354263, 0.8581059684300185,
+                  0.8294366766058415, 0.8030625944853012, 0.7787999718866472, 0.7564797693228595,
+                  0.7359464802910343, 0.7170570478470709, 0.6996798679173569, 0.6836938724034484,
+                  0.6689876856916701, 0.6554588486909732, 0.6430131049928663, 0.6315637441800434,
+                  0.6210309977084887, 0.6113414831541301, 0.6024276929520584, 0.5942275240663291],
+        "off_block": 7.327529371681306e-06,
+        "l1": 0.05673581335789024,
+    }, {"traces": 5e-8, "curve": 2e-8, "off_block": 1e-9, "l1": 5e-8}),
+    "spin_run": ({
+        "traces": [[3.9951640063183085, 3.9891663398157378, 3.982013527945663, 3.973712758073376],
+                   [3.9577964444080993, 3.9149428411649927, 3.8714690016213495, 3.8274046618422366]],
+        "curve": [0.9794634573674492, 0.9761087320453357, 0.9727416670449157, 0.969362213310449,
+                  0.965970357966575, 0.9625661233002926, 0.9591495657437323, 0.9557207748583392,
+                  0.9522798723210693, 0.9488270109131922, 0.9453623735122758, 0.941886172087917,
+                  0.9383986467017692, 0.9349000645124026, 0.9313907187855219, 0.9278709279100468,
+                  0.9243410344205538, 0.9208014040265597, 0.9172524246491123, 0.9136945054651426],
+        "off_block": 0.042164921310914254,
+        "l1": 0.07273668712233039,
+    }, {"traces": 2e-3, "curve": 2e-5, "off_block": 5e-5, "l1": 1e-4}),
+}
+
+
+@pytest.mark.parametrize("fixture", GOLDEN)
+def test_golden_invariants(fixture, request):
+    data, result, _ = request.getfixturevalue(fixture)
+    values = gauge_invariants(result.node, 2, data, RHO, POVM)
+    golden, tolerances = GOLDEN[fixture]
+    moved = {key: float(np.max(np.abs(values[key] - np.asarray(golden[key]))))
+             for key in golden}
+    assert all(moved[key] <= tol for key, tol in tolerances.items()), moved

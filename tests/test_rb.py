@@ -178,7 +178,7 @@ class TestRunSequence:
     def test_loop_inverse_equals_compile_undo(self, cliffords, monkeypatch):
         # the loop's running product, lifted for the last gate, is the dense
         # oracle's inverse; chunks of 7 split the 30 sequences unevenly
-        monkeypatch.setattr(rb, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(rb, "_chunk_rows", lambda noise: 7)
         lifted = []
         lift = rb._gate_superoperators
         monkeypatch.setattr(rb, "_gate_superoperators", lambda g: lifted.append(g) or lift(g))
@@ -189,6 +189,16 @@ class TestRunSequence:
         assert np.array_equal(undo, compile_undo(stack))
         monkeypatch.undo()
         assert np.array_equal(chunked, run_sequence(qutrit_env_model(), stack, RHO, POVM))
+
+
+def estimate_peak(model, m_max, n_samples):
+    """The tracemalloc peak of one estimate_asf run, in bytes."""
+    tracemalloc.start()
+    try:
+        estimate_asf(ExperimentConfig(noise=model, m_max=m_max, n_samples=n_samples, seed=3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 #: Models of the batched estimate's checks against the one-sample-at-a-time reference.
@@ -239,23 +249,23 @@ class TestEstimateAsf:
         # estimate is the one-sample-at-a-time reference (test above)
         cfg = ExperimentConfig(noise=model, m_max=6, n_samples=25, seed=11)
         whole = estimate_asf(cfg)
-        monkeypatch.setattr(rb, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(rb, "_chunk_rows", lambda noise: 7)
         assert estimate_asf(cfg) == whole
 
     def test_memory_does_not_grow_with_m_max(self):
         # one chunk of 1,000 rows each, m_max 1,000 x 1 sample and m_max 50 x
         # 20 samples, so only m_max differs: the gate indices are drawn one
         # step at a time, where a (rows, m_max) int64 table of them would add 7.6 MB
-        def peak(m_max, n_samples):
-            tracemalloc.start()
-            try:
-                estimate_asf(ExperimentConfig(noise=phase_flip(0.1), m_max=m_max,
-                                              n_samples=n_samples, seed=3))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = [estimate_peak(phase_flip(0.1), m_max, n) for m_max, n in ((1000, 1), (50, 20))]
+        assert abs(peaks[0] - peaks[1]) < 256 * 1024
 
-        assert abs(peak(1000, 1) - peak(50, 20)) < 256 * 1024
+    def test_memory_does_not_grow_with_width(self):
+        # 1,200 rows fill a chunk at d_env 1, 2 and 3, whose rows hold 20, 32
+        # and 52 complex entries; chunks of 1,024 rows at every width would
+        # put the three peaks 1 MB apart
+        models = [amplitude_damping(0.1), ESTIMATE_MODELS[1], qutrit_env_model()]
+        peaks = [estimate_peak(model, 20, 60) for model in models]
+        assert max(peaks) - min(peaks) < 128 * 1024
 
     def test_leaves_numpy_random_unimported(self):
         # the streams are numpy's arithmetic on arrays: generate does not pay
