@@ -151,8 +151,11 @@ class TrainingResult:
     l1_trace: tuple[float, ...]
     unitarity_trace: tuple[float, ...]
     converged: bool
-    iterations: int
     best_iteration: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.cost_trace) - 1
 
 
 # --------------------------------------------------------------------------
@@ -177,31 +180,30 @@ class Fit(NamedTuple):
     predicted: np.ndarray
 
 
-def evaluate(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> Fit:
+def evaluate(node: np.ndarray, data: AsfCurve, rho_sys, povm) -> Fit:
     """The model at one node (dim, dim) or a stack (..., dim, dim), evaluated once into a
-    :class:`Fit`; each row of a stack's fit equals its node's own, bit for bit."""
-    predicted = predicted_curve(node, d_env, rho_sys, povm, data.lengths)
+    :class:`Fit`; each row of a stack's fit equals its node's own, bit for bit.  The
+    environment's size is the node's dim over ``rho_sys``'s."""
+    predicted = predicted_curve(node, node.shape[-1] // len(rho_sys), rho_sys, povm, data.lengths)
     resid = predicted - np.asarray(data.means)
     return Fit(0.5 * np.sum(resid * resid, -1), np.sum(np.abs(resid), -1), node, predicted)
 
 
-def cost(node: np.ndarray, d_env: int, data: AsfCurve, rho_sys, povm) -> float | np.ndarray:
+def cost(node: np.ndarray, data: AsfCurve, rho_sys, povm) -> float | np.ndarray:
     """Quadratic cost between model predictions and the measured curve: a
     float for one node, an array over the leading axes of a node stack."""
-    return evaluate(node, d_env, data, rho_sys, povm).cost
+    return evaluate(node, data, rho_sys, povm).cost
 
 
-def gradient_joint(
-    fit: Fit, d_env: int, data: AsfCurve, rho_sys, povm, slot_i: int
-) -> np.ndarray:
+def gradient_joint(fit: Fit, data: AsfCurve, rho_sys, povm, slot_i: int) -> np.ndarray:
     """Descent direction for the joint node at slots (slot_i, slot_i - 1).
 
     Sum over curve points of (measured - predicted), read off ``fit``, times
     the fidelity's coefficient tensor in the joint node of ``fit.node``, as
     one weighted coefficient; lengths n < slot_i - 1 contribute nothing.
     """
-    steps = NoiseSteps.uniform(fit.node, d_env)
-    stack = kraus_stack(steps.bulk, d_env)
+    steps = NoiseSteps.uniform(fit.node, len(fit.node) // len(rho_sys))
+    stack = kraus_stack(steps.bulk, steps.d_env)
     resid = fit.predicted - np.asarray(data.means)
     return asf_joint_coefficient(steps, slot_i, dict(zip(data.lengths, -resid)), rho_sys, povm,
                                  (stack, stack))
@@ -257,7 +259,7 @@ def _hermitian_basis(dim: int) -> np.ndarray:
 
 
 def _tangent_probe(
-    node: np.ndarray, c0: float, d_env: int, data: AsfCurve, rho_sys, povm
+    node: np.ndarray, c0: float, data: AsfCurve, rho_sys, povm
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of the cost on the unitary tangent space at `node`.
 
@@ -280,7 +282,7 @@ def _tangent_probe(
     rotate = _ray_rotations(node, np.einsum("rb,bij->rij", signed, basis))
     rays, size = range(len(signed)), 2 * len(basis)
     plus, minus = np.concatenate([
-        cost(rotate(dict.fromkeys(rays[s:s + size], _PROBE_ANGLE)), d_env, data, rho_sys, povm)
+        cost(rotate(dict.fromkeys(rays[s:s + size], _PROBE_ANGLE)), data, rho_sys, povm)
         for s in range(0, len(rays), size)]).reshape(-1, 2).T
     grad = (plus[:len(basis)] - minus[:len(basis)]) / (2.0 * _PROBE_ANGLE)
     second = (plus - 2.0 * c0 + minus) / _PROBE_ANGLE**2
@@ -305,8 +307,8 @@ def _ray_rotations(node: np.ndarray, directions: np.ndarray):
     return rotate
 
 
-def _search_rays(node: np.ndarray, c0: float, directions: np.ndarray, d_env: int,
-                 data: AsfCurve, rho_sys, povm):
+def _search_rays(node: np.ndarray, c0: float, directions: np.ndarray, data: AsfCurve,
+                 rho_sys, povm):
     """Line-minimize the cost along each ray exp(-i theta H_r) node, H_r in
     ``directions`` (r, dim, dim), given the cost ``c0`` at ``node``.  The
     searches run in lockstep, one batched :func:`cost` call per step over the
@@ -314,7 +316,7 @@ def _search_rays(node: np.ndarray, c0: float, directions: np.ndarray, d_env: int
     Returns the minimizing angles and that ``rotate``."""
     rotate = _ray_rotations(node, directions)
     thetas = _lockstep([_line_minimize(c0) for _ in directions],
-                       lambda trials: cost(rotate(trials), d_env, data, rho_sys, povm))
+                       lambda trials: cost(rotate(trials), data, rho_sys, povm))
     return thetas, rotate
 
 
@@ -345,7 +347,6 @@ def _line_minimize(f0: float):
 
 def saddle_departure(
     node: np.ndarray,
-    d_env: int,
     data: AsfCurve,
     rho_sys,
     povm,
@@ -373,11 +374,11 @@ def saddle_departure(
     endpoint is rotated from it.
     Deterministic: no randomness enters at any point.
     """
-    current = evaluate(node.copy(), d_env, data, rho_sys, povm)
+    current = evaluate(node.copy(), data, rho_sys, povm)
     for _ in range(max_rounds):
         if current.l1 <= l1_stop:
             break
-        grad, hess, basis = _tangent_probe(current.node, current.cost, d_env, data, rho_sys, povm)
+        grad, hess, basis = _tangent_probe(current.node, current.cost, data, rho_sys, povm)
         rays = []
         gnorm = float(np.linalg.norm(grad))
         if gnorm > 0.0:
@@ -392,17 +393,18 @@ def saddle_departure(
             break
 
         thetas, rotate = _search_rays(current.node, current.cost, np.tensordot(rays, basis, axes=1),
-                                      d_env, data, rho_sys, povm)
+                                      data, rho_sys, povm)
         moved = {r: theta for r, theta in enumerate(thetas) if theta != 0.0}
         if not moved:
             break
-        ends = evaluate(rotate(moved), d_env, data, rho_sys, povm)
+        ends = evaluate(rotate(moved), data, rho_sys, povm)
         better = np.flatnonzero(ends.cost < current.cost - 1e-15)
         if not better.size:
             break
         matched = better[ends.l1[better] <= l1_stop]
         if matched.size:
-            k = min(matched, key=lambda i: diagnose_markovianity(ends.node[i], d_env).off_block_norm)
+            k = min(matched, key=lambda i: diagnose_markovianity(
+                ends.node[i], len(node) // len(rho_sys)).off_block_norm)
         else:
             k = better[np.argmin(ends.cost[better])]
         current = Fit._make(value[k] for value in ends)
@@ -429,7 +431,7 @@ def sweep_iteration(
     m_max = max(data.lengths)
     slot_i = 1 + iteration % (m_max + 1)
 
-    grad = gradient_joint(fit, d_env, data, rho_sys, povm, slot_i)
+    grad = gradient_joint(fit, data, rho_sys, povm, slot_i)
     if not np.abs(grad).max() > 0.0:
         return node
     update = config.optimizer.step(accumulators, grad)
@@ -467,8 +469,8 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     threshold = max(sigma_total / config.convergence_divisor, 1e-10)
 
     accumulators = config.optimizer.init((config.d_env, d_sys, d_sys) * 2)
-    fits = [saddle_departure(np.eye(config.d_env * d_sys, dtype=np.complex128), config.d_env,
-                             data, rho_sys, povm, config.departure_rounds, threshold)]
+    fits = [saddle_departure(np.eye(config.d_env * d_sys, dtype=np.complex128), data, rho_sys,
+                             povm, config.departure_rounds, threshold)]
     while True:
         fit, iteration = fits[-1], len(fits) - 1
         if not np.isfinite(fit.cost):
@@ -476,7 +478,7 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
         if fit.l1 <= threshold or iteration >= config.max_iterations:
             break
         node = sweep_iteration(fit, accumulators, iteration, data, rho_sys, povm, config)
-        fits.append(evaluate(node, config.d_env, data, rho_sys, povm))
+        fits.append(evaluate(node, data, rho_sys, povm))
 
     cost_trace = tuple(float(f.cost) for f in fits)
     best_iteration = int(np.argmin(cost_trace))
@@ -494,6 +496,5 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
         l1_trace=tuple(float(f.l1) for f in fits),
         unitarity_trace=tuple(unitarity_defect(f.node) for f in fits),
         converged=bool(fit.l1 <= threshold),
-        iterations=iteration,
         best_iteration=best_iteration,
     )

@@ -155,22 +155,18 @@ def markovian_channel(channel: KrausChannel, prep: KrausChannel | None = None,
     return _with_slots(np.ones((1, 1), dtype=np.complex128), channel.operators, prep, final, label)
 
 
-def joint_unitary(unitary: np.ndarray, rho_env: np.ndarray, d_env: int,
+def joint_unitary(unitary: np.ndarray, rho_env: np.ndarray, *,
                   prep: KrausChannel | None = None, final: KrausChannel | None = None,
                   label: str = "joint_unitary") -> NoiseSteps:
     """Unitary noise on environment x system with a fixed fiducial state.
 
     ``unitary`` acts on the composite space with the environment as the first
-    tensor factor; ``rho_env`` is the initial environment state.
+    tensor factor; ``rho_env`` is the initial environment state, whose dim is d_env.
     """
     u = validate_unitary(unitary, tol=UNITARITY_TOL, name="joint unitary")
     rho = validate_density_matrix(rho_env, name="rho_env")
-    if d_env < 1:
-        raise DomainError(f"d_env must be positive, got {d_env}")
-    if rho.shape[0] != d_env:
-        raise ShapeError(f"rho_env has dim {rho.shape[0]}, expected d_env={d_env}")
-    if u.shape[0] % d_env != 0:
-        raise ShapeError(f"joint unitary dim {u.shape[0]} is not divisible by d_env={d_env}")
+    if u.shape[0] % len(rho):
+        raise ShapeError(f"joint unitary dim {u.shape[0]} is not divisible by d_env={len(rho)}")
     return _with_slots(rho, (u,), prep, final, label)
 
 
@@ -254,4 +250,4 @@ def spin_unitary(
     h = spin_hamiltonian(coupling, field_x, field_y)
     lam = hermitian_expm(h, -1j * float(delta))
     label = f"spin_unitary(J={coupling}, hx={field_x}, hy={field_y}, delta={delta})"
-    return joint_unitary(lam, basis_state(0, 2), 2, label=label)
+    return joint_unitary(lam, basis_state(0, 2), label=label)

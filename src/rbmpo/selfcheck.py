@@ -83,7 +83,7 @@ def joint_gradient_fd(node, data: AsfCurve, slot: int, idx: tuple, rho_sys, povm
     return -(d_re + 1j * d_im) / 2.0
 
 
-def gauge_invariants(node, d_env: int, data: AsfCurve, rho_sys, povm) -> dict:
+def gauge_invariants(node, data: AsfCurve, rho_sys, povm) -> dict:
     """What the method reads off a learned node, in values that no gauge of the
     node moves: ``traces``, tr(M^k) and tr(T^k) for k = 1 .. d_env^2 of the bulk
     slot's :func:`rbmpo.average.sector_maps` (M the mixed map), as (2, d_env^2);
@@ -91,11 +91,12 @@ def gauge_invariants(node, d_env: int, data: AsfCurve, rho_sys, povm) -> dict:
     :func:`rbmpo.noise.diagnose_markovianity`; and the ``l1`` distance from the
     data.  The power traces are polynomials in the maps, so they stay smooth
     where the maps' eigenvalues are degenerate, as sorted eigenvalues do not."""
+    d_env = len(node) // len(rho_sys)
     stack = kraus_stack((node,), d_env)
     maps = sector_maps(stack, stack)
     traces = [np.trace(np.linalg.matrix_power(maps, k), axis1=-2, axis2=-1)
               for k in range(1, d_env * d_env + 1)]
-    fit = evaluate(node, d_env, data, rho_sys, povm)
+    fit = evaluate(node, data, rho_sys, povm)
     return {"traces": np.array(traces).T, "curve": fit.predicted,
             "off_block": diagnose_markovianity(node, d_env).off_block_norm, "l1": fit.l1}
 
@@ -119,7 +120,7 @@ def check_oracle_equivalence() -> list[tuple[str, bool, str]]:
     rho = basis_state(0, 2)
     worst = 0.0
     for _ in range(6):
-        model = joint_unitary(haar_unitary(4, rng), rho, 2)
+        model = joint_unitary(haar_unitary(4, rng), rho)
         gates = sample_sequence(cl, int(rng.integers(1, 4)), rng)
         f_run = run_sequence(model, gates, rho, rho)
         f_dense = contract_asf_dense(model, gates, rho, rho)
@@ -130,7 +131,7 @@ def check_oracle_equivalence() -> list[tuple[str, bool, str]]:
 def check_average_identity() -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(12)
     rho = basis_state(0, 2)
-    model = joint_unitary(haar_unitary(4, rng), rho, 2)
+    model = joint_unitary(haar_unitary(4, rng), rho)
     curve = clifford_averaged_asf_curve(model, rho, rho, 3)
     # the bulk powers first show at m = 2; neither the enumeration nor the
     # dense oracle shares a kernel with the chain
@@ -151,10 +152,10 @@ def check_gradient() -> list[tuple[str, bool, str]]:
     data = AsfCurve(tuple(range(1, m_max + 1)),
                     tuple(float(x) for x in rng.uniform(0.6, 1.0, m_max)), (0.0,) * m_max, 10)
     worst = 0.0
-    fit = evaluate(lam, 2, data, rho, rho)
+    fit = evaluate(lam, data, rho, rho)
     # every slot pair, the raw preparation (slot 1) and final (slot m_max + 1) ones included
     for slot in range(1, m_max + 2):
-        grad = gradient_joint(fit, 2, data, rho, rho, slot)
+        grad = gradient_joint(fit, data, rho, rho, slot)
         for idx in [(0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 1, 0), (0, 1, 1, 1, 0, 1)]:
             fd = joint_gradient_fd(lam, data, slot, idx, rho, rho)
             worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), 1e-12))

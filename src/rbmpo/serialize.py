@@ -160,14 +160,11 @@ def noise_model_from_dict(d: dict) -> NoiseSteps:
     if kind == "markovian":
         return markovian_channel(channel("kraus"), prep=slot("prep"), final=slot("final"),
                                  label=label)
-    return joint_unitary(
-        matrix_from_json_dict(_require(d, "unitary", where)),
-        matrix_from_json_dict(_require(d, "rho_env", where)),
-        _number(d, "d_env", int, where),
-        prep=slot("prep"),
-        final=slot("final"),
-        label=label,
-    )
+    rho_env = matrix_from_json_dict(_require(d, "rho_env", where))
+    if _number(d, "d_env", int, where) != len(rho_env):
+        raise InputError(f"{where} field 'd_env' must be rho_env's dim {len(rho_env)}")
+    return joint_unitary(matrix_from_json_dict(_require(d, "unitary", where)), rho_env,
+                         prep=slot("prep"), final=slot("final"), label=label)
 
 
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -246,10 +243,10 @@ def learner_config_from_dict(d: dict) -> LearnerConfig:
 
 
 def training_result_to_dict(result: TrainingResult, config: LearnerConfig) -> dict:
-    return {**dataclasses.asdict(result), "schema_version": SCHEMA_VERSION,
-            "kind": "training_result", "node": matrix_to_json_dict(result.node),
-            "predicted": {"kind": "asf_curve", **dataclasses.asdict(result.predicted)},
-            "config": learner_config_to_dict(config)}
+    return {**dataclasses.asdict(result), "iterations": result.iterations,
+            "schema_version": SCHEMA_VERSION, "kind": "training_result",
+            "node": matrix_to_json_dict(result.node), "config": learner_config_to_dict(config),
+            "predicted": {"kind": "asf_curve", **dataclasses.asdict(result.predicted)}}
 
 
 def _read_text(path) -> str:

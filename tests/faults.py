@@ -97,10 +97,14 @@ FAULTS = [Fault(*entry) for entry in [
      '(np.sqrt(acc["sq_sum"]) + self.epsilon)', "Adagrad adds epsilon to the root, not under it",
      "tests/test_learner.py::TestOptimizers::test_adagrad_first_step"),
     ("departure-lowest-cost-match", "learner.py",
-     "key=lambda i: diagnose_markovianity(ends.node[i], d_env).off_block_norm",
+     "key=lambda i: diagnose_markovianity(\n                ends.node[i], len(node) // len(rho_sys)).off_block_norm",
      "key=lambda i: ends.cost[i]",
      "among matched endpoints the departure takes the best fit, not the least coupling",
      "tests/test_acceptance.py::test_golden_invariants[spin_run]"),
+    ("d_env-off-batch-axis", "learner.py", "node.shape[-1] // len(rho_sys)",
+     "node.shape[0] // len(rho_sys)",
+     "evaluate reads d_env off a stack's batch axis: only single nodes evaluate right",
+     "tests/test_average.py::TestChainKernel::test_stack_equals_single_nodes_bitwise"),
     ("departure-keeps-worse-endpoints", "learner.py", "(ends.cost < current.cost - 1e-15)",
      "(ends.cost < np.inf)", "a round moves to an endpoint that does not lower the cost",
      "tests/test_learner.py::TestDeparture::test_endpoints_that_raise_the_cost_are_dropped"),
@@ -178,6 +182,11 @@ FAULTS = [Fault(*entry) for entry in [
     ("prep-final-swapped-on-write", "serialize.py", '"prep": _kraus_list(model.prep)',
      '"prep": _kraus_list(model.final)', "a noise record writes the final slot as prep",
      "tests/test_noise.py::TestSerialization::test_joint_round_trip[spin]"),
+    ("joint-record-d_env-unchecked", "serialize.py",
+     'if _number(d, "d_env", int, where) != len(rho_env):',
+     'if _number(d, "d_env", int, where) is None:',
+     "a joint_unitary record's d_env is type-checked but never compared with its rho_env",
+     "tests/test_noise.py::TestSerialization::test_joint_record_d_env_must_be_rho_env_dim[4]"),
     ("identity-dim-unchecked", "serialize.py", "if dim != 2:", "if dim < 1:",
      "an identity noise builds a dim x dim matrix before its size is checked",
      "tests/test_cli.py::TestGenerate::test_mistyped_noise_parameter_is_input_error[noise8]"),

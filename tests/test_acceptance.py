@@ -73,7 +73,7 @@ def test_criterion_1_oracle_equivalence(cliffords):
     worst = 0.0
     for case in range(50):
         m = 1 + case % 4
-        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2))
         gates = sample_sequence(cliffords, m, rng)
         f_dense = contract_asf_dense(model, gates, RHO, POVM)
         f_run = run_sequence(model, gates, RHO, POVM)
@@ -89,7 +89,7 @@ def test_criterion_2_two_design_identity():
     rng = np.random.default_rng(20240502)
     worst = 0.0
     for _ in range(10):
-        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2))
         for m in (1, 2, 3):
             worst = max(worst, abs(enumeration_mean(model, m, RHO, POVM)
                                    - clifford_averaged_asf_curve(model, RHO, POVM, m)[-1]))
@@ -123,7 +123,7 @@ def test_criterion_4_gradient_correctness():
             100,
         )
         slot = int(rng.integers(1, m_max + 2))
-        grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, slot)
+        grad = gradient_joint(evaluate(lam, data, RHO, POVM), data, RHO, POVM, slot)
         for pos in np.argsort(np.abs(grad).ravel())[-3:]:
             idx = np.unravel_index(pos, grad.shape)
             fd = joint_gradient_fd(lam, data, slot, idx, RHO, POVM)
@@ -261,7 +261,7 @@ GOLDEN = {
 @pytest.mark.parametrize("fixture", GOLDEN)
 def test_golden_invariants(fixture, request):
     data, result, _ = request.getfixturevalue(fixture)
-    values = gauge_invariants(result.node, 2, data, RHO, POVM)
+    values = gauge_invariants(result.node, data, RHO, POVM)
     golden, tolerances = GOLDEN[fixture]
     moved = {key: float(np.max(np.abs(values[key] - np.asarray(golden[key]))))
              for key in golden}

@@ -155,14 +155,14 @@ class TestFactoredKernels:
 
 class TestClosedFormAverage:
     def test_identity_noise(self):
-        model = joint_unitary(np.eye(4, dtype=complex), basis_state(0, 2), 2)
+        model = joint_unitary(np.eye(4, dtype=complex), basis_state(0, 2))
         curve = clifford_averaged_asf_curve(model, RHO, POVM, 10)
         assert np.allclose(curve, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_exhaustive_enumeration_m1_m2(self, seed):
         rng = np.random.default_rng(1100 + seed)
-        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2))
         curve = clifford_averaged_asf_curve(model, RHO, POVM, 2)
         for m in (1, 2):
             assert abs(enumeration_mean(model, m, RHO, POVM) - curve[m - 1]) < 1e-10
@@ -172,7 +172,7 @@ class TestClosedFormAverage:
         # all 331,776 sequences, one batch of 13,824 per first gate
         rng = np.random.default_rng(1104)
         table = np.stack(single_qubit_cliffords().gates)
-        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2))
         tails = table[np.indices((24,) * 3).reshape(3, -1).T]
         total = sum(
             np.sum(run_sequence(model, np.concatenate(
@@ -204,7 +204,7 @@ class TestClosedFormAverage:
         from rbmpo.process_tensor import contract_asf_dense_averaged
 
         rng = np.random.default_rng(5)
-        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2))
         for m in (1, 2, 3):
             dense = contract_asf_dense_averaged(model, m, RHO, POVM)
             exact = clifford_averaged_asf_curve(model, RHO, POVM, m)[-1]
@@ -244,17 +244,17 @@ class TestChainKernel:
         lengths = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20)
         data = AsfCurve(lengths, tuple(np.linspace(0.95, 0.6, len(lengths))), (0.0,) * 11, 1)
         curves = predicted_curve(nodes, 2, RHO, POVM, lengths)
-        costs = cost(nodes, 2, data, RHO, POVM)
-        fits = evaluate(nodes, 2, data, RHO, POVM)
+        costs = cost(nodes, data, RHO, POVM)
+        fits = evaluate(nodes, data, RHO, POVM)
         assert curves.shape == (16, len(lengths)) and costs.shape == fits.l1.shape == (16,)
         for node, curve, value, *row in zip(nodes, curves, costs, *fits):
             single = predicted_curve(node, 2, RHO, POVM, lengths)
             assert single.shape == (len(lengths),)
             assert np.array_equal(curve, single)
-            single_cost = cost(node, 2, data, RHO, POVM)
+            single_cost = cost(node, data, RHO, POVM)
             assert isinstance(single_cost, float) and value == single_cost
             # each row of the stacked fit: cost, l1, node and predicted curve
-            single_fit = evaluate(node, 2, data, RHO, POVM)
+            single_fit = evaluate(node, data, RHO, POVM)
             assert isinstance(single_fit.l1, float)
             assert all(np.array_equal(a, b) for a, b in zip(row, single_fit, strict=True))
         grid = nodes.reshape(4, 4, 4, 4)

@@ -72,10 +72,10 @@ rho = basis_state(0, 2)
 data = AsfCurve(tuple(range(1, 21)), tuple(0.5 + 0.5 * 0.99 ** m for m in range(1, 21)),
                 (0.01,) * 20, 100)
 node = np.eye(4, dtype=complex)
-c0 = cost(node, 2, data, rho, rho)
+c0 = cost(node, data, rho, rho)
 time.sleep(0.5)
 before = ticks()
-_tangent_probe(node, c0, 2, data, rho, rho)
+_tangent_probe(node, c0, data, rho, rho)
 time.sleep(0.3)
 print(ticks() - before)
 """
@@ -92,12 +92,12 @@ class TestCost:
         rng = np.random.default_rng(0)
         lam = haar_unitary(4, rng)
         data = model_curve(lam, 6)
-        assert cost(lam, 2, data, RHO, POVM) < 1e-24
+        assert cost(lam, data, RHO, POVM) < 1e-24
 
     def test_identity_against_constant_curve(self):
         # identity node predicts 1 everywhere; data at 0.9 over 10 lengths
         data = AsfCurve(tuple(range(1, 11)), (0.9,) * 10, (0.0,) * 10, 1)
-        value = cost(np.eye(4, dtype=complex), 2, data, RHO, POVM)
+        value = cost(np.eye(4, dtype=complex), data, RHO, POVM)
         assert abs(value - 0.5 * 10 * 0.01) < 1e-12
 
     def test_matches_literal_loop(self):
@@ -108,7 +108,7 @@ class TestCost:
         for n, f_exp in zip(data.lengths, data.means):
             f = clifford_averaged_asf_curve(NoiseSteps.uniform(lam, 2), RHO, POVM, n)[-1]
             total += 0.5 * (f - f_exp) ** 2
-        assert abs(cost(lam, 2, data, RHO, POVM) - total) < 1e-14
+        assert abs(cost(lam, data, RHO, POVM) - total) < 1e-14
 
 
 class TestOptimizers:
@@ -205,7 +205,7 @@ class TestGradient:
         rng = np.random.default_rng(9)
         lam = haar_unitary(4, rng)
         data = model_curve(lam, 4)
-        grad = gradient_joint(evaluate(lam, 2, data, RHO, POVM), 2, data, RHO, POVM, 2)
+        grad = gradient_joint(evaluate(lam, data, RHO, POVM), data, RHO, POVM, 2)
         assert np.abs(grad).max() < 1e-12
 
     @pytest.mark.parametrize("d_env", [1, 2, 3])
@@ -220,7 +220,7 @@ class TestGradient:
             (0.0,) * m_max,
             100,
         )
-        grad = gradient_joint(evaluate(lam, d_env, data, RHO, POVM), d_env, data, RHO, POVM, slot)
+        grad = gradient_joint(evaluate(lam, data, RHO, POVM), data, RHO, POVM, slot)
         # environment indices 0 and d_env - 1, so every entry exists at d_env 1
         e = d_env - 1
         for idx in [(0, 0, 0, 0, 0, 0), (e, 1, 0, 0, 1, 0), (0, 1, 1, e, 0, 1)]:
@@ -234,15 +234,15 @@ class TestGradient:
         lam = haar_unitary(4, rng)
         full = AsfCurve((1, 2, 3, 4, 5), tuple(rng.uniform(0.5, 1.0, 5)), (0.0,) * 5, 1)
         tail = AsfCurve((4, 5), full.means[3:], (0.0,) * 2, 1)
-        g_full = gradient_joint(evaluate(lam, 2, full, RHO, POVM), 2, full, RHO, POVM, 5)
-        g_tail = gradient_joint(evaluate(lam, 2, tail, RHO, POVM), 2, tail, RHO, POVM, 5)
+        g_full = gradient_joint(evaluate(lam, full, RHO, POVM), full, RHO, POVM, 5)
+        g_tail = gradient_joint(evaluate(lam, tail, RHO, POVM), tail, RHO, POVM, 5)
         assert np.allclose(g_full, g_tail, atol=1e-12)
 
     def test_slot_out_of_range(self):
         data = AsfCurve((1, 2), (0.9, 0.8), (0.0, 0.0), 1)
-        fit = evaluate(np.eye(4, dtype=complex), 2, data, RHO, POVM)
+        fit = evaluate(np.eye(4, dtype=complex), data, RHO, POVM)
         with pytest.raises(InputError):
-            gradient_joint(fit, 2, data, RHO, POVM, 4)
+            gradient_joint(fit, data, RHO, POVM, 4)
 
     @pytest.mark.parametrize("lengths", [tuple(range(1, 21)), (2, 5, 9, 13)])
     def test_matches_per_length_coefficients(self, lengths):
@@ -255,11 +255,11 @@ class TestGradient:
         steps = NoiseSteps.uniform(lam, 2)
         stack = kraus_stack(steps.bulk, 2)
         resid = predicted_curve(lam, 2, RHO, POVM, lengths) - np.asarray(data.means)
-        fit = evaluate(lam, 2, data, RHO, POVM)
+        fit = evaluate(lam, data, RHO, POVM)
         for slot in range(1, max(lengths) + 2):
             ref = sum(-r * asf_joint_coefficient(steps, slot, {n: 1.0}, RHO, POVM, (stack, stack))
                       for n, r in zip(lengths, resid) if n >= slot - 1)
-            grad = gradient_joint(fit, 2, data, RHO, POVM, slot)
+            grad = gradient_joint(fit, data, RHO, POVM, slot)
             assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), slot
 
     def test_work_is_linear_in_length(self, monkeypatch):
@@ -278,11 +278,11 @@ class TestGradient:
         for m_max in (5, 20):
             data = AsfCurve(tuple(range(1, m_max + 1)), tuple(rng.uniform(0.5, 1.0, m_max)),
                             (0.0,) * m_max, 1)
-            fit = evaluate(lam, 2, data, RHO, POVM)
+            fit = evaluate(lam, data, RHO, POVM)
             per_gradient = []
             for slot in range(1, m_max + 2):
                 counts.clear()
-                gradient_joint(fit, 2, data, RHO, POVM, slot)
+                gradient_joint(fit, data, RHO, POVM, slot)
                 assert counts["coefficients"] == 1 and counts["kernel"] > 0, slot
                 per_gradient.append(counts["kernel"])
             peak[m_max] = max(per_gradient)
@@ -296,26 +296,26 @@ class TestSweep:
         data = model_curve(lam, 4)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
         acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
-        node = sweep_iteration(evaluate(lam.copy(), 2, data, RHO, POVM), acc, 0, data, RHO, POVM,
+        node = sweep_iteration(evaluate(lam.copy(), data, RHO, POVM), acc, 0, data, RHO, POVM,
                                config)
         assert np.array_equal(node, lam)
-        assert cost(node, 2, data, RHO, POVM) < 1e-20
+        assert cost(node, data, RHO, POVM) < 1e-20
 
     def test_descends_from_half_fitted_node(self, phase_flip_data):
         # from a partially fitted node (signal-dominated gradient), sweeps
         # lower the cost monotonically
         from rbmpo.linalg import principal_unitary_sqrt
 
-        node = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data,
+        node = saddle_departure(np.eye(4, dtype=complex), phase_flip_data,
                                 RHO, POVM, max_rounds=1, l1_stop=0.0).node
         half = principal_unitary_sqrt(node)
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
         acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
-        c_before = cost(half, 2, phase_flip_data, RHO, POVM)
-        fit, costs = evaluate(half, 2, phase_flip_data, RHO, POVM), []
+        c_before = cost(half, phase_flip_data, RHO, POVM)
+        fit, costs = evaluate(half, phase_flip_data, RHO, POVM), []
         for it in range(3):
             node = sweep_iteration(fit, acc, it, phase_flip_data, RHO, POVM, config)
-            fit = evaluate(node, 2, phase_flip_data, RHO, POVM)
+            fit = evaluate(node, phase_flip_data, RHO, POVM)
             costs.append(fit.cost)
         assert costs[-1] < costs[0] < c_before + 1e-15
         assert all(b <= a for a, b in zip(costs, costs[1:]))
@@ -323,13 +323,13 @@ class TestSweep:
     def test_unitarity_preserved_across_sweeps(self, phase_flip_data):
         config = LearnerConfig(optimizer=Adam(rate=1e-3, beta1=0.9, beta2=0.99))
         acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
-        fit = saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+        fit = saddle_departure(np.eye(4, dtype=complex), phase_flip_data, RHO, POVM,
                                max_rounds=2, l1_stop=0.0)
         defects = []
         for it in range(10):
             node = sweep_iteration(fit, acc, it, phase_flip_data, RHO, POVM, config)
             defects.append(unitarity_defect(node))
-            fit = evaluate(node, 2, phase_flip_data, RHO, POVM)
+            fit = evaluate(node, phase_flip_data, RHO, POVM)
         assert max(defects) <= 1e-9
 
     @pytest.mark.parametrize("d_env", [1, 3])
@@ -338,7 +338,7 @@ class TestSweep:
         lam = haar_unitary(2 * d_env, np.random.default_rng(30 + d_env))
         config = LearnerConfig(d_env=d_env, optimizer=Adagrad(rate=1e-5))
         acc = config.optimizer.init((d_env, 2, 2, d_env, 2, 2))
-        fit = evaluate(lam, d_env, phase_flip_data, RHO, POVM)
+        fit = evaluate(lam, phase_flip_data, RHO, POVM)
         node = sweep_iteration(fit, acc, 1, phase_flip_data, RHO, POVM, config)
         assert node.shape == lam.shape
         assert unitarity_defect(node) <= learner_mod.UNITARITY_TOL
@@ -351,7 +351,7 @@ class TestSweep:
         lam = haar_unitary(4, np.random.default_rng(5))
         config = LearnerConfig(optimizer=Adagrad(rate=1e-5))
         acc = config.optimizer.init((2, 2, 2, 2, 2, 2))
-        fit = evaluate(lam, 2, phase_flip_data, RHO, POVM)
+        fit = evaluate(lam, phase_flip_data, RHO, POVM)
         with pytest.raises(NumericalError, match="unitarity"):
             sweep_iteration(fit, acc, 0, phase_flip_data, RHO, POVM, config)
 
@@ -370,7 +370,7 @@ class TestDeparture:
             return curve(node, *args)
 
         monkeypatch.setattr(learner_mod, "predicted_curve", counted)
-        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+        saddle_departure(np.eye(4, dtype=complex), phase_flip_data, RHO, POVM,
                          max_rounds=2, l1_stop=float(np.sum(phase_flip_data.stderrs)))
         repeated = {k: n for k, n in counts.items() if n > 1}
         assert len(counts) > 2 * 272
@@ -381,8 +381,8 @@ class TestDeparture:
     def first_round_rays(data):
         # the start node, its cost and the rays of the departure's first round
         node = np.eye(4, dtype=complex)
-        c0 = cost(node, 2, data, RHO, POVM)
-        grad, hess, basis = learner_mod._tangent_probe(node, c0, 2, data, RHO, POVM)
+        c0 = cost(node, data, RHO, POVM)
+        grad, hess, basis = learner_mod._tangent_probe(node, c0, data, RHO, POVM)
         w, v = np.linalg.eigh(hess)
         floor = -4.0 * np.finfo(float).eps * c0 / learner_mod._PROBE_ANGLE**2
         rays = [s * v[:, k] for k in np.flatnonzero(w < floor) for s in (1.0, -1.0)]
@@ -413,7 +413,7 @@ class TestDeparture:
 
         monkeypatch.setattr(learner_mod, "_lockstep", recorded_lockstep)
         monkeypatch.setattr(learner_mod, "cost", recorded_cost)
-        lockstep, _ = learner_mod._search_rays(node, c0, directions, 2, phase_flip_data, RHO, POVM)
+        lockstep, _ = learner_mod._search_rays(node, c0, directions, phase_flip_data, RHO, POVM)
         monkeypatch.undo()
 
         def rotated(direction, theta):
@@ -429,7 +429,7 @@ class TestDeparture:
             angle = next(search)
             with pytest.raises(StopIteration) as stop:
                 while True:
-                    angle = search.send(cost(rotated(direction, angle), 2, phase_flip_data,
+                    angle = search.send(cost(rotated(direction, angle), phase_flip_data,
                                              RHO, POVM))
             assert theta == stop.value.value
         assert any(theta > 0.0 for theta in lockstep)
@@ -463,7 +463,7 @@ class TestDeparture:
         monkeypatch.setattr(learner_mod, "_tangent_probe", lambda *args: (
             np.zeros(16), np.diag([eigenvalue, *np.ones(15)]), learner_mod._hermitian_basis(4)))
         monkeypatch.setattr(learner_mod, "_line_minimize", no_search)
-        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+        saddle_departure(np.eye(4, dtype=complex), phase_flip_data, RHO, POVM,
                          max_rounds=1, l1_stop=0.0)
         assert len(searches) == rays
 
@@ -480,9 +480,9 @@ class TestDeparture:
             np.ones(16), np.diag([-1.0, *np.ones(15)]), learner_mod._hermitian_basis(4)))
         monkeypatch.setattr(learner_mod, "_search_rays", lambda *args: (
             [1.0, 1.0, 0.0], lambda trials: np.stack([(coupled, uncoupled)[r] for r in trials])))
-        fit = saddle_departure(np.eye(4, dtype=complex), 2, data, RHO, POVM, max_rounds=1,
+        fit = saddle_departure(np.eye(4, dtype=complex), data, RHO, POVM, max_rounds=1,
                                l1_stop=0.05)
-        assert 0.0 < fit.l1 <= 0.05 and fit.cost > cost(coupled, 2, data, RHO, POVM)
+        assert 0.0 < fit.l1 <= 0.05 and fit.cost > cost(coupled, data, RHO, POVM)
         assert np.array_equal(fit.node, uncoupled)
 
     def test_round_endpoints_are_one_stack(self, phase_flip_data, monkeypatch):
@@ -502,7 +502,7 @@ class TestDeparture:
 
         monkeypatch.setattr(learner_mod, "predicted_curve", recorded_curve)
         monkeypatch.setattr(learner_mod, "_search_rays", recorded_search)
-        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+        saddle_departure(np.eye(4, dtype=complex), phase_flip_data, RHO, POVM,
                          max_rounds=1, l1_stop=0.0)
         [(before, thetas, rotate)] = searched
         moved = {r: theta for r, theta in enumerate(thetas) if theta != 0.0}
@@ -520,8 +520,8 @@ class TestDeparture:
             np.ones(16), np.diag([-1.0, *np.ones(15)]), learner_mod._hermitian_basis(4)))
         monkeypatch.setattr(learner_mod, "_search_rays", lambda *args: (
             [1.0, 1.0, 0.0], lambda trials: np.stack([worse[r] for r in trials])))
-        fit = saddle_departure(start, 2, data, RHO, POVM, max_rounds=1, l1_stop=0.0)
-        assert all(cost(node, 2, data, RHO, POVM) > fit.cost for node in worse)
+        fit = saddle_departure(start, data, RHO, POVM, max_rounds=1, l1_stop=0.0)
+        assert all(cost(node, data, RHO, POVM) > fit.cost for node in worse)
         assert np.array_equal(fit.node, start)
 
     def test_probe_costs_its_nodes_in_order_in_bounded_slices(self, phase_flip_data,
@@ -544,7 +544,7 @@ class TestDeparture:
 
         monkeypatch.setattr(learner_mod, "cost", counted_cost)
         monkeypatch.setattr(learner_mod, "_tangent_probe", counted_probe)
-        saddle_departure(np.eye(4, dtype=complex), 2, phase_flip_data, RHO, POVM,
+        saddle_departure(np.eye(4, dtype=complex), phase_flip_data, RHO, POVM,
                          max_rounds=2, l1_stop=0.0)
         assert len(per_round) == 2
         for node, stacks in per_round:
@@ -569,17 +569,17 @@ class TestDeparture:
 
         monkeypatch.setattr(learner_mod, "_ray_rotations", captured)
         with pytest.raises(Captured):
-            learner_mod._tangent_probe(np.eye(dim, dtype=complex), 0.0, dim // 2, None, RHO, POVM)
+            learner_mod._tangent_probe(np.eye(dim, dtype=complex), 0.0, None, RHO, POVM)
         assert seen[0].tobytes() == probe_directions(dim).tobytes()
 
     def test_probe_memory_is_one_slice(self, phase_flip_data):
         # at d_env 3 the probe costs 1,332 nodes; in slices of 72 its tracemalloc
         # peak stays below 4 MB (25.7 MB when all of them were one stack)
         node = np.eye(6, dtype=complex)
-        c0 = cost(node, 3, phase_flip_data, RHO, POVM)
+        c0 = cost(node, phase_flip_data, RHO, POVM)
         tracemalloc.start()
         try:
-            learner_mod._tangent_probe(node, c0, 3, phase_flip_data, RHO, POVM)
+            learner_mod._tangent_probe(node, c0, phase_flip_data, RHO, POVM)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

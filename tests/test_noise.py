@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from rbmpo.cli import EXIT_INPUT, main
 from rbmpo.errors import DomainError, InputError
 from rbmpo.linalg import matrix_to_json_dict
 from rbmpo.noise import (amplitude_damping, depolarizing, eigh_expm, hermitian_expm,
@@ -14,7 +15,7 @@ from rbmpo.process_tensor import contract_asf_dense
 from rbmpo.quantum import (HADAMARD, I2, KrausChannel, apply_channel, basis_state, dagger,
                            single_qubit_cliffords)
 from rbmpo.rb import run_sequence
-from rbmpo.serialize import noise_model_from_dict, noise_model_to_dict
+from rbmpo.serialize import dump_json, noise_model_from_dict, noise_model_to_dict
 
 
 def kraus_completeness(channel):
@@ -213,6 +214,19 @@ class TestSerialization:
         d = noise_model_to_dict(spin_unitary(1.2, 1.17, -1.15, 0.05))
         with pytest.raises(InputError):
             noise_model_from_dict({**d, "d_env": 2.0})
+
+    @pytest.mark.parametrize("d_env", [4, 1, 0, -1])
+    def test_joint_record_d_env_must_be_rho_env_dim(self, tmp_path, capsys, d_env):
+        # the record's d_env must be its 2 x 2 rho_env's dim: an input error, and
+        # generate exits 1 on it
+        record = {**noise_model_to_dict(spin_unitary(1.2, 1.17, -1.15, 0.05)), "d_env": d_env}
+        with pytest.raises(InputError):
+            noise_model_from_dict(record)
+        cfg = tmp_path / "cfg.json"
+        dump_json({"schema_version": 1, "kind": "rb_experiment", "seed": 1, "m_max": 3,
+                   "n_samples": 5, "noise": record}, cfg)
+        assert main(["generate", str(cfg), "-o", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("record", [
         noise_model_to_dict(markovian_channel(KrausChannel(amplitude_damping(0.3).bulk),

@@ -25,7 +25,7 @@ POVM = basis_state(0, 2)
 
 
 def random_model(rng):
-    return joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+    return joint_unitary(haar_unitary(4, rng), basis_state(0, 2))
 
 
 def variant_model(rng, variant):
@@ -102,7 +102,7 @@ class TestDenseOracle:
             "from rbmpo.rb import run_sequence\n"
             "from rbmpo.selfcheck import haar_unitary\n"
             "rng, rho = np.random.default_rng(1404), basis_state(0, 2)\n"
-            "model = joint_unitary(haar_unitary(4, rng), rho, 2)\n"
+            "model = joint_unitary(haar_unitary(4, rng), rho)\n"
             "gates = sample_sequence(single_qubit_cliffords(), 4, rng)\n"
             "seq = abs(contract_asf_dense(model, gates, rho, rho)\n"
             "          - run_sequence(model, gates, rho, rho))\n"

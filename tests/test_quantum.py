@@ -162,8 +162,8 @@ class TestValidators:
         (validate_density_matrix, _with_nan(basis_state(0, 2), 1, 1)),
         (validate_povm_element, _with_nan(basis_state(0, 2), 0, 0)),
         (lambda m: KrausChannel((m,)), _with_nan(I2, 1, 0)),
-        (lambda m: joint_unitary(m, basis_state(0, 2), 2), _with_nan(np.eye(4), 2, 1)),
-        (lambda m: joint_unitary(np.eye(4), m, 2), _with_nan(basis_state(0, 2), 0, 1)),
+        (lambda m: joint_unitary(m, basis_state(0, 2)), _with_nan(np.eye(4), 2, 1)),
+        (lambda m: joint_unitary(np.eye(4), m), _with_nan(basis_state(0, 2), 0, 1)),
     ], ids=["unitary", "density_matrix", "povm_element", "kraus", "joint_unitary", "rho_env"])
     def test_nan_entry_rejected(self, check, matrix):
         with pytest.raises(InputError):
@@ -175,11 +175,11 @@ class TestValidators:
                        for delta in (0.45 * UNITARITY_TOL, 0.55 * UNITARITY_TOL))
         assert unitarity_defect(under) < UNITARITY_TOL < unitarity_defect(over)
         validate_unitary(under, tol=UNITARITY_TOL)
-        joint_unitary(under, basis_state(0, 2), 2)
+        joint_unitary(under, basis_state(0, 2))
         with pytest.raises(InputError, match="not unitary"):
             validate_unitary(over, tol=UNITARITY_TOL)
         with pytest.raises(InputError, match="not unitary"):
-            joint_unitary(over, basis_state(0, 2), 2)
+            joint_unitary(over, basis_state(0, 2))
 
 
 def test_fix_global_phase_is_canonical():

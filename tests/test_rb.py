@@ -34,7 +34,7 @@ def qutrit_env_model():
     and a unitary preparation slot: a swap of environment and system legs
     cannot go unseen on it."""
     rng = np.random.default_rng(1234)
-    return joint_unitary(haar_unitary(6, rng), np.diag([0.5, 0.3, 0.2]).astype(complex), 3,
+    return joint_unitary(haar_unitary(6, rng), np.diag([0.5, 0.3, 0.2]).astype(complex),
                          prep=KrausChannel((haar_unitary(6, rng),)), label="qutrit_env")
 
 
@@ -86,7 +86,7 @@ class TestRunSequence:
         assert abs(got - np.real(np.trace(POVM @ back))) < 1e-14
 
     def test_identity_joint_noise_gives_unity(self, cliffords):
-        model = joint_unitary(np.eye(4, dtype=complex), basis_state(0, 2), 2)
+        model = joint_unitary(np.eye(4, dtype=complex), basis_state(0, 2))
         rng = np.random.default_rng(1)
         gates = sample_sequence(cliffords, 5, rng)
         assert abs(run_sequence(model, gates, RHO, POVM) - 1.0) < 1e-12
@@ -94,7 +94,7 @@ class TestRunSequence:
     @pytest.mark.parametrize("seed", range(4))
     def test_survival_in_unit_interval(self, cliffords, seed):
         rng = np.random.default_rng(700 + seed)
-        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2), 2)
+        model = joint_unitary(haar_unitary(4, rng), basis_state(0, 2))
         gates = sample_sequence(cliffords, int(rng.integers(1, 8)), rng)
         f = run_sequence(model, gates, RHO, POVM)
         assert -1e-10 <= f <= 1 + 1e-10
@@ -119,7 +119,7 @@ class TestRunSequence:
         rng = np.random.default_rng(800 + seed)
         u = haar_unitary(2, rng)
         markov = markovian_channel(KrausChannel((u,)))
-        joint = joint_unitary(np.kron(np.eye(2), u), basis_state(0, 2), 2)
+        joint = joint_unitary(np.kron(np.eye(2), u), basis_state(0, 2))
         gates = sample_sequence(cliffords, 4, rng)
         fa = run_sequence(markov, gates, RHO, POVM)
         fb = run_sequence(joint, gates, RHO, POVM)
@@ -140,7 +140,7 @@ class TestRunSequence:
     def test_probability_escape_is_numerical(self, cliffords):
         # passes the 1e-9 unitarity check (defect 8e-10), yet six noise slots
         # inflate the survival probability to 1 + 2.4e-9
-        model = joint_unitary((1 + 2e-10) * np.eye(4, dtype=complex), basis_state(0, 2), 2)
+        model = joint_unitary((1 + 2e-10) * np.eye(4, dtype=complex), basis_state(0, 2))
         with pytest.raises(NumericalError):
             run_sequence(model, [cliffords.gates[0]] * 5, RHO, POVM)
         # a stack escapes when any one of its sequences does, here the last:
