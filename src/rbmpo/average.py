@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError, UnsupportedConfigurationError
+from .errors import InputError, UnsupportedConfigurationError
 from .noise import NoiseSteps, kraus_stack
-from .quantum import GateSet, validate_density_matrix, validate_povm_element
+from .quantum import GateSet, validate_state_and_povm
 from .rb import AsfCurve
 
 
@@ -191,11 +191,7 @@ def clifford_averaged_asf_curve(
         )
     if m_max < 1:
         raise InputError(f"m_max must be >= 1, got {m_max}")
-    rho_sys = validate_density_matrix(np.asarray(rho_sys, dtype=np.complex128), name="rho_sys")
-    povm = validate_povm_element(np.asarray(povm, dtype=np.complex128))
-    if rho_sys.shape[0] != noise.d_sys or povm.shape[0] != noise.d_sys:
-        raise ShapeError("state/POVM dimension does not match the noise model's system")
-
+    rho_sys, povm = validate_state_and_povm(rho_sys, povm, noise.d_sys)
     return _chain_curve(noise, rho_sys, povm, m_max)
 
 

@@ -45,7 +45,7 @@ from .errors import DomainError, NumericalError, ShapeError
 from .linalg import principal_unitary_sqrt, project_to_unitary, svd, unitarity_defect
 from .noise import UNITARITY_TOL, NoiseSteps, diagnose_markovianity, eigh_expm, kraus_stack
 from .process_tensor import asf_joint_coefficient, joint_node, split_joint
-from .quantum import validate_density_matrix, validate_povm_element
+from .quantum import validate_state_and_povm
 from .rb import AsfCurve
 
 
@@ -458,10 +458,7 @@ def train(data: AsfCurve, rho_sys, povm, config: LearnerConfig) -> TrainingResul
     minimum-cost fit, not the final one (the cost trace is not monotone),
     gives the returned node and its predicted curve.
     """
-    rho_sys = validate_density_matrix(np.asarray(rho_sys, dtype=np.complex128), name="rho_sys")
-    povm = validate_povm_element(np.asarray(povm, dtype=np.complex128))
-    if povm.shape != rho_sys.shape:
-        raise ShapeError(f"povm {povm.shape} does not match rho_sys {rho_sys.shape}")
+    rho_sys, povm = validate_state_and_povm(rho_sys, povm)
     d_sys = rho_sys.shape[0]
     sigma_total = float(np.sum(np.abs(data.stderrs)))
     # floating-point floor: noiseless curves carry ~1e-16 round-off per point,

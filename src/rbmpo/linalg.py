@@ -38,10 +38,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """||U^dag U - I||_F, the distance of a square matrix from unitarity; inf
-    or NaN, without a warning, when U^dag U overflows."""
+    """||U^dag U - I||_F, a square matrix's distance from unitarity, or the largest over
+    a stack (..., d, d); inf or NaN, without a warning, when U^dag U overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])))
+        diff = dagger(u) @ u - np.eye(u.shape[-1])
+        return float(np.linalg.norm(diff) if diff.ndim == 2
+                     else np.linalg.norm(diff, axis=(-2, -1)).max())
 
 
 def svd(m):

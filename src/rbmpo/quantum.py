@@ -33,19 +33,6 @@ def basis_state(index: int, dim: int) -> np.ndarray:
     return rho
 
 
-def validate_density_matrix(rho, tol: float = 1e-12, name: str = "rho") -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ShapeError(f"{name} must be square, got {rho.shape}")
-    if not np.linalg.norm(rho - dagger(rho)) <= tol:
-        raise InputError(f"{name} is not Hermitian within {tol}")
-    if not abs(np.trace(rho) - 1.0) <= tol:
-        raise InputError(f"{name} has trace {np.trace(rho):.6g}, expected 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
-        raise InputError(f"{name} is not positive semidefinite")
-    return rho
-
-
 def validate_povm_element(m, name: str = "povm") -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -56,6 +43,25 @@ def validate_povm_element(m, name: str = "povm") -> np.ndarray:
     if ev.min() < -1e-10 or ev.max() > 1 + 1e-10:
         raise InputError(f"{name} has eigenvalues outside [0, 1]: [{ev.min()}, {ev.max()}]")
     return m
+
+
+def validate_density_matrix(rho, name: str = "rho") -> np.ndarray:
+    """A POVM element of unit trace."""
+    rho = validate_povm_element(rho, name)
+    if not abs(np.trace(rho) - 1.0) <= 1e-12:
+        raise InputError(f"{name} has trace {np.trace(rho):.6g}, expected 1")
+    return rho
+
+
+def validate_state_and_povm(rho_sys, povm, d_sys: int | None = None):
+    """The one check of an experiment's prepared state and measured POVM element:
+    both valid, and both d_sys x d_sys (rho_sys's size if d_sys is None)."""
+    rho_sys = validate_density_matrix(rho_sys, name="rho_sys")
+    povm = validate_povm_element(povm)
+    d = rho_sys.shape[0] if d_sys is None else d_sys
+    if rho_sys.shape != (d, d) or povm.shape != (d, d):
+        raise ShapeError(f"rho_sys {rho_sys.shape} and povm {povm.shape} must both be {d} x {d}")
+    return rho_sys, povm
 
 
 def validate_unitary(u, tol: float = 1e-10, name: str = "gate") -> np.ndarray:

@@ -16,7 +16,8 @@ product, and takes each step's gate indices as one column.
 all lengths through it in one pass, drawing each column as the loop reaches
 it (:func:`_stream_indices`, the one definition of the gate stream).  Both
 run in chunks whose states and gathered gates hold at most 320 KiB, at any
-joint width, and every product is per row.
+joint width, and every product is per row.  ``_survival`` lifts its gate table
+up front, which for :func:`run_sequence` is a chunk's rows x m gates.
 """
 
 from __future__ import annotations
@@ -28,15 +29,9 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InputError, NumericalError, ShapeError
-from .linalg import dagger
+from .linalg import dagger, unitarity_defect
 from .noise import NoiseSteps, kraus_stack
-from .quantum import (
-    GateSet,
-    basis_state,
-    single_qubit_cliffords,
-    validate_density_matrix,
-    validate_povm_element,
-)
+from .quantum import GateSet, basis_state, single_qubit_cliffords, validate_state_and_povm
 
 
 @dataclass(frozen=True)
@@ -113,11 +108,8 @@ class ExperimentConfig:
         if self.m_max >= 2**32 or self.n_samples >= 2**32:
             raise InputError("m_max and n_samples must be below 2**32: each is one 32-bit word "
                              "of a sample's seed")
-        rho = validate_density_matrix(self.rho_sys, name="rho_sys")
-        povm = validate_povm_element(self.povm)
-        if rho.shape[0] != self.noise.d_sys or povm.shape[0] != self.noise.d_sys:
-            raise ShapeError("state/POVM dimension must match the noise model's system")
-        if self.gate_set.dim != rho.shape[0]:
+        rho, povm = validate_state_and_povm(self.rho_sys, self.povm, self.noise.d_sys)
+        if self.gate_set.dim != self.noise.d_sys:
             raise ShapeError("gate dimension must match the system dimension")
         object.__setattr__(self, "rho_sys", rho)
         object.__setattr__(self, "povm", povm)
@@ -198,8 +190,11 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     float; or a stack (n, m, d, d) of n sequences of one length, which gives
     an (n,) array.  This is the one-length case of the evolution loop behind
     :func:`estimate_asf` (``_survival``), with the stack as its own gate
-    table, run in chunks of at most 320 KiB.  Every product is per sequence,
-    so a batch equals its sequences run one at a time, bit for bit.
+    table, in the chunks of rows sequences that :func:`estimate_asf` uses.  A
+    chunk's rows x m gates are lifted to d^4 superoperators up front, so memory
+    is O(rows m d^4), about 8 times the chunk's gate bytes.  Every product is per
+    sequence, so a batch equals its sequences run one at a time, bit for bit.
+    Each gate must be unitary within 1e-10.
     """
     try:
         stack = np.asarray(gates)
@@ -210,9 +205,9 @@ def run_sequence(noise: NoiseSteps, gates, rho_sys, povm):
     d = noise.d_sys
     if stack.ndim not in (3, 4) or stack.shape[-2:] != (d, d):
         raise ShapeError(f"gates of shape {stack.shape} are not (m, {d}, {d}) or (n, m, {d}, {d})")
-    rho_sys, povm = np.asarray(rho_sys), np.asarray(povm)
-    if rho_sys.shape != (d, d) or povm.shape != (d, d):
-        raise ShapeError("state/POVM dimensions do not match the noise model")
+    rho_sys, povm = validate_state_and_povm(rho_sys, povm, d)
+    if not (defect := unitarity_defect(stack)) <= 1e-10:
+        raise InputError(f"a gate is not unitary (||U^dag U - I|| = {defect:.3e} > 1e-10)")
     batch = stack.reshape(-1, *stack.shape[-3:])
     n, m = batch.shape[:2]
     parts, size = [], _chunk_rows(noise)

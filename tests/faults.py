@@ -63,6 +63,9 @@ FAULTS = [Fault(*entry) for entry in [
     ("survival-povm-transpose-dropped", "rb.py", "np.eye(d_env), povm.T)", "np.eye(d_env), povm)",
      "the simulator measures the transpose of the POVM element",
      "tests/test_properties.py::test_direct_evolution_equals_dense_oracle"),
+    ("gate-check-skipped", "rb.py", "(defect := unitarity_defect(stack))", "(defect := 0.0)",
+     "run_sequence runs non-unitary gates: 0.5 I gives 0.0625, a NaN gate a NumericalError",
+     "tests/test_rb.py::TestRunSequence::test_non_unitary_gate_is_input_error[half_identity]"),
     ("running-product-reversed", "rb.py", "gates[step] @ prod[:n]", "prod[:n] @ gates[step]",
      "the compiled inverse is built from the gates in reverse order",
      "tests/test_acceptance.py::test_criterion_1_oracle_equivalence"),
@@ -147,7 +150,7 @@ FAULTS = [Fault(*entry) for entry in [
      "experiment.povm, experiment.rho_sys", "learn fits the generated POVM as the state",
      "tests/test_cli.py::TestLearn::test_learn_fits_the_generated_state_and_povm"),
     ("unitarity-defect-warns", "linalg.py",
-     'np.errstate(over="ignore", invalid="ignore"):\n        return', "np.errstate():\n        return",
+     'np.errstate(over="ignore", invalid="ignore"):\n        diff', "np.errstate():\n        diff",
      "a node whose U^dag U overflows warns before it fails the unitarity check",
      "tests/test_properties.py::test_cli_returns_an_exit_code_on_edited_inputs"),
     ("sqrt-branch-flipped", "linalg.py", "overlap) < 0.0", "overlap) > 0.0",
@@ -176,6 +179,15 @@ FAULTS = [Fault(*entry) for entry in [
     ("fd-gradient-conjugated", "selfcheck.py", "-(d_re + 1j * d_im)", "-(d_re - 1j * d_im)",
      "the finite-difference arbiter returns the conjugate Wirtinger derivative",
      "tests/test_acceptance.py::test_criterion_4_gradient_correctness"),
+    ("density-trace-unchecked", "quantum.py", "if not abs(np.trace(rho) - 1.0) <= 1e-12:",
+     "if False:", "a density matrix of any trace passes as a state",
+     "tests/test_quantum.py::TestValidators::test_invalid_state_or_povm_is_input_error"
+     "[run_sequence-rho_trace_above_1]"),
+    ("pair-check-ignores-model", "quantum.py",
+     "d = rho_sys.shape[0] if d_sys is None else d_sys", "d = rho_sys.shape[0]",
+     "a state and POVM element of one size pass against a model of another",
+     "tests/test_quantum.py::TestValidators::test_invalid_state_or_povm_is_input_error"
+     "[closed_form-qutrit_pair]"),
     ("bool-as-number", "serialize.py", "bad = isinstance(value, bool) or not", "bad = not",
      "a JSON true or false is read as the number 1 or 0",
      "tests/test_cli.py::TestGenerate::test_mistyped_noise_parameter_is_input_error[noise0]"),

@@ -5,7 +5,7 @@ import pytest
 
 from rbmpo.errors import FactorizationError, InputError, ShapeError, SingularMatrixError
 from rbmpo.linalg import (dagger, matrix_from_json_dict, matrix_to_json_dict,
-                          principal_unitary_sqrt, project_to_unitary, svd)
+                          principal_unitary_sqrt, project_to_unitary, svd, unitarity_defect)
 from rbmpo.selfcheck import haar_unitary
 
 
@@ -25,6 +25,19 @@ class TestDagger:
         assert out.shape == (5, 3, 4, 2)
         for idx in np.ndindex(5, 3):
             assert np.array_equal(out[idx], dagger(stack[idx]))
+
+
+class TestUnitarityDefect:
+    def test_stack_gives_its_largest_defect(self):
+        # a (5, 2, 3, 3) stack, so an identity sized by the first axis fails;
+        # diag(1, 1.5, 1) has U^dag U - I = diag(0, 1.25, 0) exactly
+        rng = np.random.default_rng(41)
+        stack = np.array([[haar_unitary(3, rng) for _ in range(2)] for _ in range(5)])
+        assert unitarity_defect(stack) < 1e-14
+        stack[3, 1] = np.diag([1.0, 1.5, 1.0])
+        assert unitarity_defect(stack) == unitarity_defect(stack[3, 1]) == 1.25
+        stack[0, 0, 2, 1] = np.nan
+        assert np.isnan(unitarity_defect(stack))
 
 
 class TestSvd:

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from rbmpo.average import clifford_averaged_asf_curve
 from rbmpo.errors import InputError
+from rbmpo.learner import LearnerConfig, train
 from rbmpo.linalg import unitarity_defect
 from rbmpo.noise import UNITARITY_TOL, joint_unitary, phase_flip
 from rbmpo.quantum import (HADAMARD, I2, PHASE_S, GateSet, KrausChannel, apply_channel,
                            basis_state, compile_undo, dagger, equal_up_to_phase, fix_global_phase,
                            sample_sequence, single_qubit_cliffords, validate_density_matrix,
                            validate_povm_element, validate_unitary)
+from rbmpo.rb import AsfCurve, ExperimentConfig, run_sequence
 
 
 class TestCliffordGroup:
@@ -154,6 +157,30 @@ def _with_nan(m, row, col):
     return m
 
 
+ZERO = basis_state(0, 2)
+
+#: Each entry is an invalid (rho_sys, povm) pair for a qubit model.
+BAD_PAIRS = {
+    "non_hermitian_rho": (np.array([[0.5, 0.9], [0.1, 0.5]], dtype=complex), ZERO),
+    "negative_rho": (np.diag([1 + 1e-9, -1e-9]).astype(complex), ZERO),
+    "rho_trace_above_1": (np.diag([0.5 + 1e-9, 0.5]).astype(complex), ZERO),
+    "povm_2_identity": (ZERO, 2 * I2),
+    "qutrit_rho": (basis_state(0, 3), ZERO),
+    "qutrit_pair": (basis_state(0, 3), basis_state(0, 3)),
+}
+
+#: The entry points that read an experiment's (rho_sys, povm) pair, on a qubit model.
+PAIR_ENTRY_POINTS = {
+    "experiment_config": lambda rho, povm: ExperimentConfig(phase_flip(0.06), 3, 2, 0,
+                                                            rho_sys=rho, povm=povm),
+    "closed_form": lambda rho, povm: clifford_averaged_asf_curve(phase_flip(0.06), rho, povm, 3),
+    "train": lambda rho, povm: train(AsfCurve((1, 2), (0.9, 0.8), (0.01, 0.01), 10), rho, povm,
+                                     LearnerConfig()),
+    "run_sequence": lambda rho, povm: run_sequence(phase_flip(0.06), [HADAMARD, PHASE_S], rho,
+                                                   povm),
+}
+
+
 class TestValidators:
     # a NaN defect compares false with any tolerance, so a check written
     # as `defect > tol` accepts a NaN matrix
@@ -168,6 +195,14 @@ class TestValidators:
     def test_nan_entry_rejected(self, check, matrix):
         with pytest.raises(InputError):
             check(matrix)
+
+    @pytest.mark.parametrize("entry, pair", [
+        (entry, pair) for entry in PAIR_ENTRY_POINTS for pair in BAD_PAIRS
+        # train has no model, so a qutrit pair is a valid input there
+        if (entry, pair) != ("train", "qutrit_pair")])
+    def test_invalid_state_or_povm_is_input_error(self, entry, pair):
+        with pytest.raises(InputError):
+            PAIR_ENTRY_POINTS[entry](*BAD_PAIRS[pair])
 
     def test_node_tolerance_is_the_boundary(self):
         # diag(1 + delta, 1, 1, 1) has defect (1 + delta)^2 - 1, about 2 delta

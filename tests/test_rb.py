@@ -152,6 +152,33 @@ class TestRunSequence:
         with pytest.raises(NumericalError):
             run_sequence(leaky, stack, RHO, POVM)
 
+    @pytest.mark.parametrize("gate", [0.5 * I2, np.array([[1, 1], [0, 1]], dtype=complex),
+                                      np.full((2, 2), np.nan, dtype=complex)],
+                             ids=["half_identity", "shear", "nan"])
+    def test_non_unitary_gate_is_input_error(self, cliffords, gate):
+        # unchecked, a one-gate sequence of each gave 0.0625, 1.0 and a
+        # NumericalError; in the stack the bad gate sits in the last sequence
+        stack = np.array([cliffords.gates[:2], cliffords.gates[2:4], [cliffords.gates[4], gate]])
+        with pytest.raises(InputError, match="not unitary"):
+            run_sequence(phase_flip(0.06), stack, RHO, POVM)
+        with pytest.raises(InputError, match="not unitary"):
+            run_sequence(phase_flip(0.06), [gate], RHO, POVM)
+
+    @pytest.mark.parametrize("m", [20, 200])
+    def test_memory_is_a_multiple_of_the_gate_stack(self, cliffords, m):
+        # a chunk's rows x m gates are lifted to d^4 superoperators up front,
+        # so the peak grows with m: 8.1 times the stack's bytes at both lengths
+        model = phase_flip(0.06)
+        stack = np.stack(cliffords.gates)[np.random.default_rng(902).integers(0, 24, (100, m))]
+        run_sequence(model, stack[:1], RHO, POVM)
+        tracemalloc.start()
+        try:
+            run_sequence(model, stack, RHO, POVM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * stack.nbytes, peak / stack.nbytes
+
     def test_shape_errors(self):
         model = identity_model()
         for empty in ([], np.zeros((3, 0, 2, 2)), np.zeros((0, 3, 2, 2))):
